@@ -98,7 +98,9 @@ def _solve_cmd(args) -> int:
     values: dict = {}
     stats: dict = {}
     verdict = Verdict(INF, anz=prep.anz, kappa=prep.kappa,
-                      w_bound=prep.w_bound)
+                      w_bound=prep.w_bound,
+                      feasibility_calls=prep.feasibility_calls,
+                      feasibility_distinct=prep.feasibility_distinct)
     if check_finite_value(prep.rg):
         values = value_functions(prep.rg, prep.kernel, prep.w_bound,
                                  prep.kappa, k_cap=args.k_cap, _stats=stats)
@@ -117,7 +119,8 @@ def _solve_cmd(args) -> int:
     print(verdict)
     print(f"# kappa = {frac_str(prep.kappa)}, weight bound = "
           f"{frac_str(prep.w_bound)}, sweeps = {verdict.sweeps}, "
-          f"vi steps = {verdict.vi_steps}")
+          f"vi steps = {verdict.vi_steps}, feasibility queries = "
+          f"{verdict.feasibility_calls} (distinct {verdict.feasibility_distinct})")
     return 0
 
 

@@ -150,7 +150,7 @@ class Configuration:
 
 @dataclass
 class WeightedTimedGame:
-    """A deadlock-prone raw game; see :func:`ensure_deadlock_free`."""
+    """A deadlock-prone raw game."""
 
     clocks: list[str]
     locations: dict[str, Location]
@@ -208,29 +208,3 @@ class WeightedTimedGame:
 
 SINK = "__sink"
 EXIT = "__exit"
-
-
-def ensure_deadlock_free(game: WeightedTimedGame) -> WeightedTimedGame:
-    """Give every player a fallback move so strategies are always defined.
-
-    Every Min location gets an unguarded zero-weight transition to a non-goal
-    sink (abandoning the play, value +inf for Min); every Max location gets an
-    unguarded zero-weight transition to a goal (capitulating at the weight
-    accumulated so far).  Idempotent; the original structure is untouched.
-    """
-    locations = dict(game.locations)
-    transitions = list(game.transitions)
-    if SINK not in locations:
-        locations[SINK] = Location(SINK, MIN, is_goal=False, weight=0, synthetic=True)
-        transitions.append(Transition("__t_sink_loop", SINK, SINK, synthetic=True))
-    if EXIT not in locations:
-        locations[EXIT] = Location(EXIT, MAX, is_goal=True, weight=0, synthetic=True)
-    for name, loc in game.locations.items():
-        if loc.synthetic or loc.is_goal:
-            continue
-        tid = f"__t_fallback_{name}"
-        if any(t.tid == tid for t in transitions):
-            continue
-        target = SINK if loc.owner == MIN else EXIT
-        transitions.append(Transition(tid, name, target, synthetic=True))
-    return WeightedTimedGame(list(game.clocks), locations, transitions, game.initial)

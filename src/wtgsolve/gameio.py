@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .core import (
     Configuration,
@@ -18,7 +17,16 @@ from .core import (
 _OP_ALIASES = {"<": "<", "<=": "<=", "=": "==", "==": "==", ">=": ">=", ">": ">"}
 
 
+def _natural(value, what: str) -> int:
+    """A JSON integer >= 0; anything else (1.5, true, "2", -1) is refused
+    rather than truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InputError(f"{what}: expected a non-negative integer, got {value!r}")
+    return value
+
+
 def game_from_dict(data: dict) -> WeightedTimedGame:
+    """Build a game from its JSON form; malformed input raises InputError."""
     try:
         clocks = list(data["clocks"])
         index = {name: i for i, name in enumerate(clocks)}
@@ -26,11 +34,14 @@ def game_from_dict(data: dict) -> WeightedTimedGame:
             raise InputError("duplicate clock names")
         locations = {}
         for ld in data["locations"]:
+            goal = ld.get("goal", False)
+            if not isinstance(goal, bool):
+                raise InputError(f"location {ld['id']}: goal must be true or false")
             loc = Location(
                 name=ld["id"],
                 owner=ld["owner"],
-                is_goal=bool(ld.get("goal", False)),
-                weight=int(ld.get("weight", 0)),
+                is_goal=goal,
+                weight=_natural(ld.get("weight", 0), f"location {ld['id']} weight"),
             )
             if loc.name in locations:
                 raise InputError(f"duplicate location {loc.name}")
@@ -43,7 +54,8 @@ def game_from_dict(data: dict) -> WeightedTimedGame:
                     raise InputError(f"bad guard operator {op!r}")
                 if clock not in index:
                     raise InputError(f"unknown clock {clock!r}")
-                guards.append(Guard(index[clock], _OP_ALIASES[op], int(bound)))
+                guards.append(Guard(index[clock], _OP_ALIASES[op],
+                                    _natural(bound, f"transition {i} guard bound")))
             resets = frozenset(index[c] for c in td.get("resets", ()))
             transitions.append(
                 Transition(
@@ -52,16 +64,21 @@ def game_from_dict(data: dict) -> WeightedTimedGame:
                     tgt=td["to"],
                     guards=tuple(guards),
                     resets=resets,
-                    weight=int(td.get("weight", 0)),
+                    weight=_natural(td.get("weight", 0), f"transition {i} weight"),
                 )
             )
         ini = data["initial"]
         vals = ini.get("valuation", {})
+        if any(isinstance(v, bool) for v in vals.values()):
+            raise InputError("initial valuation: expected rationals, got a boolean")
         valuation = tuple(frac(vals.get(c, 0)) for c in clocks)
         initial = Configuration(ini["location"], valuation)
+        return WeightedTimedGame(clocks, locations, transitions, initial)
     except KeyError as exc:
         raise InputError(f"missing field {exc}") from exc
-    return WeightedTimedGame(clocks, locations, transitions, initial)
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        # a string where a number belongs, a list where an object does, ...
+        raise InputError(f"malformed game: {exc}") from exc
 
 
 def game_to_dict(game: WeightedTimedGame) -> dict:
@@ -95,7 +112,7 @@ def load_game(path: str) -> WeightedTimedGame:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise InputError(f"invalid JSON: {exc}") from exc
     return game_from_dict(data)
 
@@ -109,33 +126,3 @@ def plf1_to_list(plf) -> object:
     if plf.is_infinite:
         return "+inf"
     return [[frac_str(x), frac_str(y)] for x, y in plf.points]
-
-
-def plf1_from_list(data) -> "PLF1":
-    from .plf import PLF1
-
-    if data == "+inf":
-        return PLF1.infinite()
-    return PLF1(tuple((frac(x), frac(y)) for x, y in data))
-
-
-def plf2_to_dict(plf) -> dict:
-    verts: list[tuple[Fraction, Fraction]] = []
-    vindex: dict[tuple[Fraction, Fraction], int] = {}
-
-    def vid(p):
-        if p not in vindex:
-            vindex[p] = len(verts)
-            verts.append(p)
-        return vindex[p]
-
-    cells = []
-    coeffs = []
-    for tri, (a, b, c) in plf.cells:
-        cells.append([vid(p) for p in tri])
-        coeffs.append([frac_str(a), frac_str(b), frac_str(c)])
-    return {
-        "vertices": [[frac_str(x), frac_str(y)] for x, y in verts],
-        "cells": cells,
-        "coeffs": coeffs,
-    }

@@ -1,4 +1,4 @@
-"""Exact rational 2-D geometry helpers: convex polygons, clipping, envelopes.
+"""Exact rational 2-D geometry helpers: convex polygons and clipping.
 
 All coordinates are :class:`fractions.Fraction`; every operation is exact.
 Polygons are convex and stored as tuples of counter-clockwise vertices.
@@ -8,9 +8,6 @@ representing ``a*x + b*y + c``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-from .core import DomainError
 
 Point = tuple[Fraction, Fraction]
 Coef = tuple[Fraction, Fraction, Fraction]
@@ -75,19 +72,6 @@ def clip_halfplane(poly: Polygon, a: Fraction, b: Fraction, c: Fraction) -> Poly
     return dedupe_polygon(out)
 
 
-def split_polygon(poly: Polygon, a: Fraction, b: Fraction, c: Fraction):
-    """Split by the line ``a*x + b*y = c``; returns the (<=, >=) parts."""
-    return clip_halfplane(poly, a, b, c), clip_halfplane(poly, -a, -b, -c)
-
-
-def polygon_centroid(poly: Polygon) -> Point:
-    n = len(poly)
-    return (
-        sum(p[0] for p in poly) / n,
-        sum(p[1] for p in poly) / n,
-    )
-
-
 def point_in_polygon(poly: Polygon, p: Point) -> bool:
     """Closed containment test for a convex CCW polygon (degenerate allowed)."""
     if not poly:
@@ -116,92 +100,3 @@ def triangulate(poly: Polygon) -> list[Polygon]:
         if polygon_area2(tri) > 0:
             tris.append(tri)
     return tris
-
-
-def normalize_line(a: Fraction, b: Fraction, c: Fraction):
-    """Canonical integer form of the line ``a*x + b*y = c`` for deduping."""
-    den = a.denominator * b.denominator * c.denominator
-    ai, bi, ci = int(a * den), int(b * den), int(c * den)
-    g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
-    if g:
-        ai, bi, ci = ai // g, bi // g, ci // g
-    if ai < 0 or (ai == 0 and bi < 0):
-        ai, bi, ci = -ai, -bi, -ci
-    return ai, bi, ci
-
-
-def line_through(p: Point, q: Point):
-    """Line a*x + b*y = c through two distinct points."""
-    a = q[1] - p[1]
-    b = p[0] - q[0]
-    c = a * p[0] + b * p[1]
-    return normalize_line(a, b, c)
-
-
-def arrange(domain: Polygon, lines) -> list[Polygon]:
-    """Cut ``domain`` along every line; returns the convex cells."""
-    cells = [domain]
-    seen = set()
-    for a, b, c in lines:
-        key = normalize_line(Fraction(a), Fraction(b), Fraction(c))
-        if key in seen:
-            continue
-        seen.add(key)
-        na, nb, nc = (Fraction(v) for v in key)
-        nxt = []
-        for cell in cells:
-            lo, hi = split_polygon(cell, na, nb, nc)
-            parts = [p for p in (lo, hi) if len(p) >= 3 and polygon_area2(p) > 0]
-            nxt.extend(parts if parts else [cell])
-        cells = nxt
-    return cells
-
-
-def envelope2(pieces, domain: Polygon, direction: str):
-    """Exact lower/upper envelope of partial affine pieces over ``domain``.
-
-    ``pieces`` is a list of ``(polygon, coef)``; every point of ``domain``
-    must be covered by at least one piece polygon.  Returns a list of
-    ``(triangle, coef)`` cells forming the pointwise inf (``direction='inf'``)
-    or sup of the covering pieces.
-    """
-    if direction not in ("inf", "sup"):
-        raise ValueError(direction)
-    if not pieces:
-        raise DomainError("envelope of no pieces")
-    lines = []
-    for poly, _ in pieces:
-        n = len(poly)
-        if n >= 2:
-            for i in range(n):
-                p, q = poly[i], poly[(i + 1) % n]
-                if p != q:
-                    lines.append(line_through(p, q))
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            (a1, b1, c1), (a2, b2, c2) = pieces[i][1], pieces[j][1]
-            da, db, dc = a1 - a2, b1 - b2, c1 - c2
-            if da == 0 and db == 0:
-                continue
-            lines.append(normalize_line(da, db, -dc))
-    better = min if direction == "inf" else max
-    cells = []
-    for cell in arrange(domain, lines):
-        for tri in triangulate(cell):
-            cen = polygon_centroid(tri)
-            covering = [
-                coef
-                for poly, coef in pieces
-                if all(point_in_polygon(poly, v) for v in tri)
-            ]
-            if not covering:
-                # fall back to centroid containment (guards against slivers
-                # whose vertices sit exactly on piece boundaries)
-                covering = [
-                    coef for poly, coef in pieces if point_in_polygon(poly, cen)
-                ]
-            if not covering:
-                raise DomainError(f"envelope coverage gap at {cen}")
-            best = better(covering, key=lambda cf: affine_eval(cf, cen))
-            cells.append((tri, best))
-    return cells

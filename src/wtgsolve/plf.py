@@ -14,19 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import INF, DomainError, frac
-from . import geometry as geo
 from .geometry import (
     Coef,
     Point,
     Polygon,
     affine_eval,
     clip_halfplane,
-    envelope2,
-    line_through,
     make_ccw,
     point_in_polygon,
     polygon_area2,
-    polygon_centroid,
     triangulate,
 )
 

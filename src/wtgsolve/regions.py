@@ -460,7 +460,16 @@ def _elapsed_membership(target: Region, expr) -> list[LinCon]:
 def elapsed_region_feasible(src: Region, target: Region, guards: Sequence[Guard],
                             closure: bool = False) -> bool:
     """Is there nu in src (closure if asked) and delta >= 0 with nu+delta
-    satisfying ``guards`` and lying in ``target``?"""
+    satisfying ``guards`` and lying in ``target``?
+
+    Answers are memoised until :func:`reset_feasibility_cache`.
+    """
+    return _elapsed_region_feasible(src, target, tuple(guards), closure)
+
+
+@functools.lru_cache(maxsize=None)
+def _elapsed_region_feasible(src: Region, target: Region,
+                             guards: tuple[Guard, ...], closure: bool) -> bool:
     rc, expr = _region_constraints(src, closure)
     cons = rc + [({_DELTA: Fraction(-1)}, ZERO, False)]
     cons += _elapsed_membership(target, expr)
@@ -480,13 +489,35 @@ def delay_feasible(r: Region, guards: Sequence[Guard], n_clocks: int,
 
     Satisfiability of such a system is constant across the valuations of an
     open region, so region quantifiers reduce to this existential check.
+    Answers are memoised until :func:`reset_feasibility_cache`.
     """
+    return _delay_feasible(r, tuple(guards), n_clocks, closure, negate, box)
+
+
+@functools.lru_cache(maxsize=None)
+def _delay_feasible(r: Region, guards: tuple[Guard, ...], n_clocks: int,
+                    closure: bool, negate: Optional[Guard], box: bool) -> bool:
     rc, expr = _region_constraints(r, closure)
     variables = list(range(r.p)) + [_DELTA]
     for disjunct in _guard_constraints(guards, expr, negate, box, n_clocks):
         if _fm_feasible(rc + disjunct, variables):
             return True
     return False
+
+
+_FEASIBILITY_CACHES = (_elapsed_region_feasible, _delay_feasible)
+
+
+def reset_feasibility_cache() -> None:
+    """Forget the memoised feasibility answers; ``prepare`` does so per solve."""
+    for cached in _FEASIBILITY_CACHES:
+        cached.cache_clear()
+
+
+def feasibility_counts() -> tuple[int, int]:
+    """(calls, distinct questions) of both predicates since the last reset."""
+    infos = [cached.cache_info() for cached in _FEASIBILITY_CACHES]
+    return sum(i.hits + i.misses for i in infos), sum(i.misses for i in infos)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from .plf import (ONE, ZERO, PLF1, PLF2, Segment, canonicalize, eval1,
                   pointwise_extremum, restrict2, fiber_extremum,
                   running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
-                      normalize_01, prune_unreachable, relax, trim)
+                      feasibility_counts, normalize_01, prune_unreachable,
+                      relax, reset_feasibility_cache, trim)
 from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      check_almost_non_zeno, compute_bounds, extract_kernel,
                      fix_weight_zero, mark_green)
@@ -796,6 +797,8 @@ class Prepared:
     anz: AnzReport
     kappa: Fraction
     w_bound: Fraction
+    feasibility_calls: int = 0     # calls of the two feasibility predicates
+    feasibility_distinct: int = 0  # of which distinct, each one FM run
 
 
 @dataclass
@@ -808,6 +811,8 @@ class Verdict:
     w_bound: Optional[Fraction] = None
     sweeps: int = 0
     vi_steps: int = 0
+    feasibility_calls: int = 0
+    feasibility_distinct: int = 0
 
     def __str__(self):
         out = f"value = {frac_str(self.value)}"
@@ -824,6 +829,7 @@ def prepare(game: WeightedTimedGame, budget_cycles: int = 10 ** 6) -> Prepared:
             f"exact solving supports two clocks, got {len(game.clocks)}")
     if len(game.clocks) != 2:
         raise InputError("the solver expects exactly two clocks")
+    reset_feasibility_cache()
     g = normalize_01(game)
     rg = build_region_wtg(g)
     rg = trim(rg)
@@ -840,7 +846,7 @@ def prepare(game: WeightedTimedGame, budget_cycles: int = 10 ** 6) -> Prepared:
     rg, marking = fix_weight_zero(rg, marking)
     kernel = extract_kernel(rg, marking)
     kappa, w_bound = compute_bounds(rg)
-    return Prepared(rg, kernel, report, kappa, w_bound)
+    return Prepared(rg, kernel, report, kappa, w_bound, *feasibility_counts())
 
 
 def solve(game: WeightedTimedGame, threshold=None,
@@ -850,7 +856,9 @@ def solve(game: WeightedTimedGame, threshold=None,
     prep = prepare(game, budget_cycles=budget_cycles)
     rg, kernel = prep.rg, prep.kernel
     verdict = Verdict(INF, anz=prep.anz, kappa=prep.kappa,
-                      w_bound=prep.w_bound)
+                      w_bound=prep.w_bound,
+                      feasibility_calls=prep.feasibility_calls,
+                      feasibility_distinct=prep.feasibility_distinct)
     if check_finite_value(rg):
         stats: dict = {}
         values = value_functions(rg, kernel, prep.w_bound, prep.kappa,

@@ -7,7 +7,7 @@ import pytest
 
 from wtgsolve.cli import main
 from wtgsolve.core import MAX, MIN, Transition
-from wtgsolve.gameio import save_game
+from wtgsolve.gameio import game_to_dict, save_game
 
 from corpus import G, loc, make_game, three_clock_demo
 
@@ -157,3 +157,52 @@ class TestErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+
+class TestMalformedInput:
+    """Each malformed description exits 3 with a one-line error, never with
+    a traceback and never after truncating a number."""
+
+    # probe -> (path to a field of a valid description, bad value,
+    #           fragment of the error message)
+    PROBES = {
+        "fractional_bound": (("transitions", 0, "guards", 0, 2), 1.9,
+                             "guard bound"),
+        "negative_bound": (("transitions", 0, "guards", 0, 2), -1,
+                           "guard bound"),
+        "string_bound": (("transitions", 0, "guards", 0, 2), "abc",
+                         "guard bound"),
+        "fractional_weight": (("transitions", 0, "weight"), 1.5, "weight"),
+        "boolean_weight": (("locations", 0, "weight"), True, "weight"),
+        "negative_weight": (("transitions", 0, "weight"), -2, "weight"),
+        "goal_not_a_boolean": (("locations", 0, "goal"), "no", "goal"),
+        "locations_not_a_list": (("locations",), 5, "malformed"),
+        "valuation_boolean": (("initial", "valuation", "c0"), True,
+                              "boolean"),
+        "valuation_division_by_zero": (("initial", "valuation", "c0"), "1/0",
+                                       "malformed"),
+        "valuation_not_an_object": (("initial", "valuation"), [0, 0],
+                                    "malformed"),
+    }
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_probe_exits_3(self, probe, tmp_path, capsys):
+        (*parents, last), value, fragment = self.PROBES[probe]
+        data = game_to_dict(min_wait())
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and fragment in captured.err
+        assert "value =" not in captured.out
+
+    def test_top_level_array(self, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps([game_to_dict(min_wait())]))
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: malformed game")

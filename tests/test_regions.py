@@ -1,12 +1,15 @@
 """Region primitives and the game transformation pipeline."""
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wtgsolve import regions
 from wtgsolve.core import (
     MAX,
     MIN,
+    OPS,
     Configuration,
     DomainError,
     Guard,
@@ -25,12 +28,18 @@ from wtgsolve.regions import (
     check_trimmed_observation,
     clock_bound,
     delay_feasible,
+    elapsed_region_feasible,
+    feasibility_counts,
     infer_guard_region,
     normalize_01,
     region_of,
     relax,
+    reset_feasibility_cache,
     trim,
 )
+from wtgsolve.unfold import solve
+
+from acceptance_corpus import min_wait, zero_kernel
 
 X, Y = 0, 1
 
@@ -142,6 +151,54 @@ class TestDelayFeasible:
         assert delay_feasible(r, [], 2, negate=Guard(X, "==", 0))
         # ... but none violates x >= 0.
         assert not delay_feasible(r, [], 2, negate=Guard(X, ">=", 0))
+
+
+_ATOMS = [Guard(c, op, b) for c in (X, Y) for op in OPS for b in (0, 1)]
+_GUARD_SETS = ([()] + [(a,) for a in _ATOMS]
+               + list(itertools.combinations(_ATOMS, 2)))
+
+
+class TestFeasibilityCache:
+    """The memoised predicates answer as their uncached bodies do, a list and
+    a tuple of the same guards share one answer, and no answer outlives a
+    solve."""
+
+    def setup_method(self):
+        reset_feasibility_cache()
+
+    def test_delay_feasible_matches_body(self):
+        body = regions._delay_feasible.__wrapped__
+        questions = list(itertools.product(
+            all_regions(2), _GUARD_SETS, (False, True), [None] + _ATOMS))
+        for r, guards, closure, negate in questions:
+            expected = body(r, guards, 2, closure, negate, True)
+            assert delay_feasible(r, list(guards), 2, closure=closure,
+                                  negate=negate) == expected
+            assert delay_feasible(r, guards, 2, closure, negate) == expected
+        # One FM run per question: no two questions share a key, and the
+        # tuple call hit the answer of the list call.
+        assert feasibility_counts() == (2 * len(questions), len(questions))
+
+    def test_elapsed_region_feasible_matches_body(self):
+        body = regions._elapsed_region_feasible.__wrapped__
+        questions = list(itertools.product(
+            all_regions(2), all_regions(2), _GUARD_SETS, (False, True)))
+        for src, target, guards, closure in questions:
+            expected = body(src, target, guards, closure)
+            assert elapsed_region_feasible(src, target, list(guards),
+                                           closure=closure) == expected
+            assert elapsed_region_feasible(src, target, guards,
+                                           closure) == expected
+        assert feasibility_counts() == (2 * len(questions), len(questions))
+
+    def test_each_solve_starts_from_an_empty_cache(self):
+        alone = solve(min_wait())
+        solve(zero_kernel())
+        after = solve(min_wait())
+        assert after.feasibility_distinct == alone.feasibility_distinct > 0
+        assert after.feasibility_calls == alone.feasibility_calls
+        assert feasibility_counts() == (after.feasibility_calls,
+                                        after.feasibility_distinct)
 
 
 # ---------------------------------------------------------------------------
