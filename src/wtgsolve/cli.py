@@ -87,10 +87,10 @@ def _oracle_cmd(args) -> int:
 
 def _solve_cmd(args) -> int:
     game = load_game(args.file)
-    prep = prepare(game, budget_cycles=args.budget_cycles)
+    prep = prepare(game)
     if args.check_anz:
         print(f"anz: ok (kappa = {frac_str(prep.anz.kappa)}, "
-              f"cycles checked = {prep.anz.cycles_checked})")
+              f"product edges = {prep.anz.cycles_checked})")
         return 0
     if args.dump_regions:
         _dump_regions(prep.rg)
@@ -146,8 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="oracle step horizon (default 50)")
     ps.add_argument("--oracle-dump", metavar="OUT",
                     help="write the oracle's horizon layer as CSV")
-    ps.add_argument("--budget-cycles", type=int, default=10 ** 6, metavar="N",
-                    help="cycle-enumeration budget for the structure check")
     ps.add_argument("--k-cap", type=int, default=10000, metavar="N",
                     help="iteration cap per zero-weight component")
     return parser
@@ -160,7 +158,9 @@ def main(argv=None) -> int:
             return _oracle_cmd(args)
         return _solve_cmd(args)
     except NotAlmostNonZeno as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}, feasibility queries = "
+              f"{exc.report.feasibility_calls} "
+              f"(distinct {exc.report.feasibility_distinct})", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

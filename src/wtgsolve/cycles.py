@@ -6,6 +6,7 @@ extraction and the crude value upper bound W.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -17,7 +18,6 @@ from .regions import Region, RegionGame
 
 ANZ = "almost-non-zeno"
 VIOLATION = "violation"
-BUDGET_EXCEEDED = "budget-exceeded"
 
 
 @dataclass
@@ -34,17 +34,6 @@ class CornerPointGraph:
     rg: RegionGame
     by_tid: dict[str, list] = field(default_factory=dict)
 
-    def location_digraph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.rg.game.locations)
-        for t in self.rg.game.transitions:
-            if self.has_corner_edge(t.tid):
-                g.add_edge(t.src, t.tgt)
-        return g
-
-    def has_corner_edge(self, tid: str) -> bool:
-        return bool(self.by_tid.get(tid))
-
     def edges_for(self, tid: str):
         return self.by_tid.get(tid, [])
 
@@ -55,7 +44,9 @@ class AnzReport:
     kappa: Optional[Fraction] = None
     witness: Optional[list[str]] = None
     witness_weights: Optional[tuple[int, int]] = None
-    cycles_checked: int = 0
+    cycles_checked: int = 0        # edges of the corner-path product P0
+    feasibility_calls: int = 0     # set by ``prepare`` on a rejection
+    feasibility_distinct: int = 0
 
 
 @dataclass
@@ -114,77 +105,117 @@ def build_corner_point(rg: RegionGame) -> CornerPointGraph:
     return CornerPointGraph(g, rg, by_tid)
 
 
-def _cycle_weight_range(cp: CornerPointGraph,
-                        cycle: list[str]) -> Optional[tuple[int, int]]:
-    """Min and max corner-path weight around a region-location cycle, or
-    None when no corner realization exists."""
-    rg = cp.rg
-    tmap = rg.game.transition_map()
-    start = tmap[cycle[0]].src
-    best: Optional[tuple[int, int]] = None
-    for c0 in rg.reg[start].corners():
-        # (corner -> (min, max)) weight of partial corner paths
-        front = {(start, c0): (0, 0)}
-        for tid in cycle:
-            nxt: dict = {}
-            for node, (lo, hi) in front.items():
-                for u, v, data in cp.edges_for(tid):
-                    if u != node:
-                        continue
-                    w = data["weight"]
-                    cur = nxt.get(v)
-                    if cur is None:
-                        nxt[v] = (lo + w, hi + w)
-                    else:
-                        nxt[v] = (min(cur[0], lo + w), max(cur[1], hi + w))
-            front = nxt
-            if not front:
-                break
-        closed = front.get((start, c0))
-        if closed is None:
+def _zero_product(cp: CornerPointGraph):
+    """The product P0 of the corner-point graph with itself, restricted to
+    pairs whose first corner edge weighs 0.  Only transitions inside a
+    strongly connected component of the region graph can lie on a closed
+    walk, and of those only the ones with a corner edge of weight 0, so P0
+    is built on the components of the graph those transitions form.
+
+    A node (l, c, c2) pairs two corners of region-location l.  Corner edges
+    e: (l, c) -> (m, d) and e2: (l, c2) -> (m, d2) of one region transition
+    give the edge (l, c, c2) -> (m, d, d2) when weight(e) = 0; it carries
+    the transition id and weight(e2).  Returns the successor and the
+    predecessor lists, each sorted, and the number of edges."""
+    zero = [(tid, edges) for tid, edges in sorted(cp.by_tid.items())
+            if any(data["weight"] == 0 for _u, _v, data in edges)]
+    links = nx.DiGraph((edges[0][0][0], edges[0][1][0]) for _t, edges in zero)
+    comp_of = {l: comp for comp in nx.strongly_connected_components(links)
+               for l in comp}
+    succ: dict = {}
+    pred: dict = {}
+    built = 0
+    for tid, edges in zero:
+        (l, _c), (m, _d), _data = edges[0]
+        if m not in comp_of[l]:
             continue
-        if best is None:
-            best = closed
-        else:
-            best = (min(best[0], closed[0]), max(best[1], closed[1]))
-    return best
-
-
-def check_almost_non_zeno(cp: CornerPointGraph,
-                          budget: int = 10 ** 6) -> AnzReport:
-    """Every region cycle must weigh 0 on all corners or >= 1 on all of
-    them; a mixed cycle realizes intermediate run weights in (0, 1)."""
-    loc_graph = cp.location_digraph()
-    count = 0
-    for cycle_nodes in nx.simple_cycles(loc_graph):
-        count += 1
-        if count > budget:
-            return AnzReport(BUDGET_EXCEEDED, cycles_checked=count - 1)
-        ring = cycle_nodes + [cycle_nodes[0]]
-        # All transition choices along the node cycle, folded into the DP by
-        # checking each edge multiplicity separately.
-        for tids in _edge_choices(cp, ring):
-            rng = _cycle_weight_range(cp, tids)
-            if rng is None:
+        # corners are 0/1 vectors: int tuples hash far faster than Fractions
+        pairs = [(tuple(map(int, c)), tuple(map(int, d)), data["weight"])
+                 for (_l, c), (_m, d), data in edges]
+        for c, d, w0 in pairs:
+            if w0:
                 continue
-            lo, hi = rng
-            if lo == 0 and hi > 0:
-                return AnzReport(VIOLATION, witness=tids,
-                                 witness_weights=rng, cycles_checked=count)
-    return AnzReport(ANZ, kappa=Fraction(1), cycles_checked=count)
+            for c2, d2, w in pairs:
+                a, b = (l, c, c2), (m, d, d2)
+                succ.setdefault(a, []).append((b, tid, w))
+                pred.setdefault(b, []).append((a, tid, w))
+                built += 1
+    for adj in (succ, pred):
+        for lst in adj.values():
+            lst.sort()
+    return succ, pred, built
 
 
-def _edge_choices(cp: CornerPointGraph, ring: list[str]):
-    """Transition-id tuples realizing a node cycle (parallel edges branch)."""
-    per_hop = []
-    for u, v in zip(ring, ring[1:]):
-        tids = sorted({t.tid for t in cp.rg.game.outgoing(u)
-                       if t.tgt == v and cp.has_corner_edge(t.tid)})
-        per_hop.append(tids)
-    out = [[]]
-    for tids in per_hop:
-        out = [acc + [tid] for acc in out for tid in tids]
+def _search(starts, adj) -> dict:
+    """Breadth-first search from ``starts`` along ``adj``: node -> (depth,
+    the step that first reached it as (previous node, tid, weight), or None
+    for a start)."""
+    seen = {s: (0, None) for s in starts}
+    queue = deque(starts)
+    while queue:
+        u = queue.popleft()
+        depth = seen[u][0] + 1
+        for v, tid, w in adj.get(u, ()):
+            if v not in seen:
+                seen[v] = (depth, (u, tid, w))
+                queue.append(v)
+    return seen
+
+
+def _walk_through_positive(starts, succ, pred):
+    """The shortest P0 walk from a node of ``starts`` back to one of them
+    through an edge of positive second weight, as [(tid, weight)], or None."""
+    fwd = _search(starts, succ)
+    bwd = _search(starts, pred)
+    best = None
+    for u, (du, _step) in fwd.items():
+        for v, tid, w in succ.get(u, ()):
+            if w and v in bwd and (best is None or du + bwd[v][0] < best[0]):
+                best = (du + bwd[v][0], u, v, tid, w)
+    if best is None:
+        return None
+    _, u, v, tid, w = best
+    return _steps(fwd, u)[::-1] + [(tid, w)] + _steps(bwd, v)
+
+
+def _steps(tree: dict, node) -> list:
+    """The (tid, weight) steps from ``node`` back to a start of ``tree``."""
+    out = []
+    while tree[node][1] is not None:
+        node, tid, w = tree[node][1]
+        out.append((tid, w))
     return out
+
+
+def check_almost_non_zeno(cp: CornerPointGraph) -> AnzReport:
+    """Every region cycle must weigh 0 on all corners or >= 1 on all of
+    them; a mixed cycle realizes intermediate run weights in (0, 1).
+
+    Run weights along a region walk lie between the weights of its corner
+    paths, which may start and end at any corner.  So the game is not
+    almost non-Zeno iff, for some region-location l, a walk of the product
+    P0 (:func:`_zero_product`) leads from an l-node to an l-node through an
+    edge whose second corner edge weighs more than 0.  One forward and one
+    backward search per l find the shortest such walk; no cycle is
+    enumerated.  Locations are taken in sorted order, and the first walk
+    that does not begin with a rollover is the witness (else the first
+    walk).  ``cycles_checked`` counts the edges of P0."""
+    succ, pred, built = _zero_product(cp)
+    nodes_at: dict = {}
+    for n in sorted(succ.keys() | pred.keys()):
+        nodes_at.setdefault(n[0], []).append(n)
+    first = None
+    for loc, starts in sorted(nodes_at.items()):
+        walk = _walk_through_positive(starts, succ, pred)
+        if walk is None:
+            continue
+        report = AnzReport(VIOLATION, witness=[t for t, _w in walk],
+                           witness_weights=(0, sum(w for _t, w in walk)),
+                           cycles_checked=built)
+        if not walk[0][0].startswith("__roll_"):
+            return report
+        first = first or report
+    return first or AnzReport(ANZ, kappa=Fraction(1), cycles_checked=built)
 
 
 def mark_green(rg: RegionGame, cp: CornerPointGraph) -> GreenMarking:

@@ -25,10 +25,17 @@ def _natural(value, what: str) -> int:
     return value
 
 
+def _array(value, what: str) -> list:
+    """A JSON array; a string is refused rather than read as its characters."""
+    if not isinstance(value, list):
+        raise InputError(f"{what}: expected a JSON array, got {value!r}")
+    return value
+
+
 def game_from_dict(data: dict) -> WeightedTimedGame:
     """Build a game from its JSON form; malformed input raises InputError."""
     try:
-        clocks = list(data["clocks"])
+        clocks = list(_array(data["clocks"], "clocks"))
         index = {name: i for i, name in enumerate(clocks)}
         if len(index) != len(clocks):
             raise InputError("duplicate clock names")
@@ -56,14 +63,18 @@ def game_from_dict(data: dict) -> WeightedTimedGame:
                     raise InputError(f"unknown clock {clock!r}")
                 guards.append(Guard(index[clock], _OP_ALIASES[op],
                                     _natural(bound, f"transition {i} guard bound")))
-            resets = frozenset(index[c] for c in td.get("resets", ()))
+            resets = []
+            for clock in _array(td.get("resets", []), f"transition {i} resets"):
+                if clock not in index:
+                    raise InputError(f"unknown clock {clock!r}")
+                resets.append(index[clock])
             transitions.append(
                 Transition(
                     tid=td.get("id", f"t{i}"),
                     src=td["from"],
                     tgt=td["to"],
                     guards=tuple(guards),
-                    resets=resets,
+                    resets=frozenset(resets),
                     weight=_natural(td.get("weight", 0), f"transition {i} weight"),
                 )
             )

@@ -1003,15 +1003,17 @@ def add_resets(rg: RegionGame,
         if t.tgt in goals:
             # The plain copy is unchanged.  The early-reset copy arrives at
             # the goal with the clocks of ``up`` not reset by t physically
-            # at 1 yet stored at 0, so its exit cost reads them as 1; that
-            # needs a per-source goal twin.
+            # at 1 yet stored at 0, so it lands in a per-source goal twin
+            # whose region has them at 0 (and whose exit cost, if any,
+            # reads them as 1).
             new_trans.append(t)
             ones = up - t.resets
-            if ones and t.tgt in w_out:
+            if ones:
                 twin = f"{down(t.tgt)}${t.tid}"
                 locations[twin] = replace(game.locations[t.tgt], name=twin)
                 reg2[twin] = rg.reg[t.tgt].reset(ones)
-                w_out[twin] = w_out[t.tgt].substitute_ones(ones)
+                if t.tgt in w_out:
+                    w_out[twin] = w_out[t.tgt].substitute_ones(ones)
                 tgt_dn = twin
             else:
                 tgt_dn = t.tgt

@@ -39,14 +39,17 @@ class MoreThanTwoClocks(InputError):
 
 
 class NotAlmostNonZeno(GameError):
-    """Some cycle has a weight strictly between 0 and 1 (or the cycle
-    enumeration budget ran out before every cycle was certified)."""
+    """Some region cycle has runs of weight strictly between 0 and 1: one
+    of its corner paths weighs 0 and another more.  The check is complete,
+    so this is a verdict on the game, not a search that gave up."""
 
     def __init__(self, report: AnzReport):
         self.report = report
         msg = f"not certified almost non-Zeno: {report.verdict}"
         if report.witness:
-            msg += f" (witness cycle {' -> '.join(report.witness)})"
+            lo, hi = report.witness_weights
+            msg += (f" (witness cycle {' -> '.join(report.witness)}, "
+                    f"corner weights {lo} and {hi})")
         super().__init__(msg)
 
 
@@ -821,7 +824,7 @@ class Verdict:
         return out
 
 
-def prepare(game: WeightedTimedGame, budget_cycles: int = 10 ** 6) -> Prepared:
+def prepare(game: WeightedTimedGame) -> Prepared:
     """Normalize, build the reset-complete region game, certify the cycle
     structure, and extract the kernel."""
     if len(game.clocks) > 2:
@@ -839,8 +842,10 @@ def prepare(game: WeightedTimedGame, budget_cycles: int = 10 ** 6) -> Prepared:
     rg = prune_max_traps(rg)
     rg = add_resets(rg)
     cp = build_corner_point(rg)
-    report = check_almost_non_zeno(cp, budget=budget_cycles)
+    report = check_almost_non_zeno(cp)
     if report.verdict != ANZ:
+        report.feasibility_calls, report.feasibility_distinct = \
+            feasibility_counts()
         raise NotAlmostNonZeno(report)
     marking = mark_green(rg, cp)
     rg, marking = fix_weight_zero(rg, marking)
@@ -849,11 +854,10 @@ def prepare(game: WeightedTimedGame, budget_cycles: int = 10 ** 6) -> Prepared:
     return Prepared(rg, kernel, report, kappa, w_bound, *feasibility_counts())
 
 
-def solve(game: WeightedTimedGame, threshold=None,
-          budget_cycles: int = 10 ** 6, k_cap: int = 10000,
+def solve(game: WeightedTimedGame, threshold=None, k_cap: int = 10000,
           extra_visits: int = 0) -> Verdict:
     """Exact value of the game from its initial configuration."""
-    prep = prepare(game, budget_cycles=budget_cycles)
+    prep = prepare(game)
     rg, kernel = prep.rg, prep.kernel
     verdict = Verdict(INF, anz=prep.anz, kappa=prep.kappa,
                       w_bound=prep.w_bound,

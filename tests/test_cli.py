@@ -1,6 +1,7 @@
 """End-to-end tests of the ``wtg`` command line."""
 import csv
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -148,6 +149,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "almost non-Zeno" in err
 
+    def test_not_anz_reports_its_feasibility_queries(self, game_file, capsys):
+        assert main(["solve", game_file(mixed_cycle())]) == 2
+        err = capsys.readouterr().err.strip()
+        match = re.search(r", feasibility queries = (\d+) \(distinct (\d+)\)$",
+                          err)
+        assert match, err
+        calls, distinct = map(int, match.groups())
+        assert calls >= distinct > 0
+
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -199,6 +209,32 @@ class TestMalformedInput:
         assert main(["solve", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and fragment in captured.err
+        assert "value =" not in captured.out
+
+    # probe -> (clocks, resets of the one edge): a string where an array
+    # belongs used to be read as the list of its characters
+    STRINGS = {
+        "clocks_a_string": ("xy", ["x"]),
+        "resets_a_string": (["x", "y"], "x"),
+        "resets_a_clock_name_string": (["c0", "c1"], "c0"),
+    }
+
+    @pytest.mark.parametrize("probe", sorted(STRINGS))
+    def test_string_for_an_array_exits_3(self, probe, tmp_path, capsys):
+        clocks, resets = self.STRINGS[probe]
+        first = clocks[0]
+        data = {"clocks": clocks,
+                "locations": [{"id": "a", "owner": "min", "weight": 1},
+                              {"id": "G", "owner": "min", "goal": True}],
+                "transitions": [{"id": "t", "from": "a", "to": "G",
+                                 "guards": [[first, "==", 1]],
+                                 "resets": resets}],
+                "initial": {"location": "a", "valuation": {}}}
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "array" in captured.err
         assert "value =" not in captured.out
 
     def test_top_level_array(self, tmp_path, capsys):

@@ -6,7 +6,6 @@ from corpus import G, loc, make_game, three_clock_demo
 from wtgsolve.core import MAX, MIN, StructuralError, Transition
 from wtgsolve.cycles import (
     ANZ,
-    BUDGET_EXCEEDED,
     VIOLATION,
     build_corner_point,
     check_almost_non_zeno,
@@ -146,10 +145,6 @@ class TestAnzCheck:
     def test_zero_selfloop_is_anz(self):
         cp = build_corner_point(pipeline(zero_selfloop_weighted()))
         assert check_almost_non_zeno(cp).verdict == ANZ
-
-    def test_budget(self):
-        cp = build_corner_point(pipeline(zero_kernel()))
-        assert check_almost_non_zeno(cp, budget=0).verdict == BUDGET_EXCEEDED
 
 
 class TestGreenMarking:

@@ -1,9 +1,12 @@
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from corpus import G, loc, make_game, three_clock_demo
 from wtgsolve.core import MAX, MIN, Transition
+from wtgsolve.gameio import game_from_dict
 from wtgsolve.oracle import GridOracle
 from wtgsolve.regions import clock_bound
 from wtgsolve.unfold import (
@@ -23,6 +26,9 @@ from wtgsolve.unfold import (
 )
 
 INF = float("inf")
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import families  # noqa: E402  (the benchmark's generators, used read-only)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -278,6 +284,15 @@ class TestSolveExamples:
         # first would add 1 per lap, so Min exits straight away
         assert solve(positive_loop()).value == 2
 
+    @pytest.mark.parametrize("seed,value", [(1238220487, 1), (2975257005, 6)])
+    def test_early_reset_goal_copy_lands_in_a_goal_twin(self, seed, value):
+        # The early-reset copy of a goal transition reaches the goal with
+        # the clocks that hit 1 stored at 0; without a goal twin whose
+        # region has them at 0, the corner-point graph raised
+        # StructuralError.  The values are the grid oracle's.
+        game = game_from_dict(families.random_game(seed, 3, "plain"))
+        assert solve(game).value == value
+
 
 # -- pipeline errors and invariants ------------------------------------------
 
@@ -290,6 +305,8 @@ class TestPipeline:
         with pytest.raises(NotAlmostNonZeno) as e:
             solve(mixed_cycle())
         assert e.value.report.witness
+        report = e.value.report
+        assert report.feasibility_calls >= report.feasibility_distinct > 0
 
     def test_threshold_stability(self):
         for game in [min_wait(), zero_kernel(), unit_cycle(),
