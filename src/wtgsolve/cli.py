@@ -8,17 +8,11 @@ import sys
 
 import numpy as np
 
-from .core import INF, InputError, frac, frac_str
+from .core import InputError, frac, frac_str
 from .gameio import load_game, plf1_to_list
 from .oracle import INF_I, GridOracle
 from .regions import Region
-from .unfold import (
-    NotAlmostNonZeno,
-    Verdict,
-    check_finite_value,
-    prepare,
-    value_functions,
-)
+from .unfold import NotAlmostNonZeno, prepare, solve
 
 
 def _region_text(region: Region, clocks: list[str]) -> str:
@@ -87,38 +81,21 @@ def _oracle_cmd(args) -> int:
 
 def _solve_cmd(args) -> int:
     game = load_game(args.file)
-    prep = prepare(game)
     if args.check_anz:
+        prep = prepare(game)
         print(f"anz: ok (kappa = {frac_str(prep.anz.kappa)}, "
               f"product edges = {prep.anz.cycles_checked})")
         return 0
+    verdict = solve(game, threshold=args.threshold, k_cap=args.k_cap)
+    rg = verdict.prepared.rg
     if args.dump_regions:
-        _dump_regions(prep.rg)
-
-    values: dict = {}
-    stats: dict = {}
-    verdict = Verdict(INF, anz=prep.anz, kappa=prep.kappa,
-                      w_bound=prep.w_bound,
-                      feasibility_calls=prep.feasibility_calls,
-                      feasibility_distinct=prep.feasibility_distinct)
-    if check_finite_value(prep.rg):
-        values = value_functions(prep.rg, prep.kernel, prep.w_bound,
-                                 prep.kappa, k_cap=args.k_cap, _stats=stats)
-        verdict.vi_steps = stats.get("vi_steps", 0)
-        verdict.sweeps = stats.get("sweeps", 0)
-        nv = values[prep.rg.game.initial.location]
-        verdict.value = nv.eval(prep.rg.game.initial.valuation)
-    if args.threshold is not None:
-        verdict.threshold = frac(args.threshold)
-        verdict.decision = ("at-most" if verdict.value <= verdict.threshold
-                            else "exceeds")
-
+        _dump_regions(rg)
     if args.dump_value_functions:
-        _dump_value_functions(prep.rg, values, args.dump_value_functions)
+        _dump_value_functions(rg, verdict.values, args.dump_value_functions)
 
     print(verdict)
-    print(f"# kappa = {frac_str(prep.kappa)}, weight bound = "
-          f"{frac_str(prep.w_bound)}, sweeps = {verdict.sweeps}, "
+    print(f"# kappa = {frac_str(verdict.kappa)}, weight bound = "
+          f"{frac_str(verdict.w_bound)}, sweeps = {verdict.sweeps}, "
           f"vi steps = {verdict.vi_steps}, feasibility queries = "
           f"{verdict.feasibility_calls} (distinct {verdict.feasibility_distinct})")
     return 0

@@ -8,11 +8,10 @@ transition weight) and resets a subset of the clocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-Rat = Fraction
 #: +infinity marker for extended values.  ``Fraction`` compares cleanly
 #: against ``float('inf')`` so min/max work on mixed sequences.
 INF = float("inf")
@@ -205,6 +204,3 @@ class WeightedTimedGame:
             total += w
         return conf, total
 
-
-SINK = "__sink"
-EXIT = "__exit"

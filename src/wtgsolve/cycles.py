@@ -289,8 +289,7 @@ def fix_weight_zero(rg: RegionGame,
         initial = type(initial)(f"{initial.location}~z0", initial.valuation)
     game2 = type(game)(game.clocks, locations, transitions, initial)
     out_rg = RegionGame(game2, reg, guard_region, trimmed=rg.trimmed,
-                        relaxed=rg.relaxed, all_reset=rg.all_reset,
-                        w_out=dict(rg.w_out))
+                        relaxed=rg.relaxed)
     return out_rg, GreenMarking(frozenset(green_locs), frozenset(green_tids))
 
 

@@ -8,15 +8,13 @@ the iteration terminate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    MAX,
     MIN,
     DomainError,
-    Guard,
     Location,
     StructuralError,
     Transition,
@@ -99,10 +97,6 @@ class OutputValue:
         return cls(PLF2.affine(UNIT_SQUARE, (0, 0, frac(value))))
 
     @classmethod
-    def from_plf2(cls, plf2: PLF2) -> "OutputValue":
-        return cls(plf2)
-
-    @classmethod
     def on_y(cls, f: PLF1) -> "OutputValue":
         """Extend a PLF1 in the y coordinate: w(x, y) = f(y)."""
         return cls(cls._extend(f, axis=1))
@@ -135,24 +129,6 @@ class OutputValue:
 
     def __call__(self, v: Valuation) -> Fraction:
         return self.eval(v)
-
-    def substitute_ones(self, clocks) -> "OutputValue":
-        """The output seen through an early reset: clocks in ``clocks``
-        actually sit at 1 where the encoding says 0."""
-        cs = set(clocks)
-        if not cs:
-            return self
-        mat = [[ONE if i == j and i not in cs else ZERO for j in (0, 1)]
-               for i in (0, 1)]
-        off = (ONE if 0 in cs else ZERO, ONE if 1 in cs else ZERO)
-        return OutputValue(compose_affine(
-            self.plf2, (tuple(mat[0]), tuple(mat[1])), off, UNIT_SQUARE))
-
-    def max_slope(self) -> Fraction:
-        if self.plf2.is_infinite:
-            return ZERO
-        return max((max(abs(a), abs(b)) for _t, (a, b, _c) in
-                    self.plf2.cells), default=ZERO)
 
 
 @dataclass
@@ -253,14 +229,10 @@ def project_output(t: Transition, w: OutputValue, shape: str,
     mat, off, (ba, bc) = _fire_map(shape)
     pins = _pinned_delay(shape, _eq_guards(t.guards))
 
-    def landed_map():
-        (axx, axy), (ayx, ayy) = mat
-        rows = [(axx, axy, off[0]), (ayx, ayy, off[1])]
-        for c in t.resets:
-            rows[c] = (ZERO, ZERO, ZERO)
-        return rows
-
-    rows = landed_map()
+    (axx, axy), (ayx, ayy) = mat
+    rows = [(axx, axy, off[0]), (ayx, ayy, off[1])]
+    for c in t.resets:
+        rows[c] = (ZERO, ZERO, ZERO)
     if shape == POINT:
         # one-dimensional search over the delay
         seg = Segment((rows[0][1] * ZERO + rows[0][2], rows[1][2]),
@@ -318,10 +290,6 @@ def step_transition(t: Transition, opt_target: PLF1, shape: str,
     return running_extremum(opt_target, side, direction)
 
 
-def _initial(shape: str) -> PLF1:
-    return PLF1.infinite()
-
-
 def _add_entrance_copy(g: KernelGame) -> tuple[KernelGame, str]:
     """Redirect every transition entering the entrance to a fresh copy, so
     the entrance itself has no incoming edges."""
@@ -355,7 +323,7 @@ def iterate(g: KernelGame, k_cap: int = 10000) -> ViResult:
             projected[t.tid] = project_output(
                 t, g.w_out[t.tgt], g.shapes[t.src],
                 g.locations[t.src].owner)
-    table = {n: _initial(g.shapes[n]) for n in non_goals}
+    table = {n: PLF1.infinite() for n in non_goals}
     steps = 0
     while True:
         if steps > k_cap:

@@ -37,12 +37,6 @@ class Segment:
     start: Point
     end: Point
 
-    def at(self, u: Fraction) -> Point:
-        return (
-            self.start[0] + u * (self.end[0] - self.start[0]),
-            self.start[1] + u * (self.end[1] - self.start[1]),
-        )
-
     @property
     def degenerate(self) -> bool:
         return self.start == self.end

@@ -14,20 +14,25 @@ value iteration can digest:
 
 Each transformation preserves the value of the game (checked externally
 against the grid oracle on the test corpus).
+
+After normalization every guard constant is 0 or 1, so a guard atom has one
+truth value on a whole region, and the feasibility questions of trimming and
+guard-region inference are region lookups over time successors and
+closures.  ``restrict`` is the one way to cut a region game down to some of
+its locations and transitions, and ``drop_dead_rolls`` the one liveness test
+for rollovers.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .core import (
-    EXIT,
     MAX,
     MIN,
-    SINK,
     Configuration,
     DomainError,
     Guard,
@@ -111,20 +116,18 @@ class Region:
 
     # -- membership and points ----------------------------------------------
 
-    def contains(self, valuation: Valuation) -> bool:
-        for x in self.zeros:
-            if valuation[x] != 0:
-                return False
-        for x in self.ones:
-            if valuation[x] != 1:
-                return False
+    def contains(self, valuation: Valuation, closed: bool = False) -> bool:
+        """Is ``valuation`` in the region (in its closure, if ``closed``)?"""
+        if (any(valuation[x] != 0 for x in self.zeros)
+                or any(valuation[x] != 1 for x in self.ones)):
+            return False
         prev = ZERO
         for b in self.interior:
             vs = {valuation[x] for x in b}
             if len(vs) != 1:
                 return False
             v = vs.pop()
-            if not prev < v < 1:
+            if not (prev <= v <= 1 if closed else prev < v < 1):
                 return False
             prev = v
         return True
@@ -189,23 +192,9 @@ class Region:
         """True when this region lies inside the closure of ``other``."""
         rep = self.representative()
         n = max(other.clocks, default=-1) + 1
-        rep = tuple(rep[i] if i < len(rep) else ZERO for i in range(n))
-        for x in other.zeros:
-            if rep[x] != 0:
-                return False
-        for x in other.ones:
-            if rep[x] != 1:
-                return False
-        prev = ZERO
-        for b in other.interior:
-            vs = {rep[x] for x in b}
-            if len(vs) != 1:
-                return False
-            v = vs.pop()
-            if not prev <= v <= 1:
-                return False
-            prev = v
-        return True
+        return other.contains(
+            tuple(rep[i] if i < len(rep) else ZERO for i in range(n)),
+            closed=True)
 
 
 def region_of(valuation: Valuation) -> Region:
@@ -271,190 +260,33 @@ def adherence(r: Region) -> tuple[Region, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear feasibility (tiny Fourier-Motzkin over rationals)
+# Feasibility by region lookup
 # ---------------------------------------------------------------------------
 
-# A constraint is (coeffs: dict var->Fraction, bound: Fraction, strict: bool)
-# meaning sum(coeffs[v] * v) <= bound (or < bound when strict).
-LinCon = tuple[dict[int, Fraction], Fraction, bool]
+HALF = Fraction(1, 2)
 
 
-def _fm_feasible(constraints: list[LinCon], variables: list[int]) -> bool:
-    cons = [(dict(c), Fraction(b), s) for c, b, s in constraints]
-    for v in variables:
-        lows, highs, rest = [], [], []
-        for c, b, s in cons:
-            a = c.get(v, ZERO)
-            if a == 0:
-                rest.append((c, b, s))
-            elif a > 0:
-                highs.append((c, b, s, a))
-            else:
-                lows.append((c, b, s, a))
-        new = rest
-        for cl, bl, sl, al in lows:
-            for ch, bh, sh, ah in highs:
-                # combine: eliminate v between lower bound (al<0) and upper.
-                coeffs: dict[int, Fraction] = {}
-                for cc, scale in ((cl, ah), (ch, -al)):
-                    for k, val in cc.items():
-                        if k == v:
-                            continue
-                        coeffs[k] = coeffs.get(k, ZERO) + scale * val
-                bound = ah * bl + (-al) * bh
-                coeffs = {k: val for k, val in coeffs.items() if val != 0}
-                new.append((coeffs, bound, sl or sh))
-        cons = new
-    for c, b, s in cons:
-        if c:
-            raise StructuralError("unexpected leftover variable")
-        if s and not ZERO < b:
-            return False
-        if not s and not ZERO <= b:
-            return False
-    return True
+@functools.lru_cache(maxsize=None)
+def _elapsed_regions(r: Region, closure: bool) -> frozenset[Region]:
+    """The regions of nu+delta inside [0,1]^X, for delta >= 0 and nu in r
+    (or its closure); from a clock at 1 only delta = 0 stays inside."""
+    out: set[Region] = set()
+    for s in (adherence(r) if closure else (r,)):
+        out.update(s.time_successors() if s.fractional else (s,))
+    return frozenset(out)
 
 
-_DELTA = -1  # variable index for the elapsed delay
+def _holds(g: Guard, r: Region) -> bool:
+    """The truth value of ``g`` on region r.  With the constant 0 or 1 it is
+    one value on the whole region: an interior clock compares as 1/2 does."""
+    return g.holds(ZERO if g.clock in r.zeros
+                   else ONE if g.clock in r.ones else HALF)
 
 
-def _region_constraints(r: Region, closure: bool) -> tuple[list[LinCon], dict[int, tuple]]:
-    """Constraints pinning a valuation to r (or its closure).
-
-    Returns (constraints, expr) where expr[x] describes clock x as either
-    ('const', value) or ('var', block index).  Block values are variables
-    0..p-1 (block i uses variable i-1).
-    """
-    cons: list[LinCon] = []
-    expr: dict[int, tuple] = {}
-    for x in r.zeros:
-        expr[x] = ("const", ZERO)
-    for x in r.ones:
-        expr[x] = ("const", ONE)
-    strict = not closure
-    prev: Optional[int] = None
-    for i, b in enumerate(r.interior):
-        var = i
-        for x in b:
-            expr[x] = ("var", var)
-        if prev is None:
-            cons.append(({var: Fraction(-1)}, ZERO, strict))  # var > 0 (>= 0)
-        else:
-            cons.append(({prev: ONE, var: Fraction(-1)}, ZERO, strict))
-        prev = var
-    if prev is not None:
-        cons.append(({prev: ONE}, ONE, strict))  # var < 1 (<= 1)
-    return cons, expr
-
-
-def _clock_terms(expr_entry) -> tuple[dict[int, Fraction], Fraction]:
-    """Linear form (coeffs, constant) of a clock value given its expr entry."""
-    kind, val = expr_entry
-    if kind == "const":
-        return {}, val
-    return {val: ONE}, ZERO
-
-
-def _guard_constraints(guards: Iterable[Guard], expr, negate: Optional[Guard] = None,
-                       box: bool = True, n_clocks: int = 0) -> list[list[LinCon]]:
-    """Constraint alternatives for "nu+delta satisfies guards and violates
-    ``negate``".  Returns a list of disjuncts, each a conjunction."""
-
-    base: list[LinCon] = [({_DELTA: Fraction(-1)}, ZERO, False)]  # delta >= 0
-    if box:
-        for x in range(n_clocks):
-            coeffs, const = _clock_terms(expr[x])
-            c = dict(coeffs)
-            c[_DELTA] = c.get(_DELTA, ZERO) + ONE
-            base.append((c, ONE - const, False))  # x + delta <= 1
-
-    def atom(g: Guard, flip: bool) -> list[LinCon]:
-        coeffs, const = _clock_terms(expr[g.clock])
-        c = dict(coeffs)
-        c[_DELTA] = c.get(_DELTA, ZERO) + ONE
-        b = Fraction(g.bound) - const
-        op = g.op
-        if flip:
-            table = {"<": (">=",), "<=": (">",), ">": ("<=",), ">=": ("<",)}
-            if op == "==":
-                raise ValueError("handled by caller")
-            op = table[op][0]
-        if op == "<":
-            return [(c, b, True)]
-        if op == "<=":
-            return [(c, b, False)]
-        if op == ">":
-            return [({k: -v for k, v in c.items()}, -b, True)]
-        if op == ">=":
-            return [({k: -v for k, v in c.items()}, -b, False)]
-        return [(c, b, False), ({k: -v for k, v in c.items()}, -b, False)]
-
-    conj = list(base)
+def _check_01(guards: Iterable[Guard]) -> None:
     for g in guards:
-        conj.extend(atom(g, False))
-    if negate is None:
-        return [conj]
-    if negate.op == "==":
-        lo = conj + [_lt_con(negate, expr)]
-        hi = conj + [_gt_con(negate, expr)]
-        return [lo, hi]
-    return [conj + atom(negate, True)]
-
-
-def _lt_con(g: Guard, expr) -> LinCon:
-    coeffs, const = _clock_terms(expr[g.clock])
-    c = dict(coeffs)
-    c[_DELTA] = c.get(_DELTA, ZERO) + ONE
-    return (c, Fraction(g.bound) - const, True)
-
-
-def _gt_con(g: Guard, expr) -> LinCon:
-    coeffs, const = _clock_terms(expr[g.clock])
-    c = {k: -v for k, v in coeffs.items()}
-    c[_DELTA] = c.get(_DELTA, ZERO) - ONE
-    return (c, const - Fraction(g.bound), True)
-
-
-def _elapsed_membership(target: Region, expr) -> list[LinCon]:
-    """Constraints stating that nu+delta lies exactly in ``target``."""
-    def shifted(x: int) -> tuple[dict[int, Fraction], Fraction]:
-        coeffs, const = _clock_terms(expr[x])
-        c = dict(coeffs)
-        c[_DELTA] = c.get(_DELTA, ZERO) + ONE
-        return c, const
-
-    def le(xa, xb, strict: bool) -> LinCon:
-        # value(xa) <= value(xb), where each is (coeffs, const) of nu_x+delta
-        ca, ka = xa
-        cb, kb = xb
-        coeffs = dict(ca)
-        for k, v in cb.items():
-            coeffs[k] = coeffs.get(k, ZERO) - v
-        coeffs = {k: v for k, v in coeffs.items() if v != 0}
-        return (coeffs, kb - ka, strict)
-
-    cons: list[LinCon] = []
-    for x in target.zeros:
-        v = shifted(x)
-        cons.append(le(v, ({}, ZERO), False))
-        cons.append(le(({}, ZERO), v, False))
-    for x in target.ones:
-        v = shifted(x)
-        cons.append(le(v, ({}, ONE), False))
-        cons.append(le(({}, ONE), v, False))
-    prev = ({}, ZERO)
-    for b in target.interior:
-        xs = sorted(b)
-        rep = shifted(xs[0])
-        for other in xs[1:]:
-            v = shifted(other)
-            cons.append(le(rep, v, False))
-            cons.append(le(v, rep, False))
-        cons.append(le(prev, rep, True))
-        prev = rep
-    if target.interior:
-        cons.append(le(prev, ({}, ONE), True))
-    return cons
+        if g.bound not in (0, 1):
+            raise StructuralError(f"guard constant {g.bound} is not 0 or 1")
 
 
 def elapsed_region_feasible(src: Region, target: Region, guards: Sequence[Guard],
@@ -462,7 +294,9 @@ def elapsed_region_feasible(src: Region, target: Region, guards: Sequence[Guard]
     """Is there nu in src (closure if asked) and delta >= 0 with nu+delta
     satisfying ``guards`` and lying in ``target``?
 
-    Answers are memoised until :func:`reset_feasibility_cache`.
+    Every guard constant must be 0 or 1, as after :func:`normalize_01`;
+    anything else raises :class:`StructuralError`.  Answers are memoised
+    until :func:`reset_feasibility_cache`.
     """
     return _elapsed_region_feasible(src, target, tuple(guards), closure)
 
@@ -470,39 +304,30 @@ def elapsed_region_feasible(src: Region, target: Region, guards: Sequence[Guard]
 @functools.lru_cache(maxsize=None)
 def _elapsed_region_feasible(src: Region, target: Region,
                              guards: tuple[Guard, ...], closure: bool) -> bool:
-    rc, expr = _region_constraints(src, closure)
-    cons = rc + [({_DELTA: Fraction(-1)}, ZERO, False)]
-    cons += _elapsed_membership(target, expr)
-    for g in guards:
-        for d in _guard_constraints([g], expr, None, box=False, n_clocks=0):
-            cons += [c for c in d if c[0]]
-            break
-    variables = list(range(src.p)) + [_DELTA]
-    return _fm_feasible(cons, variables)
+    _check_01(guards)
+    return (target in _elapsed_regions(src, closure)
+            and all(_holds(g, target) for g in guards))
 
 
-def delay_feasible(r: Region, guards: Sequence[Guard], n_clocks: int,
-                   closure: bool = False, negate: Optional[Guard] = None,
-                   box: bool = True) -> bool:
+def delay_feasible(r: Region, guards: Sequence[Guard], closure: bool = False,
+                   negate: Optional[Guard] = None) -> bool:
     """Is there nu in r (its closure if asked) and delta >= 0 with
     nu+delta inside [0,1]^X, satisfying ``guards`` and violating ``negate``?
 
-    Satisfiability of such a system is constant across the valuations of an
-    open region, so region quantifiers reduce to this existential check.
-    Answers are memoised until :func:`reset_feasibility_cache`.
+    Each guard atom has one truth value on a whole region, so the answer is
+    whether some region of those elapsed points satisfies them.  Constants
+    and answers are as for :func:`elapsed_region_feasible`.
     """
-    return _delay_feasible(r, tuple(guards), n_clocks, closure, negate, box)
+    return _delay_feasible(r, tuple(guards), closure, negate)
 
 
 @functools.lru_cache(maxsize=None)
-def _delay_feasible(r: Region, guards: tuple[Guard, ...], n_clocks: int,
-                    closure: bool, negate: Optional[Guard], box: bool) -> bool:
-    rc, expr = _region_constraints(r, closure)
-    variables = list(range(r.p)) + [_DELTA]
-    for disjunct in _guard_constraints(guards, expr, negate, box, n_clocks):
-        if _fm_feasible(rc + disjunct, variables):
-            return True
-    return False
+def _delay_feasible(r: Region, guards: tuple[Guard, ...], closure: bool,
+                    negate: Optional[Guard]) -> bool:
+    _check_01(guards if negate is None else guards + (negate,))
+    return any(all(_holds(g, s) for g in guards)
+               and not (negate is not None and _holds(negate, s))
+               for s in _elapsed_regions(r, closure))
 
 
 _FEASIBILITY_CACHES = (_elapsed_region_feasible, _delay_feasible)
@@ -557,6 +382,30 @@ def clock_bound(game: WeightedTimedGame) -> int:
 
 def _copy_name(name: str, nbar: tuple[int, ...]) -> str:
     return f"{name}#{','.join(map(str, nbar))}"
+
+
+def drop_dead_rolls(transitions: Sequence[Transition],
+                    locations: Mapping[str, Location]) -> list[Transition]:
+    """The transitions without the rollovers after which no real transition
+    and no goal is reachable through rollovers alone.
+
+    A rollover ``__roll_*`` models pure waiting across an integer clock
+    boundary, but a move of the game is a delay *plus* an enabled
+    transition: a rollover leading nowhere would let a player "wait" into a
+    deadlock that the source game does not have.
+    """
+    rolls = [t for t in transitions if t.tid.startswith("__roll_")]
+    live = {t.src for t in transitions if not t.tid.startswith("__roll_")}
+    live |= {n for n, l in locations.items() if l.is_goal}
+    changed = True
+    while changed:
+        changed = False
+        for t in rolls:
+            if t.src not in live and t.tgt in live:
+                live.add(t.src)
+                changed = True
+    return [t for t in transitions
+            if not t.tid.startswith("__roll_") or t.tgt in live]
 
 
 def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
@@ -676,21 +525,7 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
                         synthetic=True,
                     ))
 
-    # A rollover is only a move when some real transition stays reachable
-    # through it; rolls leading nowhere would let a player "wait" into a
-    # deadlock that the source game does not have.
-    rolls = [t for t in transitions if t.tid.startswith("__roll_")]
-    live = {t.src for t in transitions if not t.tid.startswith("__roll_")}
-    live |= {n for n, l in locations.items() if l.is_goal}
-    changed = True
-    while changed:
-        changed = False
-        for t in rolls:
-            if t.src not in live and t.tgt in live:
-                live.add(t.src)
-                changed = True
-    transitions = [t for t in transitions
-                   if not t.tid.startswith("__roll_") or t.tgt in live]
+    transitions = drop_dead_rolls(transitions, locations)
 
     init = game.initial
     nbar0, frac0 = [], []
@@ -713,8 +548,6 @@ class RegionGame:
 
     ``guard_region`` maps each transition id to the region every guard-
     satisfying elapsed valuation lies in (within its closure, once relaxed).
-    ``w_out`` optionally carries exit-cost functions on goal locations; any
-    value supporting ``substitute_ones(clocks)`` works.
     """
 
     game: WeightedTimedGame
@@ -722,15 +555,23 @@ class RegionGame:
     guard_region: dict[str, Region]
     trimmed: bool = False
     relaxed: bool = False
-    all_reset: bool = False
-    w_out: dict[str, object] = field(default_factory=dict)
 
-    @property
-    def n_clocks(self) -> int:
-        return len(self.game.clocks)
 
-    def upclock(self, loc: str) -> frozenset[int]:
-        return self.reg[loc].upclock
+def restrict(rg: RegionGame, locations: Collection[str],
+             tids: Collection[str]) -> RegionGame:
+    """The sub-game on ``locations`` with the transitions ``tids`` between
+    them.  Regions, guard regions and flags carry over; orders are kept."""
+    keep, kept_tids = set(locations), set(tids)
+    transitions = [t for t in rg.game.transitions if t.tid in kept_tids
+                   and t.src in keep and t.tgt in keep]
+    game = WeightedTimedGame(
+        list(rg.game.clocks),
+        {n: l for n, l in rg.game.locations.items() if n in keep},
+        transitions, rg.game.initial)
+    guard_region = {t.tid: rg.guard_region[t.tid] for t in transitions
+                    if t.tid in rg.guard_region}
+    return RegionGame(game, {n: r for n, r in rg.reg.items() if n in keep},
+                      guard_region, trimmed=rg.trimmed, relaxed=rg.relaxed)
 
 
 class MaxControlledCycle(StructuralError):
@@ -801,13 +642,12 @@ def trim(rg: RegionGame) -> RegionGame:
     clause survives when some admissible elapsed valuation violates it.
     """
     closure = rg.relaxed
-    n = rg.n_clocks
     kept: list[Transition] = []
     guard_region = dict(rg.guard_region)
     for t in rg.game.transitions:
         r = rg.reg[t.src]
         sources = adherence(r) if closure else [r]
-        if not all(delay_feasible(s, t.guards, n, closure=closure) for s in sources):
+        if not all(delay_feasible(s, t.guards, closure=closure) for s in sources):
             guard_region.pop(t.tid, None)
             continue
         clauses = []
@@ -815,7 +655,7 @@ def trim(rg: RegionGame) -> RegionGame:
             # A clause is redundant when no admissible elapsed valuation
             # from the (closed) region can violate it.
             removable = not any(
-                delay_feasible(s, (), n, closure=closure, negate=g)
+                delay_feasible(s, (), closure=closure, negate=g)
                 for s in sources)
             if not removable:
                 clauses.append(g)
@@ -823,8 +663,7 @@ def trim(rg: RegionGame) -> RegionGame:
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              kept, rg.game.initial)
     return RegionGame(game, dict(rg.reg), guard_region, trimmed=True,
-                      relaxed=rg.relaxed, all_reset=rg.all_reset,
-                      w_out=dict(rg.w_out))
+                      relaxed=rg.relaxed)
 
 
 def relax(rg: RegionGame) -> RegionGame:
@@ -833,12 +672,10 @@ def relax(rg: RegionGame) -> RegionGame:
         raise StructuralError("relax expects a trimmed region game")
     transitions = [replace(t, guards=tuple(g.closed() for g in t.guards))
                    for t in rg.game.transitions]
-    w_out = {name: fn for name, fn in rg.w_out.items()}
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              transitions, rg.game.initial)
-    out = RegionGame(game, dict(rg.reg), dict(rg.guard_region), trimmed=True,
-                     relaxed=True, all_reset=rg.all_reset, w_out=w_out)
-    return trim(out)
+    return trim(RegionGame(game, dict(rg.reg), dict(rg.guard_region),
+                           trimmed=True, relaxed=True))
 
 
 def check_trimmed_observation(rg: RegionGame) -> None:
@@ -863,10 +700,9 @@ def check_trimmed_observation(rg: RegionGame) -> None:
 
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
     """The region whose closure holds every guard-satisfying elapsed point."""
-    n = rg.n_clocks
     src = rg.reg[t.src]
     feas = []
-    for cand in all_regions(n):
+    for cand in all_regions(len(rg.game.clocks)):
         if any(elapsed_region_feasible(s, cand, t.guards, closure=rg.relaxed)
                for s in (adherence(src) if rg.relaxed else [src])):
             feas.append(cand)
@@ -884,38 +720,30 @@ def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
 # All-reset transformation
 # ---------------------------------------------------------------------------
 
-def _max_cycle_check(rg: RegionGame) -> None:
-    max_locs = {name for name, loc in rg.game.locations.items()
-                if loc.owner == MAX and not loc.is_goal}
-    adj: dict[str, set[str]] = {l: set() for l in max_locs}
-    for t in rg.game.transitions:
+def max_traps(game: WeightedTimedGame) -> set[str]:
+    """The non-goal Max locations from which Max can keep the play among
+    such locations forever: those that reach a cycle of them."""
+    max_locs = {n for n, l in game.locations.items()
+                if l.owner == MAX and not l.is_goal}
+    adj: dict[str, set[str]] = {n: set() for n in max_locs}
+    for t in game.transitions:
         if t.src in max_locs and t.tgt in max_locs:
             adj[t.src].add(t.tgt)
-    # Self-loops or any cycle within the Max-only subgraph.
-    for src, tgts in adj.items():
-        if src in tgts:
-            raise MaxControlledCycle(f"Max self-loop at {src}")
-    color: dict[str, int] = {}
-
-    def dfs(u: str) -> None:
-        color[u] = 1
-        for v in adj[u]:
-            if color.get(v, 0) == 1:
-                raise MaxControlledCycle(f"Max-controlled cycle through {v}")
-            if color.get(v, 0) == 0:
-                dfs(v)
-        color[u] = 2
-
-    for u in max_locs:
-        if color.get(u, 0) == 0:
-            dfs(u)
+    trapped = set(max_locs)
+    changed = True
+    while changed:  # peel locations with no successor still trapped
+        changed = False
+        for n in list(trapped):
+            if not (adj[n] & trapped):
+                trapped.discard(n)
+                changed = True
+    return trapped
 
 
 _COMPOSE_CAP = 10_000
 
 
-def add_resets(rg: RegionGame,
-               entrances: Sequence[str] = ()) -> RegionGame:
+def add_resets(rg: RegionGame) -> RegionGame:
     """Make every non-goal transition reset at least one clock.
 
     Reset-free transitions are first given forced timing: urgent ones
@@ -928,8 +756,11 @@ def add_resets(rg: RegionGame,
     """
     if not (rg.trimmed and rg.relaxed):
         raise StructuralError("add_resets expects a relaxed trimmed game")
-    _max_cycle_check(rg)
     game = rg.game
+    trapped = max_traps(game)
+    if trapped:
+        raise MaxControlledCycle(
+            f"Max-controlled cycle reached from {min(trapped)}")
     goals = {name for name, loc in game.locations.items() if loc.is_goal}
 
     transitions = [t for t in game.transitions
@@ -986,9 +817,6 @@ def add_resets(rg: RegionGame,
         locations[down(name)] = replace(loc, name=down(name))
         reg2[down(name)] = dn_region
 
-    def upset(name: str) -> frozenset[int]:
-        return rg.reg[name].upclock
-
     def guard_down(guards: tuple[Guard, ...], up: frozenset[int]) -> tuple[Guard, ...]:
         out = [g for g in guards
                if not (g.clock in up and g.op == "==" and g.bound == 1)]
@@ -996,24 +824,20 @@ def add_resets(rg: RegionGame,
         return tuple(dict.fromkeys(out))
 
     new_trans: list[Transition] = []
-    w_out = dict(rg.w_out)
     for t in transitions:
-        up = upset(t.src)
+        up = rg.reg[t.src].upclock
         cd = guard_down(t.guards, up)
         if t.tgt in goals:
             # The plain copy is unchanged.  The early-reset copy arrives at
             # the goal with the clocks of ``up`` not reset by t physically
             # at 1 yet stored at 0, so it lands in a per-source goal twin
-            # whose region has them at 0 (and whose exit cost, if any,
-            # reads them as 1).
+            # whose region has them at 0.
             new_trans.append(t)
             ones = up - t.resets
             if ones:
                 twin = f"{down(t.tgt)}${t.tid}"
                 locations[twin] = replace(game.locations[t.tgt], name=twin)
                 reg2[twin] = rg.reg[t.tgt].reset(ones)
-                if t.tgt in w_out:
-                    w_out[twin] = w_out[t.tgt].substitute_ones(ones)
                 tgt_dn = twin
             else:
                 tgt_dn = t.tgt
@@ -1050,9 +874,8 @@ def add_resets(rg: RegionGame,
 
     initial = game.initial
     out_game = WeightedTimedGame(list(game.clocks), locations, new_trans, initial)
-    out = RegionGame(out_game, reg2, {}, trimmed=False, relaxed=True,
-                     all_reset=True, w_out=w_out)
-    out = prune_unreachable(out, roots=(list(entrances) or [initial.location]))
+    out = RegionGame(out_game, reg2, {}, trimmed=False, relaxed=True)
+    out = prune_unreachable(out, roots=[initial.location])
     out = trim(out)
     for t in out.game.transitions:
         out.guard_region[t.tid] = infer_guard_region(out, t)
@@ -1072,14 +895,4 @@ def prune_unreachable(rg: RegionGame, roots: Sequence[str]) -> RegionGame:
             continue
         seen.add(u)
         stack.extend(adj.get(u, ()))
-    locations = {n: l for n, l in rg.game.locations.items() if n in seen}
-    transitions = [t for t in rg.game.transitions
-                   if t.src in seen and t.tgt in seen]
-    game = WeightedTimedGame(list(rg.game.clocks), locations, transitions,
-                             rg.game.initial)
-    return RegionGame(game, {n: r for n, r in rg.reg.items() if n in seen},
-                      {t.tid: r for t in transitions
-                       for r in [rg.guard_region.get(t.tid)] if r is not None},
-                      trimmed=rg.trimmed, relaxed=rg.relaxed,
-                      all_reset=rg.all_reset,
-                      w_out={n: f for n, f in rg.w_out.items() if n in seen})
+    return restrict(rg, seen, [t.tid for t in rg.game.transitions])

@@ -1,11 +1,13 @@
-"""End-to-end exact solver: semi-unfolding and bottom-up value computation.
+"""End-to-end exact solver: the pipeline and its value computation.
 
 The pipeline turns a raw two-clock game into a [0,1)-region game where every
 transition resets a clock, certifies that every cycle has weight zero or at
-least one, collapses the zero-weight strongly connected components into
-kernels, and unfolds the rest into a finite tree.  Tree nodes are solved
-bottom-up: plain nodes by exact one-step delay optimization over piecewise
-linear child values, kernel nodes by value iteration (:mod:`.kernelvi`).
+least one, and collapses the zero-weight strongly connected components into
+kernels.  :func:`value_functions` then evaluates the semi-unfolding of the
+rest level by level: plain locations by exact one-step delay optimization
+over piecewise linear successor values, kernels by value iteration
+(:mod:`.kernelvi`).  :func:`solve` is the one entry point that both the
+library and the CLI call.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import (MIN, Guard, GameError, InputError, StructuralError,
+from .core import (MIN, GameError, InputError, StructuralError,
                    DomainError, Transition, Valuation, WeightedTimedGame,
                    frac, frac_str, reset)
 from .geometry import dedupe_polygon, make_ccw
@@ -22,8 +24,9 @@ from .plf import (ONE, ZERO, PLF1, PLF2, Segment, canonicalize, eval1,
                   pointwise_extremum, restrict2, fiber_extremum,
                   running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
-                      feasibility_counts, normalize_01, prune_unreachable,
-                      relax, reset_feasibility_cache, trim)
+                      drop_dead_rolls, feasibility_counts, max_traps,
+                      normalize_01, prune_unreachable, relax,
+                      reset_feasibility_cache, restrict, trim)
 from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      check_almost_non_zeno, compute_bounds, extract_kernel,
                      fix_weight_zero, mark_green)
@@ -393,64 +396,23 @@ def prune_max_traps(rg: RegionGame) -> RegionGame:
     simply a bad move), and no Max-owned location outside the set has an
     edge into it, so no other value changes."""
     game = rg.game
-    max_locs = {n for n, l in game.locations.items()
-                if l.owner != MIN and not l.is_goal}
-    adj = {n: set() for n in max_locs}
-    for t in game.transitions:
-        if t.src in max_locs and t.tgt in max_locs:
-            adj[t.src].add(t.tgt)
-    trapped = set(max_locs)
-    changed = True
-    while changed:  # peel locations with no successor still trapped
-        changed = False
-        for n in list(trapped):
-            if not (adj[n] & trapped):
-                trapped.discard(n)
-                changed = True
+    trapped = max_traps(game)
     if not trapped:
         return rg
-    transitions = [t for t in game.transitions if t.src not in trapped]
-    g2 = WeightedTimedGame(list(game.clocks), dict(game.locations),
-                           transitions, game.initial)
-    kept = {t.tid for t in transitions}
-    return RegionGame(g2, dict(rg.reg),
-                      {tid: r for tid, r in rg.guard_region.items()
-                       if tid in kept},
-                      trimmed=rg.trimmed, relaxed=rg.relaxed,
-                      all_reset=rg.all_reset, w_out=dict(rg.w_out))
+    return restrict(rg, game.locations,
+                    [t.tid for t in game.transitions if t.src not in trapped])
 
 
 def prune_dead_rolls(rg: RegionGame) -> RegionGame:
-    """Drop rollover edges that can never be followed by a real transition.
-
-    A rollover edge models pure waiting across an integer clock boundary,
-    but a move of the game is a delay *plus* an enabled transition: waiting
-    into territory where no transition is ever enabled again is not a move
-    the owner may choose.  Keep a rollover only when some real transition is
-    still reachable through rollovers from its target."""
+    """Drop the rollovers that trimming left dead: it may have removed real
+    transitions that :func:`normalize_01` counted on when it kept them (see
+    :func:`regions.drop_dead_rolls`)."""
     game = rg.game
-    rolls = [t for t in game.transitions if t.tid.startswith("__roll_")]
-    live = {t.src for t in game.transitions if not t.tid.startswith("__roll_")}
-    live |= {n for n, l in game.locations.items() if l.is_goal}
-    changed = True
-    while changed:
-        changed = False
-        for t in rolls:
-            if t.src not in live and t.tgt in live:
-                live.add(t.src)
-                changed = True
-    transitions = [t for t in game.transitions
-                   if t.tgt in live or not t.tid.startswith("__roll_")]
+    transitions = drop_dead_rolls(game.transitions, game.locations)
     if len(transitions) == len(game.transitions):
         return rg
-    g2 = WeightedTimedGame(list(game.clocks), dict(game.locations),
-                           transitions, game.initial)
-    kept = {t.tid for t in transitions}
-    return RegionGame(g2, dict(rg.reg),
-                      {tid: r for tid, r in rg.guard_region.items()
-                       if tid in kept},
-                      trimmed=rg.trimmed, relaxed=rg.relaxed,
-                      all_reset=rg.all_reset, w_out=dict(rg.w_out))
+    return restrict(rg, game.locations, [t.tid for t in transitions])
+
 
 def check_finite_value(rg: RegionGame) -> bool:
     """True iff Min can force reaching a goal location from the initial
@@ -474,116 +436,6 @@ def check_finite_value(rg: RegionGame) -> bool:
                 attr.add(n)
                 changed = True
     return game.initial.location in attr
-
-
-# ---------------------------------------------------------------------------
-# Semi-unfolding
-# ---------------------------------------------------------------------------
-
-PLAIN, KERNEL, GOAL, STOPPED = "plain", "kernel", "goal", "stopped"
-
-
-@dataclass
-class UnfoldNode:
-    kind: str
-    loc: str
-    children: dict[str, "UnfoldNode"] = field(default_factory=dict)
-    component: Optional[frozenset] = None
-
-    def size(self) -> int:
-        """Number of distinct nodes (subtrees are shared, so a DAG)."""
-        seen, stack = set(), [self]
-        while stack:
-            n = stack.pop()
-            if id(n) in seen:
-                continue
-            seen.add(id(n))
-            stack.extend(n.children.values())
-        return len(seen)
-
-    def depth(self) -> int:
-        """Longest root-to-leaf path."""
-        memo: dict[int, int] = {}
-        expanded = set()
-        stack = [(self, False)]
-        while stack:
-            n, ready = stack.pop()
-            if ready:
-                memo[id(n)] = 1 + max((memo[id(c)]
-                                       for c in n.children.values()),
-                                      default=0)
-                continue
-            if id(n) in expanded:
-                continue
-            expanded.add(id(n))
-            stack.append((n, True))
-            stack.extend((c, False) for c in n.children.values())
-        return memo[id(self)]
-
-
-def semi_unfold(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
-                kappa: Fraction, extra_visits: int = 0,
-                node_budget: int = 2_000_000) -> UnfoldNode:
-    """Unfold the region game into a finite tree, collapsing kernel entries
-    into kernel nodes, and cutting any branch once a positive-weight
-    location or transition has been visited W/kappa + 2 times."""
-    threshold = w_bound / kappa + 2 + extra_visits
-    game = rg.game
-    loc2comp = {l: comp for comp in kernel.components for l in comp}
-    out_by_comp: dict[frozenset, list[Transition]] = {
-        comp: [] for comp in kernel.components}
-    for t in kernel.output_edges:
-        out_by_comp[loc2comp[t.src]].append(t)
-    outgoing: dict[str, list[Transition]] = {n: [] for n in game.locations}
-    for t in game.transitions:
-        outgoing[t.src].append(t)
-
-    def bump(counters, key):
-        n = counters.get(key, 0) + 1
-        out = dict(counters)
-        out[key] = n
-        return out, n
-
-    # Subtrees are a deterministic function of (location, visit counters),
-    # so share them: the unfolding is built as a DAG keyed by that state.
-    memo: dict[tuple, UnfoldNode] = {}
-    holder: dict[str, UnfoldNode] = {}
-    # stack entries: (location, counters, children-dict to fill, key)
-    stack = [(game.initial.location, {}, holder, "root")]
-    while stack:
-        loc, counters, sink, key = stack.pop()
-        state = (loc, frozenset(counters.items()))
-        hit = memo.get(state)
-        if hit is not None:
-            sink[key] = hit
-            continue
-        if len(memo) >= node_budget:
-            raise StructuralError("semi-unfolding exceeded the node budget")
-        if game.locations[loc].is_goal:
-            sink[key] = memo[state] = UnfoldNode(GOAL, loc)
-            continue
-        if game.locations[loc].weight > 0:
-            counters, n = bump(counters, ("l", loc))
-            if n >= threshold:
-                sink[key] = memo[state] = UnfoldNode(STOPPED, loc)
-                continue
-        comp = loc2comp.get(loc)
-        if comp is not None:
-            node = UnfoldNode(KERNEL, loc, component=comp)
-            edges = out_by_comp[comp]
-        else:
-            node = UnfoldNode(PLAIN, loc)
-            edges = outgoing[loc]
-        sink[key] = memo[state] = node
-        for t in edges:
-            c2 = counters
-            if t.weight > 0:
-                c2, n = bump(c2, ("t", t.tid))
-                if n >= threshold:
-                    node.children[t.tid] = UnfoldNode(STOPPED, t.tgt)
-                    continue
-            stack.append((t.tgt, c2, node.children, t.tid))
-    return holder["root"]
 
 
 # ---------------------------------------------------------------------------
@@ -653,15 +505,6 @@ def _kernel_values(rg: RegionGame, comp: frozenset,
     return values, res.steps
 
 
-def _solve_kernel(rg: RegionGame, node: UnfoldNode,
-                  child_values: dict[str, NodeValue],
-                  out_edges: list[Transition],
-                  k_cap: int) -> tuple[NodeValue, int]:
-    values, steps = _kernel_values(rg, node.component, child_values,
-                                   out_edges, k_cap)
-    return values[node.loc], steps
-
-
 def _solve_plain(rg: RegionGame, loc_name: str,
                  child_values: dict[str, NodeValue]) -> NodeValue:
     game = rg.game
@@ -694,43 +537,6 @@ def _solve_plain(rg: RegionGame, loc_name: str,
     out = NodeValue.constant(r, best) if best != INF else NodeValue.infinite(r)
     out.anchor = anchor
     return out
-
-
-def solve_node(node: UnfoldNode, rg: RegionGame, kernel: Kernel,
-               k_cap: int = 10000, _stats: Optional[dict] = None
-               ) -> NodeValue:
-    """Value function of an unfold node, children first (iterative
-    postorder over the shared DAG)."""
-    memo: dict[int, NodeValue] = {}
-    expanded: set[int] = set()
-    stack: list[tuple[UnfoldNode, bool]] = [(node, False)]
-    while stack:
-        n, ready = stack.pop()
-        if n.kind == GOAL:
-            memo[id(n)] = NodeValue.constant(rg.reg.get(n.loc), 0)
-            continue
-        if n.kind == STOPPED:
-            memo[id(n)] = NodeValue.infinite(rg.reg.get(n.loc))
-            continue
-        if not ready:
-            if id(n) in expanded:
-                continue
-            expanded.add(id(n))
-            stack.append((n, True))
-            stack.extend((c, False) for c in n.children.values())
-            continue
-        child_values = {tid: memo[id(c)]
-                        for tid, c in n.children.items()}
-        if n.kind == KERNEL:
-            out = [t for t in kernel.output_edges
-                   if t.src in n.component]
-            nv, steps = _solve_kernel(rg, n, child_values, out, k_cap)
-            if _stats is not None:
-                _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)
-            memo[id(n)] = nv
-        else:
-            memo[id(n)] = _solve_plain(rg, n.loc, child_values)
-    return memo[id(node)]
 
 
 def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
@@ -816,6 +622,9 @@ class Verdict:
     vi_steps: int = 0
     feasibility_calls: int = 0
     feasibility_distinct: int = 0
+    prepared: Optional[Prepared] = None
+    # value function per region-location; empty when Min cannot force a goal
+    values: dict[str, NodeValue] = field(default_factory=dict)
 
     def __str__(self):
         out = f"value = {frac_str(self.value)}"
@@ -856,21 +665,23 @@ def prepare(game: WeightedTimedGame) -> Prepared:
 
 def solve(game: WeightedTimedGame, threshold=None, k_cap: int = 10000,
           extra_visits: int = 0) -> Verdict:
-    """Exact value of the game from its initial configuration."""
+    """Exact value of the game from its initial configuration, with the
+    prepared region game and the value functions behind it."""
     prep = prepare(game)
-    rg, kernel = prep.rg, prep.kernel
+    rg = prep.rg
     verdict = Verdict(INF, anz=prep.anz, kappa=prep.kappa,
                       w_bound=prep.w_bound,
                       feasibility_calls=prep.feasibility_calls,
-                      feasibility_distinct=prep.feasibility_distinct)
+                      feasibility_distinct=prep.feasibility_distinct,
+                      prepared=prep)
     if check_finite_value(rg):
         stats: dict = {}
-        values = value_functions(rg, kernel, prep.w_bound, prep.kappa,
-                                 k_cap=k_cap, extra_visits=extra_visits,
-                                 _stats=stats)
+        verdict.values = value_functions(
+            rg, prep.kernel, prep.w_bound, prep.kappa, k_cap=k_cap,
+            extra_visits=extra_visits, _stats=stats)
         verdict.vi_steps = stats.get("vi_steps", 0)
         verdict.sweeps = stats.get("sweeps", 0)
-        nv = values[rg.game.initial.location]
+        nv = verdict.values[rg.game.initial.location]
         verdict.value = nv.eval(rg.game.initial.valuation)
     if threshold is not None:
         th = frac(threshold)

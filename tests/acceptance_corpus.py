@@ -23,7 +23,7 @@ P_TABLE = PLF1.from_pairs([(0, 0), (F(1, 4), 1), (F(3, 4), 1), (1, 0)])
 P_DOWN = PLF1.from_pairs([(0, 1), (1, 0)])
 P_TENT = PLF1.from_pairs([(0, F(3, 8)), (F(5, 8), 1), (1, F(1, 2))])
 
-XY_SUM = OutputValue.from_plf2(PLF2.affine(
+XY_SUM = OutputValue(PLF2.affine(
     ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))), (1, 1, 0)))
 
 

@@ -28,7 +28,7 @@ from wtgsolve.kernelvi import (
 from wtgsolve.oracle import GridOracle, grid_tolerance
 from wtgsolve.plf import PLF1, PLF2, equals
 
-XY = OutputValue.from_plf2(PLF2.affine(
+XY = OutputValue(PLF2.affine(
     ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))), (1, 1, 0)))
 
 
@@ -65,14 +65,6 @@ class TestOutputValue:
         w = OutputValue.on_y(PLF1.from_pairs([(0, 1), (F(1, 2), 0), (1, 1)]))
         assert w.eval((F(3, 4), F(1, 4))) == F(1, 2)
         assert w.eval((F(0), F(1, 2))) == 0
-
-    def test_substitute_ones(self):
-        w = XY.substitute_ones({1})
-        assert w.eval((F(1, 2), F(0))) == F(3, 2)
-        assert w.eval((F(1, 2), F(9, 10))) == F(3, 2)
-
-    def test_substitute_nothing(self):
-        assert XY.substitute_ones(set()) is XY
 
 
 class TestProjectOutput:

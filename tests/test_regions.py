@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from wtgsolve import regions
 from wtgsolve.core import (
     MAX,
     MIN,
@@ -15,12 +14,14 @@ from wtgsolve.core import (
     Guard,
     InputError,
     Location,
+    StructuralError,
     Transition,
     WeightedTimedGame,
 )
 from wtgsolve.regions import (
     MaxControlledCycle,
     Region,
+    RegionGame,
     add_resets,
     adherence,
     all_regions,
@@ -28,6 +29,7 @@ from wtgsolve.regions import (
     check_trimmed_observation,
     clock_bound,
     delay_feasible,
+    drop_dead_rolls,
     elapsed_region_feasible,
     feasibility_counts,
     infer_guard_region,
@@ -35,10 +37,12 @@ from wtgsolve.regions import (
     region_of,
     relax,
     reset_feasibility_cache,
+    restrict,
     trim,
 )
-from wtgsolve.unfold import solve
+from wtgsolve.unfold import prune_dead_rolls, solve
 
+import fm_reference
 from acceptance_corpus import min_wait, zero_kernel
 
 X, Y = 0, 1
@@ -137,20 +141,31 @@ class TestAdherence:
 class TestDelayFeasible:
     def test_reach_one(self):
         r = R({X}, {Y})
-        assert delay_feasible(r, [Guard(Y, "==", 1)], 2)
-        assert not delay_feasible(r, [Guard(Y, "==", 1), Guard(X, "==", 0)], 2)
+        assert delay_feasible(r, [Guard(Y, "==", 1)])
+        assert not delay_feasible(r, [Guard(Y, "==", 1), Guard(X, "==", 0)])
 
     def test_order_blocks(self):
         # From y=0<x, clock y can never reach 1 inside the unit box.
         r = R({Y}, {X})
-        assert not delay_feasible(r, [Guard(Y, "==", 1)], 2)
+        assert not delay_feasible(r, [Guard(Y, "==", 1)])
 
     def test_negate(self):
         r = R({X}, {Y})
         # Some admissible elapsed point violates x==0 (any delay > 0)...
-        assert delay_feasible(r, [], 2, negate=Guard(X, "==", 0))
+        assert delay_feasible(r, [], negate=Guard(X, "==", 0))
         # ... but none violates x >= 0.
-        assert not delay_feasible(r, [], 2, negate=Guard(X, ">=", 0))
+        assert not delay_feasible(r, [], negate=Guard(X, ">=", 0))
+
+    def test_constants_other_than_0_and_1_are_refused(self):
+        # An atom like x <= 2 has no single truth value on a region.
+        r = R({X}, {Y})
+        big = Guard(X, "<=", 2)
+        with pytest.raises(StructuralError):
+            delay_feasible(r, [big])
+        with pytest.raises(StructuralError):
+            delay_feasible(r, [Guard(Y, "==", 1)], negate=big)
+        with pytest.raises(StructuralError):
+            elapsed_region_feasible(r, r, [big])
 
 
 _ATOMS = [Guard(c, op, b) for c in (X, Y) for op in OPS for b in (0, 1)]
@@ -159,32 +174,33 @@ _GUARD_SETS = ([()] + [(a,) for a in _ATOMS]
 
 
 class TestFeasibilityCache:
-    """The memoised predicates answer as their uncached bodies do, a list and
-    a tuple of the same guards share one answer, and no answer outlives a
+    """The region lookups answer as the Fourier-Motzkin bodies of
+    ``fm_reference`` do on every question over two clocks, a list and a
+    tuple of the same guards share one answer, and no answer outlives a
     solve."""
 
     def setup_method(self):
         reset_feasibility_cache()
 
     def test_delay_feasible_matches_body(self):
-        body = regions._delay_feasible.__wrapped__
         questions = list(itertools.product(
             all_regions(2), _GUARD_SETS, (False, True), [None] + _ATOMS))
         for r, guards, closure, negate in questions:
-            expected = body(r, guards, 2, closure, negate, True)
-            assert delay_feasible(r, list(guards), 2, closure=closure,
+            expected = fm_reference.delay_feasible(r, guards, 2, closure,
+                                                   negate, True)
+            assert delay_feasible(r, list(guards), closure=closure,
                                   negate=negate) == expected
-            assert delay_feasible(r, guards, 2, closure, negate) == expected
-        # One FM run per question: no two questions share a key, and the
+            assert delay_feasible(r, guards, closure, negate) == expected
+        # One lookup per question: no two questions share a key, and the
         # tuple call hit the answer of the list call.
         assert feasibility_counts() == (2 * len(questions), len(questions))
 
     def test_elapsed_region_feasible_matches_body(self):
-        body = regions._elapsed_region_feasible.__wrapped__
         questions = list(itertools.product(
             all_regions(2), all_regions(2), _GUARD_SETS, (False, True)))
         for src, target, guards, closure in questions:
-            expected = body(src, target, guards, closure)
+            expected = fm_reference.elapsed_region_feasible(
+                src, target, guards, closure)
             assert elapsed_region_feasible(src, target, list(guards),
                                            closure=closure) == expected
             assert elapsed_region_feasible(src, target, guards,
@@ -271,6 +287,31 @@ class TestNormalize:
         assert w2 == w
 
 
+def test_normalize_and_prune_share_roll_liveness():
+    # b rolls to a, which has a real exit, and d rolls to b: both are live.
+    # b also rolls to c, after which nothing follows: that rollover is dead.
+    def roll(tid, src, tgt):
+        return Transition(tid, src, tgt, (Guard(X, "==", 1), Guard(Y, "<", 1)),
+                          frozenset({X}), synthetic=True)
+
+    g = WeightedTimedGame(
+        ["x", "y"], {n: Location(n, MIN, is_goal=n == "G") for n in "abcdG"},
+        [roll("__roll_d", "d", "b"), roll("__roll_bc", "b", "c"),
+         roll("__roll_ba", "b", "a"),
+         Transition("t", "a", "G", (Guard(X, "<", 1), Guard(Y, "<", 1)))],
+        Configuration("a", (F(0), F(0))))
+    kept = [t.tid for t in drop_dead_rolls(g.transitions, g.locations)]
+    assert kept == ["__roll_d", "__roll_ba", "t"]
+    # With one integer part (M = 1), normalize_01 drops the same rollover...
+    assert clock_bound(g) == 1
+    assert [t.tid for t in normalize_01(g).transitions] == \
+        [f"{tid}#0,0" for tid in kept]
+    # ... and prune_dead_rolls restricts a region game to the same moves.
+    pruned = prune_dead_rolls(RegionGame(g, {}, {}))
+    assert [t.tid for t in pruned.game.transitions] == kept
+    assert prune_dead_rolls(pruned) is pruned
+
+
 # ---------------------------------------------------------------------------
 # Region game construction and trimming
 # ---------------------------------------------------------------------------
@@ -335,6 +376,20 @@ class TestRegionGame:
         rg = trim(build_region_wtg(_small_01_game()))
         for t in rg.game.transitions:
             assert rg.guard_region[t.tid] == infer_guard_region(rg, t)
+
+    def test_restrict_keeps_the_data_of_what_it_keeps(self):
+        rg = trim(build_region_wtg(_small_01_game()))
+        t = rg.game.transitions[0]
+        sub = restrict(rg, rg.game.locations, [t.tid])
+        assert sub.game.transitions == [t]
+        assert sub.guard_region == {t.tid: rg.guard_region[t.tid]}
+        assert sub.reg == rg.reg and sub.trimmed and not sub.relaxed
+        # A transition goes with either end, a region with its location.
+        sub = restrict(rg, set(rg.game.locations) - {t.tgt},
+                       [u.tid for u in rg.game.transitions])
+        assert sub.game.transitions == [u for u in rg.game.transitions
+                                        if t.tgt not in (u.src, u.tgt)]
+        assert t.tgt not in sub.reg and t.tgt not in sub.game.locations
 
 
 class TestRelax:

@@ -10,20 +10,16 @@ from wtgsolve.gameio import game_from_dict
 from wtgsolve.oracle import GridOracle
 from wtgsolve.regions import clock_bound
 from wtgsolve.unfold import (
-    GOAL,
-    KERNEL,
-    PLAIN,
-    STOPPED,
     MoreThanTwoClocks,
     NotAlmostNonZeno,
     check_finite_value,
     decide,
     prepare,
-    semi_unfold,
     solve,
-    solve_node,
     value_functions,
 )
+
+from unfold_reference import GOAL, KERNEL, STOPPED, semi_unfold, solve_node
 
 INF = float("inf")
 
