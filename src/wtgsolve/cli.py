@@ -80,24 +80,26 @@ def _oracle_cmd(args) -> int:
 
 
 def _solve_cmd(args) -> int:
+    threshold = None if args.threshold is None else frac(args.threshold)
     game = load_game(args.file)
     if args.check_anz:
         prep = prepare(game)
         print(f"anz: ok (kappa = {frac_str(prep.anz.kappa)}, "
               f"product edges = {prep.anz.cycles_checked})")
         return 0
-    verdict = solve(game, threshold=args.threshold, k_cap=args.k_cap)
-    rg = verdict.prepared.rg
+    verdict = solve(game, threshold=threshold, k_cap=args.k_cap)
+    prep = verdict.prepared
+    rg = prep.rg
     if args.dump_regions:
         _dump_regions(rg)
     if args.dump_value_functions:
         _dump_value_functions(rg, verdict.values, args.dump_value_functions)
 
     print(verdict)
-    print(f"# kappa = {frac_str(verdict.kappa)}, weight bound = "
-          f"{frac_str(verdict.w_bound)}, sweeps = {verdict.sweeps}, "
+    print(f"# kappa = {frac_str(prep.kappa)}, weight bound = "
+          f"{frac_str(prep.w_bound)}, sweeps = {verdict.sweeps}, "
           f"vi steps = {verdict.vi_steps}, feasibility queries = "
-          f"{verdict.feasibility_calls} (distinct {verdict.feasibility_distinct})")
+          f"{prep.feasibility_calls} (distinct {prep.feasibility_distinct})")
     return 0
 
 

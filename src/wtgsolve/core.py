@@ -51,7 +51,10 @@ def frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"malformed rational {value!r}") from None
     raise InputError(f"not a rational: {value!r}")
 
 

@@ -417,33 +417,6 @@ class PLF2:
         return PLF2(tuple((tri, (a, b, c + d)) for tri, (a, b, c) in self.cells))
 
 
-def check_continuity(plf: PLF2) -> None:
-    """Verify adjacent cells agree along shared boundary (raises on failure)."""
-    if plf.is_infinite:
-        return
-    cells = plf.cells
-    for i in range(len(cells)):
-        tri1, c1 = cells[i]
-        for j in range(i + 1, len(cells)):
-            tri2, c2 = cells[j]
-            if c1 == c2:
-                continue
-            shared = [p for p in tri1 if point_in_polygon(tri2, p)]
-            shared += [p for p in tri2 if point_in_polygon(tri1, p) and p not in shared]
-            for p in shared:
-                v1, v2 = affine_eval(c1, p), affine_eval(c2, p)
-                if v1 != v2:
-                    raise DomainError(f"PLF2 discontinuity at {p}: {v1} vs {v2}")
-            if len(shared) == 2:
-                mid = (
-                    (shared[0][0] + shared[1][0]) / 2,
-                    (shared[0][1] + shared[1][1]) / 2,
-                )
-                if point_in_polygon(tri1, mid) and point_in_polygon(tri2, mid):
-                    if affine_eval(c1, mid) != affine_eval(c2, mid):
-                        raise DomainError(f"PLF2 discontinuity at {mid}")
-
-
 def restrict2(plf: PLF2, segment: Segment) -> PLF1:
     """Restriction of a PLF2 to a segment, as a PLF1 in the parameter u."""
     if plf.is_infinite:

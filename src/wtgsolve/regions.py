@@ -678,26 +678,6 @@ def relax(rg: RegionGame) -> RegionGame:
                            trimmed=True, relaxed=True))
 
 
-def check_trimmed_observation(rg: RegionGame) -> None:
-    """Structural facts every trimmed region game must satisfy."""
-    for t in rg.game.transitions:
-        r = rg.reg[t.src]
-        has_zero = has_one = False
-        for g in t.guards:
-            if g.bound == 0 and g.op in ("==", ">"):
-                if g.clock not in r.zeros:
-                    raise StructuralError(
-                        f"{t.tid}: guard on non-zero clock {g.clock}")
-                has_zero = has_zero or g.op == "=="
-            if g.bound == 1 and g.op == "==":
-                if g.clock not in r.upclock:
-                    raise StructuralError(
-                        f"{t.tid}: x==1 guard on non-top clock {g.clock}")
-                has_one = True
-        if has_zero and has_one:
-            raise StructuralError(f"{t.tid}: both x==0 and y==1 guards")
-
-
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
     """The region whose closure holds every guard-satisfying elapsed point."""
     src = rg.reg[t.src]

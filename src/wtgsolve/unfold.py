@@ -4,10 +4,10 @@ The pipeline turns a raw two-clock game into a [0,1)-region game where every
 transition resets a clock, certifies that every cycle has weight zero or at
 least one, and collapses the zero-weight strongly connected components into
 kernels.  :func:`value_functions` then evaluates the semi-unfolding of the
-rest level by level: plain locations by exact one-step delay optimization
-over piecewise linear successor values, kernels by value iteration
-(:mod:`.kernelvi`).  :func:`solve` is the one entry point that both the
-library and the CLI call.
+rest one strongly connected component at a time, successors first: plain
+locations by exact one-step delay optimization over piecewise linear
+successor values, kernels by value iteration (:mod:`.kernelvi`).
+:func:`solve` is the one entry point that both the library and the CLI call.
 """
 
 import math
@@ -32,6 +32,10 @@ from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      fix_weight_zero, mark_green)
 from .kernelvi import (ON_X, ON_Y, POINT, KernelGame, OutputValue, iterate,
                        value_at)
+
+# After the package's own modules: imported before them, networkx raises the
+# process's peak resident memory by about 1 MB.
+import networkx as nx
 
 INF = float("inf")
 ExtValue = Union[Fraction, float]
@@ -545,51 +549,77 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
                     _stats: Optional[dict] = None) -> dict[str, NodeValue]:
     """Exact value function of every region-location.
 
-    This evaluates the semi-unfolding level by level with all equal-depth
-    subtrees shared: one sweep applies the one-step delay optimization to
-    every plain location and re-solves each zero-weight component against
-    the current values behind its output edges.  Sweep values decrease
+    This evaluates the semi-unfolding with all equal-depth subtrees
+    shared.  A unit is a zero-weight component, solved by value
+    iteration against the values behind its output edges, or a plain
+    location, solved by the one-step delay optimization.  Units are visited
+    by strongly connected component, successors first: an acyclic unit is
+    solved once against final values, and a cyclic one runs Jacobi sweeps
+    over its members, recomputing a member only when the value of one of its
+    successors changed in the previous sweep.  Sweep values decrease
     monotonically from +infinity and, because every cycle outside the
     components costs at least ``kappa``, they reach the unfolding's exact
     root value within (#positive elements * (W/kappa + 2) + 1) * (|L| + 1)
-    sweeps -- the maximum depth of the counter-cut unfolding -- so iteration
-    stops at stabilization or at that bound, whichever comes first."""
+    sweeps -- the maximum depth of the counter-cut unfolding -- so each
+    cyclic component stops at stabilization or at that bound, whichever
+    comes first.  ``sweeps`` in ``_stats`` is the most any component took."""
     game = rg.game
     threshold = w_bound / kappa + 2 + extra_visits
     npos = (sum(1 for l in game.locations.values() if l.weight > 0)
             + sum(1 for t in game.transitions if t.weight > 0))
     max_sweeps = math.ceil((npos * threshold + 1) * (len(game.locations) + 1))
-    out_by_comp = {comp: [] for comp in kernel.components}
     loc2comp = {l: comp for comp in kernel.components for l in comp}
+    edges: dict = {comp: [] for comp in kernel.components}
     for t in kernel.output_edges:
-        out_by_comp[loc2comp[t.src]].append(t)
-    outgoing: dict[str, list[Transition]] = {n: [] for n in game.locations}
+        edges[loc2comp[t.src]].append(t)
+    for n, l in game.locations.items():
+        if not l.is_goal and n not in loc2comp:
+            edges[n] = []
     for t in game.transitions:
-        outgoing[t.src].append(t)
+        if t.src in edges:
+            edges[t.src].append(t)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(edges)
+    graph.add_edges_from((u, loc2comp.get(t.tgt, t.tgt))
+                         for u, ts in edges.items() for t in ts
+                         if not game.locations[t.tgt].is_goal)
 
     values = {n: (NodeValue.constant(rg.reg[n], 0) if l.is_goal
                   else NodeValue.infinite(rg.reg[n]))
               for n, l in game.locations.items()}
-    sweeps = 0
-    for _ in range(max_sweeps):
-        nxt = dict(values)
-        for comp, out in out_by_comp.items():
-            child = {t.tid: values[t.tgt] for t in out}
-            kv, steps = _kernel_values(rg, comp, child, out, k_cap)
-            nxt.update(kv)
-            if _stats is not None:
-                _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)
-        for n, l in game.locations.items():
-            if l.is_goal or n in loc2comp:
-                continue
-            child = {t.tid: values[t.tgt] for t in outgoing[n]}
-            nxt[n] = _solve_plain(rg, n, child)
-        sweeps += 1
-        if nxt == values:
-            break
-        values = nxt
+
+    def solve_unit(u) -> dict[str, NodeValue]:
+        child = {t.tid: values[t.tgt] for t in edges[u]}
+        if isinstance(u, str):
+            return {u: _solve_plain(rg, u, child)}
+        kv, steps = _kernel_values(rg, u, child, edges[u], k_cap)
+        if _stats is not None:
+            _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)
+        return kv
+
+    most = 0
+    dag = nx.condensation(graph)
+    for scc in reversed(list(nx.topological_sort(dag))):
+        members = dag.nodes[scc]["members"]
+        first = next(iter(members))
+        if len(members) == 1 and not graph.has_edge(first, first):
+            values.update(solve_unit(first))
+            most = max(most, 1)
+            continue
+        todo = set(members)
+        for sweep in range(1, max_sweeps + 1):
+            nxt = {}
+            for u in todo:
+                nxt.update(solve_unit(u))
+            changed = [n for n, nv in nxt.items() if values[n] != nv]
+            values.update(nxt)
+            if not changed:
+                break
+            todo = {u for n in changed
+                    for u in graph.predecessors(loc2comp.get(n, n))} & members
+        most = max(most, sweep)
     if _stats is not None:
-        _stats["sweeps"] = sweeps
+        _stats["sweeps"] = most
     return values
 
 
@@ -615,13 +645,8 @@ class Verdict:
     value: ExtValue
     threshold: Optional[Fraction] = None
     decision: Optional[str] = None  # "at-most" | "exceeds"
-    anz: Optional[AnzReport] = None
-    kappa: Optional[Fraction] = None
-    w_bound: Optional[Fraction] = None
-    sweeps: int = 0
+    sweeps: int = 0  # the most sweeps any SCC of units took
     vi_steps: int = 0
-    feasibility_calls: int = 0
-    feasibility_distinct: int = 0
     prepared: Optional[Prepared] = None
     # value function per region-location; empty when Min cannot force a goal
     values: dict[str, NodeValue] = field(default_factory=dict)
@@ -669,11 +694,7 @@ def solve(game: WeightedTimedGame, threshold=None, k_cap: int = 10000,
     prepared region game and the value functions behind it."""
     prep = prepare(game)
     rg = prep.rg
-    verdict = Verdict(INF, anz=prep.anz, kappa=prep.kappa,
-                      w_bound=prep.w_bound,
-                      feasibility_calls=prep.feasibility_calls,
-                      feasibility_distinct=prep.feasibility_distinct,
-                      prepared=prep)
+    verdict = Verdict(INF, prepared=prep)
     if check_finite_value(rg):
         stats: dict = {}
         verdict.values = value_functions(

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from wtgsolve import cli
 from wtgsolve.cli import main
 from wtgsolve.core import MAX, MIN, Transition
 from wtgsolve.gameio import game_to_dict, save_game
@@ -167,6 +168,21 @@ class TestErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["abc", "1/0"])
+    def test_bad_threshold_exits_3_before_solving(self, threshold, game_file,
+                                                  capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the threshold was parsed")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setattr(cli, "prepare", no_solve)
+        assert main(["solve", game_file(min_wait()),
+                     "--threshold", threshold]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and threshold in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 

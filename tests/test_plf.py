@@ -9,7 +9,6 @@ from wtgsolve.plf import (
     PLF2,
     Segment,
     canonicalize,
-    check_continuity,
     envelope_pieces,
     equals,
     eval1,
@@ -18,6 +17,8 @@ from wtgsolve.plf import (
     restrict2,
     running_extremum,
 )
+
+from invariants import check_continuity
 
 
 def plf(*pairs):

@@ -26,7 +26,6 @@ from wtgsolve.regions import (
     adherence,
     all_regions,
     build_region_wtg,
-    check_trimmed_observation,
     clock_bound,
     delay_feasible,
     drop_dead_rolls,
@@ -44,6 +43,7 @@ from wtgsolve.unfold import prune_dead_rolls, solve
 
 import fm_reference
 from acceptance_corpus import min_wait, zero_kernel
+from invariants import check_trimmed_observation
 
 X, Y = 0, 1
 
@@ -208,9 +208,9 @@ class TestFeasibilityCache:
         assert feasibility_counts() == (2 * len(questions), len(questions))
 
     def test_each_solve_starts_from_an_empty_cache(self):
-        alone = solve(min_wait())
+        alone = solve(min_wait()).prepared
         solve(zero_kernel())
-        after = solve(min_wait())
+        after = solve(min_wait()).prepared
         assert after.feasibility_distinct == alone.feasibility_distinct > 0
         assert after.feasibility_calls == alone.feasibility_calls
         assert feasibility_counts() == (after.feasibility_calls,

@@ -1,11 +1,15 @@
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import test_anz
+from acceptance_corpus import exact_corpus, transformation_corpus
 from corpus import G, loc, make_game, three_clock_demo
-from wtgsolve.core import MAX, MIN, Transition
+from wtgsolve import kernelvi, unfold
+from wtgsolve.core import MAX, MIN, DomainError, Transition
 from wtgsolve.gameio import game_from_dict
 from wtgsolve.oracle import GridOracle
 from wtgsolve.regions import clock_bound
@@ -19,7 +23,8 @@ from wtgsolve.unfold import (
     value_functions,
 )
 
-from unfold_reference import GOAL, KERNEL, STOPPED, semi_unfold, solve_node
+from unfold_reference import (GOAL, KERNEL, STOPPED, jacobi_value_functions,
+                              semi_unfold, solve_node)
 
 INF = float("inf")
 
@@ -145,6 +150,22 @@ def zero_kernel():
                    resets=frozenset({1}), weight=1),
     ]
     return make_game(locs, trans, "a", (0, F(1, 2)))
+
+
+def self_loop_shortcut():
+    """Min at a (rate 0) may go on to b (rate 2, leave at y==1) only at once,
+    or first pay 1 to loop, which resets x and lets y grow: from y = 1/4
+    the loop brings the wait at b near 0, so the value is 1 (an infimum),
+    one sweep more than the self-loop's first solve sees."""
+    locs = [loc("a", MIN), loc("b", MIN, weight=2), loc("G", goal=True)]
+    trans = [
+        Transition("t1", "a", "a", guards=(G(1, "<", 1),),
+                   resets=frozenset({0}), weight=1),
+        Transition("t2", "a", "b", guards=(G(0, "==", 0),)),
+        Transition("t3", "b", "G", guards=(G(1, "==", 1),),
+                   resets=frozenset({1})),
+    ]
+    return make_game(locs, trans, "a", (0, F(1, 4)))
 
 
 def oracle_value(game, n_grid=48, horizon=40):
@@ -275,6 +296,12 @@ class TestSolveExamples:
     def test_unit_cycle_matches_oracle(self):
         assert solve(unit_cycle()).value == oracle_value(unit_cycle())
 
+    def test_self_loop_pays_off(self):
+        # the looping branch costs 1 + 2(1 - y') for any y' < 1, the direct
+        # one 2 * 3/4; the grid oracle stays above the infimum
+        assert solve(self_loop_shortcut()).value == 1
+        assert 1 < oracle_value(self_loop_shortcut()) <= F(25, 24)
+
     def test_positive_loop_value(self):
         # waiting to x=1 is free (weight-0 location), exit costs 2; looping
         # first would add 1 per lap, so Min exits straight away
@@ -331,3 +358,85 @@ class TestPipeline:
         v = decide(min_wait(), F(3, 2))
         assert "value = 1" in str(v)
         assert "decision(th=3/2) = at-most" in str(v)
+
+
+# -- SCC order against the global Jacobi sweep -------------------------------
+
+def _differential_games(group):
+    """(name, game) pairs of one group of the differential test."""
+    if group == "corpus":
+        return ([(n, g) for n, g, _ in exact_corpus()]
+                + transformation_corpus())
+    if group == "test_unfold":
+        return [(f.__name__, f()) for f in (
+            min_wait, max_wait, urgent_exit, no_goal_path, max_trap,
+            max_out_wait, max_selfloop, positive_loop, unit_cycle,
+            mixed_cycle, zero_kernel, self_loop_shortcut)]
+    if group == "test_anz":
+        return [(f"anz_{s}", test_anz.random_game(s)) for s in range(120)]
+    if group == "random":
+        return [(f"{kind}_{s}", game_from_dict(families.random_game(s, 3, kind)))
+                for kind in ("plain", "inf", "zeno") for s in range(25)]
+    return ([(f"chain_{k}_{m}", game_from_dict(families.chain(k, m)))
+             for k, m in [(2, 3), (4, 2), (6, 2)]]
+            + [(f"ring_{k}_{m}", game_from_dict(families.ring(k, m)))
+               for k, m in [(4, 1), (3, 2), (7, 1)]]
+            + [(f"kernel_chain_{k}", game_from_dict(families.kernel_chain(k)))
+               for k in (1, 2, 3, 4)])
+
+
+def _values_or_error(fn, prep):
+    try:
+        return fn(prep.rg, prep.kernel, prep.w_bound, prep.kappa)
+    except DomainError as exc:
+        return type(exc)
+
+
+class TestSccOrder:
+    @pytest.mark.parametrize("group", ["corpus", "test_unfold", "test_anz",
+                                       "random", "families"])
+    def test_same_values_as_the_global_jacobi_sweep(self, group):
+        compared = 0
+        for name, game in _differential_games(group):
+            try:
+                prep = prepare(game)
+            except NotAlmostNonZeno:
+                continue
+            got = _values_or_error(value_functions, prep)
+            want = _values_or_error(jacobi_value_functions, prep)
+            assert got == want, name
+            compared += 1
+        assert compared >= 10
+
+    def test_an_acyclic_location_is_solved_once(self, monkeypatch):
+        prep = prepare(game_from_dict(families.chain(4, 2)))
+        assert not prep.kernel.components
+        calls = Counter()
+        solve_plain = unfold._solve_plain
+
+        def counted(rg, loc_name, child_values):
+            calls[loc_name] += 1
+            return solve_plain(rg, loc_name, child_values)
+
+        monkeypatch.setattr(unfold, "_solve_plain", counted)
+        stats = {}
+        value_functions(prep.rg, prep.kernel, prep.w_bound, prep.kappa,
+                        _stats=stats)
+        game = prep.rg.game
+        assert calls == Counter(n for n, l in game.locations.items()
+                                if not l.is_goal)
+        assert stats["sweeps"] == 1
+
+    def test_each_kernel_component_is_iterated_once(self, monkeypatch):
+        prep = prepare(game_from_dict(families.kernel_chain(3)))
+        assert len(prep.kernel.components) == 3
+        calls = Counter()
+
+        def counted(g, **kw):
+            calls[frozenset(n for n, l in g.locations.items()
+                            if not l.is_goal)] += 1
+            return kernelvi.iterate(g, **kw)
+
+        monkeypatch.setattr(unfold, "iterate", counted)
+        value_functions(prep.rg, prep.kernel, prep.w_bound, prep.kappa)
+        assert calls == Counter(prep.kernel.components)
