@@ -6,11 +6,8 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from .core import InputError, frac, frac_str
 from .gameio import load_game, plf1_to_list
-from .oracle import INF_I, GridOracle
 from .regions import Region
 from .unfold import NotAlmostNonZeno, prepare, solve
 
@@ -58,6 +55,11 @@ def _dump_value_functions(rg, values, path: str) -> None:
 
 
 def _oracle_cmd(args) -> int:
+    # numpy loads only for the oracle, not for exact solving
+    import numpy as np
+
+    from .oracle import INF_I, GridOracle
+
     game = load_game(args.file)
     oracle = GridOracle(game, args.grid, args.horizon, keep_layers=False)
     print(f"value = {frac_str(oracle.value)}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 #: +infinity marker for extended values.  ``Fraction`` compares cleanly
 #: against ``float('inf')`` so min/max work on mixed sequences.
@@ -196,14 +196,4 @@ class WeightedTimedGame:
             raise InvalidStep(f"guard of {tid} fails after delay {delay}")
         w = delay * self.locations[conf.location].weight + t.weight
         return Configuration(t.tgt, reset(mid, t.resets)), w
-
-    def run_weight(self, moves: Sequence[tuple[Fraction, str]]) -> tuple[Configuration, Fraction]:
-        """Replay a run (list of (delay, transition id)) from the initial
-        configuration; returns the final configuration and total weight."""
-        conf = self.initial
-        total = Fraction(0)
-        for delay, tid in moves:
-            conf, w = self.step(conf, frac(delay), tid)
-            total += w
-        return conf, total
 

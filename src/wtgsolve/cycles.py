@@ -7,13 +7,12 @@ extraction and the crude value upper bound W.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import networkx as nx
-
 from .core import Guard, Location, StructuralError, Transition, Valuation
+from .graphs import reachable, strongly_connected_components
 from .regions import Region, RegionGame
 
 ANZ = "almost-non-zeno"
@@ -28,14 +27,24 @@ class CornerPointGraph:
     transition's firing region (an integer 0 or 1, billed at the location
     rate) with the discrete jump, so every edge weight is a non-negative
     integer and run weights are sandwiched between corner path weights.
+    An edge is a ``(u, v, data)`` tuple; ``by_tid`` holds them all, grouped
+    by transition id.
     """
 
-    graph: nx.MultiDiGraph
     rg: RegionGame
-    by_tid: dict[str, list] = field(default_factory=dict)
+    by_tid: dict[str, list]
 
     def edges_for(self, tid: str):
         return self.by_tid.get(tid, [])
+
+    # ``graph`` and ``number_of_edges`` exist only for the benchmark's tracer,
+    # which counts edges as ``cp.graph.number_of_edges()``.
+    @property
+    def graph(self) -> "CornerPointGraph":
+        return self
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self.by_tid.values()))
 
 
 @dataclass
@@ -78,31 +87,38 @@ def _uniform_delay(c: Valuation, c2: Valuation) -> Optional[int]:
 def build_corner_point(rg: RegionGame) -> CornerPointGraph:
     if not rg.trimmed:
         raise StructuralError("corner-point abstraction needs a trimmed game")
-    g = nx.MultiDiGraph()
     game = rg.game
-    for name in game.locations:
-        for c in rg.reg[name].corners():
-            g.add_node((name, c))
+    by_tid: dict[str, list] = {}
     for t in game.transitions:
         fire = rg.guard_region[t.tid]
-        src_r = rg.reg[t.src]
+        landing = rg.reg[t.tgt].corners()
         w_loc = game.locations[t.src].weight
-        for c in src_r.corners():
+        for c in rg.reg[t.src].corners():
             for c2 in fire.corners():
                 d = _uniform_delay(c, c2)
                 if d is None:
                     continue
                 landed = tuple(Fraction(0) if i in t.resets else v
                                for i, v in enumerate(c2))
-                if (t.tgt, landed) not in g:
+                if landed not in landing:
                     raise StructuralError(
                         f"corner {landed} off the target region of {t.tid}")
-                g.add_edge((t.src, c), (t.tgt, landed), key=(t.tid, d),
-                           tid=t.tid, weight=d * w_loc + t.weight, delay=d)
-    by_tid: dict[str, list] = {}
-    for u, v, d in g.edges(data=True):
-        by_tid.setdefault(d["tid"], []).append((u, v, d))
-    return CornerPointGraph(g, rg, by_tid)
+                by_tid.setdefault(t.tid, []).append(
+                    ((t.src, c), (t.tgt, landed),
+                     {"tid": t.tid, "weight": d * w_loc + t.weight,
+                      "delay": d}))
+    return CornerPointGraph(rg, by_tid)
+
+
+def _inner_edges(edges: list[tuple]) -> list[tuple]:
+    """The ``(u, v, ...)`` edges whose ends share a strongly connected
+    component: exactly the edges that lie on a cycle."""
+    succ: dict = {}
+    for u, v, *_rest in edges:
+        succ.setdefault(u, []).append(v)
+    comp_of = {n: i for i, comp in
+               enumerate(strongly_connected_components(succ)) for n in comp}
+    return [e for e in edges if comp_of[e[0]] == comp_of[e[1]]]
 
 
 def _zero_product(cp: CornerPointGraph):
@@ -117,18 +133,13 @@ def _zero_product(cp: CornerPointGraph):
     give the edge (l, c, c2) -> (m, d, d2) when weight(e) = 0; it carries
     the transition id and weight(e2).  Returns the successor and the
     predecessor lists, each sorted, and the number of edges."""
-    zero = [(tid, edges) for tid, edges in sorted(cp.by_tid.items())
+    zero = [(edges[0][0][0], edges[0][1][0], tid, edges)
+            for tid, edges in sorted(cp.by_tid.items())
             if any(data["weight"] == 0 for _u, _v, data in edges)]
-    links = nx.DiGraph((edges[0][0][0], edges[0][1][0]) for _t, edges in zero)
-    comp_of = {l: comp for comp in nx.strongly_connected_components(links)
-               for l in comp}
     succ: dict = {}
     pred: dict = {}
     built = 0
-    for tid, edges in zero:
-        (l, _c), (m, _d), _data = edges[0]
-        if m not in comp_of[l]:
-            continue
+    for l, m, tid, edges in _inner_edges(zero):
         # corners are 0/1 vectors: int tuples hash far faster than Fractions
         pairs = [(tuple(map(int, c)), tuple(map(int, d)), data["weight"])
                  for (_l, c), (_m, d), data in edges]
@@ -219,22 +230,14 @@ def check_almost_non_zeno(cp: CornerPointGraph) -> AnzReport:
 
 
 def mark_green(rg: RegionGame, cp: CornerPointGraph) -> GreenMarking:
-    zero = nx.MultiDiGraph()
-    zero.add_nodes_from(cp.graph.nodes)
-    for u, v, k, d in cp.graph.edges(keys=True, data=True):
-        if d["weight"] == 0:
-            zero.add_edge(u, v, key=k, tid=d["tid"])
-    locs: set[str] = set()
-    tids: set[str] = set()
-    for comp in nx.strongly_connected_components(zero):
-        sub = zero.subgraph(comp)
-        if sub.number_of_edges() == 0:
-            continue
-        for (loc, _c) in comp:
-            locs.add(loc)
-        for _u, _v, d in sub.edges(data=True):
-            tids.add(d["tid"])
-    return GreenMarking(frozenset(locs), frozenset(tids))
+    """The locations and transitions on zero-weight corner cycles: the
+    zero-weight edges inside a strongly connected component of the
+    zero-weight corner graph."""
+    zero = [(u, v, tid) for tid, edges in cp.by_tid.items()
+            for u, v, data in edges if data["weight"] == 0]
+    inner = _inner_edges(zero)
+    return GreenMarking(frozenset(u[0] for u, _v, _t in inner),
+                        frozenset(tid for _u, _v, tid in inner))
 
 
 def fix_weight_zero(rg: RegionGame,
@@ -294,19 +297,13 @@ def fix_weight_zero(rg: RegionGame,
 
 
 def extract_kernel(rg: RegionGame, marking: GreenMarking) -> Kernel:
-    g = nx.DiGraph()
-    g.add_nodes_from(marking.locations)
-    tmap = rg.game.transition_map()
-    for tid in marking.transitions:
-        t = tmap[tid]
-        if t.src in marking.locations and t.tgt in marking.locations:
-            g.add_edge(t.src, t.tgt)
-    comps = []
-    for comp in nx.strongly_connected_components(g):
-        sub = g.subgraph(comp)
-        if sub.number_of_edges() == 0:
-            continue
-        comps.append(frozenset(comp))
+    succ: dict = {}
+    for t in rg.game.transitions:
+        if (t.tid in marking.transitions and t.src in marking.locations
+                and t.tgt in marking.locations):
+            succ.setdefault(t.src, []).append(t.tgt)
+    comps = [frozenset(c) for c in strongly_connected_components(succ)
+             if len(c) > 1 or c[0] in succ.get(c[0], ())]
     kernel_locs = frozenset().union(*comps) if comps else frozenset()
     outputs = [t for t in rg.game.transitions
                if t.src in kernel_locs
@@ -320,10 +317,10 @@ def compute_bounds(rg: RegionGame) -> tuple[Fraction, Fraction]:
     any finite value, counted over the part reachable from the initial
     location."""
     game = rg.game
-    g = nx.DiGraph()
-    g.add_nodes_from(game.locations)
-    g.add_edges_from((t.src, t.tgt) for t in game.transitions)
-    reach = nx.descendants(g, game.initial.location) | {game.initial.location}
+    succ: dict = {}
+    for t in game.transitions:
+        succ.setdefault(t.src, []).append(t.tgt)
+    reach = reachable(succ, [game.initial.location])
     max_loc = max((game.locations[n].weight for n in reach), default=0)
     max_tr = max((t.weight for t in game.transitions if t.src in reach),
                  default=0)

@@ -169,10 +169,6 @@ class ViResult:
     steps: int
     entrance: str
 
-    @property
-    def entrance_function(self) -> PLF1:
-        return self.functions[self.entrance]
-
 
 def _eq_guards(guards) -> dict[tuple[int, int], bool]:
     pins = {}

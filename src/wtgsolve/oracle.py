@@ -299,11 +299,3 @@ class GridOracle:
                           for c, i in enumerate(ticks))
             run.append(conf)
         return run, total
-
-
-def bounded_value(game: WeightedTimedGame, n_grid: int, horizon: int,
-                  clock_cap: Optional[int] = None,
-                  w_out: Optional[Mapping[str, WOutFn]] = None) -> ExtRat:
-    """Bounded grid value at the initial configuration (no layer storage)."""
-    return GridOracle(game, n_grid, horizon, clock_cap=clock_cap,
-                      w_out=w_out, keep_layers=False).value

@@ -43,6 +43,7 @@ from .core import (
     Valuation,
     WeightedTimedGame,
 )
+from .graphs import reachable, strongly_connected_components
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -394,16 +395,13 @@ def drop_dead_rolls(transitions: Sequence[Transition],
     transition: a rollover leading nowhere would let a player "wait" into a
     deadlock that the source game does not have.
     """
-    rolls = [t for t in transitions if t.tid.startswith("__roll_")]
-    live = {t.src for t in transitions if not t.tid.startswith("__roll_")}
-    live |= {n for n, l in locations.items() if l.is_goal}
-    changed = True
-    while changed:
-        changed = False
-        for t in rolls:
-            if t.src not in live and t.tgt in live:
-                live.add(t.src)
-                changed = True
+    back: dict[str, list[str]] = {}
+    for t in transitions:
+        if t.tid.startswith("__roll_"):
+            back.setdefault(t.tgt, []).append(t.src)
+    live = reachable(back, [t.src for t in transitions
+                            if not t.tid.startswith("__roll_")]
+                     + [n for n, l in locations.items() if l.is_goal])
     return [t for t in transitions
             if not t.tid.startswith("__roll_") or t.tgt in live]
 
@@ -705,19 +703,16 @@ def max_traps(game: WeightedTimedGame) -> set[str]:
     such locations forever: those that reach a cycle of them."""
     max_locs = {n for n, l in game.locations.items()
                 if l.owner == MAX and not l.is_goal}
-    adj: dict[str, set[str]] = {n: set() for n in max_locs}
+    succ: dict[str, list[str]] = {}
+    back: dict[str, list[str]] = {}
     for t in game.transitions:
         if t.src in max_locs and t.tgt in max_locs:
-            adj[t.src].add(t.tgt)
-    trapped = set(max_locs)
-    changed = True
-    while changed:  # peel locations with no successor still trapped
-        changed = False
-        for n in list(trapped):
-            if not (adj[n] & trapped):
-                trapped.discard(n)
-                changed = True
-    return trapped
+            succ.setdefault(t.src, []).append(t.tgt)
+            back.setdefault(t.tgt, []).append(t.src)
+    on_cycle = [n for comp in strongly_connected_components(succ)
+                if len(comp) > 1 or comp[0] in succ.get(comp[0], ())
+                for n in comp]
+    return reachable(back, on_cycle)
 
 
 _COMPOSE_CAP = 10_000
@@ -864,15 +859,8 @@ def add_resets(rg: RegionGame) -> RegionGame:
 
 def prune_unreachable(rg: RegionGame, roots: Sequence[str]) -> RegionGame:
     """Restrict to locations reachable in the location graph from roots."""
-    adj: dict[str, set[str]] = {}
+    adj: dict[str, list[str]] = {}
     for t in rg.game.transitions:
-        adj.setdefault(t.src, set()).add(t.tgt)
-    seen = set()
-    stack = [r for r in roots if r in rg.game.locations]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adj.get(u, ()))
+        adj.setdefault(t.src, []).append(t.tgt)
+    seen = reachable(adj, [r for r in roots if r in rg.game.locations])
     return restrict(rg, seen, [t.tid for t in rg.game.transitions])

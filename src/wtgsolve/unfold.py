@@ -19,7 +19,9 @@ from typing import Optional, Union
 from .core import (MIN, GameError, InputError, StructuralError,
                    DomainError, Transition, Valuation, WeightedTimedGame,
                    frac, frac_str, reset)
-from .geometry import dedupe_polygon, make_ccw
+from .geometry import (clip_halfplane, dedupe_polygon, make_ccw,
+                       polygon_area2, triangulate)
+from .graphs import strongly_connected_components
 from .plf import (ONE, ZERO, PLF1, PLF2, Segment, canonicalize, eval1,
                   pointwise_extremum, restrict2, fiber_extremum,
                   running_extremum)
@@ -30,12 +32,8 @@ from .regions import (Region, RegionGame, add_resets, build_region_wtg,
 from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      check_almost_non_zeno, compute_bounds, extract_kernel,
                      fix_weight_zero, mark_green)
-from .kernelvi import (ON_X, ON_Y, POINT, KernelGame, OutputValue, iterate,
-                       value_at)
-
-# After the package's own modules: imported before them, networkx raises the
-# process's peak resident memory by about 1 MB.
-import networkx as nx
+from .kernelvi import (ON_X, ON_Y, POINT, UNIT_SQUARE, KernelGame,
+                       OutputValue, iterate, value_at)
 
 INF = float("inf")
 ExtValue = Union[Fraction, float]
@@ -194,7 +192,6 @@ def _fire_plf2(t: Transition, child: NodeValue, poly) -> PLF2:
     if i in t.resets:
         return PLF2.affine(poly, (ZERO, ZERO,
                                   eval1(child.plf, ZERO) + t.weight))
-    from .geometry import clip_halfplane, triangulate, polygon_area2
     cells = []
     for u1, u2, slope, icept in child.plf.segments():
         piece = poly
@@ -448,7 +445,6 @@ def check_finite_value(rg: RegionGame) -> bool:
 
 def _to_output(child: NodeValue, t: Transition) -> OutputValue:
     if child.is_infinite:
-        from .kernelvi import UNIT_SQUARE
         return OutputValue(PLF2.infinite(UNIT_SQUARE))
     if child.const is not None:
         return OutputValue.constant(child.const + t.weight)
@@ -578,11 +574,14 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     for t in game.transitions:
         if t.src in edges:
             edges[t.src].append(t)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(edges)
-    graph.add_edges_from((u, loc2comp.get(t.tgt, t.tgt))
-                         for u, ts in edges.items() for t in ts
-                         if not game.locations[t.tgt].is_goal)
+    succ: dict = {u: set() for u in edges}
+    pred: dict = {u: set() for u in edges}
+    for u, ts in edges.items():
+        for t in ts:
+            if not game.locations[t.tgt].is_goal:
+                v = loc2comp.get(t.tgt, t.tgt)
+                succ[u].add(v)
+                pred[v].add(u)
 
     values = {n: (NodeValue.constant(rg.reg[n], 0) if l.is_goal
                   else NodeValue.infinite(rg.reg[n]))
@@ -598,15 +597,12 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
         return kv
 
     most = 0
-    dag = nx.condensation(graph)
-    for scc in reversed(list(nx.topological_sort(dag))):
-        members = dag.nodes[scc]["members"]
-        first = next(iter(members))
-        if len(members) == 1 and not graph.has_edge(first, first):
-            values.update(solve_unit(first))
+    for scc in strongly_connected_components(succ):
+        if len(scc) == 1 and scc[0] not in succ[scc[0]]:
+            values.update(solve_unit(scc[0]))
             most = max(most, 1)
             continue
-        todo = set(members)
+        todo = members = set(scc)
         for sweep in range(1, max_sweeps + 1):
             nxt = {}
             for u in todo:
@@ -616,7 +612,7 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
             if not changed:
                 break
             todo = {u for n in changed
-                    for u in graph.predecessors(loc2comp.get(n, n))} & members
+                    for u in pred[loc2comp.get(n, n)]} & members
         most = max(most, sweep)
     if _stats is not None:
         _stats["sweeps"] = most

@@ -1,11 +1,15 @@
 """End-to-end tests of the ``wtg`` command line."""
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import wtgsolve
 from wtgsolve import cli
 from wtgsolve.cli import main
 from wtgsolve.core import MAX, MIN, Transition
@@ -258,3 +262,13 @@ class TestMalformedInput:
         path.write_text(json.dumps([game_to_dict(min_wait())]))
         assert main(["solve", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error: malformed game")
+
+
+def test_exact_solving_loads_neither_networkx_nor_numpy():
+    code = ("import sys, wtgsolve.unfold, wtgsolve.gameio, wtgsolve.cli; "
+            "print(sorted({'networkx', 'numpy'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(wtgsolve.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

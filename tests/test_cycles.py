@@ -24,6 +24,12 @@ from wtgsolve.regions import (
 )
 
 
+def corner_nodes(cp):
+    """The (region-location, corner) nodes that corner edges join."""
+    return {n for edges in cp.by_tid.values()
+            for u, v, _data in edges for n in (u, v)}
+
+
 def pipeline(game):
     rg = trim(build_region_wtg(normalize_01(game)))
     return prune_unreachable(rg, [rg.game.initial.location])
@@ -85,14 +91,14 @@ class TestCornerPoint:
         cp = build_corner_point(pipeline(unit_cycle()))
         a0 = next(n for n in cp.rg.game.locations
                   if n.split("#")[0] == "a" and cp.rg.reg[n].dim == 0)
-        corners = [c for (n, c) in cp.graph.nodes if n == a0]
+        corners = [c for (n, c) in corner_nodes(cp) if n == a0]
         assert corners == [(0, 0)]
 
     def test_segment_region_has_two_corners(self):
         cp = build_corner_point(pipeline(zero_kernel()))
         seg = next(n for n in cp.rg.game.locations
                    if n.split("#")[0] == "a" and cp.rg.reg[n].dim == 1)
-        corners = {c for (n, c) in cp.graph.nodes if n == seg}
+        corners = {c for (n, c) in corner_nodes(cp) if n == seg}
         assert corners == {(0, 0), (0, 1)}
 
     def test_forced_unit_delay_cycle_weight(self):
@@ -109,7 +115,9 @@ class TestCornerPoint:
 
     def test_integer_nonnegative_weights(self):
         cp = build_corner_point(pipeline(three_clock_demo()))
-        for _u, _v, d in cp.graph.edges(data=True):
+        edges = [e for es in cp.by_tid.values() for e in es]
+        assert len(edges) == cp.graph.number_of_edges() > 0
+        for _u, _v, d in edges:
             assert isinstance(d["weight"], int) and d["weight"] >= 0
 
 

@@ -169,7 +169,8 @@ class TestIterate:
     def test_single_exit(self):
         res = iterate(single_exit_kernel())
         assert res.steps == 1
-        assert equals(res.entrance_function, PLF1.from_pairs([(0, 0), (1, 1)]))
+        assert equals(res.functions[res.entrance],
+                      PLF1.from_pairs([(0, 0), (1, 1)]))
 
     def test_fixed_point_is_fixed(self):
         kg = two_location_kernel(

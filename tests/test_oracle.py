@@ -4,7 +4,7 @@ import pytest
 
 from corpus import G, loc, make_game, three_clock_demo
 from wtgsolve.core import INF, MAX, MIN, Configuration, InputError, Transition
-from wtgsolve.oracle import GridOracle, bounded_value, grid_tolerance
+from wtgsolve.oracle import GridOracle, grid_tolerance
 
 
 def goal_only():
@@ -70,7 +70,8 @@ class TestBoundedValues:
             GridOracle(g, 4, 1)
 
     def test_bounded_value_helper(self):
-        assert bounded_value(forced_delay(), 4, 3) == 1
+        # the bounded grid value at the start, without layer storage
+        assert GridOracle(forced_delay(), 4, 3, keep_layers=False).value == 1
 
     def test_tolerance_helper(self):
         assert grid_tolerance(2, Fraction(1, 2), 3, 16) == Fraction(5, 4)

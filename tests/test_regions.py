@@ -17,6 +17,7 @@ from wtgsolve.core import (
     StructuralError,
     Transition,
     WeightedTimedGame,
+    frac,
 )
 from wtgsolve.regions import (
     MaxControlledCycle,
@@ -221,6 +222,17 @@ class TestFeasibilityCache:
 # Normalization
 # ---------------------------------------------------------------------------
 
+def run_weight(game, moves):
+    """Replay a run (list of (delay, transition id)) from the initial
+    configuration; returns the final configuration and total weight."""
+    conf = game.initial
+    total = F(0)
+    for delay, tid in moves:
+        conf, w = game.step(conf, frac(delay), tid)
+        total += w
+    return conf, total
+
+
 def _raw_game():
     return WeightedTimedGame(
         clocks=["x", "y"],
@@ -276,12 +288,12 @@ class TestNormalize:
         # A concrete run of the raw game has a matching run (same weight)
         # in the normalized game, with rollovers inserted at boundaries.
         g = _raw_game()
-        conf, w = g.run_weight([(F(1), "t1"), (F(0), "t2")])
+        conf, w = run_weight(g, [(F(1), "t1"), (F(0), "t2")])
         assert conf.location == "G" and w == F(1) * 1 + 1
         ng = normalize_01(g)
         roll = next(t for t in ng.transitions
                     if t.src == "a#0,0" and t.tgt == "a#1,1" and t.synthetic)
-        conf2, w2 = ng.run_weight([
+        conf2, w2 = run_weight(ng, [
             (F(1), roll.tid), (F(0), "t1#1,1"), (F(0), "t2#1,1")])
         assert ng.locations[conf2.location].is_goal
         assert w2 == w
