@@ -83,6 +83,8 @@ def _oracle_cmd(args) -> int:
 
 def _solve_cmd(args) -> int:
     threshold = None if args.threshold is None else frac(args.threshold)
+    if args.k_cap < 1:
+        raise InputError(f"--k-cap must be at least 1, got {args.k_cap}")
     game = load_game(args.file)
     if args.check_anz:
         prep = prepare(game)
@@ -100,8 +102,7 @@ def _solve_cmd(args) -> int:
     print(verdict)
     print(f"# kappa = {frac_str(prep.kappa)}, weight bound = "
           f"{frac_str(prep.w_bound)}, sweeps = {verdict.sweeps}, "
-          f"vi steps = {verdict.vi_steps}, feasibility queries = "
-          f"{prep.feasibility_calls} (distinct {prep.feasibility_distinct})")
+          f"vi steps = {verdict.vi_steps}")
     return 0
 
 
@@ -139,9 +140,7 @@ def main(argv=None) -> int:
             return _oracle_cmd(args)
         return _solve_cmd(args)
     except NotAlmostNonZeno as exc:
-        print(f"error: {exc}, feasibility queries = "
-              f"{exc.report.feasibility_calls} "
-              f"(distinct {exc.report.feasibility_distinct})", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .core import Guard, Location, StructuralError, Transition, Valuation
 from .graphs import reachable, strongly_connected_components
-from .regions import Region, RegionGame
+from .regions import RegionGame
 
 ANZ = "almost-non-zeno"
 VIOLATION = "violation"
@@ -54,8 +54,6 @@ class AnzReport:
     witness: Optional[list[str]] = None
     witness_weights: Optional[tuple[int, int]] = None
     cycles_checked: int = 0        # edges of the corner-path product P0
-    feasibility_calls: int = 0     # set by ``prepare`` on a rejection
-    feasibility_distinct: int = 0
 
 
 @dataclass

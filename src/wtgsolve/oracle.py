@@ -12,7 +12,6 @@ the same location), so each horizon layer is a few vectorized passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -20,7 +19,6 @@ import numpy as np
 
 from .core import (
     INF,
-    MAX,
     MIN,
     Configuration,
     ExtRat,
@@ -58,6 +56,8 @@ class GridOracle:
                  keep_layers: bool = True):
         if n_grid < 2:
             raise InputError("grid resolution must be at least 2")
+        if horizon < 0:
+            raise InputError("horizon must be at least 0")
         self.game = game
         self.n_grid = n_grid
         self.horizon = horizon

@@ -15,11 +15,9 @@ from fractions import Fraction
 
 from .core import INF, DomainError, frac
 from .geometry import (
-    Coef,
     Point,
     Polygon,
     affine_eval,
-    clip_halfplane,
     make_ccw,
     point_in_polygon,
     polygon_area2,

@@ -7,7 +7,8 @@ The pipeline built on top of regions takes a raw game to a form the kernel
 value iteration can digest:
 
     normalize_01      -> all reachable clock values in [0, 1)
-    build_region_wtg  -> one region per location, guards refined per region
+    build_region_wtg  -> the reachable region-locations, one region each,
+                         with guards refined per region
     trim              -> drop unsatisfiable transitions and implied clauses
     relax             -> strict guards widened to their closure, re-trimmed
     add_resets        -> every non-goal transition resets at least one clock
@@ -296,15 +297,8 @@ def elapsed_region_feasible(src: Region, target: Region, guards: Sequence[Guard]
     satisfying ``guards`` and lying in ``target``?
 
     Every guard constant must be 0 or 1, as after :func:`normalize_01`;
-    anything else raises :class:`StructuralError`.  Answers are memoised
-    until :func:`reset_feasibility_cache`.
+    anything else raises :class:`StructuralError`.
     """
-    return _elapsed_region_feasible(src, target, tuple(guards), closure)
-
-
-@functools.lru_cache(maxsize=None)
-def _elapsed_region_feasible(src: Region, target: Region,
-                             guards: tuple[Guard, ...], closure: bool) -> bool:
     _check_01(guards)
     return (target in _elapsed_regions(src, closure)
             and all(_holds(g, target) for g in guards))
@@ -317,33 +311,12 @@ def delay_feasible(r: Region, guards: Sequence[Guard], closure: bool = False,
 
     Each guard atom has one truth value on a whole region, so the answer is
     whether some region of those elapsed points satisfies them.  Constants
-    and answers are as for :func:`elapsed_region_feasible`.
+    are as for :func:`elapsed_region_feasible`.
     """
-    return _delay_feasible(r, tuple(guards), closure, negate)
-
-
-@functools.lru_cache(maxsize=None)
-def _delay_feasible(r: Region, guards: tuple[Guard, ...], closure: bool,
-                    negate: Optional[Guard]) -> bool:
-    _check_01(guards if negate is None else guards + (negate,))
+    _check_01([*guards, negate] if negate is not None else guards)
     return any(all(_holds(g, s) for g in guards)
                and not (negate is not None and _holds(negate, s))
                for s in _elapsed_regions(r, closure))
-
-
-_FEASIBILITY_CACHES = (_elapsed_region_feasible, _delay_feasible)
-
-
-def reset_feasibility_cache() -> None:
-    """Forget the memoised feasibility answers; ``prepare`` does so per solve."""
-    for cached in _FEASIBILITY_CACHES:
-        cached.cache_clear()
-
-
-def feasibility_counts() -> tuple[int, int]:
-    """(calls, distinct questions) of both predicates since the last reset."""
-    infos = [cached.cache_info() for cached in _FEASIBILITY_CACHES]
-    return sum(i.hits + i.misses for i in infos), sum(i.misses for i in infos)
 
 
 # ---------------------------------------------------------------------------
@@ -587,49 +560,60 @@ def region_constraint_guards(r: Region) -> list[Guard]:
 
 
 def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
-    """Refine a [0,1)-game so every location carries a single region."""
-    n = len(game.clocks)
-    regions = all_regions(n, include_ones=False)
+    """Refine a [0,1)-game so every location carries a single region.
+
+    Only the region-locations reachable from the initial one are built.  A
+    move of transition t from region r fires after the time successor k of
+    r; it is kept when its target region is fractional and some delay from
+    r satisfies its guard, the test :func:`trim` applies.  Locations and
+    transitions come in product order: input location or transition, then
+    region in :func:`all_regions` order, then k.
+    """
+    init = game.initial
+    r0 = region_of(init.valuation)
+    if not r0.fractional:
+        raise InputError("initial valuation not in [0,1)")
+    order = {r: i for i, r in enumerate(all_regions(len(game.clocks), False))}
+    rank = {name: i for i, name in enumerate(game.locations)}
 
     def rloc(name: str, r: Region) -> str:
         tag = "|".join(
             ",".join(game.clocks[x] for x in sorted(b)) for b in r.blocks)
         return f"{name}@[{tag}]"
 
-    locations: dict[str, Location] = {}
-    reg: dict[str, Region] = {}
-    for name, loc in game.locations.items():
-        for r in regions:
-            lname = rloc(name, r)
-            locations[lname] = replace(loc, name=lname)
-            reg[lname] = r
-
-    transitions: list[Transition] = []
-    guard_region: dict[str, Region] = {}
-    for t in game.transitions:
-        for r in regions:
+    out_of: dict[str, list[tuple[int, Transition]]] = {}
+    for i, t in enumerate(game.transitions):
+        out_of.setdefault(t.src, []).append((i, t))
+    seen, todo, moves = {(init.location, r0)}, [(init.location, r0)], []
+    while todo:
+        name, r = todo.pop()
+        src = rloc(name, r)
+        for i, t in out_of.get(name, ()):
             for k, r2 in enumerate(r.time_successors()):
-                tgt_region = r2.reset(t.resets) if t.resets else r2
-                if not tgt_region.fractional:
-                    # A clock would stay at exactly 1, impossible in a
-                    # [0,1)-game; such a move can never fire.
+                tgt = (t.tgt, r2.reset(t.resets) if t.resets else r2)
+                # A clock left at exactly 1 is impossible in a [0,1)-game.
+                if not tgt[1].fractional:
                     continue
-                tid = f"{t.tid}@{rloc(t.src, r)}~{k}"
                 guards = tuple(dict.fromkeys(
                     list(t.guards) + region_constraint_guards(r2)))
-                transitions.append(Transition(
-                    tid=tid, src=rloc(t.src, r), tgt=rloc(t.tgt, tgt_region),
-                    guards=guards, resets=t.resets, weight=t.weight,
-                    synthetic=t.synthetic))
-                guard_region[tid] = r2
-
-    init = game.initial
-    r0 = region_of(init.valuation)
-    if not r0.fractional:
-        raise InputError("initial valuation not in [0,1)")
-    initial = Configuration(rloc(init.location, r0), init.valuation)
-    g = WeightedTimedGame(list(game.clocks), locations, transitions, initial)
-    return RegionGame(g, reg, guard_region)
+                if not delay_feasible(r, guards):
+                    continue
+                moves.append(((i, order[r], k), r2, Transition(
+                    tid=f"{t.tid}@{src}~{k}", src=src,
+                    tgt=rloc(*tgt), guards=guards, resets=t.resets,
+                    weight=t.weight, synthetic=t.synthetic)))
+                if tgt not in seen:
+                    seen.add(tgt)
+                    todo.append(tgt)
+    moves.sort(key=lambda m: m[0])
+    locations: dict[str, Location] = {}
+    reg: dict[str, Region] = {}
+    for n, r in sorted(seen, key=lambda nr: (rank[nr[0]], order[nr[1]])):
+        reg[rloc(n, r)] = r
+        locations[rloc(n, r)] = replace(game.locations[n], name=rloc(n, r))
+    g = WeightedTimedGame(list(game.clocks), locations, [t for *_, t in moves],
+                          Configuration(rloc(init.location, r0), init.valuation))
+    return RegionGame(g, reg, {t.tid: r2 for _, r2, t in moves})
 
 
 def trim(rg: RegionGame) -> RegionGame:
@@ -638,6 +622,8 @@ def trim(rg: RegionGame) -> RegionGame:
     A transition survives when a guard-satisfying delay exists from the
     source region (from every region of its adherence, once relaxed); a
     clause survives when some admissible elapsed valuation violates it.
+    :func:`build_region_wtg` keeps only satisfiable moves, so on its output
+    only clauses go; after :func:`relax`, transitions can go too.
     """
     closure = rg.relaxed
     kept: list[Transition] = []
@@ -678,12 +664,10 @@ def relax(rg: RegionGame) -> RegionGame:
 
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
     """The region whose closure holds every guard-satisfying elapsed point."""
-    src = rg.reg[t.src]
-    feas = []
-    for cand in all_regions(len(rg.game.clocks)):
-        if any(elapsed_region_feasible(s, cand, t.guards, closure=rg.relaxed)
-               for s in (adherence(src) if rg.relaxed else [src])):
-            feas.append(cand)
+    src, closure = rg.reg[t.src], rg.relaxed
+    feas = {cand for s in (adherence(src) if closure else [src])
+            for cand in _elapsed_regions(s, closure)
+            if elapsed_region_feasible(s, cand, t.guards, closure=closure)}
     if not feas:
         raise StructuralError(f"{t.tid}: guard unsatisfiable from its region")
     best = max(feas, key=lambda r: r.dim)

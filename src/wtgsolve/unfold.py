@@ -26,9 +26,8 @@ from .plf import (ONE, ZERO, PLF1, PLF2, Segment, canonicalize, eval1,
                   pointwise_extremum, restrict2, fiber_extremum,
                   running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
-                      drop_dead_rolls, feasibility_counts, max_traps,
-                      normalize_01, prune_unreachable, relax,
-                      reset_feasibility_cache, restrict, trim)
+                      drop_dead_rolls, max_traps, normalize_01,
+                      prune_unreachable, relax, restrict, trim)
 from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      check_almost_non_zeno, compute_bounds, extract_kernel,
                      fix_weight_zero, mark_green)
@@ -417,25 +416,27 @@ def prune_dead_rolls(rg: RegionGame) -> RegionGame:
 
 def check_finite_value(rg: RegionGame) -> bool:
     """True iff Min can force reaching a goal location from the initial
-    region-location (backward attractor on the region graph)."""
+    region-location (backward attractor on the region graph).
+
+    Each edge is followed backwards once: a Min location joins the
+    attractor with its first successor there, a Max location once no
+    successor is left outside."""
     game = rg.game
-    succ: dict[str, list[str]] = {n: [] for n in game.locations}
+    pred: dict[str, list[str]] = {n: [] for n in game.locations}
+    outside = dict.fromkeys(game.locations, 0)
     for t in game.transitions:
-        succ[t.src].append(t.tgt)
-    attr = {n for n, l in game.locations.items() if l.is_goal}
-    changed = True
-    while changed:
-        changed = False
-        for n, loc in game.locations.items():
-            if n in attr or loc.is_goal or not succ[n]:
+        pred[t.tgt].append(t.src)
+        outside[t.src] += 1
+    todo = [n for n, l in game.locations.items() if l.is_goal]
+    attr = set(todo)
+    while todo:
+        for n in pred[todo.pop()]:
+            if n in attr:
                 continue
-            if loc.owner == MIN:
-                ok = any(m in attr for m in succ[n])
-            else:
-                ok = all(m in attr for m in succ[n])
-            if ok:
+            outside[n] -= 1
+            if game.locations[n].owner == MIN or not outside[n]:
                 attr.add(n)
-                changed = True
+                todo.append(n)
     return game.initial.location in attr
 
 
@@ -632,8 +633,6 @@ class Prepared:
     anz: AnzReport
     kappa: Fraction
     w_bound: Fraction
-    feasibility_calls: int = 0     # calls of the two feasibility predicates
-    feasibility_distinct: int = 0  # of which distinct, each one FM run
 
 
 @dataclass
@@ -662,7 +661,6 @@ def prepare(game: WeightedTimedGame) -> Prepared:
             f"exact solving supports two clocks, got {len(game.clocks)}")
     if len(game.clocks) != 2:
         raise InputError("the solver expects exactly two clocks")
-    reset_feasibility_cache()
     g = normalize_01(game)
     rg = build_region_wtg(g)
     rg = trim(rg)
@@ -674,14 +672,12 @@ def prepare(game: WeightedTimedGame) -> Prepared:
     cp = build_corner_point(rg)
     report = check_almost_non_zeno(cp)
     if report.verdict != ANZ:
-        report.feasibility_calls, report.feasibility_distinct = \
-            feasibility_counts()
         raise NotAlmostNonZeno(report)
     marking = mark_green(rg, cp)
     rg, marking = fix_weight_zero(rg, marking)
     kernel = extract_kernel(rg, marking)
     kappa, w_bound = compute_bounds(rg)
-    return Prepared(rg, kernel, report, kappa, w_bound, *feasibility_counts())
+    return Prepared(rg, kernel, report, kappa, w_bound)
 
 
 def solve(game: WeightedTimedGame, threshold=None, k_cap: int = 10000,

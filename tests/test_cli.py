@@ -2,7 +2,6 @@
 import csv
 import json
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -15,6 +14,7 @@ from wtgsolve.cli import main
 from wtgsolve.core import MAX, MIN, Transition
 from wtgsolve.gameio import game_to_dict, save_game
 
+from acceptance_corpus import zero_kernel
 from corpus import G, loc, make_game, three_clock_demo
 
 
@@ -154,15 +154,6 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "almost non-Zeno" in err
 
-    def test_not_anz_reports_its_feasibility_queries(self, game_file, capsys):
-        assert main(["solve", game_file(mixed_cycle())]) == 2
-        err = capsys.readouterr().err.strip()
-        match = re.search(r", feasibility queries = (\d+) \(distinct (\d+)\)$",
-                          err)
-        assert match, err
-        calls, distinct = map(int, match.groups())
-        assert calls >= distinct > 0
-
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -185,6 +176,28 @@ class TestErrors:
                      "--threshold", threshold]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and threshold in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("k_cap", ["0", "-1"])
+    def test_k_cap_below_1_exits_3_before_solving(self, k_cap, game_file,
+                                                  capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with a k-cap below 1")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        assert main(["solve", game_file(zero_kernel()),
+                     "--k-cap", k_cap]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and k_cap in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_negative_horizon_exits_3(self, game_file, capsys):
+        assert main(["solve", game_file(min_wait()), "--oracle",
+                     "--horizon", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "horizon" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

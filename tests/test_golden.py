@@ -2,9 +2,7 @@
 
 For every game of the exact and the transformation corpus, the region dump
 printed on stdout and the value-function JSON must match the files under
-``tests/golden/`` byte for byte.  The diagnostics line that starts with
-``#`` is compared up to its feasibility-query counts, which depend on how
-the region stages search and are not part of the dump.
+``tests/golden/`` byte for byte.
 
 To record the files again after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
@@ -12,7 +10,6 @@ review the diff.
 """
 import contextlib
 import io
-import re
 from pathlib import Path
 
 import pytest
@@ -23,7 +20,6 @@ from wtgsolve.gameio import save_game
 from acceptance_corpus import exact_corpus, transformation_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
-_COUNTS = re.compile(r", feasibility queries = \d+ \(distinct \d+\)$", re.M)
 
 
 def corpus():
@@ -32,14 +28,14 @@ def corpus():
 
 
 def dumps(game, tmp: Path) -> tuple[str, str]:
-    """(stdout without feasibility counts, value-function JSON) of one game."""
+    """(stdout, value-function JSON) of one game."""
     game_path, values_path = tmp / "game.json", tmp / "values.json"
     save_game(game, str(game_path))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["solve", str(game_path), "--dump-regions",
                      "--dump-value-functions", str(values_path)]) == 0
-    return _COUNTS.sub("", out.getvalue()), values_path.read_text()
+    return out.getvalue(), values_path.read_text()
 
 
 @pytest.mark.parametrize("name,game", corpus(), ids=[n for n, _ in corpus()])

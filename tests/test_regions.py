@@ -19,6 +19,7 @@ from wtgsolve.core import (
     WeightedTimedGame,
     frac,
 )
+from wtgsolve.gameio import game_from_dict
 from wtgsolve.regions import (
     MaxControlledCycle,
     Region,
@@ -31,20 +32,21 @@ from wtgsolve.regions import (
     delay_feasible,
     drop_dead_rolls,
     elapsed_region_feasible,
-    feasibility_counts,
     infer_guard_region,
     normalize_01,
+    prune_unreachable,
     region_of,
     relax,
-    reset_feasibility_cache,
     restrict,
     trim,
 )
-from wtgsolve.unfold import prune_dead_rolls, solve
+from wtgsolve.unfold import prune_dead_rolls
 
 import fm_reference
-from acceptance_corpus import min_wait, zero_kernel
+import test_anz
+from acceptance_corpus import exact_corpus, transformation_corpus
 from invariants import check_trimmed_observation
+from region_reference import full_region_wtg
 
 X, Y = 0, 1
 
@@ -176,12 +178,8 @@ _GUARD_SETS = ([()] + [(a,) for a in _ATOMS]
 
 class TestFeasibilityCache:
     """The region lookups answer as the Fourier-Motzkin bodies of
-    ``fm_reference`` do on every question over two clocks, a list and a
-    tuple of the same guards share one answer, and no answer outlives a
-    solve."""
-
-    def setup_method(self):
-        reset_feasibility_cache()
+    ``fm_reference`` do on every question over two clocks, given the guards
+    as a list or as a tuple."""
 
     def test_delay_feasible_matches_body(self):
         questions = list(itertools.product(
@@ -192,9 +190,6 @@ class TestFeasibilityCache:
             assert delay_feasible(r, list(guards), closure=closure,
                                   negate=negate) == expected
             assert delay_feasible(r, guards, closure, negate) == expected
-        # One lookup per question: no two questions share a key, and the
-        # tuple call hit the answer of the list call.
-        assert feasibility_counts() == (2 * len(questions), len(questions))
 
     def test_elapsed_region_feasible_matches_body(self):
         questions = list(itertools.product(
@@ -206,16 +201,6 @@ class TestFeasibilityCache:
                                            closure=closure) == expected
             assert elapsed_region_feasible(src, target, guards,
                                            closure) == expected
-        assert feasibility_counts() == (2 * len(questions), len(questions))
-
-    def test_each_solve_starts_from_an_empty_cache(self):
-        alone = solve(min_wait()).prepared
-        solve(zero_kernel())
-        after = solve(min_wait()).prepared
-        assert after.feasibility_distinct == alone.feasibility_distinct > 0
-        assert after.feasibility_calls == alone.feasibility_calls
-        assert feasibility_counts() == (after.feasibility_calls,
-                                        after.feasibility_distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +330,11 @@ def _small_01_game():
 
 class TestRegionGame:
     def test_location_blowup(self):
+        # The full product has 2 * 6 region-locations; from (0, 0) no move
+        # fires (y == 1 needs x == 1 too, which the reset of y leaves at 1).
+        assert len(full_region_wtg(_small_01_game()).game.locations) == 2 * 6
         rg = build_region_wtg(_small_01_game())
-        assert len(rg.game.locations) == 2 * 6
+        assert list(rg.game.locations) == [rg.game.initial.location]
 
     def test_self_loop_full_reset(self):
         g = WeightedTimedGame(
@@ -367,7 +355,7 @@ class TestRegionGame:
         assert loops, "full reset keeps the both-zero region"
 
     def test_trim_drops_unsatisfiable(self):
-        rg = trim(build_region_wtg(_small_01_game()))
+        rg = trim(full_region_wtg(_small_01_game()))
         # y can only reach 1 from regions where no clock exceeds it.
         assert len(rg.game.transitions) == 2
         for t in rg.game.transitions:
@@ -390,7 +378,7 @@ class TestRegionGame:
             assert rg.guard_region[t.tid] == infer_guard_region(rg, t)
 
     def test_restrict_keeps_the_data_of_what_it_keeps(self):
-        rg = trim(build_region_wtg(_small_01_game()))
+        rg = trim(full_region_wtg(_small_01_game()))
         t = rg.game.transitions[0]
         sub = restrict(rg, rg.game.locations, [t.tid])
         assert sub.game.transitions == [t]
@@ -404,6 +392,46 @@ class TestRegionGame:
         assert t.tgt not in sub.reg and t.tgt not in sub.game.locations
 
 
+def _forward_build_games():
+    games = [(name, g) for name, g, _ in exact_corpus()]
+    games += transformation_corpus()
+    games += [(f"random-{seed}", test_anz.random_game(seed))
+              for seed in range(150)]
+    games += [(f"chain-{k}-{m}", game_from_dict(test_anz.families.chain(k, m)))
+              for k in (1, 2, 3) for m in (1, 2, 3, 4)]
+    return games
+
+
+def _reachable_part(rg):
+    """The pipeline's cut of a region game: trim it, then drop the dead
+    rollovers and the locations unreachable from the initial one."""
+    rg = prune_dead_rolls(trim(rg))
+    return prune_unreachable(rg, [rg.game.initial.location])
+
+
+class TestForwardBuild:
+    def test_same_cut_as_the_full_product(self):
+        """Same locations and transitions in the same order, with the same
+        ids, guards and resets, and the same regions and guard regions."""
+        for name, game in _forward_build_games():
+            g = normalize_01(game)
+            new = _reachable_part(build_region_wtg(g))
+            ref = _reachable_part(full_region_wtg(g))
+            assert list(new.game.locations.items()) == \
+                list(ref.game.locations.items()), name
+            assert new.game.transitions == ref.game.transitions, name
+            assert new.game.initial == ref.game.initial, name
+            assert new.reg == ref.reg, name
+            assert new.guard_region == ref.guard_region, name
+
+    def test_only_reachable_moves_are_built(self):
+        g = normalize_01(test_anz.random_game(3))
+        rg, full = build_region_wtg(g), full_region_wtg(g)
+        assert set(rg.game.locations) < set(full.game.locations)
+        assert {t.tid for t in rg.game.transitions} == \
+            {t.tid for t in trim(rg).game.transitions}
+
+
 class TestRelax:
     def test_strict_guards_dropped(self):
         xg = relax(trim(build_region_wtg(_small_01_game())))
@@ -412,7 +440,7 @@ class TestRelax:
             assert all(g.bound in (0, 1) for g in t.guards)
 
     def test_equality_guards_survive(self):
-        xg = relax(trim(build_region_wtg(_small_01_game())))
+        xg = relax(trim(full_region_wtg(_small_01_game())))
         assert any(Guard(Y, "==", 1) in t.guards for t in xg.game.transitions)
 
 

@@ -1,14 +1,15 @@
 """References that ``tests/test_unfold.py`` checks ``unfold.value_functions``
 against: the explicit semi-unfolding, solved children first, and the global
 Jacobi sweep that evaluates the same unfolding level by level over every
-location at once."""
+location at once; and the re-scanning attractor that
+``unfold.check_finite_value`` is checked against."""
 import math
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from wtgsolve.core import StructuralError, Transition
+from wtgsolve.core import MIN, StructuralError, Transition
 from wtgsolve.cycles import Kernel
 from wtgsolve.regions import RegionGame
 from wtgsolve.unfold import NodeValue, _kernel_values, _solve_plain
@@ -220,3 +221,28 @@ def jacobi_value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     if _stats is not None:
         _stats["sweeps"] = sweeps
     return values
+
+
+def rescan_finite_value(rg: RegionGame) -> bool:
+    """True iff Min can force reaching a goal location from the initial
+    region-location: the backward attractor, re-scanning every location
+    until nothing changes."""
+    game = rg.game
+    succ: dict[str, list[str]] = {n: [] for n in game.locations}
+    for t in game.transitions:
+        succ[t.src].append(t.tgt)
+    attr = {n for n, l in game.locations.items() if l.is_goal}
+    changed = True
+    while changed:
+        changed = False
+        for n, loc in game.locations.items():
+            if n in attr or loc.is_goal or not succ[n]:
+                continue
+            if loc.owner == MIN:
+                ok = any(m in attr for m in succ[n])
+            else:
+                ok = all(m in attr for m in succ[n])
+            if ok:
+                attr.add(n)
+                changed = True
+    return game.initial.location in attr
