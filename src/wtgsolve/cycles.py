@@ -34,9 +34,6 @@ class CornerPointGraph:
     rg: RegionGame
     by_tid: dict[str, list]
 
-    def edges_for(self, tid: str):
-        return self.by_tid.get(tid, [])
-
     # ``graph`` and ``number_of_edges`` exist only for the benchmark's tracer,
     # which counts edges as ``cp.graph.number_of_edges()``.
     @property

@@ -236,9 +236,9 @@ def project_output(t: Transition, w: OutputValue, shape: str,
         prof = restrict2(w.plf2, seg)
         if prof.is_infinite:
             return PLF1.infinite()
-        if pins is not None:
-            d = pins[1]
-            return PLF1.point(prof(d))
+        # a point profile (both clocks reset) lands in one place for any delay
+        if pins is not None and not prof.is_point:
+            return PLF1.point(prof(pins[1]))
         val = prof.min_value() if direction == "inf" else prof.max_value()
         return PLF1.point(val)
     if pins is not None:
@@ -248,7 +248,9 @@ def project_output(t: Transition, w: OutputValue, shape: str,
             d = a * dv + c
             return (rows[0][0] * dv + rows[0][1] * d + rows[0][2],
                     rows[1][0] * dv + rows[1][1] * d + rows[1][2])
-        return canonicalize(restrict2(w.plf2, Segment(land(ZERO), land(ONE))))
+        prof = canonicalize(restrict2(w.plf2, Segment(land(ZERO), land(ONE))))
+        # a point profile (both clocks reset) lands in one place for any Delta
+        return PLF1.constant(prof.points[0][1]) if prof.is_point else prof
     # full 2-D problem over {0 <= Delta <= 1, 0 <= delta <= ba*Delta + bc}
     domain = ((ZERO, ZERO), (ONE, ZERO), (ONE, ba + bc), (ZERO, bc))
     domain = tuple(dict.fromkeys(domain))

@@ -545,10 +545,6 @@ def restrict(rg: RegionGame, locations: Collection[str],
                       guard_region, trimmed=rg.trimmed, relaxed=rg.relaxed)
 
 
-class MaxControlledCycle(StructuralError):
-    """Max fully controls a cycle: the value from it is +infinity."""
-
-
 def region_constraint_guards(r: Region) -> list[Guard]:
     """The guard clauses pinning an elapsed valuation inside region r."""
     out = [Guard(x, "==", 0) for x in sorted(r.zeros)]
@@ -716,10 +712,6 @@ def add_resets(rg: RegionGame) -> RegionGame:
     if not (rg.trimmed and rg.relaxed):
         raise StructuralError("add_resets expects a relaxed trimmed game")
     game = rg.game
-    trapped = max_traps(game)
-    if trapped:
-        raise MaxControlledCycle(
-            f"Max-controlled cycle reached from {min(trapped)}")
     goals = {name for name, loc in game.locations.items() if loc.is_goal}
 
     transitions = [t for t in game.transitions

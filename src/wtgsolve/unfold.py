@@ -226,54 +226,55 @@ def _fiber_range(poly, c0: Fraction):
     return min(xs), max(xs)
 
 
+def _flow_cost(rg: RegionGame, t: Transition, child: NodeValue,
+               c0: Fraction) -> Optional[PLF1]:
+    """h(xi) = w(t) + child(reset(xi, xi + c0)) + w(src)*xi for every xi at
+    which the flow line y - x = c0 meets the closed guard region of ``t``;
+    None when the line misses it."""
+    w0 = rg.game.locations[t.src].weight
+    gr = rg.guard_region[t.tid]
+    if gr.dim == 0:
+        p = gr.corners()[0]
+        if p[1] - p[0] != c0:
+            return None
+        return PLF1.point(child.eval(reset(p, t.resets)) + t.weight
+                          + w0 * p[0], x=p[0])
+    if gr.dim == 1:
+        a, b = _sorted_corners(gr)
+        f1 = _fire_plf1(t, child, a, b)
+        dcp = (b[1] - a[1]) - (b[0] - a[0])
+        if dcp == 0:  # guard segment along the flow
+            if a[1] - a[0] != c0:
+                return None
+            return _add_affine(_map_domain(f1, a[0], b[0]), w0, ZERO)
+        s = (c0 - (a[1] - a[0])) / dcp
+        if not 0 <= s <= 1:
+            return None
+        xi = a[0] + s * (b[0] - a[0])
+        return PLF1.point(eval1(f1, s) + w0 * xi, x=xi)
+    poly = _polygon(gr)
+    span = _fiber_range(poly, c0)
+    if span is None:
+        return None
+    xa, xb = span
+    f2 = _fire_plf2(t, child, poly)
+    if xa == xb:
+        return PLF1.point(f2.eval2((xa, xa + c0)) + w0 * xa, x=xa)
+    h = restrict2(f2, Segment((xa, xa + c0), (xb, xb + c0)))
+    return _add_affine(_map_domain(h, xa, xb), w0, ZERO)
+
+
 def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
                     nu: Valuation, direction: str) -> Optional[ExtValue]:
     """ext over {delay d >= 0 : nu + d inside the closed guard region} of
     d*w(src) + w(t) + child(reset(nu + d)); None when no delay fits."""
     if child.is_infinite:
         return INF
+    h = _flow_cost(rg, t, child, nu[1] - nu[0])
+    if h is None or h.hi < nu[0]:
+        return None
     w0 = rg.game.locations[t.src].weight
-    gr = rg.guard_region[t.tid]
-    c0 = nu[1] - nu[0]
-    xi0 = nu[0]
-    corners = _sorted_corners(gr)
-    if gr.dim == 0:
-        p0 = corners[0]
-        if p0[1] - p0[0] != c0 or p0[0] < xi0:
-            return None
-        return child.eval(reset(p0, t.resets)) + t.weight + w0 * (p0[0] - xi0)
-    if gr.dim == 1:
-        a, b = corners
-        f1 = _fire_plf1(t, child, a, b)
-        dxp, dcp = b[0] - a[0], (b[1] - a[1]) - (b[0] - a[0])
-        if dcp == 0:  # guard segment parallel to the flow
-            if a[1] - a[0] != c0:
-                return None
-            obj = _add_affine(f1, w0 * dxp, w0 * (a[0] - xi0))
-            lo = max(ZERO, (xi0 - a[0]) / dxp)
-            if lo > 1:
-                return None
-            return _ext_on(obj, lo, ONE, direction)
-        s = (c0 - (a[1] - a[0])) / dcp
-        if not 0 <= s <= 1:
-            return None
-        xi = a[0] + s * dxp
-        if xi < xi0:
-            return None
-        return eval1(f1, s) + w0 * (xi - xi0)
-    poly = _polygon(gr)
-    span = _fiber_range(poly, c0)
-    if span is None:
-        return None
-    xa, xb = max(span[0], xi0), span[1]
-    if xa > xb:
-        return None
-    f2 = _fire_plf2(t, child, poly)
-    if xa == xb:
-        return f2.eval2((xa, xa + c0)) + w0 * (xa - xi0)
-    h = restrict2(f2, Segment((xa, xa + c0), (xb, xb + c0)))
-    obj = _add_affine(h, w0 * (xb - xa), w0 * (xa - xi0))
-    return obj.min_value() if direction == "inf" else obj.max_value()
+    return _ext_on(h, nu[0], h.hi, direction) - w0 * nu[0]
 
 
 def _suffix_profile(h: PLF1, direction: str) -> PLF1:
@@ -307,41 +308,10 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
     gr = rg.guard_region[t.tid]
     a, b = _sorted_corners(src)
     dx, dy = b[0] - a[0], b[1] - a[1]
-    gcorners = _sorted_corners(gr)
     if dx == dy:  # diagonal source: every point shares the flow line c = 0
-        if gr.dim == 0:
-            p0 = gcorners[0]
-            if p0[1] != p0[0]:
-                raise StructuralError(f"{t.tid}: guard corner off the flow")
-            h = PLF1.point(
-                child.eval(reset(p0, t.resets)) + t.weight + w0 * p0[0],
-                x=p0[0])
-        elif gr.dim == 1:
-            ga, gb = gcorners
-            f1 = _fire_plf1(t, child, ga, gb)
-            if gb[0] - ga[0] == gb[1] - ga[1]:  # diagonal guard segment
-                if ga[1] != ga[0]:
-                    raise StructuralError(f"{t.tid}: guard off the flow line")
-                h = _add_affine(_map_domain(f1, ga[0], gb[0]), w0, ZERO)
-            else:
-                dcp = (gb[1] - ga[1]) - (gb[0] - ga[0])
-                s = (ga[0] - ga[1]) / dcp
-                if not 0 <= s <= 1:
-                    raise StructuralError(f"{t.tid}: guard misses the flow")
-                xi = ga[0] + s * (gb[0] - ga[0])
-                h = PLF1.point(eval1(f1, s) + w0 * xi, x=xi)
-        else:
-            poly = _polygon(gr)
-            span = _fiber_range(poly, ZERO)
-            if span is None:
-                raise StructuralError(f"{t.tid}: guard misses the flow")
-            xa, xb = span
-            f2 = _fire_plf2(t, child, poly)
-            if xa == xb:
-                h = PLF1.point(f2.eval2((xa, xa)) + w0 * xa, x=xa)
-            else:
-                h = restrict2(f2, Segment((xa, xa), (xb, xb)))
-                h = _add_affine(_map_domain(h, xa, xb), w0, ZERO)
+        h = _flow_cost(rg, t, child, ZERO)
+        if h is None:
+            raise StructuralError(f"{t.tid}: guard misses the flow line")
         return _add_affine(_suffix_profile(h, direction), -w0, ZERO)
 
     # Non-diagonal 1-D source: each point lies on its own flow line, and the
@@ -352,7 +322,7 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
         raise StructuralError(
             f"{t.tid}: point guard region from a sliding source")
     if gr.dim == 1:
-        ga, gb = gcorners
+        ga, gb = _sorted_corners(gr)
         dcp = (gb[1] - ga[1]) - (gb[0] - ga[0])
         if dcp == 0:
             raise StructuralError(
@@ -542,7 +512,6 @@ def _solve_plain(rg: RegionGame, loc_name: str,
 
 def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
                     kappa: Fraction, k_cap: int = 10000,
-                    extra_visits: int = 0,
                     _stats: Optional[dict] = None) -> dict[str, NodeValue]:
     """Exact value function of every region-location.
 
@@ -561,7 +530,7 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     cyclic component stops at stabilization or at that bound, whichever
     comes first.  ``sweeps`` in ``_stats`` is the most any component took."""
     game = rg.game
-    threshold = w_bound / kappa + 2 + extra_visits
+    threshold = w_bound / kappa + 2
     npos = (sum(1 for l in game.locations.values() if l.weight > 0)
             + sum(1 for t in game.transitions if t.weight > 0))
     max_sweeps = math.ceil((npos * threshold + 1) * (len(game.locations) + 1))
@@ -680,8 +649,8 @@ def prepare(game: WeightedTimedGame) -> Prepared:
     return Prepared(rg, kernel, report, kappa, w_bound)
 
 
-def solve(game: WeightedTimedGame, threshold=None, k_cap: int = 10000,
-          extra_visits: int = 0) -> Verdict:
+def solve(game: WeightedTimedGame, threshold=None,
+          k_cap: int = 10000) -> Verdict:
     """Exact value of the game from its initial configuration, with the
     prepared region game and the value functions behind it."""
     prep = prepare(game)
@@ -691,7 +660,7 @@ def solve(game: WeightedTimedGame, threshold=None, k_cap: int = 10000,
         stats: dict = {}
         verdict.values = value_functions(
             rg, prep.kernel, prep.w_bound, prep.kappa, k_cap=k_cap,
-            extra_visits=extra_visits, _stats=stats)
+            _stats=stats)
         verdict.vi_steps = stats.get("vi_steps", 0)
         verdict.sweeps = stats.get("sweeps", 0)
         nv = verdict.values[rg.game.initial.location]

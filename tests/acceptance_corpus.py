@@ -375,3 +375,25 @@ def mixed_cycle():
                    resets=frozenset({0}), weight=1),
     ]
     return make_game(locs, trans, "a", (0, F(1, 2)))
+
+
+def zero_kernel_free_exit():
+    """``zero_kernel`` with one more exit b -> G (``c0<=1``, resetting c0,
+    weight 2): the kernel's exits land on a fixed point.  Value 1."""
+    g = zero_kernel()
+    g.transitions.append(Transition("t4", "b", "G", guards=(G(0, "<=", 1),),
+                                    resets=frozenset({0}), weight=2))
+    return g
+
+
+def double_reset_kernel():
+    """A Min location of rate 0 with an unguarded self-loop resetting both
+    clocks, and an exit ``c0==1 && c1==1`` resetting both at weight 1.
+    Value 1."""
+    locs = [loc("q0", MIN), loc("G", goal=True)]
+    trans = [
+        Transition("s", "q0", "q0", resets=frozenset({0, 1})),
+        Transition("e", "q0", "G", guards=(G(0, "==", 1), G(1, "==", 1)),
+                   resets=frozenset({0, 1}), weight=1),
+    ]
+    return make_game(locs, trans, "q0", (0, 0))

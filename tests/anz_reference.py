@@ -24,7 +24,7 @@ def _location_digraph(cp: CornerPointGraph) -> nx.DiGraph:
     g = nx.DiGraph()
     g.add_nodes_from(cp.rg.game.locations)
     for t in cp.rg.game.transitions:
-        if cp.edges_for(t.tid):
+        if cp.by_tid.get(t.tid, []):
             g.add_edge(t.src, t.tgt)
     return g
 
@@ -43,7 +43,7 @@ def _cycle_weight_range(cp: CornerPointGraph,
         for tid in cycle:
             nxt: dict = {}
             for node, (lo, hi) in front.items():
-                for u, v, data in cp.edges_for(tid):
+                for u, v, data in cp.by_tid.get(tid, []):
                     if u != node:
                         continue
                     w = data["weight"]
@@ -70,7 +70,7 @@ def _edge_choices(cp: CornerPointGraph, ring: list[str]):
     per_hop = []
     for u, v in zip(ring, ring[1:]):
         tids = sorted({t.tid for t in cp.rg.game.outgoing(u)
-                       if t.tgt == v and cp.edges_for(t.tid)})
+                       if t.tgt == v and cp.by_tid.get(t.tid, [])})
         per_hop.append(tids)
     out = [[]]
     for tids in per_hop:

@@ -88,7 +88,7 @@ def corner_path_weights(cp, tids):
     front = {(first, c): {0} for c in cp.rg.reg[first].corners()}
     for tid in tids:
         nxt = {}
-        for u, v, data in cp.edges_for(tid):
+        for u, v, data in cp.by_tid.get(tid, []):
             for w in front.get(u, ()):
                 nxt.setdefault(v, set()).add(w + data["weight"])
         front = nxt

@@ -14,7 +14,7 @@ from wtgsolve.cli import main
 from wtgsolve.core import MAX, MIN, Transition
 from wtgsolve.gameio import game_to_dict, save_game
 
-from acceptance_corpus import zero_kernel
+from acceptance_corpus import zero_kernel, zero_kernel_free_exit
 from corpus import G, loc, make_game, three_clock_demo
 
 
@@ -81,6 +81,10 @@ class TestSolve:
         assert main(["solve", game_file(no_goal_path())]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "value = +inf"
+
+    def test_kernel_exit_with_a_fixed_landing(self, game_file, capsys):
+        assert main(["solve", game_file(zero_kernel_free_exit())]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "value = 1"
 
     def test_diagnostics_line(self, game_file, capsys):
         main(["solve", game_file(min_wait())])

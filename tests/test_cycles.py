@@ -107,9 +107,9 @@ class TestCornerPoint:
         assert report.verdict == ANZ
         # the loop through the weight-1 location costs exactly 1
         weights = set()
-        for u, v, d in cp.edges_for(next(
+        for u, v, d in cp.by_tid.get(next(
                 t.tid for t in cp.rg.game.transitions
-                if t.tid.split("#")[0] == "t1")):
+                if t.tid.split("#")[0] == "t1"), []):
             weights.add(d["weight"])
         assert weights == {1}
 

@@ -1,6 +1,8 @@
 """Region primitives and the game transformation pipeline."""
 import itertools
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,9 +21,8 @@ from wtgsolve.core import (
     WeightedTimedGame,
     frac,
 )
-from wtgsolve.gameio import game_from_dict
+from wtgsolve.gameio import game_from_dict, game_to_dict
 from wtgsolve.regions import (
-    MaxControlledCycle,
     Region,
     RegionGame,
     add_resets,
@@ -33,6 +34,7 @@ from wtgsolve.regions import (
     drop_dead_rolls,
     elapsed_region_feasible,
     infer_guard_region,
+    max_traps,
     normalize_01,
     prune_unreachable,
     region_of,
@@ -40,7 +42,7 @@ from wtgsolve.regions import (
     restrict,
     trim,
 )
-from wtgsolve.unfold import prune_dead_rolls
+from wtgsolve.unfold import prune_dead_rolls, prune_max_traps, solve
 
 import fm_reference
 import test_anz
@@ -48,7 +50,11 @@ from acceptance_corpus import exact_corpus, transformation_corpus
 from invariants import check_trimmed_observation
 from region_reference import full_region_wtg
 
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from references import oracle_value  # noqa: E402  (read-only)
+
 X, Y = 0, 1
+INF = float("inf")
 
 
 def R(*blocks, ones=()):
@@ -176,7 +182,7 @@ _GUARD_SETS = ([()] + [(a,) for a in _ATOMS]
                + list(itertools.combinations(_ATOMS, 2)))
 
 
-class TestFeasibilityCache:
+class TestRegionLookups:
     """The region lookups answer as the Fourier-Motzkin bodies of
     ``fm_reference`` do on every question over two clocks, given the guards
     as a list or as a tuple."""
@@ -534,8 +540,12 @@ class TestAddResets:
             ],
             initial=Configuration("p", (F(0), F(0))),
         )
-        with pytest.raises(MaxControlledCycle):
-            add_resets(_relaxed(g))
+        # prune_max_traps cuts the cycle before add_resets runs
+        assert max_traps(_relaxed(g).game)
+        pruned = prune_max_traps(_relaxed(g))
+        assert not max_traps(pruned.game)
+        add_resets(pruned)
+        assert solve(g).value == INF == oracle_value(game_to_dict(g))
 
 
 # ---------------------------------------------------------------------------

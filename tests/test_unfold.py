@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 
 import test_anz
-from acceptance_corpus import exact_corpus, transformation_corpus
+import unfold_reference
+from acceptance_corpus import (double_reset_kernel, exact_corpus,
+                               transformation_corpus, zero_kernel_free_exit)
 from corpus import G, loc, make_game, three_clock_demo
 from wtgsolve import kernelvi, unfold
-from wtgsolve.core import MAX, MIN, Configuration, DomainError, Transition
-from wtgsolve.gameio import game_from_dict
+from wtgsolve.core import (MAX, MIN, Configuration, DomainError, GameError,
+                           Transition)
+from wtgsolve.gameio import game_from_dict, game_to_dict
 from wtgsolve.oracle import GridOracle
 from wtgsolve.regions import build_region_wtg, clock_bound, normalize_01, trim
 from wtgsolve.unfold import (
@@ -24,13 +27,15 @@ from wtgsolve.unfold import (
     value_functions,
 )
 
-from unfold_reference import (GOAL, KERNEL, STOPPED, jacobi_value_functions,
-                              rescan_finite_value, semi_unfold, solve_node)
+from unfold_reference import (GOAL, KERNEL, STOPPED, deeper_root_value,
+                              jacobi_value_functions, rescan_finite_value,
+                              semi_unfold, solve_node)
 
 INF = float("inf")
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import families  # noqa: E402  (the benchmark's generators, used read-only)
+import references  # noqa: E402  (read-only)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -356,7 +361,7 @@ class TestPipeline:
     def test_threshold_stability(self):
         for game in [min_wait(), zero_kernel(), unit_cycle(),
                      positive_loop()]:
-            assert solve(game).value == solve(game, extra_visits=1).value
+            assert solve(game).value == deeper_root_value(game)
 
     def test_stopped_never_reaches_a_finite_root(self):
         # finite-valued games keep their value under a deeper unfolding,
@@ -462,3 +467,82 @@ class TestSccOrder:
         monkeypatch.setattr(unfold, "iterate", counted)
         value_functions(prep.rg, prep.kernel, prep.w_bound, prep.kappa)
         assert calls == Counter(prep.kernel.components)
+
+
+# -- one-step delay optimization against the two-case-analysis reference -----
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GameError as exc:
+        return type(exc)
+
+
+def _one_step_games(group):
+    """The differential games, and ``test_anz.random_game``s restarted
+    inside a 2-D region or on the diagonal, whose flow lines cross guard
+    segments and polygons as no integer start does."""
+    if group == "test_anz":
+        return [(f"anz_{s}", test_anz.random_game(s)) for s in range(150)]
+    if group == "fractional_start":
+        return [(f"anz_{s}@{v}", replace(test_anz.random_game(s),
+                                         initial=Configuration("q0", v)))
+                for s in range(150)
+                for v in [(F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)),
+                          (F(1, 3), F(1, 3))]]
+    return _differential_games(group)
+
+
+class TestOneStepReference:
+    @pytest.mark.parametrize("group", ["corpus", "test_anz", "families",
+                                       "fractional_start"])
+    def test_same_results_as_the_reference(self, group):
+        """Every transition of every plain location, costed against the
+        final child values, by ``unfold`` and by ``unfold_reference``."""
+        games = _one_step_games(group)
+        compared = 0
+        for name, game in games:
+            try:
+                prep = prepare(game)
+            except NotAlmostNonZeno:
+                continue
+            rg = prep.rg
+            values = value_functions(rg, prep.kernel, prep.w_bound,
+                                     prep.kappa)
+            in_kernel = set().union(*prep.kernel.components)
+            for t in rg.game.transitions:
+                loc = rg.game.locations[t.src]
+                if loc.is_goal or t.src in in_kernel:
+                    continue
+                r = rg.reg[t.src]
+                direction = "inf" if loc.owner == MIN else "sup"
+                if r.dim == 1:
+                    fn, arg = "_value_on_segment", r
+                else:
+                    fn, arg = "_value_at_point", (
+                        r.corners()[0] if r.dim == 0
+                        else rg.game.initial.valuation)
+                args = (rg, t, values[t.tgt], arg, direction)
+                assert (_outcome(getattr(unfold, fn), *args)
+                        == _outcome(getattr(unfold_reference, fn), *args)), \
+                    (name, t.tid)
+                compared += 1
+        assert compared >= 50
+
+
+# -- kernel exits whose landing point does not move --------------------------
+
+FIXED_LANDING = {
+    "zero_kernel_free_exit": zero_kernel_free_exit,
+    "double_reset_kernel": double_reset_kernel,
+    **{f"anz_{s}": (lambda s=s: test_anz.random_game(s))
+       for s in (2, 51, 126, 218, 277, 336)},
+}
+
+
+@pytest.mark.parametrize("name", FIXED_LANDING)
+def test_kernel_exit_with_a_fixed_landing_matches_the_oracle(name):
+    """An exit that resets both clocks lands on one point whatever the
+    delay: its cost is a constant, not a point-domain function."""
+    game = FIXED_LANDING[name]()
+    assert solve(game).value == references.oracle_value(game_to_dict(game))

@@ -1,18 +1,28 @@
 """References that ``tests/test_unfold.py`` checks ``unfold.value_functions``
 against: the explicit semi-unfolding, solved children first, and the global
 Jacobi sweep that evaluates the same unfolding level by level over every
-location at once; and the re-scanning attractor that
-``unfold.check_finite_value`` is checked against."""
+location at once; the re-scanning attractor that
+``unfold.check_finite_value`` is checked against; and the one-step delay
+optimization with a separate guard-region case analysis for point and for
+diagonal sources, which ``unfold._value_at_point`` and
+``unfold._value_on_segment`` are checked against."""
 import math
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from wtgsolve.core import MIN, StructuralError, Transition
+from wtgsolve.core import MIN, StructuralError, Transition, Valuation, reset
 from wtgsolve.cycles import Kernel
-from wtgsolve.regions import RegionGame
-from wtgsolve.unfold import NodeValue, _kernel_values, _solve_plain
+from wtgsolve.geometry import make_ccw
+from wtgsolve.plf import (ONE, ZERO, PLF1, PLF2, Segment, eval1,
+                          fiber_extremum, restrict2)
+from wtgsolve.regions import Region, RegionGame
+from wtgsolve.unfold import (INF, ExtValue, NodeValue, _add_affine, _ext_on,
+                             _fiber_range, _fire_plf1, _fire_plf2,
+                             _kernel_values, _map_domain, _polygon, _reparam,
+                             _solve_plain, _sorted_corners, _suffix_profile,
+                             check_finite_value, prepare)
 
 PLAIN, KERNEL, GOAL, STOPPED = "plain", "kernel", "goal", "stopped"
 
@@ -223,6 +233,18 @@ def jacobi_value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     return values
 
 
+def deeper_root_value(game, extra_visits: int = 1):
+    """Root value of the game when the unfolding allows ``extra_visits``
+    more visits per positive element than ``unfold.solve`` does."""
+    prep = prepare(game)
+    rg = prep.rg
+    if not check_finite_value(rg):
+        return INF
+    values = jacobi_value_functions(rg, prep.kernel, prep.w_bound,
+                                    prep.kappa, extra_visits=extra_visits)
+    return values[rg.game.initial.location].eval(rg.game.initial.valuation)
+
+
 def rescan_finite_value(rg: RegionGame) -> bool:
     """True iff Min can force reaching a goal location from the initial
     region-location: the backward attractor, re-scanning every location
@@ -246,3 +268,137 @@ def rescan_finite_value(rg: RegionGame) -> bool:
                 attr.add(n)
                 changed = True
     return game.initial.location in attr
+
+
+def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
+                    nu: Valuation, direction: str) -> Optional[ExtValue]:
+    """ext over {delay d >= 0 : nu + d inside the closed guard region} of
+    d*w(src) + w(t) + child(reset(nu + d)); None when no delay fits."""
+    if child.is_infinite:
+        return INF
+    w0 = rg.game.locations[t.src].weight
+    gr = rg.guard_region[t.tid]
+    c0 = nu[1] - nu[0]
+    xi0 = nu[0]
+    corners = _sorted_corners(gr)
+    if gr.dim == 0:
+        p0 = corners[0]
+        if p0[1] - p0[0] != c0 or p0[0] < xi0:
+            return None
+        return child.eval(reset(p0, t.resets)) + t.weight + w0 * (p0[0] - xi0)
+    if gr.dim == 1:
+        a, b = corners
+        f1 = _fire_plf1(t, child, a, b)
+        dxp, dcp = b[0] - a[0], (b[1] - a[1]) - (b[0] - a[0])
+        if dcp == 0:  # guard segment parallel to the flow
+            if a[1] - a[0] != c0:
+                return None
+            obj = _add_affine(f1, w0 * dxp, w0 * (a[0] - xi0))
+            lo = max(ZERO, (xi0 - a[0]) / dxp)
+            if lo > 1:
+                return None
+            return _ext_on(obj, lo, ONE, direction)
+        s = (c0 - (a[1] - a[0])) / dcp
+        if not 0 <= s <= 1:
+            return None
+        xi = a[0] + s * dxp
+        if xi < xi0:
+            return None
+        return eval1(f1, s) + w0 * (xi - xi0)
+    poly = _polygon(gr)
+    span = _fiber_range(poly, c0)
+    if span is None:
+        return None
+    xa, xb = max(span[0], xi0), span[1]
+    if xa > xb:
+        return None
+    f2 = _fire_plf2(t, child, poly)
+    if xa == xb:
+        return f2.eval2((xa, xa + c0)) + w0 * (xa - xi0)
+    h = restrict2(f2, Segment((xa, xa + c0), (xb, xb + c0)))
+    obj = _add_affine(h, w0 * (xb - xa), w0 * (xa - xi0))
+    return obj.min_value() if direction == "inf" else obj.max_value()
+
+
+def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
+                      src: Region, direction: str) -> PLF1:
+    """Contribution of ``t`` over a 1-D source region, as a PLF1 in the
+    region's free coordinate."""
+    if child.is_infinite:
+        return PLF1.infinite()
+    w0 = rg.game.locations[t.src].weight
+    gr = rg.guard_region[t.tid]
+    a, b = _sorted_corners(src)
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    gcorners = _sorted_corners(gr)
+    if dx == dy:  # diagonal source: every point shares the flow line c = 0
+        if gr.dim == 0:
+            p0 = gcorners[0]
+            if p0[1] != p0[0]:
+                raise StructuralError(f"{t.tid}: guard corner off the flow")
+            h = PLF1.point(
+                child.eval(reset(p0, t.resets)) + t.weight + w0 * p0[0],
+                x=p0[0])
+        elif gr.dim == 1:
+            ga, gb = gcorners
+            f1 = _fire_plf1(t, child, ga, gb)
+            if gb[0] - ga[0] == gb[1] - ga[1]:  # diagonal guard segment
+                if ga[1] != ga[0]:
+                    raise StructuralError(f"{t.tid}: guard off the flow line")
+                h = _add_affine(_map_domain(f1, ga[0], gb[0]), w0, ZERO)
+            else:
+                dcp = (gb[1] - ga[1]) - (gb[0] - ga[0])
+                s = (ga[0] - ga[1]) / dcp
+                if not 0 <= s <= 1:
+                    raise StructuralError(f"{t.tid}: guard misses the flow")
+                xi = ga[0] + s * (gb[0] - ga[0])
+                h = PLF1.point(eval1(f1, s) + w0 * xi, x=xi)
+        else:
+            poly = _polygon(gr)
+            span = _fiber_range(poly, ZERO)
+            if span is None:
+                raise StructuralError(f"{t.tid}: guard misses the flow")
+            xa, xb = span
+            f2 = _fire_plf2(t, child, poly)
+            if xa == xb:
+                h = PLF1.point(f2.eval2((xa, xa)) + w0 * xa, x=xa)
+            else:
+                h = restrict2(f2, Segment((xa, xa), (xb, xb)))
+                h = _add_affine(_map_domain(h, xa, xb), w0, ZERO)
+        return _add_affine(_suffix_profile(h, direction), -w0, ZERO)
+
+    # Non-diagonal 1-D source: each point lies on its own flow line, and the
+    # closed guard region sits forward in time on all of them, so the d >= 0
+    # constraint is vacuous.
+    c_a, c_b = a[1] - a[0], b[1] - b[0]
+    if gr.dim == 0:
+        raise StructuralError(
+            f"{t.tid}: point guard region from a sliding source")
+    if gr.dim == 1:
+        ga, gb = gcorners
+        dcp = (gb[1] - ga[1]) - (gb[0] - ga[0])
+        if dcp == 0:
+            raise StructuralError(
+                f"{t.tid}: diagonal guard from a sliding source")
+        f1 = _fire_plf1(t, child, ga, gb)
+        s0 = (c_a - (ga[1] - ga[0])) / dcp
+        s1 = (c_b - (ga[1] - ga[0])) / dcp
+        g = _reparam(f1, s0, s1)
+        gdx = gb[0] - ga[0]
+        xi_slope = (s1 - s0) * gdx - dx
+        xi_const = ga[0] + s0 * gdx - a[0]
+        return _add_affine(g, w0 * xi_slope, w0 * xi_const)
+    poly = _polygon(gr)
+    f2 = _fire_plf2(t, child, poly)
+    if f2.is_infinite:
+        return PLF1.infinite()
+    # coordinates (c, xi) = (y - x, x): extremum over each flow line
+    cells = []
+    for tri, (ca, cb, cc) in f2.cells:
+        tri2 = make_ccw(tuple((p[1] - p[0], p[0]) for p in tri))
+        if len(tri2) < 3:
+            continue
+        cells.append((tri2, (cb, ca + cb + w0, cc)))
+    gc = fiber_extremum(PLF2(tuple(cells)), direction)
+    g = _reparam(gc, c_a, c_b)
+    return _add_affine(g, -w0 * dx, -w0 * a[0])
