@@ -17,11 +17,13 @@ Each transformation preserves the value of the game (checked externally
 against the grid oracle on the test corpus).
 
 After normalization every guard constant is 0 or 1, so a guard atom has one
-truth value on a whole region, and the feasibility questions of trimming and
-guard-region inference are region lookups over time successors and
-closures.  ``restrict`` is the one way to cut a region game down to some of
-its locations and transitions, and ``drop_dead_rolls`` the one liveness test
-for rollovers.
+truth value on a whole region, and the feasibility questions of the build,
+trimming and guard-region inference are answered with sets of regions: the
+regions elapsed from a region (or its closure) meet the regions on which
+each atom holds.  Those sets, and the results of the pure :class:`Region`
+methods, are tabulated once per number of clocks.  ``restrict`` is the one
+way to cut a region game down to some of its locations and transitions,
+and ``drop_dead_rolls`` the one liveness test for rollovers.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 from .core import (
     MAX,
     MIN,
+    OPS,
     Configuration,
     DomainError,
     Guard,
@@ -116,6 +119,11 @@ class Region:
             raise DomainError("upclock is defined on [0,1)-regions only")
         return self.blocks[-1]
 
+    @functools.cached_property
+    def n_clocks(self) -> int:
+        """The number of clocks the region is over."""
+        return max(self.clocks, default=-1) + 1
+
     # -- membership and points ----------------------------------------------
 
     def contains(self, valuation: Valuation, closed: bool = False) -> bool:
@@ -136,67 +144,30 @@ class Region:
 
     def representative(self) -> Valuation:
         """One concrete valuation in the region (block i at i/(p+1))."""
-        n = max(self.clocks, default=-1) + 1
-        out = [ZERO] * n
-        for x in self.ones:
-            out[x] = ONE
-        for i, b in enumerate(self.interior, start=1):
-            for x in b:
-                out[x] = Fraction(i, self.p + 1)
-        return tuple(out)
+        return _table(self.n_clocks).representative[self]
 
-    def corners(self) -> list[Valuation]:
+    def corners(self) -> tuple[Valuation, ...]:
         """Vertices of the topological closure, ordered bottom-up.
 
         Corner j sends the first j interior blocks to 0 and the rest to 1,
         so corner 0 is the all-high vertex and corner p the all-low one.
         """
-        n = max(self.clocks, default=-1) + 1
-        out = []
-        for j in range(self.p + 1):
-            v = [ZERO] * n
-            for x in self.ones:
-                v[x] = ONE
-            for i, b in enumerate(self.interior, start=1):
-                for x in b:
-                    v[x] = ZERO if i <= j else ONE
-            out.append(tuple(v))
-        return out
+        return _table(self.n_clocks).corners[self]
 
     # -- operations ----------------------------------------------------------
 
     def reset(self, clocks: Iterable[int]) -> "Region":
-        xs = frozenset(clocks)
-        blocks = [self.zeros | xs]
-        for b in self.interior:
-            rest = b - xs
-            if rest:
-                blocks.append(rest)
-        return Region(tuple(blocks), self.ones - xs)
+        return _table(self.n_clocks).reset[self, frozenset(clocks)]
 
-    def time_successors(self) -> list["Region"]:
+    def time_successors(self) -> tuple["Region", ...]:
         """Regions reachable from here by letting time elapse (self first)."""
         if self.ones:
             raise DomainError("time successors are defined on [0,1)-regions")
-        if not self.clocks:
-            return [self]
-        out = [self]
-        shifted = (frozenset(),) + self.blocks if self.zeros else self.blocks
-        if self.zeros:
-            out.append(Region(shifted))
-        # Top block reaches 1 while everything below stays interior.
-        top = shifted[-1]
-        rest = shifted[:-1] or (frozenset(),)
-        out.append(Region(tuple(rest), top))
-        return out
+        return _table(self.n_clocks).successors[self]
 
     def in_closure_of(self, other: "Region") -> bool:
         """True when this region lies inside the closure of ``other``."""
-        rep = self.representative()
-        n = max(other.clocks, default=-1) + 1
-        return other.contains(
-            tuple(rep[i] if i < len(rep) else ZERO for i in range(n)),
-            closed=True)
+        return self in _table(other.n_clocks).adherence[other]
 
 
 def region_of(valuation: Valuation) -> Region:
@@ -254,41 +225,94 @@ def _nonempty_subsets(items):
         yield from itertools.combinations(items, k)
 
 
-@functools.lru_cache(maxsize=None)
 def adherence(r: Region) -> tuple[Region, ...]:
     """All regions contained in the topological closure of ``r``."""
-    n = max(r.clocks, default=-1) + 1
-    return tuple(s for s in all_regions(n) if s.in_closure_of(r))
+    return _table(r.n_clocks).adherence[r]
 
 
-# ---------------------------------------------------------------------------
-# Feasibility by region lookup
-# ---------------------------------------------------------------------------
+class _Table:
+    """Every answer over n clocks that depends on regions alone, computed
+    once: the results of the pure :class:`Region` methods, the regions
+    elapsed from each region or from its closure, and the regions on which
+    each guard atom with constant 0 or 1 holds (an interior clock compares
+    as 1/2 does)."""
 
-HALF = Fraction(1, 2)
+    def __init__(self, n: int):
+        regions = all_regions(n)
+        canon = {r: r for r in regions}
+        self.everything = frozenset(regions)
+        self.representative, self.corners, self.successors = {}, {}, {}
+        for r in regions:
+            rep = [ONE if x in r.ones else ZERO for x in range(n)]
+            corners = [list(rep) for _ in range(r.p + 1)]
+            for i, b in enumerate(r.interior, start=1):
+                for x in b:
+                    rep[x] = Fraction(i, r.p + 1)
+                    for j, v in enumerate(corners):
+                        v[x] = ZERO if i <= j else ONE
+            self.representative[r] = tuple(rep)
+            self.corners[r] = tuple(map(tuple, corners))
+            if r.fractional:
+                out = [r]
+                shifted = (frozenset(),) + r.blocks if r.zeros else r.blocks
+                if r.zeros:
+                    out.append(Region(shifted))
+                if n:  # the top block reaches 1, everything below interior
+                    out.append(Region(shifted[:-1] or (frozenset(),),
+                                      shifted[-1]))
+                self.successors[r] = tuple(canon[s] for s in out)
+        self.reset = {}
+        for r in regions:
+            for xs in map(frozenset, _subsets(range(n))):
+                blocks = [r.zeros | xs] + [b - xs for b in r.interior if b - xs]
+                self.reset[r, xs] = canon[Region(tuple(blocks), r.ones - xs)]
+        self.adherence = {r: tuple(s for s in regions if r.contains(
+            self.representative[s], closed=True)) for r in regions}
+        self.elapsed = {
+            (r, closure): frozenset(
+                e for s in (self.adherence[r] if closure else (r,))
+                for e in (self.successors[s] if s.fractional else (s,)))
+            for r in regions for closure in (False, True)}
+        self.sat = {}
+        for g in (Guard(x, op, c) for x in range(n) for op in OPS
+                  for c in (0, 1)):
+            self.sat[g] = frozenset(r for r in regions if g.holds(
+                ZERO if g.clock in r.zeros else ONE if g.clock in r.ones
+                else Fraction(1, 2)))
 
 
 @functools.lru_cache(maxsize=None)
-def _elapsed_regions(r: Region, closure: bool) -> frozenset[Region]:
+def _table(n: int) -> _Table:
+    return _Table(n)
+
+
+# ---------------------------------------------------------------------------
+# Feasibility by region sets
+# ---------------------------------------------------------------------------
+
+def _elapsed(r: Region, closure: bool) -> frozenset[Region]:
     """The regions of nu+delta inside [0,1]^X, for delta >= 0 and nu in r
     (or its closure); from a clock at 1 only delta = 0 stays inside."""
-    out: set[Region] = set()
-    for s in (adherence(r) if closure else (r,)):
-        out.update(s.time_successors() if s.fractional else (s,))
-    return frozenset(out)
+    return _table(r.n_clocks).elapsed[r, closure]
 
 
-def _holds(g: Guard, r: Region) -> bool:
-    """The truth value of ``g`` on region r.  With the constant 0 or 1 it is
-    one value on the whole region: an interior clock compares as 1/2 does."""
-    return g.holds(ZERO if g.clock in r.zeros
-                   else ONE if g.clock in r.ones else HALF)
+def _holding(g: Guard, n: int) -> frozenset[Region]:
+    """The regions over n clocks on which ``g`` holds.  Its constant must be
+    0 or 1, as after :func:`normalize_01`: anything else has no single truth
+    value on a region and raises :class:`StructuralError`."""
+    try:
+        return _table(n).sat[g]
+    except KeyError:
+        raise StructuralError(
+            f"guard constant {g.bound} is not 0 or 1") from None
 
 
-def _check_01(guards: Iterable[Guard]) -> None:
+def _satisfying(guards: Iterable[Guard], regions: frozenset[Region],
+                n: int) -> frozenset[Region]:
+    """The regions among ``regions`` on which every guard holds."""
     for g in guards:
-        if g.bound not in (0, 1):
-            raise StructuralError(f"guard constant {g.bound} is not 0 or 1")
+        regions = regions & _holding(g, n)
+    return regions
 
 
 def elapsed_region_feasible(src: Region, target: Region, guards: Sequence[Guard],
@@ -299,9 +323,7 @@ def elapsed_region_feasible(src: Region, target: Region, guards: Sequence[Guard]
     Every guard constant must be 0 or 1, as after :func:`normalize_01`;
     anything else raises :class:`StructuralError`.
     """
-    _check_01(guards)
-    return (target in _elapsed_regions(src, closure)
-            and all(_holds(g, target) for g in guards))
+    return target in _satisfying(guards, _elapsed(src, closure), src.n_clocks)
 
 
 def delay_feasible(r: Region, guards: Sequence[Guard], closure: bool = False,
@@ -313,10 +335,10 @@ def delay_feasible(r: Region, guards: Sequence[Guard], closure: bool = False,
     whether some region of those elapsed points satisfies them.  Constants
     are as for :func:`elapsed_region_feasible`.
     """
-    _check_01([*guards, negate] if negate is not None else guards)
-    return any(all(_holds(g, s) for g in guards)
-               and not (negate is not None and _holds(negate, s))
-               for s in _elapsed_regions(r, closure))
+    ok = _satisfying(guards, _elapsed(r, closure), r.n_clocks)
+    if negate is not None:
+        ok = ok - _holding(negate, r.n_clocks)
+    return bool(ok)
 
 
 # ---------------------------------------------------------------------------
@@ -626,20 +648,19 @@ def trim(rg: RegionGame) -> RegionGame:
     guard_region = dict(rg.guard_region)
     for t in rg.game.transitions:
         r = rg.reg[t.src]
-        sources = adherence(r) if closure else [r]
-        if not all(delay_feasible(s, t.guards, closure=closure) for s in sources):
+        ok = _satisfying(t.guards, _table(r.n_clocks).everything, r.n_clocks)
+        if not all(_elapsed(s, closure) & ok
+                   for s in (adherence(r) if closure else (r,))):
             guard_region.pop(t.tid, None)
             continue
-        clauses = []
-        for g in t.guards:
-            # A clause is redundant when no admissible elapsed valuation
-            # from the (closed) region can violate it.
-            removable = not any(
-                delay_feasible(s, (), closure=closure, negate=g)
-                for s in sources)
-            if not removable:
-                clauses.append(g)
-        kept.append(replace(t, guards=tuple(clauses)))
+        # A clause is redundant when every admissible elapsed valuation
+        # satisfies it; over the adherence, those are the regions elapsed
+        # from the closure.
+        elapsed = _elapsed(r, closure)
+        clauses = tuple(g for g in t.guards
+                        if not elapsed <= _holding(g, r.n_clocks))
+        kept.append(t if len(clauses) == len(t.guards)
+                    else replace(t, guards=clauses))
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              kept, rg.game.initial)
     return RegionGame(game, dict(rg.reg), guard_region, trimmed=True,
@@ -660,10 +681,8 @@ def relax(rg: RegionGame) -> RegionGame:
 
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
     """The region whose closure holds every guard-satisfying elapsed point."""
-    src, closure = rg.reg[t.src], rg.relaxed
-    feas = {cand for s in (adherence(src) if closure else [src])
-            for cand in _elapsed_regions(s, closure)
-            if elapsed_region_feasible(s, cand, t.guards, closure=closure)}
+    src = rg.reg[t.src]
+    feas = _satisfying(t.guards, _elapsed(src, rg.relaxed), src.n_clocks)
     if not feas:
         raise StructuralError(f"{t.tid}: guard unsatisfiable from its region")
     best = max(feas, key=lambda r: r.dim)
@@ -703,11 +722,13 @@ def add_resets(rg: RegionGame) -> RegionGame:
 
     Reset-free transitions are first given forced timing: urgent ones
     (guarded x==0) start resetting, same-player ones are short-circuited
-    into their successors, and cross-player ones are pinned to fire when
-    the top clocks reach 1 (which never changes what either player can
-    secure, both locations being weight-free).  Every location is then
-    doubled with an "early reset" twin whose top clocks are already back
-    at zero, so the pinned transitions can reset on the spot.
+    into their successors, and cross-player ones and moves into a dead end
+    are pinned to fire when the top clocks reach 1 (which never changes
+    what either player can secure: both locations of a cross-player move
+    are weight-free, and a dead end is worth +inf whenever it is entered).
+    Every location is then doubled with an "early reset" twin whose top
+    clocks are already back at zero, so the pinned transitions can reset on
+    the spot.
     """
     if not (rg.trimmed and rg.relaxed):
         raise StructuralError("add_resets expects a relaxed trimmed game")
@@ -733,8 +754,11 @@ def add_resets(rg: RegionGame) -> RegionGame:
             raise StructuralError("reset-free composition did not terminate")
         zero_clocks = {g.clock for g in todo.guards
                        if g.op == "==" and g.bound == 0}
+        # A move into a dead end has no successors to compose with: pinned,
+        # it survives, and its target stays a +inf sink.
         same_player = (game.locations[todo.src].owner
-                       == game.locations[todo.tgt].owner)
+                       == game.locations[todo.tgt].owner
+                       and any(t2.src == todo.tgt for t2 in transitions))
         transitions.remove(todo)
         if zero_clocks:
             transitions.append(replace(todo, resets=frozenset(zero_clocks)))

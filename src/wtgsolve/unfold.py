@@ -19,12 +19,9 @@ from typing import Optional, Union
 from .core import (MIN, GameError, InputError, StructuralError,
                    DomainError, Transition, Valuation, WeightedTimedGame,
                    frac, frac_str, reset)
-from .geometry import (clip_halfplane, dedupe_polygon, make_ccw,
-                       polygon_area2, triangulate)
 from .graphs import strongly_connected_components
-from .plf import (ONE, ZERO, PLF1, PLF2, Segment, canonicalize, eval1,
-                  pointwise_extremum, restrict2, fiber_extremum,
-                  running_extremum)
+from .plf import (ONE, ZERO, PLF1, PLF2, canonicalize, eval1,
+                  pointwise_extremum, running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
                       drop_dead_rolls, max_traps, normalize_01,
                       prune_unreachable, relax, restrict, trim)
@@ -113,10 +110,6 @@ def _sorted_corners(r: Region) -> list[Valuation]:
     return sorted(r.corners())
 
 
-def _polygon(r: Region):
-    return make_ccw(dedupe_polygon(r.corners()))
-
-
 # ---------------------------------------------------------------------------
 # Small PLF1 manipulations
 # ---------------------------------------------------------------------------
@@ -181,51 +174,6 @@ def _fire_plf1(t: Transition, child: NodeValue, a: Valuation,
     return _reparam(child.plf, u0, u1).shift(t.weight)
 
 
-def _fire_plf2(t: Transition, child: NodeValue, poly) -> PLF2:
-    """Cost-to-go after firing ``t`` anywhere in the guard polygon."""
-    if child.is_infinite:
-        return PLF2.infinite(poly)
-    if child.const is not None:
-        return PLF2.affine(poly, (ZERO, ZERO, child.const + t.weight))
-    i = _param_axis(child.region)
-    if i in t.resets:
-        return PLF2.affine(poly, (ZERO, ZERO,
-                                  eval1(child.plf, ZERO) + t.weight))
-    cells = []
-    for u1, u2, slope, icept in child.plf.segments():
-        piece = poly
-        # clip to u1 <= p[i] <= u2
-        ax, ay = (ONE, ZERO) if i == 0 else (ZERO, ONE)
-        piece = clip_halfplane(piece, -ax, -ay, -u1)
-        piece = clip_halfplane(piece, ax, ay, u2)
-        if len(piece) < 3 or polygon_area2(piece) <= 0:
-            continue
-        coef = ((slope, ZERO, icept + t.weight) if i == 0
-                else (ZERO, slope, icept + t.weight))
-        for tri in triangulate(piece):
-            cells.append((tri, coef))
-    if not cells:
-        raise DomainError(f"{t.tid}: guard region escapes the child domain")
-    return PLF2(tuple(cells))
-
-
-def _fiber_range(poly, c0: Fraction):
-    """[xi_min, xi_max] of the polygon's intersection with y = x + c0."""
-    xs = []
-    n = len(poly)
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        fp = p[1] - p[0] - c0
-        fq = q[1] - q[0] - c0
-        if fp == 0:
-            xs.append(p[0])
-        if fp * fq < 0:
-            xs.append(p[0] + (q[0] - p[0]) * fp / (fp - fq))
-    if not xs:
-        return None
-    return min(xs), max(xs)
-
-
 def _flow_cost(rg: RegionGame, t: Transition, child: NodeValue,
                c0: Fraction) -> Optional[PLF1]:
     """h(xi) = w(t) + child(reset(xi, xi + c0)) + w(src)*xi for every xi at
@@ -233,35 +181,28 @@ def _flow_cost(rg: RegionGame, t: Transition, child: NodeValue,
     None when the line misses it."""
     w0 = rg.game.locations[t.src].weight
     gr = rg.guard_region[t.tid]
-    if gr.dim == 0:
-        p = gr.corners()[0]
-        if p[1] - p[0] != c0:
+    if gr.dim == 2:  # a triangle, met on a chord
+        above = 0 in gr.blocks[1]  # 0 <= x <= y <= 1
+        if not (0 <= c0 <= 1 if above else -1 <= c0 <= 0):
             return None
-        return PLF1.point(child.eval(reset(p, t.resets)) + t.weight
-                          + w0 * p[0], x=p[0])
-    if gr.dim == 1:
-        a, b = _sorted_corners(gr)
-        f1 = _fire_plf1(t, child, a, b)
+        a, b = (((ZERO, c0), (ONE - c0, ONE)) if above
+                else ((-c0, ZERO), (ONE, ONE + c0)))
+    else:
+        corners = _sorted_corners(gr)
+        a, b = corners[0], corners[-1]
         dcp = (b[1] - a[1]) - (b[0] - a[0])
-        if dcp == 0:  # guard segment along the flow
-            if a[1] - a[0] != c0:
+        if dcp:  # a guard segment across the flow, met at one point
+            s = (c0 - (a[1] - a[0])) / dcp
+            if not 0 <= s <= 1:
                 return None
-            return _add_affine(_map_domain(f1, a[0], b[0]), w0, ZERO)
-        s = (c0 - (a[1] - a[0])) / dcp
-        if not 0 <= s <= 1:
-            return None
-        xi = a[0] + s * (b[0] - a[0])
-        return PLF1.point(eval1(f1, s) + w0 * xi, x=xi)
-    poly = _polygon(gr)
-    span = _fiber_range(poly, c0)
-    if span is None:
+            a = b = (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
+    if a[1] - a[0] != c0:
         return None
-    xa, xb = span
-    f2 = _fire_plf2(t, child, poly)
-    if xa == xb:
-        return PLF1.point(f2.eval2((xa, xa + c0)) + w0 * xa, x=xa)
-    h = restrict2(f2, Segment((xa, xa + c0), (xb, xb + c0)))
-    return _add_affine(_map_domain(h, xa, xb), w0, ZERO)
+    if a == b:
+        return PLF1.point(child.eval(reset(a, t.resets)) + t.weight
+                          + w0 * a[0], x=a[0])
+    return _add_affine(_map_domain(_fire_plf1(t, child, a, b), a[0], b[0]),
+                       w0, ZERO)
 
 
 def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
@@ -335,20 +276,23 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
         xi_slope = (s1 - s0) * gdx - dx
         xi_const = ga[0] + s0 * gdx - a[0]
         return _add_affine(g, w0 * xi_slope, w0 * xi_const)
-    poly = _polygon(gr)
-    f2 = _fire_plf2(t, child, poly)
-    if f2.is_infinite:
-        return PLF1.infinite()
-    # coordinates (c, xi) = (y - x, x): extremum over each flow line
-    cells = []
-    for tri, (ca, cb, cc) in f2.cells:
-        tri2 = make_ccw(tuple((p[1] - p[0], p[0]) for p in tri))
-        if len(tri2) < 3:
-            continue
-        cells.append((tri2, (cb, ca + cb + w0, cc)))
-    gc = fiber_extremum(PLF2(tuple(cells)), direction)
-    g = _reparam(gc, c_a, c_b)
-    return _add_affine(g, -w0 * dx, -w0 * a[0])
+    # A triangle: the flow line y - x = c through the source point meets it
+    # on a chord, x in [0, 1 - c] above the diagonal and in [-c, 1] below.
+    # Firing on it, the child reads one clock u, x or y = x + c (take x when
+    # it reads none), and the cost from the source is k(u) - w0*(c if u is
+    # y) - w0*x_src, where k(u) = child(u) + w(t) + w0*u is also the cost of
+    # firing at (u, u).  The chord's range of u starts at 0 or ends at 1, so
+    # its extremum is a running extremum of k, read at the other end e(c).
+    above = 0 in gr.blocks[1]
+    reads_y = (child.const is None and _param_axis(child.region) == 1
+               and 1 not in t.resets)
+    prefix = above != reads_y
+    k = _add_affine(_fire_plf1(t, child, (ZERO, ZERO), (ONE, ONE)), w0, ZERO)
+    ext = running_extremum(k, "prefix" if prefix else "suffix", direction)
+    e0, sign = (ONE if prefix else ZERO), (1 if reads_y else -1)
+    g = _reparam(ext, e0 + sign * c_a, e0 + sign * c_b)
+    return _add_affine(g, -w0 * (reads_y * (c_b - c_a) + dx),
+                       -w0 * (reads_y * c_a + a[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,32 +420,39 @@ def _kernel_values(rg: RegionGame, comp: frozenset,
     return values, res.steps
 
 
-def _solve_plain(rg: RegionGame, loc_name: str,
-                 child_values: dict[str, NodeValue]) -> NodeValue:
-    game = rg.game
-    loc = game.locations[loc_name]
+def _solve_plain(rg: RegionGame, loc_name: str, ts: list[Transition],
+                 child_values: dict[str, NodeValue],
+                 shared: dict) -> NodeValue:
+    """The value function of a plain location from its outgoing transitions
+    ``ts`` and the values behind them.  ``shared`` holds the one-step costs
+    already computed, keyed by everything that they depend on."""
+    loc = rg.game.locations[loc_name]
     r = rg.reg[loc_name]
     direction = "inf" if loc.owner == MIN else "sup"
-    ts = {t.tid: t for t in game.transitions if t.src == loc_name}
     if not ts:
         return NodeValue.infinite(r)
     if r.dim == 1:
-        fs = [_value_on_segment(rg, t, child_values[tid], r, direction)
-              for tid, t in ts.items()]
-        return NodeValue.line(r, pointwise_extremum(fs, direction))
-    if r.dim == 0:
-        nu = r.corners()[0]
-        anchor = None
+        one_step, arg, anchor = _value_on_segment, r, None
+    elif r.dim == 0:
+        one_step, arg, anchor = _value_at_point, r.corners()[0], None
     else:
         # 2-D source region: only the root can carry one (every transition
         # resets a clock), so the value is only ever needed at the initial
         # valuation.
-        nu = game.initial.valuation
-        anchor = nu
-    vals = [v for t in ts.values()
-            for v in [_value_at_point(rg, t, child_values[t.tid], nu,
-                                      direction)]
-            if v is not None]
+        anchor = rg.game.initial.valuation
+        one_step, arg = _value_at_point, anchor
+
+    def cost(t: Transition):
+        child = child_values[t.tid]
+        key = (loc.weight, rg.guard_region[t.tid], t.resets, t.weight, r,
+               direction, child.region, child.const, child.plf, child.anchor)
+        if key not in shared:
+            shared[key] = one_step(rg, t, child, arg, direction)
+        return shared[key]
+
+    if r.dim == 1:
+        return NodeValue.line(r, pointwise_extremum(map(cost, ts), direction))
+    vals = [v for v in map(cost, ts) if v is not None]
     if not vals:
         return NodeValue.infinite(r)
     best = min(vals) if direction == "inf" else max(vals)
@@ -528,7 +479,9 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     root value within (#positive elements * (W/kappa + 2) + 1) * (|L| + 1)
     sweeps -- the maximum depth of the counter-cut unfolding -- so each
     cyclic component stops at stabilization or at that bound, whichever
-    comes first.  ``sweeps`` in ``_stats`` is the most any component took."""
+    comes first.  ``sweeps`` in ``_stats`` is the most any component took.
+    Equal one-step questions, as integer-part copies and early-reset twins
+    ask them, are answered once per call."""
     game = rg.game
     threshold = w_bound / kappa + 2
     npos = (sum(1 for l in game.locations.values() if l.weight > 0)
@@ -556,11 +509,12 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     values = {n: (NodeValue.constant(rg.reg[n], 0) if l.is_goal
                   else NodeValue.infinite(rg.reg[n]))
               for n, l in game.locations.items()}
+    shared: dict = {}
 
     def solve_unit(u) -> dict[str, NodeValue]:
         child = {t.tid: values[t.tgt] for t in edges[u]}
         if isinstance(u, str):
-            return {u: _solve_plain(rg, u, child)}
+            return {u: _solve_plain(rg, u, edges[u], child, shared)}
         kv, steps = _kernel_values(rg, u, child, edges[u], k_cap)
         if _stats is not None:
             _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)

@@ -397,3 +397,17 @@ def double_reset_kernel():
                    resets=frozenset({0, 1}), weight=1),
     ]
     return make_game(locs, trans, "q0", (0, 0))
+
+
+def max_dead_end():
+    """Max at q0 (rate 2) may reset both clocks into the goal, or move
+    without a reset to q1 (Max, rate 0), whose one exit needs ``c0<=1``.
+    Waiting past c0 = 1 and then moving strands the play at q1: value +inf."""
+    locs = [loc("q0", MAX, weight=2), loc("q1", MAX), loc("G", goal=True)]
+    trans = [
+        Transition("t0", "q0", "q1"),
+        Transition("t1", "q1", "G", guards=(G(0, "<=", 1),),
+                   resets=frozenset({0})),
+        Transition("t3", "q0", "G", resets=frozenset({0, 1})),
+    ]
+    return make_game(locs, trans, "q0", (0, 0))

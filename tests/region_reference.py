@@ -1,11 +1,15 @@
-"""The full region product that ``tests/test_regions.py`` checks the forward
-``regions.build_region_wtg`` against: every [0,1)-region of every location,
-and every move whose target region is fractional, satisfiable or not."""
+"""References that ``tests/test_regions.py`` checks the region pipeline
+against: the full region product, every [0,1)-region of every location and
+every move whose target region is fractional, satisfiable or not, for the
+forward ``regions.build_region_wtg``; and ``trim`` and
+``infer_guard_region`` asking the feasibility predicates region by region
+and clause by clause, for the region-set versions in ``regions``."""
 from dataclasses import replace
 
-from wtgsolve.core import (Configuration, InputError, Location, Transition,
-                           WeightedTimedGame)
-from wtgsolve.regions import (Region, RegionGame, all_regions,
+from wtgsolve.core import (Configuration, InputError, Location,
+                           StructuralError, Transition, WeightedTimedGame)
+from wtgsolve.regions import (Region, RegionGame, adherence, all_regions,
+                              delay_feasible, elapsed_region_feasible,
                               region_constraint_guards, region_of)
 
 
@@ -53,3 +57,46 @@ def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
     initial = Configuration(rloc(init.location, r0), init.valuation)
     g = WeightedTimedGame(list(game.clocks), locations, transitions, initial)
     return RegionGame(g, reg, guard_region)
+
+
+def trim(rg: RegionGame) -> RegionGame:
+    """Drop unsatisfiable transitions and region-implied guard clauses."""
+    closure = rg.relaxed
+    kept: list[Transition] = []
+    guard_region = dict(rg.guard_region)
+    for t in rg.game.transitions:
+        r = rg.reg[t.src]
+        sources = adherence(r) if closure else [r]
+        if not all(delay_feasible(s, t.guards, closure=closure) for s in sources):
+            guard_region.pop(t.tid, None)
+            continue
+        clauses = []
+        for g in t.guards:
+            # A clause is redundant when no admissible elapsed valuation
+            # from the (closed) region can violate it.
+            removable = not any(
+                delay_feasible(s, (), closure=closure, negate=g)
+                for s in sources)
+            if not removable:
+                clauses.append(g)
+        kept.append(replace(t, guards=tuple(clauses)))
+    game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
+                             kept, rg.game.initial)
+    return RegionGame(game, dict(rg.reg), guard_region, trimmed=True,
+                      relaxed=rg.relaxed)
+
+
+def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
+    """The region whose closure holds every guard-satisfying elapsed point."""
+    src, closure = rg.reg[t.src], rg.relaxed
+    feas = {cand for s in (adherence(src) if closure else [src])
+            for cand in all_regions(len(rg.game.clocks))
+            if elapsed_region_feasible(s, cand, t.guards, closure=closure)}
+    if not feas:
+        raise StructuralError(f"{t.tid}: guard unsatisfiable from its region")
+    best = max(feas, key=lambda r: r.dim)
+    for other in feas:
+        if not other.in_closure_of(best):
+            raise StructuralError(
+                f"{t.tid}: firing set spans incomparable regions")
+    return best

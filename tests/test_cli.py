@@ -14,7 +14,7 @@ from wtgsolve.cli import main
 from wtgsolve.core import MAX, MIN, Transition
 from wtgsolve.gameio import game_to_dict, save_game
 
-from acceptance_corpus import zero_kernel, zero_kernel_free_exit
+from acceptance_corpus import max_dead_end, zero_kernel, zero_kernel_free_exit
 from corpus import G, loc, make_game, three_clock_demo
 
 
@@ -85,6 +85,10 @@ class TestSolve:
     def test_kernel_exit_with_a_fixed_landing(self, game_file, capsys):
         assert main(["solve", game_file(zero_kernel_free_exit())]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "value = 1"
+
+    def test_max_move_into_a_dead_end(self, game_file, capsys):
+        assert main(["solve", game_file(max_dead_end())]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "value = +inf"
 
     def test_diagnostics_line(self, game_file, capsys):
         main(["solve", game_file(min_wait())])

@@ -13,6 +13,7 @@ from wtgsolve.core import (
     OPS,
     Configuration,
     DomainError,
+    GameError,
     Guard,
     InputError,
     Location,
@@ -21,6 +22,7 @@ from wtgsolve.core import (
     WeightedTimedGame,
     frac,
 )
+from wtgsolve import regions
 from wtgsolve.gameio import game_from_dict, game_to_dict
 from wtgsolve.regions import (
     Region,
@@ -46,8 +48,10 @@ from wtgsolve.unfold import prune_dead_rolls, prune_max_traps, solve
 
 import fm_reference
 import test_anz
-from acceptance_corpus import exact_corpus, transformation_corpus
+from acceptance_corpus import (exact_corpus, max_dead_end,
+                               transformation_corpus)
 from invariants import check_trimmed_observation
+import region_reference
 from region_reference import full_region_wtg
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
@@ -89,17 +93,17 @@ class TestRegion:
 
     def test_time_successors_interior(self):
         r = R({X}, {Y})
-        assert r.time_successors() == [
-            r, R((), {X}, {Y}), R((), {X}, ones={Y})]
+        assert r.time_successors() == (
+            r, R((), {X}, {Y}), R((), {X}, ones={Y}))
 
     def test_time_successors_from_zero(self):
         r = R({X, Y})
-        assert r.time_successors() == [
-            r, R((), {X, Y}), R((), ones={X, Y})]
+        assert r.time_successors() == (
+            r, R((), {X, Y}), R((), ones={X, Y}))
 
     def test_time_successors_renormalize(self):
         r = R((), {X}, {Y})
-        assert r.time_successors() == [r, R((), {X}, ones={Y})]
+        assert r.time_successors() == (r, R((), {X}, ones={Y}))
 
     def test_time_successors_reject_ones(self):
         with pytest.raises(DomainError):
@@ -111,9 +115,9 @@ class TestRegion:
         assert len(all_regions(2, include_ones=False)) == 6
 
     def test_corners(self):
-        assert R((), {X}, {Y}).corners() == [
-            (F(1), F(1)), (F(0), F(1)), (F(0), F(0))]
-        assert R({X}, {Y}).corners() == [(F(0), F(1)), (F(0), F(0))]
+        assert R((), {X}, {Y}).corners() == (
+            (F(1), F(1)), (F(0), F(1)), (F(0), F(0)))
+        assert R({X}, {Y}).corners() == ((F(0), F(1)), (F(0), F(0)))
 
     def test_upclock(self):
         assert R({X}, {Y}).upclock == frozenset({Y})
@@ -438,6 +442,52 @@ class TestForwardBuild:
             {t.tid for t in trim(rg).game.transitions}
 
 
+def _region_set_games():
+    families = test_anz.families
+    return (_forward_build_games()
+            + [(f"chain-{k}-{m}", game_from_dict(families.chain(k, m)))
+               for k, m in [(4, 2), (6, 2)]]
+            + [(f"ring-{k}-{m}", game_from_dict(families.ring(k, m)))
+               for k, m in [(4, 1), (3, 2), (7, 1)]]
+            + [(f"kernel_chain-{k}", game_from_dict(families.kernel_chain(k)))
+               for k in (1, 2, 3, 4)]
+            + [(f"{kind}-{s}", game_from_dict(families.random_game(s, 3, kind)))
+               for kind in ("plain", "inf", "zeno") for s in range(25)])
+
+
+def _stages(game):
+    """(transitions, guard regions) after trim, after relax and after
+    add_resets, up to the type of the error that stops the pipeline; trim
+    and guard-region inference are looked up in ``regions`` at call time."""
+    out = []
+    try:
+        rg = regions.trim(build_region_wtg(normalize_01(game)))
+        out.append(rg)
+        rg = relax(prune_unreachable(prune_dead_rolls(rg),
+                                     [rg.game.initial.location]))
+        out.append(rg)
+        out.append(add_resets(prune_max_traps(rg)))
+    except GameError as exc:
+        out.append(type(exc))
+    return [(s.game.transitions, s.guard_region)
+            if isinstance(s, RegionGame) else s for s in out]
+
+
+class TestRegionSets:
+    def test_same_games_as_the_per_region_reference(self, monkeypatch):
+        """``trim`` and ``infer_guard_region`` by region sets leave the same
+        transitions, guards and guard regions as asking the feasibility
+        predicates region by region and clause by clause."""
+        for name, game in _region_set_games():
+            new = _stages(game)
+            with monkeypatch.context() as m:
+                m.setattr(regions, "trim", region_reference.trim)
+                m.setattr(regions, "infer_guard_region",
+                          region_reference.infer_guard_region)
+                ref = _stages(game)
+            assert new == ref, name
+
+
 class TestRelax:
     def test_strict_guards_dropped(self):
         xg = relax(trim(build_region_wtg(_small_01_game())))
@@ -545,6 +595,19 @@ class TestAddResets:
         pruned = prune_max_traps(_relaxed(g))
         assert not max_traps(pruned.game)
         add_resets(pruned)
+        assert solve(g).value == INF == oracle_value(game_to_dict(g))
+
+    def test_max_move_into_a_dead_end_survives(self):
+        """A reset-free Max move into a location without moves has nothing
+        to be composed with: it is pinned instead of dropped, so Max can
+        still strand the play there."""
+        g = max_dead_end()
+        ar = add_resets(prune_max_traps(_relaxed(normalize_01(g))))
+        dead = {n for n in ar.game.locations
+                if not ar.game.locations[n].is_goal
+                and not any(t.src == n for t in ar.game.transitions)}
+        assert any(t.tgt in dead and t.tid.startswith("t0#")
+                   for t in ar.game.transitions)
         assert solve(g).value == INF == oracle_value(game_to_dict(g))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -16,7 +17,9 @@ from wtgsolve.core import (MAX, MIN, Configuration, DomainError, GameError,
                            Transition)
 from wtgsolve.gameio import game_from_dict, game_to_dict
 from wtgsolve.oracle import GridOracle
-from wtgsolve.regions import build_region_wtg, clock_bound, normalize_01, trim
+from wtgsolve.plf import PLF1
+from wtgsolve.regions import (Region, build_region_wtg, clock_bound,
+                              normalize_01, trim)
 from wtgsolve.unfold import (
     MoreThanTwoClocks,
     NotAlmostNonZeno,
@@ -441,9 +444,9 @@ class TestSccOrder:
         calls = Counter()
         solve_plain = unfold._solve_plain
 
-        def counted(rg, loc_name, child_values):
+        def counted(rg, loc_name, ts, child_values, shared):
             calls[loc_name] += 1
-            return solve_plain(rg, loc_name, child_values)
+            return solve_plain(rg, loc_name, ts, child_values, shared)
 
         monkeypatch.setattr(unfold, "_solve_plain", counted)
         stats = {}
@@ -528,6 +531,46 @@ class TestOneStepReference:
                     (name, t.tid)
                 compared += 1
         assert compared >= 50
+
+    def test_every_triangle_case_is_compared(self):
+        """The triangle branch of ``_value_on_segment`` is compared above and
+        below the diagonal, for both players, with a child that reads x,
+        reads y, is a constant, or reads a clock that the move resets.  No
+        prepared game has the last child, so each move gets one made up on
+        the clock it resets."""
+        bumpy = PLF1.from_pairs(((0, 1), (F(1, 2), 0), (1, 2)))
+        cases = set()
+        for name, game in (_one_step_games("test_anz")
+                           + _one_step_games("families")):
+            try:
+                prep = prepare(game)
+            except NotAlmostNonZeno:
+                continue
+            rg = prep.rg
+            values = value_functions(rg, prep.kernel, prep.w_bound,
+                                     prep.kappa)
+            in_kernel = set().union(*prep.kernel.components)
+            for t in rg.game.transitions:
+                loc = rg.game.locations[t.src]
+                r, gr = rg.reg[t.src], rg.guard_region[t.tid]
+                child = values[t.tgt]
+                if (loc.is_goal or t.src in in_kernel or r.dim != 1
+                        or not r.zeros or gr.dim != 2 or child.is_infinite):
+                    continue
+                direction = "inf" if loc.owner == MIN else "sup"
+                kinds = [("const" if child.const is not None
+                          else "xy"[unfold._param_axis(child.region)], child)]
+                for x in t.resets:
+                    kinds.append(("reset", unfold.NodeValue.line(
+                        Region((frozenset({1 - x}), frozenset({x}))), bumpy)))
+                for kind, nv in kinds:
+                    args = (rg, t, nv, r, direction)
+                    assert (_outcome(unfold._value_on_segment, *args)
+                            == _outcome(unfold_reference._value_on_segment,
+                                        *args)), (name, t.tid, kind)
+                    cases.add((0 in gr.blocks[1], kind, direction))
+        assert cases == set(itertools.product(
+            (True, False), ("x", "y", "const", "reset"), ("inf", "sup")))
 
 
 # -- kernel exits whose landing point does not move --------------------------

@@ -4,7 +4,8 @@ Jacobi sweep that evaluates the same unfolding level by level over every
 location at once; the re-scanning attractor that
 ``unfold.check_finite_value`` is checked against; and the one-step delay
 optimization with a separate guard-region case analysis for point and for
-diagonal sources, which ``unfold._value_at_point`` and
+diagonal sources, costing a triangle guard region as a function of both
+clocks over the triangle, which ``unfold._value_at_point`` and
 ``unfold._value_on_segment`` are checked against."""
 import math
 
@@ -12,16 +13,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from wtgsolve.core import MIN, StructuralError, Transition, Valuation, reset
+from wtgsolve.core import (MIN, DomainError, StructuralError, Transition,
+                           Valuation, reset)
 from wtgsolve.cycles import Kernel
-from wtgsolve.geometry import make_ccw
+from wtgsolve.geometry import (clip_halfplane, dedupe_polygon, make_ccw,
+                               polygon_area2, triangulate)
 from wtgsolve.plf import (ONE, ZERO, PLF1, PLF2, Segment, eval1,
                           fiber_extremum, restrict2)
 from wtgsolve.regions import Region, RegionGame
 from wtgsolve.unfold import (INF, ExtValue, NodeValue, _add_affine, _ext_on,
-                             _fiber_range, _fire_plf1, _fire_plf2,
-                             _kernel_values, _map_domain, _polygon, _reparam,
-                             _solve_plain, _sorted_corners, _suffix_profile,
+                             _fire_plf1, _kernel_values, _map_domain,
+                             _param_axis, _reparam, _solve_plain,
+                             _sorted_corners, _suffix_profile,
                              check_finite_value, prepare)
 
 PLAIN, KERNEL, GOAL, STOPPED = "plain", "kernel", "goal", "stopped"
@@ -172,7 +175,8 @@ def solve_node(node: UnfoldNode, rg: RegionGame, kernel: Kernel,
                 _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)
             memo[id(n)] = nv
         else:
-            memo[id(n)] = _solve_plain(rg, n.loc, child_values)
+            ts = [t for t in rg.game.transitions if t.src == n.loc]
+            memo[id(n)] = _solve_plain(rg, n.loc, ts, child_values, {})
     return memo[id(node)]
 
 
@@ -223,7 +227,7 @@ def jacobi_value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
             if l.is_goal or n in loc2comp:
                 continue
             child = {t.tid: values[t.tgt] for t in outgoing[n]}
-            nxt[n] = _solve_plain(rg, n, child)
+            nxt[n] = _solve_plain(rg, n, outgoing[n], child, {})
         sweeps += 1
         if nxt == values:
             break
@@ -268,6 +272,55 @@ def rescan_finite_value(rg: RegionGame) -> bool:
                 attr.add(n)
                 changed = True
     return game.initial.location in attr
+
+
+def _polygon(r: Region):
+    return make_ccw(dedupe_polygon(r.corners()))
+
+
+def _fire_plf2(t: Transition, child: NodeValue, poly) -> PLF2:
+    """Cost-to-go after firing ``t`` anywhere in the guard polygon."""
+    if child.is_infinite:
+        return PLF2.infinite(poly)
+    if child.const is not None:
+        return PLF2.affine(poly, (ZERO, ZERO, child.const + t.weight))
+    i = _param_axis(child.region)
+    if i in t.resets:
+        return PLF2.affine(poly, (ZERO, ZERO,
+                                  eval1(child.plf, ZERO) + t.weight))
+    cells = []
+    for u1, u2, slope, icept in child.plf.segments():
+        piece = poly
+        # clip to u1 <= p[i] <= u2
+        ax, ay = (ONE, ZERO) if i == 0 else (ZERO, ONE)
+        piece = clip_halfplane(piece, -ax, -ay, -u1)
+        piece = clip_halfplane(piece, ax, ay, u2)
+        if len(piece) < 3 or polygon_area2(piece) <= 0:
+            continue
+        coef = ((slope, ZERO, icept + t.weight) if i == 0
+                else (ZERO, slope, icept + t.weight))
+        for tri in triangulate(piece):
+            cells.append((tri, coef))
+    if not cells:
+        raise DomainError(f"{t.tid}: guard region escapes the child domain")
+    return PLF2(tuple(cells))
+
+
+def _fiber_range(poly, c0: Fraction):
+    """[xi_min, xi_max] of the polygon's intersection with y = x + c0."""
+    xs = []
+    n = len(poly)
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        fp = p[1] - p[0] - c0
+        fq = q[1] - q[0] - c0
+        if fp == 0:
+            xs.append(p[0])
+        if fp * fq < 0:
+            xs.append(p[0] + (q[0] - p[0]) * fp / (fp - fq))
+    if not xs:
+        return None
+    return min(xs), max(xs)
 
 
 def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
