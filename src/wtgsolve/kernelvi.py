@@ -1,16 +1,17 @@
 """Terminating value iteration for two-clock kernel games.
 
 All locations and transitions weigh 0 here; only the exit costs matter.
-Non-goal locations live on 1-D region boundaries, so after the circular
+Kernel locations live on 1-D region boundaries, so after the circular
 clock difference change of variable every iterate is a one-variable
 piecewise-linear function, drawn from a finite family — which is what makes
-the iteration terminate.
+the iteration terminate.  The exit costs come in that coordinate too: the
+caller costs each way out of the kernel as a one-variable function of Delta
+(:mod:`.unfold` does it along flow lines, as for any other location).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     MIN,
@@ -21,23 +22,16 @@ from .core import (
     Valuation,
     frac,
 )
-from .geometry import clip_halfplane, polygon_area2, triangulate
 from .plf import (
     PLF1,
-    PLF2,
-    Segment,
-    canonicalize,
     equals,
-    fiber_extremum,
     pointwise_extremum,
-    restrict2,
     running_extremum,
 )
 
-ZERO, ONE = Fraction(0), Fraction(1)
-UNIT_SQUARE = ((ZERO, ZERO), (ONE, ZERO), (ONE, ONE), (ZERO, ONE))
+ZERO = Fraction(0)
 
-# 1-D region closure shapes of non-goal kernel locations
+# 1-D region closure shapes of kernel locations
 ON_Y = "y"    # {(0, y) : y in [0,1]}
 ON_X = "x"    # {(x, 0) : x in [0,1]}
 POINT = "pt"  # {(0, 0)}
@@ -53,111 +47,30 @@ def delta(v: Valuation) -> Fraction:
     raise DomainError(f"valuation {v} not on a 1-D boundary region")
 
 
-def compose_affine(w: PLF2, mat, off, domain) -> PLF2:
-    """The PLF2 p -> w(mat @ p + off) over a convex polygon ``domain``."""
-    if w.is_infinite:
-        return PLF2.infinite(domain)
-    (axx, axy), (ayx, ayy) = mat
-    bx, by = off
-    cells = []
-    for tri, (ca, cb, cc) in w.cells:
-        poly = domain
-        for i in range(3):
-            p, q = tri[i], tri[(i + 1) % 3]
-            # inside (CCW): la*X + lb*Y <= lc with X, Y the image coordinates
-            la, lb = q[1] - p[1], p[0] - q[0]
-            lc = la * p[0] + lb * p[1]
-            poly = clip_halfplane(
-                poly,
-                la * axx + lb * ayx,
-                la * axy + lb * ayy,
-                lc - la * bx - lb * by)
-            if not poly:
-                break
-        if len(poly) < 3 or polygon_area2(poly) <= 0:
-            continue
-        coef = (ca * axx + cb * ayx, ca * axy + cb * ayy,
-                ca * bx + cb * by + cc)
-        for t in triangulate(poly):
-            cells.append((t, coef))
-    if not cells:
-        raise DomainError("affine image escapes the output function domain")
-    return PLF2(tuple(cells))
-
-
-class OutputValue:
-    """Exit-cost function on a goal region, stored as a PLF2 over the unit
-    square (1-D outputs are extended constantly along the unused axis)."""
-
-    def __init__(self, plf2: PLF2):
-        self.plf2 = plf2
-
-    @classmethod
-    def constant(cls, value) -> "OutputValue":
-        return cls(PLF2.affine(UNIT_SQUARE, (0, 0, frac(value))))
-
-    @classmethod
-    def on_y(cls, f: PLF1) -> "OutputValue":
-        """Extend a PLF1 in the y coordinate: w(x, y) = f(y)."""
-        return cls(cls._extend(f, axis=1))
-
-    @classmethod
-    def on_x(cls, f: PLF1) -> "OutputValue":
-        return cls(cls._extend(f, axis=0))
-
-    @staticmethod
-    def _extend(f: PLF1, axis: int) -> PLF2:
-        if f.is_infinite:
-            return PLF2.infinite(UNIT_SQUARE)
-        if f.is_point:
-            return PLF2.affine(UNIT_SQUARE, (0, 0, f.points[0][1]))
-        if (f.lo, f.hi) != (ZERO, ONE):
-            raise DomainError("1-D output must cover [0, 1]")
-        cells = []
-        for u1, u2, slope, intercept in f.segments():
-            coef = ((slope, 0, intercept) if axis == 0
-                    else (0, slope, intercept))
-            strip = (((u1, ZERO), (u2, ZERO), (u2, ONE), (u1, ONE))
-                     if axis == 0 else
-                     ((ZERO, u1), (ONE, u1), (ONE, u2), (ZERO, u2)))
-            for t in triangulate(strip):
-                cells.append((t, coef))
-        return PLF2(tuple(cells))
-
-    def eval(self, v: Valuation) -> Fraction:
-        return self.plf2((frac(v[0]), frac(v[1])))
-
-    def __call__(self, v: Valuation) -> Fraction:
-        return self.eval(v)
-
-
 @dataclass
 class KernelGame:
-    """Zero-weight game on 1-D regions with piecewise-linear exit costs."""
+    """Zero-weight game on 1-D regions.  ``exits`` holds, per location, the
+    cost of each way out of the game as a function of Delta."""
 
     locations: dict[str, Location]
     transitions: list[Transition]
-    shapes: dict[str, str]       # non-goal location -> ON_Y | ON_X | POINT
-    w_out: dict[str, OutputValue]
+    shapes: dict[str, str]        # location -> ON_Y | ON_X | POINT
+    exits: dict[str, list[PLF1]]
     entrance: str
 
     def __post_init__(self):
         for name, loc in self.locations.items():
-            if loc.is_goal:
-                if name not in self.w_out:
-                    raise StructuralError(f"goal {name} has no output")
-            else:
-                if loc.weight != 0:
-                    raise StructuralError(f"kernel location {name} weighted")
-                if self.shapes.get(name) not in (ON_Y, ON_X, POINT):
-                    raise StructuralError(f"no region shape for {name}")
+            if loc.is_goal or loc.weight != 0:
+                raise StructuralError(
+                    f"kernel location {name} is a goal or weighted")
+            if self.shapes.get(name) not in (ON_Y, ON_X, POINT):
+                raise StructuralError(f"no region shape for {name}")
         for t in self.transitions:
             if t.weight != 0:
                 raise StructuralError(f"kernel transition {t.tid} weighted")
-            tgt = self.locations[t.tgt]
-            if not tgt.is_goal and not t.resets:
-                raise StructuralError(
-                    f"non-goal transition {t.tid} resets nothing")
+            if not t.resets:
+                raise StructuralError(f"kernel transition {t.tid} resets "
+                                      f"nothing")
 
     def outgoing(self, name: str) -> list[Transition]:
         return [t for t in self.transitions if t.src == name]
@@ -180,84 +93,6 @@ def _eq_guards(guards) -> dict[tuple[int, int], bool]:
         elif g.op in ("<", ">"):
             raise StructuralError("kernel games must be relaxed")
     return pins
-
-
-def _fire_map(shape: str):
-    """Affine map (Delta, delta) -> firing valuation, plus the delay bound
-    delta <= bound_a * Delta + bound_c."""
-    if shape == ON_Y:
-        # nu = (0, Delta), fire at (delta, Delta + delta), delta <= 1 - Delta
-        return ((ZERO, ONE), (ONE, ONE)), (ZERO, ZERO), (-ONE, ONE)
-    if shape == ON_X:
-        # nu = (1 - Delta, 0), fire at (1 - Delta + delta, delta), delta <= Delta
-        return ((-ONE, ONE), (ZERO, ONE)), (ONE, ZERO), (ONE, ZERO)
-    # nu = (0, 0), fire at (delta, delta), delta <= 1
-    return ((ZERO, ONE), (ZERO, ONE)), (ZERO, ZERO), (ZERO, ONE)
-
-
-def _pinned_delay(shape: str, pins) -> Optional[tuple[Fraction, Fraction]]:
-    """delta = a * Delta + c forced by an equality guard, if any.
-
-    Pins that would restrict the Delta domain instead of fixing the delay
-    indicate a trimming bug and raise.
-    """
-    full = {
-        ON_Y: {(0, 0): (ZERO, ZERO), (1, 1): (-ONE, ONE)},
-        ON_X: {(1, 0): (ZERO, ZERO), (0, 1): (ONE, ZERO)},
-        POINT: {(0, 0): (ZERO, ZERO), (1, 0): (ZERO, ZERO),
-                (0, 1): (ZERO, ONE), (1, 1): (ZERO, ONE)},
-    }[shape]
-    found = None
-    for pin in pins:
-        if pin not in full:
-            raise StructuralError(
-                f"guard {pin} restricts the domain of a {shape} region")
-        if found is not None and full[pin] != found:
-            raise StructuralError("contradictory equality guards")
-        found = full[pin]
-    return found
-
-
-def project_output(t: Transition, w: OutputValue, shape: str,
-                   owner: str) -> PLF1:
-    """Opt of a goal transition: best exit cost as a function of Delta."""
-    direction = "inf" if owner == MIN else "sup"
-    mat, off, (ba, bc) = _fire_map(shape)
-    pins = _pinned_delay(shape, _eq_guards(t.guards))
-
-    (axx, axy), (ayx, ayy) = mat
-    rows = [(axx, axy, off[0]), (ayx, ayy, off[1])]
-    for c in t.resets:
-        rows[c] = (ZERO, ZERO, ZERO)
-    if shape == POINT:
-        # one-dimensional search over the delay
-        seg = Segment((rows[0][1] * ZERO + rows[0][2], rows[1][2]),
-                      (rows[0][1] + rows[0][2], rows[1][1] + rows[1][2]))
-        prof = restrict2(w.plf2, seg)
-        if prof.is_infinite:
-            return PLF1.infinite()
-        # a point profile (both clocks reset) lands in one place for any delay
-        if pins is not None and not prof.is_point:
-            return PLF1.point(prof(pins[1]))
-        val = prof.min_value() if direction == "inf" else prof.max_value()
-        return PLF1.point(val)
-    if pins is not None:
-        a, c = pins
-        # landed point as a function of Delta only
-        def land(dv: Fraction):
-            d = a * dv + c
-            return (rows[0][0] * dv + rows[0][1] * d + rows[0][2],
-                    rows[1][0] * dv + rows[1][1] * d + rows[1][2])
-        prof = canonicalize(restrict2(w.plf2, Segment(land(ZERO), land(ONE))))
-        # a point profile (both clocks reset) lands in one place for any Delta
-        return PLF1.constant(prof.points[0][1]) if prof.is_point else prof
-    # full 2-D problem over {0 <= Delta <= 1, 0 <= delta <= ba*Delta + bc}
-    domain = ((ZERO, ZERO), (ONE, ZERO), (ONE, ba + bc), (ZERO, bc))
-    domain = tuple(dict.fromkeys(domain))
-    lmat = ((rows[0][0], rows[0][1]), (rows[1][0], rows[1][1]))
-    loff = (rows[0][2], rows[1][2])
-    composed = compose_affine(w.plf2, lmat, loff, domain)
-    return canonicalize(fiber_extremum(composed, direction))
 
 
 def step_transition(t: Transition, opt_target: PLF1, shape: str,
@@ -299,6 +134,8 @@ def _add_entrance_copy(g: KernelGame) -> tuple[KernelGame, str]:
     locations[copy] = replace(g.locations[i], name=copy)
     shapes = dict(g.shapes)
     shapes[copy] = g.shapes[i]
+    exits = dict(g.exits)
+    exits[copy] = g.exits[i]
     transitions = []
     for t in g.transitions:
         if t.tgt == i:
@@ -306,7 +143,7 @@ def _add_entrance_copy(g: KernelGame) -> tuple[KernelGame, str]:
         transitions.append(t)
     for t in g.outgoing(i):
         transitions.append(replace(t, tid=f"{t.tid}~in", src=copy))
-    g2 = KernelGame(locations, transitions, shapes, dict(g.w_out), i)
+    g2 = KernelGame(locations, transitions, shapes, exits, i)
     return g2, copy
 
 
@@ -314,14 +151,7 @@ def iterate(g: KernelGame, k_cap: int = 10000) -> ViResult:
     """Value-iterate to the fixed point; the entrance is finished one step
     after everything else since nothing feeds back into it."""
     g, _copy = _add_entrance_copy(g)
-    non_goals = [n for n, l in g.locations.items() if not l.is_goal]
-    projected = {}
-    for t in g.transitions:
-        if g.locations[t.tgt].is_goal:
-            projected[t.tid] = project_output(
-                t, g.w_out[t.tgt], g.shapes[t.src],
-                g.locations[t.src].owner)
-    table = {n: PLF1.infinite() for n in non_goals}
+    table = {n: PLF1.infinite() for n in g.locations}
     steps = 0
     while True:
         if steps > k_cap:
@@ -329,35 +159,24 @@ def iterate(g: KernelGame, k_cap: int = 10000) -> ViResult:
                 f"kernel value iteration exceeded {k_cap} steps")
         steps += 1
         nxt = {}
-        for n in non_goals:
-            owner = g.locations[n].owner
-            direction = "inf" if owner == MIN else "sup"
-            opts = []
+        for n, loc in g.locations.items():
+            direction = "inf" if loc.owner == MIN else "sup"
+            opts = list(g.exits[n])
             for t in g.outgoing(n):
-                if t.tid in projected:
-                    opts.append(projected[t.tid])
-                else:
-                    opts.append(step_transition(
-                        t, table[t.tgt], g.shapes[n], owner))
+                opts.append(step_transition(
+                    t, table[t.tgt], g.shapes[n], loc.owner))
             if not opts:
                 nxt[n] = PLF1.infinite()
                 continue
-            opts = [_on_domain(f, g.shapes[n]) for f in opts]
             nxt[n] = pointwise_extremum(opts, direction)
             if not _le(nxt[n], table[n]):
                 raise StructuralError(f"Opt increased at {n} (step {steps})")
-        stable = all(equals(nxt[n], table[n]) for n in non_goals
+        stable = all(equals(nxt[n], table[n]) for n in g.locations
                      if n != g.entrance)
         table = nxt
         if stable:
             break
-    return ViResult({n: table[n] for n in non_goals}, steps, g.entrance)
-
-
-def _on_domain(f: PLF1, shape: str) -> PLF1:
-    if shape == POINT and not (f.is_point or f.is_infinite):
-        return PLF1.point(f(ZERO))
-    return f
+    return ViResult(table, steps, g.entrance)
 
 
 def _le(f: PLF1, g: PLF1) -> bool:

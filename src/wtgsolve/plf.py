@@ -1,43 +1,17 @@
-"""Exact piecewise-linear functions in one and two variables.
+"""Exact piecewise-linear functions of one variable.
 
 ``PLF1`` is a continuous piecewise-linear function over an interval of the
 real line (usually [0,1]) or over the single point {0}, with exact rational
 breakpoints.  ``+inf`` is a whole-function state, never a breakpoint value.
-
-``PLF2`` is a continuous piecewise-affine function over a convex polygon in
-[0,1]^2, stored as a triangulation with one affine coefficient triple per
-cell.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import INF, DomainError, frac
-from .geometry import (
-    Point,
-    Polygon,
-    affine_eval,
-    make_ccw,
-    point_in_polygon,
-    polygon_area2,
-    triangulate,
-)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A parameterized segment u -> start + u * (end - start), u in [0,1]."""
-
-    start: Point
-    end: Point
-
-    @property
-    def degenerate(self) -> bool:
-        return self.start == self.end
 
 
 class PLF1:
@@ -338,144 +312,3 @@ def running_extremum(plf: PLF1, side: str, direction: str) -> PLF1:
             emit(x1, val)
         best = better(best, better(y1, y2))
     return canonicalize(PLF1(tuple(reversed(rev_points))))
-
-
-# -- two-variable functions --------------------------------------------------
-
-
-class PLF2:
-    """Continuous piecewise-affine function over a convex polygon.
-
-    ``cells`` is a tuple of ``(triangle, (a, b, c))`` with CCW triangles whose
-    union is the domain.  ``PLF2.infinite(domain)`` is everywhere +inf.
-    """
-
-    __slots__ = ("cells", "is_infinite", "_domain")
-
-    def __init__(self, cells=(), is_infinite: bool = False, domain: Polygon = ()):
-        self.is_infinite = is_infinite
-        self._domain = tuple(domain)
-        if is_infinite:
-            self.cells = ()
-            return
-        norm = []
-        for tri, coef in cells:
-            tri = make_ccw(tuple(tri))
-            if len(tri) != 3 or polygon_area2(tri) <= 0:
-                raise DomainError("PLF2 cells must be non-degenerate triangles")
-            norm.append((tri, tuple(Fraction(v) for v in coef)))
-        if not norm:
-            raise DomainError("PLF2 needs at least one cell")
-        self.cells = tuple(norm)
-
-    @classmethod
-    def infinite(cls, domain: Polygon = ()) -> "PLF2":
-        return cls(is_infinite=True, domain=domain)
-
-    @classmethod
-    def affine(cls, polygon: Polygon, coef) -> "PLF2":
-        polygon = make_ccw(polygon)
-        if len(polygon) < 3:
-            raise DomainError("affine PLF2 needs a 2-D polygon")
-        return cls(tuple((tri, coef) for tri in triangulate(polygon)))
-
-    def __eq__(self, other):
-        if not isinstance(other, PLF2):
-            return NotImplemented
-        return (self.is_infinite == other.is_infinite
-                and self.cells == other.cells
-                and self._domain == other._domain)
-
-    def __hash__(self):
-        return hash((self.is_infinite, self.cells, self._domain))
-
-    def __repr__(self):
-        if self.is_infinite:
-            return "PLF2(+inf)"
-        return f"PLF2({len(self.cells)} cells)"
-
-    def eval2(self, p: Point):
-        if self.is_infinite:
-            return INF
-        p = (frac(p[0]), frac(p[1]))
-        vals = [affine_eval(coef, p) for tri, coef in self.cells if point_in_polygon(tri, p)]
-        if not vals:
-            raise DomainError(f"PLF2 evaluated outside its domain: {p}")
-        if any(v != vals[0] for v in vals):
-            raise DomainError(f"PLF2 cells disagree at {p}: {vals}")
-        return vals[0]
-
-    def __call__(self, p: Point):
-        return self.eval2(p)
-
-    def shift(self, delta) -> "PLF2":
-        if self.is_infinite:
-            return self
-        d = frac(delta)
-        return PLF2(tuple((tri, (a, b, c + d)) for tri, (a, b, c) in self.cells))
-
-
-def restrict2(plf: PLF2, segment: Segment) -> PLF1:
-    """Restriction of a PLF2 to a segment, as a PLF1 in the parameter u."""
-    if plf.is_infinite:
-        return PLF1.infinite()
-    if segment.degenerate:
-        return PLF1.point(plf.eval2(segment.start))
-    sx, sy = segment.start
-    dx, dy = (segment.end[0] - sx, segment.end[1] - sy)
-    pieces = []
-    for tri, (a, b, c) in plf.cells:
-        # clip u in [0,1] by the triangle's three half-planes
-        lo, hi = ZERO, ONE
-        ok = True
-        for i in range(3):
-            p, q = tri[i], tri[(i + 1) % 3]
-            # inside: cross(p, q, point(u)) >= 0 for CCW triangle
-            la = q[1] - p[1]
-            lb = p[0] - q[0]
-            lc = la * p[0] + lb * p[1]
-            # inside (CCW): la*X + lb*Y <= lc along the parameterized point
-            coef_u = la * dx + lb * dy
-            rhs = lc - la * sx - lb * sy
-            if coef_u == 0:
-                if rhs < 0:
-                    ok = False
-                    break
-            elif coef_u > 0:
-                hi = min(hi, rhs / coef_u)
-            else:
-                lo = max(lo, rhs / coef_u)
-        if not ok or lo > hi:
-            continue
-        slope = a * dx + b * dy
-        intercept = a * sx + b * sy + c
-        pieces.append((lo, hi, slope, intercept))
-    if not pieces:
-        raise DomainError("segment lies outside the PLF2 domain")
-    return envelope_pieces(pieces, ZERO, ONE, "inf")
-
-
-def fiber_extremum(plf: PLF2, direction: str) -> PLF1:
-    """Eliminate the second coordinate: g(x) = ext over the fiber
-    {y : (x, y) in dom} of f(x, y).  Fibers must be intervals (convex cells)."""
-    if plf.is_infinite:
-        return PLF1.infinite()
-    pieces = []
-    xmin = min(p[0] for tri, _ in plf.cells for p in tri)
-    xmax = max(p[0] for tri, _ in plf.cells for p in tri)
-    for tri, (a, b, c) in plf.cells:
-        for i in range(3):
-            p, q = tri[i], tri[(i + 1) % 3]
-            if p[0] == q[0]:
-                continue  # vertical edge: no x-extent
-            if p[0] > q[0]:
-                p, q = q, p
-            # value of the cell's affine function along the edge, in x
-            slope_y = (q[1] - p[1]) / (q[0] - p[0])
-            # y(x) = p.y + slope_y * (x - p.x)
-            slope = a + b * slope_y
-            intercept = b * (p[1] - slope_y * p[0]) + c
-            pieces.append((p[0], q[0], slope, intercept))
-    if xmin == xmax:
-        raise DomainError("fiber extremum of a degenerate domain")
-    return envelope_pieces(pieces, xmin, xmax, direction)

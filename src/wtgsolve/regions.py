@@ -225,11 +225,6 @@ def _nonempty_subsets(items):
         yield from itertools.combinations(items, k)
 
 
-def adherence(r: Region) -> tuple[Region, ...]:
-    """All regions contained in the topological closure of ``r``."""
-    return _table(r.n_clocks).adherence[r]
-
-
 class _Table:
     """Every answer over n clocks that depends on regions alone, computed
     once: the results of the pure :class:`Region` methods, the regions
@@ -240,7 +235,6 @@ class _Table:
     def __init__(self, n: int):
         regions = all_regions(n)
         canon = {r: r for r in regions}
-        self.everything = frozenset(regions)
         self.representative, self.corners, self.successors = {}, {}, {}
         for r in regions:
             rep = [ONE if x in r.ones else ZERO for x in range(n)]
@@ -326,19 +320,16 @@ def elapsed_region_feasible(src: Region, target: Region, guards: Sequence[Guard]
     return target in _satisfying(guards, _elapsed(src, closure), src.n_clocks)
 
 
-def delay_feasible(r: Region, guards: Sequence[Guard], closure: bool = False,
-                   negate: Optional[Guard] = None) -> bool:
+def delay_feasible(r: Region, guards: Sequence[Guard],
+                   closure: bool = False) -> bool:
     """Is there nu in r (its closure if asked) and delta >= 0 with
-    nu+delta inside [0,1]^X, satisfying ``guards`` and violating ``negate``?
+    nu+delta inside [0,1]^X satisfying ``guards``?
 
     Each guard atom has one truth value on a whole region, so the answer is
     whether some region of those elapsed points satisfies them.  Constants
     are as for :func:`elapsed_region_feasible`.
     """
-    ok = _satisfying(guards, _elapsed(r, closure), r.n_clocks)
-    if negate is not None:
-        ok = ok - _holding(negate, r.n_clocks)
-    return bool(ok)
+    return bool(_satisfying(guards, _elapsed(r, closure), r.n_clocks))
 
 
 # ---------------------------------------------------------------------------
@@ -638,25 +629,25 @@ def trim(rg: RegionGame) -> RegionGame:
     """Drop unsatisfiable transitions and region-implied guard clauses.
 
     A transition survives when a guard-satisfying delay exists from the
-    source region (from every region of its adherence, once relaxed); a
-    clause survives when some admissible elapsed valuation violates it.
-    :func:`build_region_wtg` keeps only satisfiable moves, so on its output
-    only clauses go; after :func:`relax`, transitions can go too.
+    source region; a clause survives when some elapsed valuation violates
+    it.  :func:`build_region_wtg` keeps only satisfiable moves, so on its
+    output only clauses go; after :func:`relax`, transitions can go too.
+
+    Once relaxed, the answers from r are those from its closure: relaxed
+    guards are closed, so a delay that works from r works from every point
+    of r's closure (a limit of bounded delays from points of r), and a
+    clause that fails after some delay from the closure fails after one
+    from r too, since a closed clause fails on an open set.
     """
-    closure = rg.relaxed
     kept: list[Transition] = []
     guard_region = dict(rg.guard_region)
     for t in rg.game.transitions:
         r = rg.reg[t.src]
-        ok = _satisfying(t.guards, _table(r.n_clocks).everything, r.n_clocks)
-        if not all(_elapsed(s, closure) & ok
-                   for s in (adherence(r) if closure else (r,))):
+        elapsed = _elapsed(r, False)
+        if not _satisfying(t.guards, elapsed, r.n_clocks):
             guard_region.pop(t.tid, None)
             continue
-        # A clause is redundant when every admissible elapsed valuation
-        # satisfies it; over the adherence, those are the regions elapsed
-        # from the closure.
-        elapsed = _elapsed(r, closure)
+        # A clause is redundant when every elapsed valuation satisfies it.
         clauses = tuple(g for g in t.guards
                         if not elapsed <= _holding(g, r.n_clocks))
         kept.append(t if len(clauses) == len(t.guards)
@@ -668,7 +659,7 @@ def trim(rg: RegionGame) -> RegionGame:
 
 
 def relax(rg: RegionGame) -> RegionGame:
-    """Widen strict guards to their closure and re-trim over adherences."""
+    """Widen strict guards to their closure and re-trim."""
     if not rg.trimmed:
         raise StructuralError("relax expects a trimmed region game")
     transitions = [replace(t, guards=tuple(g.closed() for g in t.guards))
@@ -682,7 +673,7 @@ def relax(rg: RegionGame) -> RegionGame:
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
     """The region whose closure holds every guard-satisfying elapsed point."""
     src = rg.reg[t.src]
-    feas = _satisfying(t.guards, _elapsed(src, rg.relaxed), src.n_clocks)
+    feas = _satisfying(t.guards, _elapsed(src, False), src.n_clocks)
     if not feas:
         raise StructuralError(f"{t.tid}: guard unsatisfiable from its region")
     best = max(feas, key=lambda r: r.dim)

@@ -14,25 +14,21 @@ import math
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .core import (MIN, GameError, InputError, StructuralError,
+from .core import (INF, MIN, ExtRat, GameError, InputError, StructuralError,
                    DomainError, Transition, Valuation, WeightedTimedGame,
                    frac, frac_str, reset)
 from .graphs import strongly_connected_components
-from .plf import (ONE, ZERO, PLF1, PLF2, canonicalize, eval1,
-                  pointwise_extremum, running_extremum)
+from .plf import (ONE, ZERO, PLF1, canonicalize, eval1, pointwise_extremum,
+                  running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
                       drop_dead_rolls, max_traps, normalize_01,
                       prune_unreachable, relax, restrict, trim)
 from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      check_almost_non_zeno, compute_bounds, extract_kernel,
                      fix_weight_zero, mark_green)
-from .kernelvi import (ON_X, ON_Y, POINT, UNIT_SQUARE, KernelGame,
-                       OutputValue, iterate, value_at)
-
-INF = float("inf")
-ExtValue = Union[Fraction, float]
+from .kernelvi import ON_X, ON_Y, POINT, KernelGame, iterate, value_at
 
 
 class MoreThanTwoClocks(InputError):
@@ -69,7 +65,7 @@ class NodeValue:
     """
 
     region: Region
-    const: Optional[ExtValue] = None
+    const: Optional[ExtRat] = None
     plf: Optional[PLF1] = None
     anchor: Optional[Valuation] = None
 
@@ -91,7 +87,7 @@ class NodeValue:
     def is_infinite(self) -> bool:
         return self.const == INF
 
-    def eval(self, v: Valuation) -> ExtValue:
+    def eval(self, v: Valuation) -> ExtRat:
         if self.const is not None:
             if self.anchor is not None and tuple(v) != tuple(self.anchor):
                 raise DomainError("value known only at the anchor point")
@@ -144,7 +140,7 @@ def _add_affine(f: PLF1, slope, intercept) -> PLF1:
     return PLF1(tuple((x, y + m * x + q) for x, y in f.points))
 
 
-def _ext_on(f: PLF1, lo: Fraction, hi: Fraction, direction: str) -> ExtValue:
+def _ext_on(f: PLF1, lo: Fraction, hi: Fraction, direction: str) -> ExtRat:
     """Extremum of ``f`` over [lo, hi] (must meet the domain)."""
     if f.is_infinite:
         return INF
@@ -206,7 +202,7 @@ def _flow_cost(rg: RegionGame, t: Transition, child: NodeValue,
 
 
 def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
-                    nu: Valuation, direction: str) -> Optional[ExtValue]:
+                    nu: Valuation, direction: str) -> Optional[ExtRat]:
     """ext over {delay d >= 0 : nu + d inside the closed guard region} of
     d*w(src) + w(t) + child(reset(nu + d)); None when no delay fits."""
     if child.is_infinite:
@@ -358,16 +354,6 @@ def check_finite_value(rg: RegionGame) -> bool:
 # Bottom-up solving
 # ---------------------------------------------------------------------------
 
-def _to_output(child: NodeValue, t: Transition) -> OutputValue:
-    if child.is_infinite:
-        return OutputValue(PLF2.infinite(UNIT_SQUARE))
-    if child.const is not None:
-        return OutputValue.constant(child.const + t.weight)
-    f = child.plf.shift(t.weight)
-    return OutputValue.on_x(f) if _param_axis(child.region) == 0 \
-        else OutputValue.on_y(f)
-
-
 def _shape_of(r: Region) -> str:
     if r.dim == 0:
         return POINT
@@ -378,31 +364,60 @@ def _shape_of(r: Region) -> str:
     raise StructuralError("kernel location not pinned to a clock axis")
 
 
+def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
+              direction: str, shared: dict):
+    """The cost of ``t`` from its source region, given the value ``child``
+    behind it: a PLF1 in the free coordinate of a 1-D region, and otherwise
+    the extremum from its corner, or None when no delay fits.  A 2-D source
+    region can only be the root's (every transition resets a clock), so its
+    value is only ever needed at the initial valuation.  ``shared`` holds
+    the costs already computed, keyed by everything that they depend on."""
+    r = rg.reg[t.src]
+    key = (rg.game.locations[t.src].weight, rg.guard_region[t.tid],
+           t.resets, t.weight, r, direction, child.region, child.const,
+           child.plf, child.anchor)
+    if key not in shared:
+        if r.dim == 1:
+            shared[key] = _value_on_segment(rg, t, child, r, direction)
+        else:
+            nu = (r.corners()[0] if r.dim == 0
+                  else rg.game.initial.valuation)
+            shared[key] = _value_at_point(rg, t, child, nu, direction)
+    return shared[key]
+
+
+def _exit_cost(rg: RegionGame, t: Transition, child: NodeValue,
+               shared: dict) -> Optional[PLF1]:
+    """The cost of leaving a kernel by ``t`` as a function of the source's
+    Delta (see :mod:`.kernelvi`), or None when no delay fits."""
+    r = rg.reg[t.src]
+    owner = rg.game.locations[t.src].owner
+    cost = _one_step(rg, t, child, "inf" if owner == MIN else "sup", shared)
+    if r.dim == 1:  # Delta is y on the y-axis and 1 - x on the x-axis
+        return cost.reversed_domain() if _shape_of(r) == ON_X else cost
+    if cost is None:
+        return None
+    return PLF1.infinite() if cost == INF else PLF1.point(cost)
+
+
 def _kernel_values(rg: RegionGame, comp: frozenset,
                    child_values: dict[str, NodeValue],
-                   out_edges: list[Transition],
-                   k_cap: int) -> tuple[dict[str, NodeValue], int]:
+                   out_edges: list[Transition], k_cap: int,
+                   shared: dict) -> tuple[dict[str, NodeValue], int]:
     """Solve one zero-weight component given the values behind its output
     edges; returns the entrance value of every member location."""
     game = rg.game
-    locations = {n: game.locations[n] for n in comp}
     shapes = {n: _shape_of(rg.reg[n]) for n in comp}
+    exits: dict[str, list[PLF1]] = {n: [] for n in comp}
+    for t in out_edges:
+        cost = _exit_cost(rg, t, child_values[t.tid], shared)
+        if cost is not None:
+            exits[t.src].append(cost)
     out_tids = {t.tid for t in out_edges}
-    transitions = []
-    w_out: dict[str, OutputValue] = {}
-    for t in game.transitions:
-        if t.src not in comp:
-            continue
-        if t.tid in out_tids:
-            goal = f"exit::{t.tid}"
-            locations[goal] = type(game.locations[t.src])(
-                goal, MIN, is_goal=True, synthetic=True)
-            w_out[goal] = _to_output(child_values[t.tid], t)
-            transitions.append(Transition(t.tid, t.src, goal, t.guards,
-                                          t.resets, 0, t.synthetic))
-        elif t.tgt in comp:
-            transitions.append(t)
-    kg = KernelGame(locations, transitions, shapes, w_out, next(iter(comp)))
+    transitions = [t for t in game.transitions if t.src in comp
+                   and t.tgt in comp and t.tid not in out_tids]
+    kg = KernelGame({n: game.locations[n] for n in comp}, transitions,
+                    shapes, exits, next(iter(comp)))
     res = iterate(kg, k_cap=k_cap)
     values: dict[str, NodeValue] = {}
     for n in comp:
@@ -424,40 +439,24 @@ def _solve_plain(rg: RegionGame, loc_name: str, ts: list[Transition],
                  child_values: dict[str, NodeValue],
                  shared: dict) -> NodeValue:
     """The value function of a plain location from its outgoing transitions
-    ``ts`` and the values behind them.  ``shared`` holds the one-step costs
-    already computed, keyed by everything that they depend on."""
+    ``ts`` and the values behind them, with the one-step costs of
+    ``shared``."""
     loc = rg.game.locations[loc_name]
     r = rg.reg[loc_name]
     direction = "inf" if loc.owner == MIN else "sup"
     if not ts:
         return NodeValue.infinite(r)
+    costs = [_one_step(rg, t, child_values[t.tid], direction, shared)
+             for t in ts]
     if r.dim == 1:
-        one_step, arg, anchor = _value_on_segment, r, None
-    elif r.dim == 0:
-        one_step, arg, anchor = _value_at_point, r.corners()[0], None
-    else:
-        # 2-D source region: only the root can carry one (every transition
-        # resets a clock), so the value is only ever needed at the initial
-        # valuation.
-        anchor = rg.game.initial.valuation
-        one_step, arg = _value_at_point, anchor
-
-    def cost(t: Transition):
-        child = child_values[t.tid]
-        key = (loc.weight, rg.guard_region[t.tid], t.resets, t.weight, r,
-               direction, child.region, child.const, child.plf, child.anchor)
-        if key not in shared:
-            shared[key] = one_step(rg, t, child, arg, direction)
-        return shared[key]
-
-    if r.dim == 1:
-        return NodeValue.line(r, pointwise_extremum(map(cost, ts), direction))
-    vals = [v for v in map(cost, ts) if v is not None]
+        return NodeValue.line(r, pointwise_extremum(costs, direction))
+    vals = [v for v in costs if v is not None]
     if not vals:
         return NodeValue.infinite(r)
     best = min(vals) if direction == "inf" else max(vals)
     out = NodeValue.constant(r, best) if best != INF else NodeValue.infinite(r)
-    out.anchor = anchor
+    if r.dim == 2:
+        out.anchor = rg.game.initial.valuation
     return out
 
 
@@ -515,7 +514,7 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
         child = {t.tid: values[t.tgt] for t in edges[u]}
         if isinstance(u, str):
             return {u: _solve_plain(rg, u, edges[u], child, shared)}
-        kv, steps = _kernel_values(rg, u, child, edges[u], k_cap)
+        kv, steps = _kernel_values(rg, u, child, edges[u], k_cap, shared)
         if _stats is not None:
             _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)
         return kv
@@ -560,7 +559,7 @@ class Prepared:
 
 @dataclass
 class Verdict:
-    value: ExtValue
+    value: ExtRat
     threshold: Optional[Fraction] = None
     decision: Optional[str] = None  # "at-most" | "exceeds"
     sweeps: int = 0  # the most sweeps any SCC of units took

@@ -7,9 +7,10 @@ hand-derived games whose exact values are worked out in the docstrings.
 from fractions import Fraction as F
 
 from corpus import G, loc, make_game
+from kernel_reference import PLF2, ExitGame, OutputValue
 from wtgsolve.core import MAX, MIN, Configuration, Location, Transition, WeightedTimedGame
-from wtgsolve.kernelvi import ON_X, ON_Y, POINT, KernelGame, OutputValue
-from wtgsolve.plf import PLF1, PLF2
+from wtgsolve.kernelvi import ON_X, ON_Y, POINT
+from wtgsolve.plf import PLF1
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,7 @@ def T(tid, src, tgt, resets=()):
 
 def _single(owner, shape, out):
     locs = {"k": Location("k", owner), "g": Location("g", MIN, is_goal=True)}
-    return KernelGame(locs, [T("out", "k", "g")], {"k": shape},
+    return ExitGame(locs, [T("out", "k", "g")], {"k": shape},
                       {"g": out}, "k")
 
 
@@ -58,7 +59,7 @@ def _pair(o1, o2, w1, w2):
         T("e1", "k1", "g1"),
         T("e2", "k2", "g2"),
     ]
-    return KernelGame(locs, trans, {"k1": ON_Y, "k2": ON_X},
+    return ExitGame(locs, trans, {"k1": ON_Y, "k2": ON_X},
                       {"g1": w1, "g2": w2}, "k1")
 
 
@@ -79,7 +80,7 @@ def _ring(o2, out):
         T("e1", "k1", "g"),
         T("e3", "k3", "g"),
     ]
-    return KernelGame(locs, trans,
+    return ExitGame(locs, trans,
                       {"k1": ON_Y, "k2": ON_X, "k3": ON_Y, "k4": ON_X},
                       {"g": out}, "k1")
 
@@ -111,7 +112,7 @@ def kernel_corpus():
     ]
 
 
-def kernel_to_wtg(kg: KernelGame) -> WeightedTimedGame:
+def kernel_to_wtg(kg: ExitGame) -> WeightedTimedGame:
     return WeightedTimedGame(
         clocks=["x", "y"],
         locations=dict(kg.locations),

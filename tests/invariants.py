@@ -1,9 +1,8 @@
 """Structural checks that only tests call: adjacent PLF2 cells agree on
 their shared boundary, and a trimmed region game keeps the guard shapes that
 the later stages rely on."""
+from kernel_reference import PLF2, affine_eval, point_in_polygon
 from wtgsolve.core import DomainError, StructuralError
-from wtgsolve.geometry import affine_eval, point_in_polygon
-from wtgsolve.plf import PLF2
 from wtgsolve.regions import RegionGame
 
 

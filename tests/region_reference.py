@@ -3,14 +3,24 @@ against: the full region product, every [0,1)-region of every location and
 every move whose target region is fractional, satisfiable or not, for the
 forward ``regions.build_region_wtg``; and ``trim`` and
 ``infer_guard_region`` asking the feasibility predicates region by region
-and clause by clause, for the region-set versions in ``regions``."""
+and clause by clause, over every region of a relaxed source's closure
+(``adherence``), for the region-set versions in ``regions``."""
 from dataclasses import replace
 
-from wtgsolve.core import (Configuration, InputError, Location,
+from wtgsolve.core import (Configuration, Guard, InputError, Location,
                            StructuralError, Transition, WeightedTimedGame)
-from wtgsolve.regions import (Region, RegionGame, adherence, all_regions,
+from wtgsolve.regions import (Region, RegionGame, _table, all_regions,
                               delay_feasible, elapsed_region_feasible,
                               region_constraint_guards, region_of)
+
+# The atoms whose disjunction is the negation of a guard atom's operator.
+COMPLEMENT = {"<": (">=",), "<=": (">",), "==": ("<", ">"), ">=": ("<",),
+              ">": ("<=",)}
+
+
+def adherence(r: Region) -> tuple[Region, ...]:
+    """All regions contained in the topological closure of ``r``."""
+    return _table(r.n_clocks).adherence[r]
 
 
 def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
@@ -75,8 +85,9 @@ def trim(rg: RegionGame) -> RegionGame:
             # A clause is redundant when no admissible elapsed valuation
             # from the (closed) region can violate it.
             removable = not any(
-                delay_feasible(s, (), closure=closure, negate=g)
-                for s in sources)
+                delay_feasible(s, (Guard(g.clock, op, g.bound),),
+                               closure=closure)
+                for s in sources for op in COMPLEMENT[g.op])
             if not removable:
                 clauses.append(g)
         kept.append(replace(t, guards=tuple(clauses)))

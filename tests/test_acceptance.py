@@ -20,6 +20,7 @@ from acceptance_corpus import (
     transformation_corpus,
 )
 from corpus import three_clock_demo
+from kernel_reference import PLF2, fiber_extremum
 from test_plf import check_running_extremum_structure
 from unfold_reference import deeper_root_value
 from wtgsolve.core import INF, Configuration
@@ -33,7 +34,7 @@ from wtgsolve.cycles import (
 )
 from wtgsolve.kernelvi import ON_X, delta, iterate
 from wtgsolve.oracle import GridOracle
-from wtgsolve.plf import PLF1, PLF2, canonicalize, equals, eval1, fiber_extremum, running_extremum
+from wtgsolve.plf import PLF1, canonicalize, equals, eval1, running_extremum
 from wtgsolve.regions import (
     add_resets,
     build_region_wtg,
@@ -85,7 +86,7 @@ def test_ac1_kernel_vi():
     games = kernel_corpus()
     assert len(games) >= 20
     for name, kg in games:
-        res = iterate(kg, k_cap=200)
+        res = iterate(kg.kernel_game(), k_cap=200)
         assert res.steps <= 200, name
         s_max = max((out_slope(ov) for ov in kg.w_out.values()), default=F(0))
         eps = 2 * s_max / n
@@ -225,7 +226,7 @@ def test_ac5_properties():
 
     # (b) every emitted kernel fixed point is continuous and canonical
     for name, kg in kernel_corpus():
-        for f in iterate(kg, k_cap=200).functions.values():
+        for f in iterate(kg.kernel_game(), k_cap=200).functions.values():
             if f.is_infinite:
                 continue
             xs = [x for x, _ in f.points]

@@ -13,20 +13,18 @@ from wtgsolve.core import (
     Transition,
     WeightedTimedGame,
 )
+from kernel_reference import PLF2, ExitGame, OutputValue, project_output
 from wtgsolve.kernelvi import (
     ON_X,
     ON_Y,
     POINT,
-    KernelGame,
-    OutputValue,
     delta,
     iterate,
-    project_output,
     step_transition,
     value_at,
 )
 from wtgsolve.oracle import GridOracle, grid_tolerance
-from wtgsolve.plf import PLF1, PLF2, equals
+from wtgsolve.plf import PLF1, equals
 
 XY = OutputValue(PLF2.affine(
     ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))), (1, 1, 0)))
@@ -133,7 +131,7 @@ def single_exit_kernel():
         "g": Location("g", MIN, is_goal=True),
     }
     trans = [T("out", "k", "g")]
-    return KernelGame(locs, trans, {"k": ON_Y}, {"g": XY}, "k")
+    return ExitGame(locs, trans, {"k": ON_Y}, {"g": XY}, "k")
 
 
 def two_location_kernel(w1, w2):
@@ -149,11 +147,11 @@ def two_location_kernel(w1, w2):
         T("e1", "k1", "g1"),
         T("e2", "k2", "g2"),
     ]
-    return KernelGame(locs, trans, {"k1": ON_Y, "k2": ON_X},
+    return ExitGame(locs, trans, {"k1": ON_Y, "k2": ON_X},
                       {"g1": w1, "g2": w2}, "k1")
 
 
-def kernel_to_wtg(kg: KernelGame, start_loc, start_val):
+def kernel_to_wtg(kg: ExitGame, start_loc, start_val):
     locations = {}
     for name, loc in kg.locations.items():
         locations[name] = loc
@@ -167,7 +165,7 @@ def kernel_to_wtg(kg: KernelGame, start_loc, start_val):
 
 class TestIterate:
     def test_single_exit(self):
-        res = iterate(single_exit_kernel())
+        res = iterate(single_exit_kernel().kernel_game())
         assert res.steps == 1
         assert equals(res.functions[res.entrance],
                       PLF1.from_pairs([(0, 0), (1, 1)]))
@@ -176,8 +174,8 @@ class TestIterate:
         kg = two_location_kernel(
             OutputValue.on_y(PLF1.from_pairs([(0, 1), (F(1, 2), 0), (1, 1)])),
             OutputValue.constant(F(3, 4)))
-        res = iterate(kg)
-        res2 = iterate(kg, k_cap=res.steps + 1)
+        res = iterate(kg.kernel_game())
+        res2 = iterate(kg.kernel_game(), k_cap=res.steps + 1)
         for name, f in res.functions.items():
             assert equals(f, res2.functions[name])
 
@@ -185,7 +183,7 @@ class TestIterate:
         w1 = OutputValue.on_y(PLF1.from_pairs([(0, 1), (F(1, 2), 0), (1, 1)]))
         w2 = OutputValue.on_x(PLF1.from_pairs([(0, F(1, 2)), (1, 1)]))
         kg = two_location_kernel(w1, w2)
-        res = iterate(kg)
+        res = iterate(kg.kernel_game())
         n = 64
         game = kernel_to_wtg(kg, "k1", (0, 0))
         oracle = GridOracle(game, n, res.steps + 5,
@@ -200,7 +198,7 @@ class TestIterate:
             assert abs(got - want) <= eps
 
     def test_value_at(self):
-        res = iterate(single_exit_kernel())
+        res = iterate(single_exit_kernel().kernel_game())
         assert value_at(res, "k", (F(0), F(1, 2))) == F(1, 2)
 
     def test_value_at_point_domain(self):
@@ -208,15 +206,15 @@ class TestIterate:
             "k": Location("k", MIN),
             "g": Location("g", MIN, is_goal=True),
         }
-        kg = KernelGame(locs, [T("out", "k", "g")], {"k": POINT},
+        kg = ExitGame(locs, [T("out", "k", "g")], {"k": POINT},
                         {"g": XY}, "k")
-        res = iterate(kg)
+        res = iterate(kg.kernel_game())
         assert value_at(res, "k", (F(0), F(0))) == 0
 
     def test_entrance_copy_added_for_cycles(self):
         kg = two_location_kernel(OutputValue.constant(1),
                                  OutputValue.constant(2))
-        res = iterate(kg)
+        res = iterate(kg.kernel_game())
         # Max prefers the costlier exit; Min can't do better than 2 anywhere
         # except by exiting herself at cost 1.
         assert equals(res.functions["k1"], PLF1.constant(1))
@@ -224,4 +222,4 @@ class TestIterate:
     def test_k_cap_guard(self):
         kg = two_location_kernel(XY, OutputValue.constant(F(1, 2)))
         with pytest.raises(StructuralError):
-            iterate(kg, k_cap=0)
+            iterate(kg.kernel_game(), k_cap=0)

@@ -1,4 +1,6 @@
-"""Every name a module of ``src/wtgsolve`` imports is read somewhere in it."""
+"""Every name a module of ``src/wtgsolve`` imports is read somewhere in it,
+and the solver computes without floats: the one float in ``src/wtgsolve``
+is ``core.INF``, the +infinity of extended values."""
 import ast
 from pathlib import Path
 
@@ -22,6 +24,21 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def float_uses(source: str, allow_inf: bool = False) -> list[str]:
+    """Each float literal and ``float(...)`` call of ``source``, as
+    ``"line: code"`` in line order; with ``allow_inf``, a module-level
+    ``INF = float("inf")`` is let through."""
+    tree = ast.parse(source)
+    allowed = {id(node.value) for node in tree.body if allow_inf
+               and ast.unparse(node) == "INF = float('inf')"}
+    found = [node for node in ast.walk(tree) if id(node) not in allowed and (
+        isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "float")]
+    return [f"{node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -31,3 +48,18 @@ def test_no_unused_imports(path):
 def test_the_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == \
         ["os", "b"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_floats(path):
+    assert float_uses(path.read_text(), allow_inf=path.name == "core.py") \
+        == []
+
+
+def test_the_scan_finds_a_float():
+    source = 'INF = float("inf")\nx = 1e3 * 0.5\ndef f(y):\n    return float(y)\n'
+    assert float_uses(source) == ["1: float('inf')", "2: 1000.0", "2: 0.5",
+                                  "4: float(y)"]
+    assert float_uses(source, allow_inf=True) == ["2: 1000.0", "2: 0.5",
+                                                  "4: float(y)"]

@@ -6,19 +6,16 @@ from hypothesis import given, settings, strategies as st
 from wtgsolve.core import INF, DomainError
 from wtgsolve.plf import (
     PLF1,
-    PLF2,
-    Segment,
     canonicalize,
     envelope_pieces,
     equals,
     eval1,
-    fiber_extremum,
     pointwise_extremum,
-    restrict2,
     running_extremum,
 )
 
 from invariants import check_continuity
+from kernel_reference import PLF2, Segment, fiber_extremum, restrict2
 
 
 def plf(*pairs):

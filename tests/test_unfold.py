@@ -10,14 +10,16 @@ import pytest
 import test_anz
 import unfold_reference
 from acceptance_corpus import (double_reset_kernel, exact_corpus,
-                               transformation_corpus, zero_kernel_free_exit)
+                               max_dead_end, transformation_corpus,
+                               zero_kernel_free_exit)
 from corpus import G, loc, make_game, three_clock_demo
+from kernel_reference import _to_output, project_output
 from wtgsolve import kernelvi, unfold
 from wtgsolve.core import (MAX, MIN, Configuration, DomainError, GameError,
                            Transition)
 from wtgsolve.gameio import game_from_dict, game_to_dict
 from wtgsolve.oracle import GridOracle
-from wtgsolve.plf import PLF1
+from wtgsolve.plf import PLF1, equals
 from wtgsolve.regions import (Region, build_region_wtg, clock_bound,
                               normalize_01, trim)
 from wtgsolve.unfold import (
@@ -571,6 +573,77 @@ class TestOneStepReference:
                     cases.add((0 in gr.blocks[1], kind, direction))
         assert cases == set(itertools.product(
             (True, False), ("x", "y", "const", "reset"), ("inf", "sup")))
+
+
+# -- kernel exits against the 2-D projection reference -----------------------
+
+def _exit_games():
+    """The corpora, ``test_anz.random_game`` 0-399, ``families.random_game``
+    0-59 of each kind, the benchmark's workloads at seeds 1-3 and
+    ``kernel_chain`` 1-5."""
+    return ([g for _, g, _ in exact_corpus()]
+            + [g for _, g in transformation_corpus()]
+            + [zero_kernel_free_exit(), double_reset_kernel(), max_dead_end()]
+            + [test_anz.random_game(s) for s in range(400)]
+            + [game_from_dict(families.random_game(s, 3, kind))
+               for kind in ("plain", "inf", "zeno") for s in range(60)]
+            + [game_from_dict(g) for w in families.WORKLOADS
+               for seed in (1, 2, 3) for _, g, _ in families.workload(w, seed)]
+            + [game_from_dict(families.kernel_chain(k)) for k in range(1, 6)])
+
+
+def _same_cost(got, want) -> bool:
+    """Equal functions, both points or both not, or the same outcome."""
+    if isinstance(got, PLF1) and isinstance(want, PLF1):
+        return equals(got, want) and got.is_point == want.is_point
+    return got == want
+
+
+def test_every_kernel_exit_costs_as_the_projection_reference(monkeypatch):
+    """Every kernel exit that a solve costs, as ``unfold._exit_cost`` costs
+    it along flow lines and as the reference projects the 2-D exit-cost
+    function of the value behind it onto the source's Delta.  From an axis,
+    every exit of these games costs a constant, so each exit is costed again
+    for either player behind a made-up value that reads x and one that
+    reads y."""
+    bumpy = PLF1.from_pairs(((0, 1), (F(1, 2), 0), (1, 2)))
+    made_up = [unfold.NodeValue.line(
+        Region((frozenset({1 - i}), frozenset({i}))), bumpy) for i in (0, 1)]
+    seen, exits = [], {}
+    exit_cost = unfold._exit_cost
+
+    def spy(rg, t, child, shared):
+        exits[id(rg), t.tid] = rg, t
+        got = _outcome(exit_cost, rg, t, child, shared)
+        seen.append((rg, t, child, got))
+        if isinstance(got, type):
+            raise got(t.tid)
+        return got
+
+    def reference(rg, t, child):
+        return project_output(t, _to_output(child, t),
+                              unfold._shape_of(rg.reg[t.src]),
+                              rg.game.locations[t.src].owner)
+
+    monkeypatch.setattr(unfold, "_exit_cost", spy)
+    for game in _exit_games():
+        try:
+            solve(game)
+        except GameError:
+            pass
+    assert len(seen) >= 150
+    for rg, t in exits.values():
+        for owner in (MIN, MAX):
+            src = replace(rg.game.locations[t.src], owner=owner)
+            rg2 = replace(rg, game=replace(
+                rg.game, locations={**rg.game.locations, t.src: src}))
+            seen += [(rg2, t, child, _outcome(exit_cost, rg2, t, child, {}))
+                     for child in made_up]
+    for rg, t, child, got in seen:
+        want = _outcome(reference, rg, t, child)
+        assert _same_cost(got, want), (t.tid, got, want)
+    shapes = {unfold._shape_of(rg.reg[t.src]) for rg, t in exits.values()}
+    assert shapes == {kernelvi.POINT, kernelvi.ON_X, kernelvi.ON_Y}
 
 
 # -- kernel exits whose landing point does not move --------------------------

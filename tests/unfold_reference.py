@@ -13,15 +13,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from wtgsolve.core import (MIN, DomainError, StructuralError, Transition,
-                           Valuation, reset)
+from kernel_reference import (PLF2, Segment, clip_halfplane,
+                              dedupe_polygon, fiber_extremum, make_ccw,
+                              polygon_area2, restrict2, triangulate)
+from wtgsolve.core import (INF, MIN, DomainError, ExtRat, StructuralError,
+                           Transition, Valuation, reset)
 from wtgsolve.cycles import Kernel
-from wtgsolve.geometry import (clip_halfplane, dedupe_polygon, make_ccw,
-                               polygon_area2, triangulate)
-from wtgsolve.plf import (ONE, ZERO, PLF1, PLF2, Segment, eval1,
-                          fiber_extremum, restrict2)
+from wtgsolve.plf import ONE, ZERO, PLF1, eval1
 from wtgsolve.regions import Region, RegionGame
-from wtgsolve.unfold import (INF, ExtValue, NodeValue, _add_affine, _ext_on,
+from wtgsolve.unfold import (NodeValue, _add_affine, _ext_on,
                              _fire_plf1, _kernel_values, _map_domain,
                              _param_axis, _reparam, _solve_plain,
                              _sorted_corners, _suffix_profile,
@@ -138,7 +138,7 @@ def _solve_kernel(rg: RegionGame, node: UnfoldNode,
                   out_edges: list[Transition],
                   k_cap: int) -> tuple[NodeValue, int]:
     values, steps = _kernel_values(rg, node.component, child_values,
-                                   out_edges, k_cap)
+                                   out_edges, k_cap, {})
     return values[node.loc], steps
 
 
@@ -219,7 +219,7 @@ def jacobi_value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
         nxt = dict(values)
         for comp, out in out_by_comp.items():
             child = {t.tid: values[t.tgt] for t in out}
-            kv, steps = _kernel_values(rg, comp, child, out, k_cap)
+            kv, steps = _kernel_values(rg, comp, child, out, k_cap, {})
             nxt.update(kv)
             if _stats is not None:
                 _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)
@@ -324,7 +324,7 @@ def _fiber_range(poly, c0: Fraction):
 
 
 def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
-                    nu: Valuation, direction: str) -> Optional[ExtValue]:
+                    nu: Valuation, direction: str) -> Optional[ExtRat]:
     """ext over {delay d >= 0 : nu + d inside the closed guard region} of
     d*w(src) + w(t) + child(reset(nu + d)); None when no delay fits."""
     if child.is_infinite:
