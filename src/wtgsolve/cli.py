@@ -83,15 +83,13 @@ def _oracle_cmd(args) -> int:
 
 def _solve_cmd(args) -> int:
     threshold = None if args.threshold is None else frac(args.threshold)
-    if args.k_cap < 1:
-        raise InputError(f"--k-cap must be at least 1, got {args.k_cap}")
     game = load_game(args.file)
     if args.check_anz:
         prep = prepare(game)
         print(f"anz: ok (kappa = {frac_str(prep.anz.kappa)}, "
               f"product edges = {prep.anz.cycles_checked})")
         return 0
-    verdict = solve(game, threshold=threshold, k_cap=args.k_cap)
+    verdict = solve(game, threshold=threshold)
     prep = verdict.prepared
     rg = prep.rg
     if args.dump_regions:
@@ -128,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="oracle step horizon (default 50)")
     ps.add_argument("--oracle-dump", metavar="OUT",
                     help="write the oracle's horizon layer as CSV")
-    ps.add_argument("--k-cap", type=int, default=10000, metavar="N",
-                    help="iteration cap per zero-weight component")
     return parser
 
 

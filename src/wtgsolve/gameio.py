@@ -82,6 +82,9 @@ def game_from_dict(data: dict) -> WeightedTimedGame:
         vals = ini.get("valuation", {})
         if any(isinstance(v, bool) for v in vals.values()):
             raise InputError("initial valuation: expected rationals, got a boolean")
+        for c in vals:
+            if c not in index:
+                raise InputError(f"initial valuation: unknown clock {c!r}")
         valuation = tuple(frac(vals.get(c, 0)) for c in clocks)
         initial = Configuration(ini["location"], valuation)
         return WeightedTimedGame(clocks, locations, transitions, initial)

@@ -52,10 +52,6 @@ class PLF1:
     def point(cls, value, x=ZERO) -> "PLF1":
         return cls(((x, frac(value)),))
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "PLF1":
-        return cls(tuple((frac(x), frac(y)) for x, y in pairs))
-
     # -- basics ------------------------------------------------------------
 
     @property
@@ -70,9 +66,6 @@ class PLF1:
     def hi(self) -> Fraction:
         return self.points[-1][0]
 
-    def __call__(self, x) -> Fraction:
-        return eval1(self, x)
-
     def __eq__(self, other):
         if not isinstance(other, PLF1):
             return NotImplemented
@@ -81,6 +74,13 @@ class PLF1:
 
     def __hash__(self):
         return hash((self.is_infinite, self.points))
+
+    def __le__(self, other: "PLF1") -> bool:
+        """Pointwise order, +inf on top."""
+        if self.is_infinite or other.is_infinite:
+            return other.is_infinite
+        xs = {x for x, _ in self.points} | {x for x, _ in other.points}
+        return all(eval1(self, x) <= eval1(other, x) for x in xs)
 
     def __repr__(self):
         if self.is_infinite:
@@ -92,16 +92,6 @@ class PLF1:
         for (x1, y1), (x2, y2) in zip(self.points, self.points[1:]):
             a = (y2 - y1) / (x2 - x1)
             yield x1, x2, a, y1 - a * x1
-
-    def min_value(self):
-        if self.is_infinite:
-            return INF
-        return min(y for _, y in self.points)
-
-    def max_value(self):
-        if self.is_infinite:
-            return INF
-        return max(y for _, y in self.points)
 
     def shift(self, delta) -> "PLF1":
         """Add a constant to the function (no-op on +inf)."""
@@ -160,13 +150,6 @@ def canonicalize(plf: PLF1) -> PLF1:
             else:
                 break
     return PLF1(tuple(out))
-
-
-def equals(f: PLF1, g: PLF1) -> bool:
-    """Exact function equality (canonical forms compared)."""
-    if f.is_infinite or g.is_infinite:
-        return f.is_infinite and g.is_infinite
-    return canonicalize(f).points == canonicalize(g).points
 
 
 # -- envelopes over partial affine pieces -----------------------------------

@@ -19,9 +19,9 @@ against the grid oracle on the test corpus).
 After normalization every guard constant is 0 or 1, so a guard atom has one
 truth value on a whole region, and the feasibility questions of the build,
 trimming and guard-region inference are answered with sets of regions: the
-regions elapsed from a region (or its closure) meet the regions on which
-each atom holds.  Those sets, and the results of the pure :class:`Region`
-methods, are tabulated once per number of clocks.  ``restrict`` is the one
+regions elapsed from a region meet the regions on which each atom holds.
+Those sets, and the results of the pure :class:`Region` methods, are
+tabulated once per number of clocks.  ``restrict`` is the one
 way to cut a region game down to some of its locations and transitions,
 and ``drop_dead_rolls`` the one liveness test for rollovers.
 """
@@ -228,9 +228,8 @@ def _nonempty_subsets(items):
 class _Table:
     """Every answer over n clocks that depends on regions alone, computed
     once: the results of the pure :class:`Region` methods, the regions
-    elapsed from each region or from its closure, and the regions on which
-    each guard atom with constant 0 or 1 holds (an interior clock compares
-    as 1/2 does)."""
+    elapsed from each region, and the regions on which each guard atom with
+    constant 0 or 1 holds (an interior clock compares as 1/2 does)."""
 
     def __init__(self, n: int):
         regions = all_regions(n)
@@ -262,11 +261,8 @@ class _Table:
                 self.reset[r, xs] = canon[Region(tuple(blocks), r.ones - xs)]
         self.adherence = {r: tuple(s for s in regions if r.contains(
             self.representative[s], closed=True)) for r in regions}
-        self.elapsed = {
-            (r, closure): frozenset(
-                e for s in (self.adherence[r] if closure else (r,))
-                for e in (self.successors[s] if s.fractional else (s,)))
-            for r in regions for closure in (False, True)}
+        self.elapsed = {r: frozenset(self.successors[r] if r.fractional
+                                     else (r,)) for r in regions}
         self.sat = {}
         for g in (Guard(x, op, c) for x in range(n) for op in OPS
                   for c in (0, 1)):
@@ -284,10 +280,10 @@ def _table(n: int) -> _Table:
 # Feasibility by region sets
 # ---------------------------------------------------------------------------
 
-def _elapsed(r: Region, closure: bool) -> frozenset[Region]:
-    """The regions of nu+delta inside [0,1]^X, for delta >= 0 and nu in r
-    (or its closure); from a clock at 1 only delta = 0 stays inside."""
-    return _table(r.n_clocks).elapsed[r, closure]
+def _elapsed(r: Region) -> frozenset[Region]:
+    """The regions of nu+delta inside [0,1]^X, for delta >= 0 and nu in r;
+    from a clock at 1 only delta = 0 stays inside."""
+    return _table(r.n_clocks).elapsed[r]
 
 
 def _holding(g: Guard, n: int) -> frozenset[Region]:
@@ -309,27 +305,26 @@ def _satisfying(guards: Iterable[Guard], regions: frozenset[Region],
     return regions
 
 
-def elapsed_region_feasible(src: Region, target: Region, guards: Sequence[Guard],
-                            closure: bool = False) -> bool:
-    """Is there nu in src (closure if asked) and delta >= 0 with nu+delta
-    satisfying ``guards`` and lying in ``target``?
+def elapsed_region_feasible(src: Region, target: Region,
+                            guards: Sequence[Guard]) -> bool:
+    """Is there nu in src and delta >= 0 with nu+delta satisfying
+    ``guards`` and lying in ``target``?
 
     Every guard constant must be 0 or 1, as after :func:`normalize_01`;
     anything else raises :class:`StructuralError`.
     """
-    return target in _satisfying(guards, _elapsed(src, closure), src.n_clocks)
+    return target in _satisfying(guards, _elapsed(src), src.n_clocks)
 
 
-def delay_feasible(r: Region, guards: Sequence[Guard],
-                   closure: bool = False) -> bool:
-    """Is there nu in r (its closure if asked) and delta >= 0 with
-    nu+delta inside [0,1]^X satisfying ``guards``?
+def delay_feasible(r: Region, guards: Sequence[Guard]) -> bool:
+    """Is there nu in r and delta >= 0 with nu+delta inside [0,1]^X
+    satisfying ``guards``?
 
     Each guard atom has one truth value on a whole region, so the answer is
     whether some region of those elapsed points satisfies them.  Constants
     are as for :func:`elapsed_region_feasible`.
     """
-    return bool(_satisfying(guards, _elapsed(r, closure), r.n_clocks))
+    return bool(_satisfying(guards, _elapsed(r), r.n_clocks))
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +638,7 @@ def trim(rg: RegionGame) -> RegionGame:
     guard_region = dict(rg.guard_region)
     for t in rg.game.transitions:
         r = rg.reg[t.src]
-        elapsed = _elapsed(r, False)
+        elapsed = _elapsed(r)
         if not _satisfying(t.guards, elapsed, r.n_clocks):
             guard_region.pop(t.tid, None)
             continue
@@ -673,7 +668,7 @@ def relax(rg: RegionGame) -> RegionGame:
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
     """The region whose closure holds every guard-satisfying elapsed point."""
     src = rg.reg[t.src]
-    feas = _satisfying(t.guards, _elapsed(src, False), src.n_clocks)
+    feas = _satisfying(t.guards, _elapsed(src), src.n_clocks)
     if not feas:
         raise StructuralError(f"{t.tid}: guard unsatisfiable from its region")
     best = max(feas, key=lambda r: r.dim)

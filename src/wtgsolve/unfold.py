@@ -6,7 +6,8 @@ least one, and collapses the zero-weight strongly connected components into
 kernels.  :func:`value_functions` then evaluates the semi-unfolding of the
 rest one strongly connected component at a time, successors first: plain
 locations by exact one-step delay optimization over piecewise linear
-successor values, kernels by value iteration (:mod:`.kernelvi`).
+successor values, kernels by iterating that same one-step operator to its
+fixed point (:mod:`.kernelvi`).
 :func:`solve` is the one entry point that both the library and the CLI call.
 """
 
@@ -28,7 +29,7 @@ from .regions import (Region, RegionGame, add_resets, build_region_wtg,
 from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      check_almost_non_zeno, compute_bounds, extract_kernel,
                      fix_weight_zero, mark_green)
-from .kernelvi import ON_X, ON_Y, POINT, KernelGame, iterate, value_at
+from .kernelvi import KernelGame, iterate
 
 
 class MoreThanTwoClocks(InputError):
@@ -86,6 +87,14 @@ class NodeValue:
     @property
     def is_infinite(self) -> bool:
         return self.const == INF
+
+    def __le__(self, other: "NodeValue") -> bool:
+        """Pointwise order over one region, +inf on top."""
+        if self.is_infinite or other.is_infinite:
+            return other.is_infinite
+        if self.plf is None:
+            return self.const <= other.const
+        return self.plf <= other.plf
 
     def eval(self, v: Valuation) -> ExtRat:
         if self.const is not None:
@@ -354,16 +363,6 @@ def check_finite_value(rg: RegionGame) -> bool:
 # Bottom-up solving
 # ---------------------------------------------------------------------------
 
-def _shape_of(r: Region) -> str:
-    if r.dim == 0:
-        return POINT
-    if 0 in r.zeros:
-        return ON_Y
-    if 1 in r.zeros:
-        return ON_X
-    raise StructuralError("kernel location not pinned to a clock axis")
-
-
 def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
               direction: str, shared: dict):
     """The cost of ``t`` from its source region, given the value ``child``
@@ -386,53 +385,30 @@ def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
     return shared[key]
 
 
-def _exit_cost(rg: RegionGame, t: Transition, child: NodeValue,
-               shared: dict) -> Optional[PLF1]:
-    """The cost of leaving a kernel by ``t`` as a function of the source's
-    Delta (see :mod:`.kernelvi`), or None when no delay fits."""
-    r = rg.reg[t.src]
-    owner = rg.game.locations[t.src].owner
-    cost = _one_step(rg, t, child, "inf" if owner == MIN else "sup", shared)
-    if r.dim == 1:  # Delta is y on the y-axis and 1 - x on the x-axis
-        return cost.reversed_domain() if _shape_of(r) == ON_X else cost
-    if cost is None:
-        return None
-    return PLF1.infinite() if cost == INF else PLF1.point(cost)
-
-
 def _kernel_values(rg: RegionGame, comp: frozenset,
                    child_values: dict[str, NodeValue],
-                   out_edges: list[Transition], k_cap: int,
+                   out_edges: list[Transition],
                    shared: dict) -> tuple[dict[str, NodeValue], int]:
     """Solve one zero-weight component given the values behind its output
-    edges; returns the entrance value of every member location."""
+    edges: iterate the one-step operator of :func:`_solve_plain`, which
+    reads the current table behind the inner transitions.  Returns the value
+    of every member location and the number of steps."""
     game = rg.game
-    shapes = {n: _shape_of(rg.reg[n]) for n in comp}
-    exits: dict[str, list[PLF1]] = {n: [] for n in comp}
-    for t in out_edges:
-        cost = _exit_cost(rg, t, child_values[t.tid], shared)
-        if cost is not None:
-            exits[t.src].append(cost)
     out_tids = {t.tid for t in out_edges}
-    transitions = [t for t in game.transitions if t.src in comp
-                   and t.tgt in comp and t.tid not in out_tids]
-    kg = KernelGame({n: game.locations[n] for n in comp}, transitions,
-                    shapes, exits, next(iter(comp)))
-    res = iterate(kg, k_cap=k_cap)
-    values: dict[str, NodeValue] = {}
-    for n in comp:
-        r = rg.reg[n]
-        f = res.functions[n]
-        if shapes[n] == POINT:
-            val = INF if f.is_infinite else value_at(res, n, r.corners()[0])
-            values[n] = NodeValue.constant(r, val)
-        elif f.is_infinite:
-            values[n] = NodeValue.infinite(r)
-        elif shapes[n] == ON_X:  # node parameter is x, kernel's is 1 - x
-            values[n] = NodeValue.line(r, f.reversed_domain())
-        else:
-            values[n] = NodeValue.line(r, f)
-    return values, res.steps
+    inner = [t for t in game.transitions if t.src in comp
+             and t.tgt in comp and t.tid not in out_tids]
+    moves = {n: [] for n in comp}
+    for t in out_edges + inner:
+        moves[t.src].append(t)
+
+    def step(table: dict[str, NodeValue]) -> dict[str, NodeValue]:
+        child = {**child_values, **{t.tid: table[t.tgt] for t in inner}}
+        return {n: _solve_plain(rg, n, moves[n], child, shared) for n in comp}
+
+    top = {n: NodeValue.infinite(rg.reg[n]) for n in comp}
+    res = iterate(KernelGame({n: game.locations[n] for n in comp}, inner,
+                             top, step))
+    return res.functions, res.steps
 
 
 def _solve_plain(rg: RegionGame, loc_name: str, ts: list[Transition],
@@ -461,7 +437,7 @@ def _solve_plain(rg: RegionGame, loc_name: str, ts: list[Transition],
 
 
 def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
-                    kappa: Fraction, k_cap: int = 10000,
+                    kappa: Fraction,
                     _stats: Optional[dict] = None) -> dict[str, NodeValue]:
     """Exact value function of every region-location.
 
@@ -514,7 +490,7 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
         child = {t.tid: values[t.tgt] for t in edges[u]}
         if isinstance(u, str):
             return {u: _solve_plain(rg, u, edges[u], child, shared)}
-        kv, steps = _kernel_values(rg, u, child, edges[u], k_cap, shared)
+        kv, steps = _kernel_values(rg, u, child, edges[u], shared)
         if _stats is not None:
             _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)
         return kv
@@ -602,8 +578,7 @@ def prepare(game: WeightedTimedGame) -> Prepared:
     return Prepared(rg, kernel, report, kappa, w_bound)
 
 
-def solve(game: WeightedTimedGame, threshold=None,
-          k_cap: int = 10000) -> Verdict:
+def solve(game: WeightedTimedGame, threshold=None) -> Verdict:
     """Exact value of the game from its initial configuration, with the
     prepared region game and the value functions behind it."""
     prep = prepare(game)
@@ -612,8 +587,7 @@ def solve(game: WeightedTimedGame, threshold=None,
     if check_finite_value(rg):
         stats: dict = {}
         verdict.values = value_functions(
-            rg, prep.kernel, prep.w_bound, prep.kappa, k_cap=k_cap,
-            _stats=stats)
+            rg, prep.kernel, prep.w_bound, prep.kappa, _stats=stats)
         verdict.vi_steps = stats.get("vi_steps", 0)
         verdict.sweeps = stats.get("sweeps", 0)
         nv = verdict.values[rg.game.initial.location]
@@ -625,6 +599,6 @@ def solve(game: WeightedTimedGame, threshold=None,
     return verdict
 
 
-def decide(game: WeightedTimedGame, threshold, **kw) -> Verdict:
+def decide(game: WeightedTimedGame, threshold) -> Verdict:
     """Is the value at most ``threshold``?"""
-    return solve(game, threshold=threshold, **kw)
+    return solve(game, threshold=threshold)

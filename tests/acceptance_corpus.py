@@ -7,9 +7,8 @@ hand-derived games whose exact values are worked out in the docstrings.
 from fractions import Fraction as F
 
 from corpus import G, loc, make_game
-from kernel_reference import PLF2, ExitGame, OutputValue
+from kernel_reference import ON_X, ON_Y, PLF2, POINT, ExitGame, OutputValue
 from wtgsolve.core import MAX, MIN, Configuration, Location, Transition, WeightedTimedGame
-from wtgsolve.kernelvi import ON_X, ON_Y, POINT
 from wtgsolve.plf import PLF1
 
 
@@ -18,11 +17,11 @@ from wtgsolve.plf import PLF1
 # piecewise-linear exit costs (<= 3 pieces, breakpoint denominators <= 8).
 # ---------------------------------------------------------------------------
 
-P_VEE = PLF1.from_pairs([(0, 1), (F(1, 2), 0), (1, 1)])
-P_RAMP = PLF1.from_pairs([(0, F(1, 2)), (1, 1)])
-P_TABLE = PLF1.from_pairs([(0, 0), (F(1, 4), 1), (F(3, 4), 1), (1, 0)])
-P_DOWN = PLF1.from_pairs([(0, 1), (1, 0)])
-P_TENT = PLF1.from_pairs([(0, F(3, 8)), (F(5, 8), 1), (1, F(1, 2))])
+P_VEE = PLF1([(0, 1), (F(1, 2), 0), (1, 1)])
+P_RAMP = PLF1([(0, F(1, 2)), (1, 1)])
+P_TABLE = PLF1([(0, 0), (F(1, 4), 1), (F(3, 4), 1), (1, 0)])
+P_DOWN = PLF1([(0, 1), (1, 0)])
+P_TENT = PLF1([(0, F(3, 8)), (F(5, 8), 1), (1, F(1, 2))])
 
 XY_SUM = OutputValue(PLF2.affine(
     ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))), (1, 1, 0)))

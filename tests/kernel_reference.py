@@ -1,16 +1,24 @@
-"""The general 2-D costing of kernel exits that the solver used before it
-costed them along flow lines, kept to check :mod:`wtgsolve.kernelvi` and
-:mod:`wtgsolve.unfold` against.
+"""The kernel solver as it was before it costed everything along flow lines,
+kept to check :mod:`wtgsolve.kernelvi` and :mod:`wtgsolve.unfold` against.
 
-An exit-cost function is a ``PLF2``: a continuous piecewise-affine function
-over a convex polygon in [0,1]^2, stored as a triangulation with one affine
-coefficient triple per cell (the exact polygon helpers come first).
-:func:`project_output` takes the best exit cost over the delays from a 1-D
-boundary region, as a function of the kernel's Delta coordinate, and
-:func:`_to_output` turns the value behind an exit into such a function.
-:class:`ExitGame` is a kernel game whose exits lead to goal locations with
-these costs, as the kernel solver took it before; its
-:meth:`ExitGame.kernel_game` projects the exits for ``kernelvi.iterate``.
+Two layers of it live here.  The first is the general 2-D costing of
+kernel exits.  An exit-cost function is a ``PLF2``: a continuous
+piecewise-affine function over a convex polygon in [0,1]^2, stored as a
+triangulation with one affine coefficient triple per cell (the exact polygon
+helpers come first).  :func:`project_output` takes the best exit cost over
+the delays from a 1-D boundary region, as a function of the kernel's Delta
+coordinate, and :func:`_to_output` turns the value behind an exit into such
+a function.  :class:`ExitGame` is a kernel game whose exits lead to goal
+locations with these costs; its :meth:`ExitGame.kernel_game` projects the
+exits for ``kernelvi.iterate``.
+
+The second is the one-step operator in Delta, the circular clock difference
+on the boundary of the unit square: y on the y-axis, 1 - x on the x-axis.
+:func:`step_transition` costs an inner transition with its own guard case
+analysis, :func:`delta_game` makes the operator the ``step`` of a
+``kernelvi.KernelGame``, and :func:`_kernel_values` solves a component of a
+region game with it, its exits costed by :func:`_exit_cost` along flow lines
+and read in Delta.
 """
 from __future__ import annotations
 
@@ -18,11 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from wtgsolve import kernelvi
 from wtgsolve.core import (INF, MIN, DomainError, Location, StructuralError,
                            Transition, Valuation, frac)
-from wtgsolve.kernelvi import (ON_X, ON_Y, POINT, KernelGame, _eq_guards)
-from wtgsolve.plf import PLF1, canonicalize, envelope_pieces
-from wtgsolve.unfold import NodeValue, _param_axis
+from wtgsolve.kernelvi import KernelGame
+from wtgsolve.plf import (PLF1, canonicalize, envelope_pieces, eval1,
+                          pointwise_extremum, running_extremum)
+from wtgsolve.regions import Region, RegionGame
+from wtgsolve.unfold import NodeValue, _one_step, _param_axis
 
 Point = tuple[Fraction, Fraction]
 Coef = tuple[Fraction, Fraction, Fraction]
@@ -30,6 +41,36 @@ Polygon = tuple[Point, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# 1-D region closure shapes of kernel locations
+ON_Y = "y"    # {(0, y) : y in [0,1]}
+ON_X = "x"    # {(x, 0) : x in [0,1]}
+POINT = "pt"  # {(0, 0)}
+
+
+def delta(v: Valuation) -> Fraction:
+    """Circular clock difference on the boundary of the unit square."""
+    x, y = frac(v[0]), frac(v[1])
+    if x == 0:
+        return y
+    if y == 0:
+        return 1 - x
+    raise DomainError(f"valuation {v} not on a 1-D boundary region")
+
+
+def equals(f: PLF1, g: PLF1) -> bool:
+    """Exact function equality (canonical forms compared)."""
+    if f.is_infinite or g.is_infinite:
+        return f.is_infinite and g.is_infinite
+    return canonicalize(f).points == canonicalize(g).points
+
+
+def min_value(f: PLF1):
+    return INF if f.is_infinite else min(y for _, y in f.points)
+
+
+def max_value(f: PLF1):
+    return INF if f.is_infinite else max(y for _, y in f.points)
 
 
 # -- exact 2-D geometry: convex polygons and clipping ----------------------
@@ -412,8 +453,8 @@ def project_output(t: Transition, w: OutputValue, shape: str,
             return PLF1.infinite()
         # a point profile (both clocks reset) lands in one place for any delay
         if pins is not None and not prof.is_point:
-            return PLF1.point(prof(pins[1]))
-        val = prof.min_value() if direction == "inf" else prof.max_value()
+            return PLF1.point(eval1(prof, pins[1]))
+        val = min_value(prof) if direction == "inf" else max_value(prof)
         return PLF1.point(val)
     if pins is not None:
         a, c = pins
@@ -468,5 +509,140 @@ class ExitGame:
                 exits[t.src].append(project_output(
                     t, self.w_out[t.tgt], self.shapes[t.src],
                     self.locations[t.src].owner))
-        return KernelGame(members, inner, dict(self.shapes), exits,
-                          self.entrance)
+        return delta_game(members, inner, dict(self.shapes), exits)
+
+
+# -- the one-step operator in Delta ------------------------------------------
+
+
+def _eq_guards(guards) -> dict[tuple[int, int], bool]:
+    pins = {}
+    for g in guards:
+        if g.op == "==":
+            if g.bound not in (0, 1):
+                raise StructuralError(f"guard bound {g.bound} out of [0,1]")
+            pins[(g.clock, g.bound)] = True
+        elif g.op in ("<", ">"):
+            raise StructuralError("kernel games must be relaxed")
+    return pins
+
+
+def step_transition(t: Transition, opt_target: PLF1, shape: str,
+                    owner: str) -> PLF1:
+    """Opt of a non-goal transition from the target's current Opt."""
+    direction = "inf" if owner == MIN else "sup"
+    pins = _eq_guards(t.guards)
+    if opt_target.is_infinite:
+        return PLF1.infinite()
+    if len(t.resets) == 2:
+        return PLF1.constant(eval1(opt_target, ZERO)) if shape != POINT \
+            else PLF1.point(eval1(opt_target, ZERO))
+    preserving = {ON_Y: ((0, 0), (1, 1)), ON_X: ((1, 0), (0, 1))}
+    if shape == POINT:
+        val = min_value(opt_target) if direction == "inf" \
+            else max_value(opt_target)
+        return PLF1.point(val)
+    if any(p in pins for p in preserving[shape]):
+        if opt_target.is_point:
+            raise StructuralError(
+                f"transition {t.tid}: point-domain target under a "
+                f"Delta-preserving guard")
+        return opt_target
+    if opt_target.is_point:
+        # only Delta' = 0 is available on the other side
+        return PLF1.constant(opt_target.points[0][1])
+    side = "suffix" if shape == ON_Y else "prefix"
+    return running_extremum(opt_target, side, direction)
+
+
+def delta_game(locations: dict[str, Location], transitions: list[Transition],
+               shapes: dict[str, str],
+               exits: dict[str, list[PLF1]]) -> KernelGame:
+    """The kernel game whose step takes, at each location, the extremum of
+    its exit costs (functions of Delta) and of :func:`step_transition` over
+    its inner transitions."""
+    outgoing = {n: [t for t in transitions if t.src == n] for n in locations}
+
+    def step(table: dict[str, PLF1]) -> dict[str, PLF1]:
+        nxt = {}
+        for n, loc in locations.items():
+            opts = list(exits[n])
+            for t in outgoing[n]:
+                opts.append(step_transition(
+                    t, table[t.tgt], shapes[n], loc.owner))
+            nxt[n] = (pointwise_extremum(
+                opts, "inf" if loc.owner == MIN else "sup")
+                if opts else PLF1.infinite())
+        return nxt
+
+    top = {n: PLF1.infinite() for n in locations}
+    return KernelGame(locations, transitions, top, step)
+
+
+def value_at(res: kernelvi.ViResult, loc: str, v: Valuation) -> Fraction:
+    f = res.functions[loc]
+    if f.is_point:
+        d = delta(v)
+        if d != f.points[0][0]:
+            raise DomainError(f"{v} outside the domain of {loc}")
+        return f.points[0][1]
+    return eval1(f, delta(v))
+
+
+def _shape_of(r: Region) -> str:
+    if r.dim == 0:
+        return POINT
+    if 0 in r.zeros:
+        return ON_Y
+    if 1 in r.zeros:
+        return ON_X
+    raise StructuralError("kernel location not pinned to a clock axis")
+
+
+def _exit_cost(rg: RegionGame, t: Transition, child: NodeValue,
+               shared: dict) -> Optional[PLF1]:
+    """The cost of leaving a kernel by ``t`` as a function of the source's
+    Delta, or None when no delay fits."""
+    r = rg.reg[t.src]
+    owner = rg.game.locations[t.src].owner
+    cost = _one_step(rg, t, child, "inf" if owner == MIN else "sup", shared)
+    if r.dim == 1:  # Delta is y on the y-axis and 1 - x on the x-axis
+        return cost.reversed_domain() if _shape_of(r) == ON_X else cost
+    if cost is None:
+        return None
+    return PLF1.infinite() if cost == INF else PLF1.point(cost)
+
+
+def _kernel_values(rg: RegionGame, comp: frozenset,
+                   child_values: dict[str, NodeValue],
+                   out_edges: list[Transition],
+                   shared: dict) -> tuple[dict[str, NodeValue], int]:
+    """Solve one zero-weight component given the values behind its output
+    edges; returns the value of every member location and the number of
+    steps."""
+    game = rg.game
+    shapes = {n: _shape_of(rg.reg[n]) for n in comp}
+    exits: dict[str, list[PLF1]] = {n: [] for n in comp}
+    for t in out_edges:
+        cost = _exit_cost(rg, t, child_values[t.tid], shared)
+        if cost is not None:
+            exits[t.src].append(cost)
+    out_tids = {t.tid for t in out_edges}
+    transitions = [t for t in game.transitions if t.src in comp
+                   and t.tgt in comp and t.tid not in out_tids]
+    res = kernelvi.iterate(delta_game({n: game.locations[n] for n in comp},
+                                      transitions, shapes, exits))
+    values: dict[str, NodeValue] = {}
+    for n in comp:
+        r = rg.reg[n]
+        f = res.functions[n]
+        if shapes[n] == POINT:
+            val = INF if f.is_infinite else value_at(res, n, r.corners()[0])
+            values[n] = NodeValue.constant(r, val)
+        elif f.is_infinite:
+            values[n] = NodeValue.infinite(r)
+        elif shapes[n] == ON_X:  # node parameter is x, kernel's is 1 - x
+            values[n] = NodeValue.line(r, f.reversed_domain())
+        else:
+            values[n] = NodeValue.line(r, f)
+    return values, res.steps

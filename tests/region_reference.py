@@ -23,6 +23,13 @@ def adherence(r: Region) -> tuple[Region, ...]:
     return _table(r.n_clocks).adherence[r]
 
 
+def _from(r: Region, closure: bool) -> tuple[Region, ...]:
+    """The regions whose points make up ``r``, or its closure if asked: a
+    question from the closure is answered as the union of the questions
+    from them."""
+    return adherence(r) if closure else (r,)
+
+
 def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
     """Refine a [0,1)-game so every location carries a single region."""
     n = len(game.clocks)
@@ -77,7 +84,8 @@ def trim(rg: RegionGame) -> RegionGame:
     for t in rg.game.transitions:
         r = rg.reg[t.src]
         sources = adherence(r) if closure else [r]
-        if not all(delay_feasible(s, t.guards, closure=closure) for s in sources):
+        if not all(any(delay_feasible(a, t.guards) for a in _from(s, closure))
+                   for s in sources):
             guard_region.pop(t.tid, None)
             continue
         clauses = []
@@ -85,9 +93,9 @@ def trim(rg: RegionGame) -> RegionGame:
             # A clause is redundant when no admissible elapsed valuation
             # from the (closed) region can violate it.
             removable = not any(
-                delay_feasible(s, (Guard(g.clock, op, g.bound),),
-                               closure=closure)
-                for s in sources for op in COMPLEMENT[g.op])
+                delay_feasible(a, (Guard(g.clock, op, g.bound),))
+                for s in sources for a in _from(s, closure)
+                for op in COMPLEMENT[g.op])
             if not removable:
                 clauses.append(g)
         kept.append(replace(t, guards=tuple(clauses)))
@@ -102,7 +110,8 @@ def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
     src, closure = rg.reg[t.src], rg.relaxed
     feas = {cand for s in (adherence(src) if closure else [src])
             for cand in all_regions(len(rg.game.clocks))
-            if elapsed_region_feasible(s, cand, t.guards, closure=closure)}
+            if any(elapsed_region_feasible(a, cand, t.guards)
+                   for a in _from(s, closure))}
     if not feas:
         raise StructuralError(f"{t.tid}: guard unsatisfiable from its region")
     best = max(feas, key=lambda r: r.dim)

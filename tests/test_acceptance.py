@@ -20,7 +20,7 @@ from acceptance_corpus import (
     transformation_corpus,
 )
 from corpus import three_clock_demo
-from kernel_reference import PLF2, fiber_extremum
+from kernel_reference import ON_X, PLF2, delta, equals, fiber_extremum
 from test_plf import check_running_extremum_structure
 from unfold_reference import deeper_root_value
 from wtgsolve.core import INF, Configuration
@@ -32,9 +32,9 @@ from wtgsolve.cycles import (
     fix_weight_zero,
     mark_green,
 )
-from wtgsolve.kernelvi import ON_X, delta, iterate
+from wtgsolve.kernelvi import iterate
 from wtgsolve.oracle import GridOracle
-from wtgsolve.plf import PLF1, canonicalize, equals, eval1, running_extremum
+from wtgsolve.plf import PLF1, canonicalize, eval1, running_extremum
 from wtgsolve.regions import (
     add_resets,
     build_region_wtg,
@@ -76,7 +76,7 @@ def fixed_point_value(res, shape, loc, v):
     f = res.functions[loc]
     if f.is_point:
         return f.points[0][1]
-    return f(1 - v[0] if shape == ON_X else delta(v))
+    return eval1(f, 1 - v[0] if shape == ON_X else delta(v))
 
 
 @criterion("AC1 kernel value iteration terminates and matches the oracle")
@@ -86,7 +86,7 @@ def test_ac1_kernel_vi():
     games = kernel_corpus()
     assert len(games) >= 20
     for name, kg in games:
-        res = iterate(kg.kernel_game(), k_cap=200)
+        res = iterate(kg.kernel_game())
         assert res.steps <= 200, name
         s_max = max((out_slope(ov) for ov in kg.w_out.values()), default=F(0))
         eps = 2 * s_max / n
@@ -182,7 +182,7 @@ def random_plf1(rng):
     n = rng.randint(2, 6)
     xs = [F(0)] + sorted(F(x, 32) for x in rng.sample(range(1, 32), n - 2)) + [F(1)]
     ys = [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in xs]
-    return PLF1.from_pairs(list(zip(xs, ys)))
+    return PLF1(list(zip(xs, ys)))
 
 
 def random_plf2(rng):
@@ -226,7 +226,9 @@ def test_ac5_properties():
 
     # (b) every emitted kernel fixed point is continuous and canonical
     for name, kg in kernel_corpus():
-        for f in iterate(kg.kernel_game(), k_cap=200).functions.values():
+        res = iterate(kg.kernel_game())
+        assert res.steps <= 200, name
+        for f in res.functions.values():
             if f.is_infinite:
                 continue
             xs = [x for x, _ in f.points]

@@ -14,7 +14,7 @@ from wtgsolve.cli import main
 from wtgsolve.core import MAX, MIN, Transition
 from wtgsolve.gameio import game_to_dict, save_game
 
-from acceptance_corpus import max_dead_end, zero_kernel, zero_kernel_free_exit
+from acceptance_corpus import max_dead_end, zero_kernel_free_exit
 from corpus import G, loc, make_game, three_clock_demo
 
 
@@ -187,20 +187,6 @@ class TestErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("k_cap", ["0", "-1"])
-    def test_k_cap_below_1_exits_3_before_solving(self, k_cap, game_file,
-                                                  capsys, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved with a k-cap below 1")
-
-        monkeypatch.setattr(cli, "solve", no_solve)
-        assert main(["solve", game_file(zero_kernel()),
-                     "--k-cap", k_cap]) == 3
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and k_cap in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-
     def test_negative_horizon_exits_3(self, game_file, capsys):
         assert main(["solve", game_file(min_wait()), "--oracle",
                      "--horizon", "-1"]) == 3
@@ -235,6 +221,8 @@ class TestMalformedInput:
                                        "malformed"),
         "valuation_not_an_object": (("initial", "valuation"), [0, 0],
                                     "malformed"),
+        "valuation_unknown_clock": (("initial", "valuation", "z"), "7",
+                                    "unknown clock 'z'"),
     }
 
     @pytest.mark.parametrize("probe", sorted(PROBES))

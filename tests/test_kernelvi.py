@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,18 +14,13 @@ from wtgsolve.core import (
     Transition,
     WeightedTimedGame,
 )
-from kernel_reference import PLF2, ExitGame, OutputValue, project_output
-from wtgsolve.kernelvi import (
-    ON_X,
-    ON_Y,
-    POINT,
-    delta,
-    iterate,
-    step_transition,
-    value_at,
-)
+from kernel_reference import (ON_X, ON_Y, PLF2, POINT, ExitGame,
+                              OutputValue, delta, equals, project_output,
+                              step_transition, value_at)
+from wtgsolve import kernelvi
+from wtgsolve.kernelvi import iterate
 from wtgsolve.oracle import GridOracle, grid_tolerance
-from wtgsolve.plf import PLF1, equals
+from wtgsolve.plf import PLF1
 
 XY = OutputValue(PLF2.affine(
     ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))), (1, 1, 0)))
@@ -60,7 +56,7 @@ class TestOutputValue:
         assert w.eval((F(1, 3), F(2, 3))) == F(5, 2)
 
     def test_on_y_extension(self):
-        w = OutputValue.on_y(PLF1.from_pairs([(0, 1), (F(1, 2), 0), (1, 1)]))
+        w = OutputValue.on_y(PLF1([(0, 1), (F(1, 2), 0), (1, 1)]))
         assert w.eval((F(3, 4), F(1, 4))) == F(1, 2)
         assert w.eval((F(0), F(1, 2))) == 0
 
@@ -69,12 +65,12 @@ class TestProjectOutput:
     def test_min_on_y(self):
         t = T("t", "a", "g")
         f = project_output(t, XY, ON_Y, MIN)
-        assert equals(f, PLF1.from_pairs([(0, 0), (1, 1)]))
+        assert equals(f, PLF1([(0, 0), (1, 1)]))
 
     def test_max_on_y(self):
         t = T("t", "a", "g")
         f = project_output(t, XY, ON_Y, MAX)
-        assert equals(f, PLF1.from_pairs([(0, 2), (1, 1)]))
+        assert equals(f, PLF1([(0, 2), (1, 1)]))
 
     def test_point_min(self):
         t = T("t", "a", "g")
@@ -85,21 +81,21 @@ class TestProjectOutput:
         # guard y == 1 from {(0,y)} forces delay 1 - Delta; exit pays x + y
         t = T("t", "a", "g", guards=[(1, "==", 1)])
         f = project_output(t, XY, ON_Y, MIN)
-        assert equals(f, PLF1.from_pairs([(0, 2), (1, 1)]))
+        assert equals(f, PLF1([(0, 2), (1, 1)]))
 
     def test_reset_before_paying(self):
         t = T("t", "a", "g", guards=[(1, "==", 1)], resets={1})
         f = project_output(t, XY, ON_Y, MIN)
-        assert equals(f, PLF1.from_pairs([(0, 1), (1, 0)]))
+        assert equals(f, PLF1([(0, 1), (1, 0)]))
 
 
 class TestStepTransition:
-    target = PLF1.from_pairs([(0, 1), (F(1, 2), 0), (1, 1)])
+    target = PLF1([(0, 1), (F(1, 2), 0), (1, 1)])
 
     def test_suffix_min(self):
         t = T("t", "a", "b", resets={1})
         f = step_transition(t, self.target, ON_Y, MIN)
-        assert equals(f, PLF1.from_pairs([(0, 0), (F(1, 2), 0), (1, 1)]))
+        assert equals(f, PLF1([(0, 0), (F(1, 2), 0), (1, 1)]))
 
     def test_suffix_max_constant(self):
         t = T("t", "a", "b", resets={1})
@@ -113,7 +109,7 @@ class TestStepTransition:
     def test_prefix_min(self):
         t = T("t", "a", "b", resets={0})
         f = step_transition(t, self.target, ON_X, MIN)
-        assert equals(f, PLF1.from_pairs([(0, 1), (F(1, 2), 0), (1, 0)]))
+        assert equals(f, PLF1([(0, 1), (F(1, 2), 0), (1, 0)]))
 
     def test_double_reset(self):
         t = T("t", "a", "b", resets={0, 1})
@@ -165,23 +161,25 @@ def kernel_to_wtg(kg: ExitGame, start_loc, start_val):
 
 class TestIterate:
     def test_single_exit(self):
+        # one step reaches the exit's cost, and a second finds it unchanged
         res = iterate(single_exit_kernel().kernel_game())
-        assert res.steps == 1
-        assert equals(res.functions[res.entrance],
-                      PLF1.from_pairs([(0, 0), (1, 1)]))
+        assert res.steps == 2
+        assert equals(res.functions["k"], PLF1([(0, 0), (1, 1)]))
 
-    def test_fixed_point_is_fixed(self):
+    def test_fixed_point_is_fixed(self, monkeypatch):
         kg = two_location_kernel(
-            OutputValue.on_y(PLF1.from_pairs([(0, 1), (F(1, 2), 0), (1, 1)])),
+            OutputValue.on_y(PLF1([(0, 1), (F(1, 2), 0), (1, 1)])),
             OutputValue.constant(F(3, 4)))
         res = iterate(kg.kernel_game())
-        res2 = iterate(kg.kernel_game(), k_cap=res.steps + 1)
+        assert res.functions == kg.kernel_game().step(res.functions)
+        monkeypatch.setattr(kernelvi, "K_CAP", res.steps)
+        res2 = iterate(kg.kernel_game())
         for name, f in res.functions.items():
             assert equals(f, res2.functions[name])
 
     def test_matches_grid_oracle(self):
-        w1 = OutputValue.on_y(PLF1.from_pairs([(0, 1), (F(1, 2), 0), (1, 1)]))
-        w2 = OutputValue.on_x(PLF1.from_pairs([(0, F(1, 2)), (1, 1)]))
+        w1 = OutputValue.on_y(PLF1([(0, 1), (F(1, 2), 0), (1, 1)]))
+        w2 = OutputValue.on_x(PLF1([(0, F(1, 2)), (1, 1)]))
         kg = two_location_kernel(w1, w2)
         res = iterate(kg.kernel_game())
         n = 64
@@ -211,7 +209,7 @@ class TestIterate:
         res = iterate(kg.kernel_game())
         assert value_at(res, "k", (F(0), F(0))) == 0
 
-    def test_entrance_copy_added_for_cycles(self):
+    def test_min_exits_before_a_max_cycle(self):
         kg = two_location_kernel(OutputValue.constant(1),
                                  OutputValue.constant(2))
         res = iterate(kg.kernel_game())
@@ -219,7 +217,24 @@ class TestIterate:
         # except by exiting herself at cost 1.
         assert equals(res.functions["k1"], PLF1.constant(1))
 
-    def test_k_cap_guard(self):
+    def test_k_cap_guard(self, monkeypatch):
+        # the iteration may take K_CAP steps and no more
         kg = two_location_kernel(XY, OutputValue.constant(F(1, 2)))
-        with pytest.raises(StructuralError):
-            iterate(kg.kernel_game(), k_cap=0)
+        steps = iterate(kg.kernel_game()).steps
+        monkeypatch.setattr(kernelvi, "K_CAP", steps - 1)
+        with pytest.raises(StructuralError, match="exceeded"):
+            iterate(kg.kernel_game())
+
+    def test_an_increase_is_refused(self):
+        kg = single_exit_kernel().kernel_game()
+        kg.step = lambda table: {"k": PLF1.constant(1) if table["k"].is_infinite
+                                 else PLF1.constant(2)}
+        with pytest.raises(StructuralError, match="Opt increased"):
+            iterate(kg)
+
+    def test_a_weighted_or_resetless_move_is_refused(self):
+        kg = two_location_kernel(XY, XY).kernel_game()
+        for bad in (dict(weight=1), dict(resets=frozenset())):
+            t = replace(kg.transitions[0], **bad)
+            with pytest.raises(StructuralError):
+                kernelvi.KernelGame(kg.locations, [t], kg.top, kg.step)

@@ -8,18 +8,17 @@ from wtgsolve.plf import (
     PLF1,
     canonicalize,
     envelope_pieces,
-    equals,
     eval1,
     pointwise_extremum,
     running_extremum,
 )
 
 from invariants import check_continuity
-from kernel_reference import PLF2, Segment, fiber_extremum, restrict2
+from kernel_reference import PLF2, Segment, equals, fiber_extremum, restrict2
 
 
 def plf(*pairs):
-    return PLF1.from_pairs(pairs)
+    return PLF1(pairs)
 
 
 class TestEval:
@@ -55,6 +54,14 @@ class TestCanonical:
     def test_equals(self):
         assert equals(plf((0, 0), (F(1, 2), F(1, 2)), (1, 1)), plf((0, 0), (1, 1)))
         assert not equals(plf((0, 0), (1, 1)), plf((0, 0), (1, 2)))
+
+    def test_pointwise_order(self):
+        vee = plf((0, 1), (F(1, 2), 0), (1, 1))
+        assert vee <= plf((0, 1), (1, 1)) and vee <= PLF1.infinite()
+        assert not vee <= plf((0, F(1, 2)), (1, F(1, 2)))
+        assert not PLF1.infinite() <= vee
+        # the breakpoints of either side are compared
+        assert not plf((0, 0), (1, 0)) <= plf((0, 0), (F(1, 2), -1), (1, 0))
 
 
 class TestPointwiseExtremum:
@@ -117,7 +124,7 @@ def random_plf1(draw):
     xs = sorted(draw(st.sets(st.integers(1, 31), min_size=n - 2, max_size=n - 2)))
     xs = [F(0)] + [F(x, 32) for x in xs] + [F(1)]
     ys = [F(draw(st.integers(-8, 8)), draw(st.integers(1, 4))) for _ in xs]
-    return PLF1.from_pairs(list(zip(xs, ys)))
+    return PLF1(list(zip(xs, ys)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -182,26 +182,24 @@ class TestRegionLookups:
     as a list or as a tuple."""
 
     def test_delay_feasible_matches_body(self):
-        questions = list(itertools.product(
-            all_regions(2), _GUARD_SETS, (False, True)))
-        assert len(questions) == 4642
-        for r, guards, closure in questions:
-            expected = fm_reference.delay_feasible(r, guards, 2, closure,
+        questions = list(itertools.product(all_regions(2), _GUARD_SETS))
+        assert len(questions) == 2321
+        for r, guards in questions:
+            expected = fm_reference.delay_feasible(r, guards, 2, False,
                                                    None, True)
-            assert delay_feasible(r, list(guards),
-                                  closure=closure) == expected
-            assert delay_feasible(r, guards, closure) == expected
+            assert delay_feasible(r, list(guards)) == expected
+            assert delay_feasible(r, guards) == expected
 
     def test_elapsed_region_feasible_matches_body(self):
         questions = list(itertools.product(
-            all_regions(2), all_regions(2), _GUARD_SETS, (False, True)))
-        for src, target, guards, closure in questions:
+            all_regions(2), all_regions(2), _GUARD_SETS))
+        assert len(questions) == 25531
+        for src, target, guards in questions:
             expected = fm_reference.elapsed_region_feasible(
-                src, target, guards, closure)
-            assert elapsed_region_feasible(src, target, list(guards),
-                                           closure=closure) == expected
-            assert elapsed_region_feasible(src, target, guards,
-                                           closure) == expected
+                src, target, guards, False)
+            assert elapsed_region_feasible(src, target, list(guards)) \
+                == expected
+            assert elapsed_region_feasible(src, target, guards) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 from collections import Counter
@@ -7,19 +8,21 @@ from pathlib import Path
 
 import pytest
 
+import kernel_reference
 import test_anz
 import unfold_reference
 from acceptance_corpus import (double_reset_kernel, exact_corpus,
                                max_dead_end, transformation_corpus,
                                zero_kernel_free_exit)
 from corpus import G, loc, make_game, three_clock_demo
-from kernel_reference import _to_output, project_output
+from kernel_reference import (ON_X, ON_Y, POINT, _exit_cost, _shape_of,
+                              _to_output, equals, project_output)
 from wtgsolve import kernelvi, unfold
 from wtgsolve.core import (MAX, MIN, Configuration, DomainError, GameError,
                            Transition)
 from wtgsolve.gameio import game_from_dict, game_to_dict
 from wtgsolve.oracle import GridOracle
-from wtgsolve.plf import PLF1, equals
+from wtgsolve.plf import PLF1
 from wtgsolve.regions import (Region, build_region_wtg, clock_bound,
                               normalize_01, trim)
 from wtgsolve.unfold import (
@@ -464,10 +467,10 @@ class TestSccOrder:
         assert len(prep.kernel.components) == 3
         calls = Counter()
 
-        def counted(g, **kw):
+        def counted(g):
             calls[frozenset(n for n, l in g.locations.items()
                             if not l.is_goal)] += 1
-            return kernelvi.iterate(g, **kw)
+            return kernelvi.iterate(g)
 
         monkeypatch.setattr(unfold, "iterate", counted)
         value_functions(prep.rg, prep.kernel, prep.w_bound, prep.kappa)
@@ -540,7 +543,7 @@ class TestOneStepReference:
         reads y, is a constant, or reads a clock that the move resets.  No
         prepared game has the last child, so each move gets one made up on
         the clock it resets."""
-        bumpy = PLF1.from_pairs(((0, 1), (F(1, 2), 0), (1, 2)))
+        bumpy = PLF1(((0, 1), (F(1, 2), 0), (1, 2)))
         cases = set()
         for name, game in (_one_step_games("test_anz")
                            + _one_step_games("families")):
@@ -575,7 +578,7 @@ class TestOneStepReference:
             (True, False), ("x", "y", "const", "reset"), ("inf", "sup")))
 
 
-# -- kernel exits against the 2-D projection reference -----------------------
+# -- kernels against the Delta reference and its 2-D exit projection ---------
 
 def _exit_games():
     """The corpora, ``test_anz.random_game`` 0-399, ``families.random_game``
@@ -599,51 +602,101 @@ def _same_cost(got, want) -> bool:
     return got == want
 
 
-def test_every_kernel_exit_costs_as_the_projection_reference(monkeypatch):
-    """Every kernel exit that a solve costs, as ``unfold._exit_cost`` costs
-    it along flow lines and as the reference projects the 2-D exit-cost
-    function of the value behind it onto the source's Delta.  From an axis,
-    every exit of these games costs a constant, so each exit is costed again
-    for either player behind a made-up value that reads x and one that
-    reads y."""
-    bumpy = PLF1.from_pairs(((0, 1), (F(1, 2), 0), (1, 2)))
-    made_up = [unfold.NodeValue.line(
-        Region((frozenset({1 - i}), frozenset({i}))), bumpy) for i in (0, 1)]
+@functools.lru_cache(maxsize=None)
+def _met_kernels():
+    """(rg, component, values behind its exits, exits) of every kernel that
+    solving ``_exit_games()`` values, once per call of
+    ``unfold._kernel_values``."""
+    met = []
+    kernel_values = unfold._kernel_values
+
+    def spy(rg, comp, child_values, out_edges, shared):
+        met.append((rg, comp, child_values, out_edges))
+        return kernel_values(rg, comp, child_values, out_edges, shared)
+
+    unfold._kernel_values = spy
+    try:
+        for game in _exit_games():
+            try:
+                solve(game)
+            except GameError:
+                pass
+    finally:
+        unfold._kernel_values = kernel_values
+    return tuple(met)
+
+
+# Values that read x and y, for exits that in these games only ever have a
+# constant behind them
+_BUMPY = PLF1(((0, 1), (F(1, 2), 0), (1, 2)))
+_MADE_UP = tuple(unfold.NodeValue.line(
+    Region((frozenset({1 - i}), frozenset({i}))), _BUMPY) for i in (0, 1))
+
+
+def _owned(rg, names, owner):
+    """``rg`` with the locations ``names`` owned by ``owner``."""
+    locations = dict(rg.game.locations)
+    for n in names:
+        locations[n] = replace(locations[n], owner=owner)
+    return replace(rg, game=replace(rg.game, locations=locations))
+
+
+def test_every_kernel_exit_costs_as_the_projection_reference():
+    """Every exit of every kernel that a solve values, as
+    ``kernel_reference._exit_cost`` costs it along flow lines in Delta and
+    as the reference projects the 2-D exit-cost function of the value
+    behind it onto the source's Delta.  From an axis, every exit of these
+    games costs a constant, so each exit is costed again for either player
+    behind a made-up value that reads x and one that reads y."""
     seen, exits = [], {}
-    exit_cost = unfold._exit_cost
-
-    def spy(rg, t, child, shared):
-        exits[id(rg), t.tid] = rg, t
-        got = _outcome(exit_cost, rg, t, child, shared)
-        seen.append((rg, t, child, got))
-        if isinstance(got, type):
-            raise got(t.tid)
-        return got
-
-    def reference(rg, t, child):
-        return project_output(t, _to_output(child, t),
-                              unfold._shape_of(rg.reg[t.src]),
-                              rg.game.locations[t.src].owner)
-
-    monkeypatch.setattr(unfold, "_exit_cost", spy)
-    for game in _exit_games():
-        try:
-            solve(game)
-        except GameError:
-            pass
+    for rg, _comp, child_values, out_edges in _met_kernels():
+        for t in out_edges:
+            exits[id(rg), t.tid] = rg, t
+            child = child_values[t.tid]
+            seen.append((rg, t, child, _outcome(_exit_cost, rg, t, child, {})))
     assert len(seen) >= 150
     for rg, t in exits.values():
         for owner in (MIN, MAX):
-            src = replace(rg.game.locations[t.src], owner=owner)
-            rg2 = replace(rg, game=replace(
-                rg.game, locations={**rg.game.locations, t.src: src}))
-            seen += [(rg2, t, child, _outcome(exit_cost, rg2, t, child, {}))
-                     for child in made_up]
+            rg2 = _owned(rg, [t.src], owner)
+            seen += [(rg2, t, child, _outcome(_exit_cost, rg2, t, child, {}))
+                     for child in _MADE_UP]
+
+    def reference(rg, t, child):
+        return project_output(t, _to_output(child, t),
+                              _shape_of(rg.reg[t.src]),
+                              rg.game.locations[t.src].owner)
+
     for rg, t, child, got in seen:
         want = _outcome(reference, rg, t, child)
         assert _same_cost(got, want), (t.tid, got, want)
-    shapes = {unfold._shape_of(rg.reg[t.src]) for rg, t in exits.values()}
-    assert shapes == {kernelvi.POINT, kernelvi.ON_X, kernelvi.ON_Y}
+    assert {_shape_of(rg.reg[t.src]) for rg, t in exits.values()} \
+        == {POINT, ON_X, ON_Y}
+
+
+def test_every_kernel_iterates_as_the_delta_reference():
+    """Every kernel that a solve values, iterated with the flow-line
+    operator of ``unfold._kernel_values`` and with the Delta operator of
+    ``kernel_reference._kernel_values``: the same value function on every
+    member and the same number of steps, or the same error type.  Each
+    kernel runs 9 times: behind the values the solve gave or with every
+    exit behind one of the two made-up values, and with owners as given,
+    all Min or all Max."""
+    runs = bent = 0
+    for rg, comp, child_values, out_edges in _met_kernels():
+        behind = [child_values] + [{t.tid: nv for t in out_edges}
+                                   for nv in _MADE_UP]
+        for child in behind:
+            for owner in (None, MIN, MAX):
+                rg2 = rg if owner is None else _owned(rg, comp, owner)
+                args = (rg2, comp, child, out_edges, {})
+                got = _outcome(unfold._kernel_values, *args)
+                want = _outcome(kernel_reference._kernel_values, *args)
+                assert got == want, (sorted(comp), owner)
+                runs += 1
+                bent += not isinstance(got, type) and any(
+                    nv.plf is not None and len(nv.plf.points) > 2
+                    for nv in got[0].values())
+    assert runs >= 600 and bent >= 40
 
 
 # -- kernel exits whose landing point does not move --------------------------

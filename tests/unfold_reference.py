@@ -15,7 +15,8 @@ from typing import Optional
 
 from kernel_reference import (PLF2, Segment, clip_halfplane,
                               dedupe_polygon, fiber_extremum, make_ccw,
-                              polygon_area2, restrict2, triangulate)
+                              max_value, min_value, polygon_area2, restrict2,
+                              triangulate)
 from wtgsolve.core import (INF, MIN, DomainError, ExtRat, StructuralError,
                            Transition, Valuation, reset)
 from wtgsolve.cycles import Kernel
@@ -135,16 +136,14 @@ def semi_unfold(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
 
 def _solve_kernel(rg: RegionGame, node: UnfoldNode,
                   child_values: dict[str, NodeValue],
-                  out_edges: list[Transition],
-                  k_cap: int) -> tuple[NodeValue, int]:
+                  out_edges: list[Transition]) -> tuple[NodeValue, int]:
     values, steps = _kernel_values(rg, node.component, child_values,
-                                   out_edges, k_cap, {})
+                                   out_edges, {})
     return values[node.loc], steps
 
 
 def solve_node(node: UnfoldNode, rg: RegionGame, kernel: Kernel,
-               k_cap: int = 10000, _stats: Optional[dict] = None
-               ) -> NodeValue:
+               _stats: Optional[dict] = None) -> NodeValue:
     """Value function of an unfold node, children first (iterative
     postorder over the shared DAG)."""
     memo: dict[int, NodeValue] = {}
@@ -170,7 +169,7 @@ def solve_node(node: UnfoldNode, rg: RegionGame, kernel: Kernel,
         if n.kind == KERNEL:
             out = [t for t in kernel.output_edges
                    if t.src in n.component]
-            nv, steps = _solve_kernel(rg, n, child_values, out, k_cap)
+            nv, steps = _solve_kernel(rg, n, child_values, out)
             if _stats is not None:
                 _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)
             memo[id(n)] = nv
@@ -181,8 +180,7 @@ def solve_node(node: UnfoldNode, rg: RegionGame, kernel: Kernel,
 
 
 def jacobi_value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
-                           kappa: Fraction, k_cap: int = 10000,
-                           extra_visits: int = 0,
+                           kappa: Fraction, extra_visits: int = 0,
                            _stats: Optional[dict] = None
                            ) -> dict[str, NodeValue]:
     """Exact value function of every region-location, by global Jacobi
@@ -219,7 +217,7 @@ def jacobi_value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
         nxt = dict(values)
         for comp, out in out_by_comp.items():
             child = {t.tid: values[t.tgt] for t in out}
-            kv, steps = _kernel_values(rg, comp, child, out, k_cap, {})
+            kv, steps = _kernel_values(rg, comp, child, out, {})
             nxt.update(kv)
             if _stats is not None:
                 _stats["vi_steps"] = max(_stats.get("vi_steps", 0), steps)
@@ -370,7 +368,7 @@ def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
         return f2.eval2((xa, xa + c0)) + w0 * (xa - xi0)
     h = restrict2(f2, Segment((xa, xa + c0), (xb, xb + c0)))
     obj = _add_affine(h, w0 * (xb - xa), w0 * (xa - xi0))
-    return obj.min_value() if direction == "inf" else obj.max_value()
+    return min_value(obj) if direction == "inf" else max_value(obj)
 
 
 def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
