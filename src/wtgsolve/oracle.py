@@ -34,14 +34,6 @@ INF_I = np.int64(2) ** 62
 WOutFn = Callable[[Valuation], Fraction]
 
 
-def grid_tolerance(max_loc_weight: int, max_out_slope: Fraction,
-                   horizon: int, n_grid: int) -> Fraction:
-    """Error bound between grid and continuous play: one tick of rounding
-    per step, each worth at most the steepest rate in the game."""
-    s = (Fraction(max_loc_weight) + abs(Fraction(max_out_slope))) * (horizon + 1)
-    return 2 * s / n_grid
-
-
 class GridOracle:
     """Bounded-horizon values of the grid-restricted game.
 

@@ -3,6 +3,10 @@
 ``PLF1`` is a continuous piecewise-linear function over an interval of the
 real line (usually [0,1]) or over the single point {0}, with exact rational
 breakpoints.  ``+inf`` is a whole-function state, never a breakpoint value.
+
+The solver needs two operations, both in closed form: the pointwise min or
+max of functions on one domain (:func:`pointwise_extremum`), and the min or
+max of f over [x, hi] or [lo, x] (:func:`running_extremum`).
 """
 from __future__ import annotations
 
@@ -87,12 +91,6 @@ class PLF1:
             return "PLF1(+inf)"
         return f"PLF1({list(self.points)})"
 
-    def segments(self):
-        """Yield (x1, x2, slope, intercept) for each linear piece."""
-        for (x1, y1), (x2, y2) in zip(self.points, self.points[1:]):
-            a = (y2 - y1) / (x2 - x1)
-            yield x1, x2, a, y1 - a * x1
-
     def shift(self, delta) -> "PLF1":
         """Add a constant to the function (no-op on +inf)."""
         if self.is_infinite:
@@ -152,90 +150,42 @@ def canonicalize(plf: PLF1) -> PLF1:
     return PLF1(tuple(out))
 
 
-# -- envelopes over partial affine pieces -----------------------------------
-
-
-def envelope_pieces(pieces, lo, hi, direction: str) -> PLF1:
-    """Pointwise extremum of partial affine pieces covering [lo, hi].
-
-    ``pieces`` is a list of ``(x1, x2, a, b)``: the affine function ``a*x+b``
-    available on ``[x1, x2]``.  Every point of [lo, hi] must be covered, and
-    the resulting extremum must be continuous (guaranteed for the geometric
-    uses in this package); a violation raises :class:`DomainError`.
-    """
-    if direction not in ("inf", "sup"):
-        raise ValueError(direction)
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo == hi:
-        vals = [a * lo + b for x1, x2, a, b in pieces if x1 <= lo <= x2]
-        if not vals:
-            raise DomainError("envelope coverage gap at point domain")
-        return PLF1.point(min(vals) if direction == "inf" else max(vals), lo)
-    clipped = []
-    for x1, x2, a, b in pieces:
-        x1, x2 = max(x1, lo), min(x2, hi)
-        if x1 <= x2:
-            clipped.append((x1, x2, a, b))
-    pieces = clipped
-    xs = {lo, hi}
-    for x1, x2, _, _ in pieces:
-        xs.add(x1)
-        xs.add(x2)
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            x1, x2, a1, b1 = pieces[i]
-            u1, u2, a2, b2 = pieces[j]
-            if a1 == a2:
-                continue
-            xc = (b2 - b1) / (a1 - a2)
-            if max(x1, u1) <= xc <= min(x2, u2):
-                xs.add(xc)
-    grid = sorted(x for x in xs if lo <= x <= hi)
-    better = min if direction == "inf" else max
-    points = []
-    prev_right = None
-    for u, v in zip(grid, grid[1:]):
-        if u == v:
-            continue
-        active = [(a, b) for x1, x2, a, b in pieces if x1 <= u and x2 >= v]
-        if not active:
-            raise DomainError(f"envelope coverage gap on [{u}, {v}]")
-        mid = (u + v) / 2
-        a, b = better(active, key=lambda ab: ab[0] * mid + ab[1])
-        yu, yv = a * u + b, a * v + b
-        if prev_right is not None and prev_right != yu:
-            raise DomainError(
-                f"discontinuous envelope at x={u}: {prev_right} vs {yu}"
-            )
-        if not points:
-            points.append((u, yu))
-        points.append((v, yv))
-        prev_right = yv
-    return canonicalize(PLF1(tuple(points)))
-
-
 def pointwise_extremum(functions, direction: str) -> PLF1:
     """Exact pointwise inf/sup of PLF1s sharing one domain."""
+    if direction not in ("inf", "sup"):
+        raise ValueError(direction)
+    better = min if direction == "inf" else max
     fs = list(functions)
     if not fs:
         raise DomainError("extremum of no functions")
     finite = [f for f in fs if not f.is_infinite]
-    if direction == "sup" and len(finite) < len(fs):
-        return PLF1.infinite()
-    if not finite:
+    if not finite or direction == "sup" and len(finite) < len(fs):
         return PLF1.infinite()
     fs = finite
     if any(f.is_point for f in fs):
         if not all(f.is_point and f.points[0][0] == fs[0].points[0][0] for f in fs):
             raise DomainError("mixed point/interval domains in extremum")
-        vals = [f.points[0][1] for f in fs]
-        x0 = fs[0].points[0][0]
-        return PLF1.point(min(vals) if direction == "inf" else max(vals), x0)
+        return PLF1.point(better(f.points[0][1] for f in fs), fs[0].points[0][0])
     lo, hi = fs[0].lo, fs[0].hi
     if any(f.lo != lo or f.hi != hi for f in fs):
         raise DomainError("extremum of PLF1s with different domains")
-    pieces = [seg for f in fs for seg in f.segments()]
-    return envelope_pieces(pieces, lo, hi, direction)
+    # Between consecutive breakpoints of all inputs every input is affine,
+    # so the extremum bends only where two inputs cross.
+    xs = sorted({x for f in fs for x, _ in f.points})
+    cols = [[eval1(f, x) for f in fs] for x in xs]
+    points = [(lo, better(cols[0]))]
+    for u, v, a, b in zip(xs, xs[1:], cols, cols[1:]):
+        ts = set()
+        for i in range(len(fs)):
+            for j in range(i + 1, len(fs)):
+                d0, d1 = a[i] - a[j], b[i] - b[j]
+                if d0 < 0 < d1 or d1 < 0 < d0:
+                    ts.add(d0 / (d0 - d1))
+        for t in sorted(ts):
+            points.append((u + t * (v - u),
+                           better(p + t * (q - p) for p, q in zip(a, b))))
+        points.append((v, better(b)))
+    return canonicalize(PLF1(points))
 
 
 def running_extremum(plf: PLF1, side: str, direction: str) -> PLF1:
@@ -252,46 +202,20 @@ def running_extremum(plf: PLF1, side: str, direction: str) -> PLF1:
         raise ValueError(direction)
     if plf.is_infinite or plf.is_point:
         return plf
-    better = min if direction == "inf" else max
-
     if side == "prefix":
         # mirror the domain, take the suffix extremum, mirror back
         return running_extremum(
             plf.reversed_domain(), "suffix", direction
         ).reversed_domain()
-
+    better = min if direction == "inf" else max
     pts = plf.points
-    rev_points: list[tuple[Fraction, Fraction]] = []  # built right-to-left
-    best = pts[-1][1]
-
-    def emit(x, y):
-        if rev_points and rev_points[-1][0] == x:
-            if rev_points[-1][1] != y:
-                raise DomainError("running extremum discontinuity")
-            return
-        rev_points.append((x, y))
-
-    emit(pts[-1][0], best)
+    level = pts[-1][1]  # the extremum of f right of the current piece
+    rev_points = [pts[-1]]
     for (x1, y1), (x2, y2) in zip(reversed(pts[:-1]), reversed(pts[1:])):
-        # e(x) = ext of f on [x, x2] within this piece
-        toward = (y1 <= y2) if direction == "inf" else (y1 >= y2)
-        if toward:
-            # extremum attained at the left endpoint: e(x) = f(x)
-            enters = (y1 < best < y2) if direction == "inf" else (y2 < best < y1)
-            if enters:
-                a = (y2 - y1) / (x2 - x1)
-                xc = x1 + (best - y1) / a
-                emit(xc, best)
-                emit(x1, y1)
-            elif better(y1, best) == best and y1 != best:
-                emit(x1, best)
-            else:
-                emit(x2, better(y2, best))
-                emit(x1, better(y1, best))
-        else:
-            # extremum attained at the right endpoint: e(x) = y2 constant
-            val = better(y2, best)
-            emit(x2, val)
-            emit(x1, val)
-        best = better(best, better(y1, y2))
+        # on [x1, x2] the result is better(level, f): f until it crosses level
+        if better(y1, level) == y1 != level != y2:
+            xc = x1 + (level - y1) * (x2 - x1) / (y2 - y1)
+            rev_points.append((xc, level))
+        level = better(level, y1)
+        rev_points.append((x1, level))
     return canonicalize(PLF1(tuple(reversed(rev_points))))

@@ -418,48 +418,26 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
 
     transitions: list[Transition] = []
 
-    def translate(g: Guard, nbar) -> Optional[list[Guard]]:
-        """Clauses over the fractional clock, or None when unsatisfiable."""
-        x, c, ni = g.clock, g.bound, nbar[g.clock]
-        if g.op == "==":
-            if ni == c:
-                return [Guard(x, "==", 0)]
-            if ni == c - 1:
-                return [Guard(x, "==", 1)]
-            return None
-        if g.op == "<":
-            return [] if ni <= c - 1 else None
-        if g.op == "<=":
-            if ni < c:
-                return []
-            if ni == c:
-                return [Guard(x, "==", 0)]
-            return None
-        if g.op == ">":
-            if ni > c:
-                return []
-            if ni == c:
-                return [Guard(x, ">", 0)]
-            return None
-        # >=
-        if ni >= c:
-            return []
-        if ni == c - 1:
+    def translate(g: Guard, ni: int) -> Optional[list[Guard]]:
+        """Clauses over the fractional clock in its integer copy ``ni``, or
+        None when unsatisfiable.  The atom has one truth value at ni, one on
+        (ni, ni + 1), read at ni + 1/2, and one at ni + 1."""
+        x = g.clock
+        if g.holds(ni + Fraction(1, 2)):
+            return [] if g.holds(ni) else [Guard(x, ">", 0)]
+        if g.holds(ni):
+            return [Guard(x, "==", 0)]
+        if g.holds(ni + 1):
             return [Guard(x, "==", 1)]
         return None
 
     for t in game.transitions:
+        by_copy = [[translate(g, ni) for ni in range(m)] for g in t.guards]
         for nbar in copies:
-            clauses: list[Guard] = []
-            ok = True
-            for g in t.guards:
-                tr = translate(g, nbar)
-                if tr is None:
-                    ok = False
-                    break
-                clauses.extend(tr)
-            if not ok:
+            trs = [row[nbar[g.clock]] for g, row in zip(t.guards, by_copy)]
+            if None in trs:
                 continue
+            clauses = [c for tr in trs for c in tr]
             bump = {g.clock for g in clauses if g.op == "==" and g.bound == 1}
             pinned = bump | {g.clock for g in clauses if g.op == "==" and g.bound == 0}
             for x in range(n):
@@ -625,8 +603,10 @@ def trim(rg: RegionGame) -> RegionGame:
 
     A transition survives when a guard-satisfying delay exists from the
     source region; a clause survives when some elapsed valuation violates
-    it.  :func:`build_region_wtg` keeps only satisfiable moves, so on its
-    output only clauses go; after :func:`relax`, transitions can go too.
+    it.  :func:`build_region_wtg` keeps only satisfiable moves, and closing
+    a guard keeps a satisfiable one satisfiable, so the trim of
+    :func:`relax` drops only clauses; only the one inside
+    :func:`add_resets` can drop transitions.
 
     Once relaxed, the answers from r are those from its closure: relaxed
     guards are closed, so a delay that works from r works from every point
@@ -654,15 +634,13 @@ def trim(rg: RegionGame) -> RegionGame:
 
 
 def relax(rg: RegionGame) -> RegionGame:
-    """Widen strict guards to their closure and re-trim."""
-    if not rg.trimmed:
-        raise StructuralError("relax expects a trimmed region game")
+    """Widen strict guards to their closure and trim."""
     transitions = [replace(t, guards=tuple(g.closed() for g in t.guards))
                    for t in rg.game.transitions]
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              transitions, rg.game.initial)
     return trim(RegionGame(game, dict(rg.reg), dict(rg.guard_region),
-                           trimmed=True, relaxed=True))
+                           relaxed=True))
 
 
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:

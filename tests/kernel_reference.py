@@ -5,7 +5,9 @@ Two layers of it live here.  The first is the general 2-D costing of
 kernel exits.  An exit-cost function is a ``PLF2``: a continuous
 piecewise-affine function over a convex polygon in [0,1]^2, stored as a
 triangulation with one affine coefficient triple per cell (the exact polygon
-helpers come first).  :func:`project_output` takes the best exit cost over
+helpers come first).  :func:`restrict2` and :func:`fiber_extremum` reduce
+one to a PLF1 through :func:`envelope_pieces`, the pointwise extremum of
+partial affine pieces.  :func:`project_output` takes the best exit cost over
 the delays from a 1-D boundary region, as a function of the kernel's Delta
 coordinate, and :func:`_to_output` turns the value behind an exit into such
 a function.  :class:`ExitGame` is a kernel game whose exits lead to goal
@@ -30,8 +32,8 @@ from wtgsolve import kernelvi
 from wtgsolve.core import (INF, MIN, DomainError, Location, StructuralError,
                            Transition, Valuation, frac)
 from wtgsolve.kernelvi import KernelGame
-from wtgsolve.plf import (PLF1, canonicalize, envelope_pieces, eval1,
-                          pointwise_extremum, running_extremum)
+from wtgsolve.plf import (PLF1, canonicalize, eval1, pointwise_extremum,
+                          running_extremum)
 from wtgsolve.regions import Region, RegionGame
 from wtgsolve.unfold import NodeValue, _one_step, _param_axis
 
@@ -71,6 +73,72 @@ def min_value(f: PLF1):
 
 def max_value(f: PLF1):
     return INF if f.is_infinite else max(y for _, y in f.points)
+
+
+def segments(f: PLF1):
+    """Yield (x1, x2, slope, intercept) for each linear piece of f."""
+    for (x1, y1), (x2, y2) in zip(f.points, f.points[1:]):
+        a = (y2 - y1) / (x2 - x1)
+        yield x1, x2, a, y1 - a * x1
+
+
+def envelope_pieces(pieces, lo, hi, direction: str) -> PLF1:
+    """Pointwise extremum of partial affine pieces covering [lo, hi].
+
+    ``pieces`` is a list of ``(x1, x2, a, b)``: the affine function ``a*x+b``
+    available on ``[x1, x2]``.  Every point of [lo, hi] must be covered, and
+    the resulting extremum must be continuous (guaranteed for the geometric
+    uses in this module); a violation raises :class:`DomainError`.
+    """
+    if direction not in ("inf", "sup"):
+        raise ValueError(direction)
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo == hi:
+        vals = [a * lo + b for x1, x2, a, b in pieces if x1 <= lo <= x2]
+        if not vals:
+            raise DomainError("envelope coverage gap at point domain")
+        return PLF1.point(min(vals) if direction == "inf" else max(vals), lo)
+    clipped = []
+    for x1, x2, a, b in pieces:
+        x1, x2 = max(x1, lo), min(x2, hi)
+        if x1 <= x2:
+            clipped.append((x1, x2, a, b))
+    pieces = clipped
+    xs = {lo, hi}
+    for x1, x2, _, _ in pieces:
+        xs.add(x1)
+        xs.add(x2)
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            x1, x2, a1, b1 = pieces[i]
+            u1, u2, a2, b2 = pieces[j]
+            if a1 == a2:
+                continue
+            xc = (b2 - b1) / (a1 - a2)
+            if max(x1, u1) <= xc <= min(x2, u2):
+                xs.add(xc)
+    grid = sorted(x for x in xs if lo <= x <= hi)
+    better = min if direction == "inf" else max
+    points = []
+    prev_right = None
+    for u, v in zip(grid, grid[1:]):
+        if u == v:
+            continue
+        active = [(a, b) for x1, x2, a, b in pieces if x1 <= u and x2 >= v]
+        if not active:
+            raise DomainError(f"envelope coverage gap on [{u}, {v}]")
+        mid = (u + v) / 2
+        a, b = better(active, key=lambda ab: ab[0] * mid + ab[1])
+        yu, yv = a * u + b, a * v + b
+        if prev_right is not None and prev_right != yu:
+            raise DomainError(
+                f"discontinuous envelope at x={u}: {prev_right} vs {yu}"
+            )
+        if not points:
+            points.append((u, yu))
+        points.append((v, yv))
+        prev_right = yv
+    return canonicalize(PLF1(tuple(points)))
 
 
 # -- exact 2-D geometry: convex polygons and clipping ----------------------
@@ -380,7 +448,7 @@ class OutputValue:
         if (f.lo, f.hi) != (ZERO, ONE):
             raise DomainError("1-D output must cover [0, 1]")
         cells = []
-        for u1, u2, slope, intercept in f.segments():
+        for u1, u2, slope, intercept in segments(f):
             coef = ((slope, 0, intercept) if axis == 0
                     else (0, slope, intercept))
             strip = (((u1, ZERO), (u2, ZERO), (u2, ONE), (u1, ONE))

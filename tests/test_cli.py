@@ -11,7 +11,7 @@ import pytest
 import wtgsolve
 from wtgsolve import cli
 from wtgsolve.cli import main
-from wtgsolve.core import MAX, MIN, Transition
+from wtgsolve.core import MIN, Transition
 from wtgsolve.gameio import game_to_dict, save_game
 
 from acceptance_corpus import max_dead_end, zero_kernel_free_exit

@@ -1,9 +1,7 @@
 from fractions import Fraction as F
 
-import pytest
-
 from corpus import G, loc, make_game, three_clock_demo
-from wtgsolve.core import MAX, MIN, StructuralError, Transition
+from wtgsolve.core import MIN, Transition
 from wtgsolve.cycles import (
     ANZ,
     VIOLATION,

@@ -17,9 +17,10 @@ from wtgsolve.core import (
 from kernel_reference import (ON_X, ON_Y, PLF2, POINT, ExitGame,
                               OutputValue, delta, equals, project_output,
                               step_transition, value_at)
+from test_oracle import grid_tolerance
 from wtgsolve import kernelvi
 from wtgsolve.kernelvi import iterate
-from wtgsolve.oracle import GridOracle, grid_tolerance
+from wtgsolve.oracle import GridOracle
 from wtgsolve.plf import PLF1
 
 XY = OutputValue(PLF2.affine(

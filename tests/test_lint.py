@@ -1,12 +1,13 @@
-"""Every name a module of ``src/wtgsolve`` imports is read somewhere in it,
-and the solver computes without floats: the one float in ``src/wtgsolve``
-is ``core.INF``, the +infinity of extended values."""
+"""Every name a module of ``src/wtgsolve`` or ``tests`` imports is read
+somewhere in it, and the solver computes without floats: the one float in
+``src/wtgsolve`` is ``core.INF``, the +infinity of extended values."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wtgsolve"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wtgsolve"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,8 +40,9 @@ def float_uses(source: str, allow_inf: bool = False) -> list[str]:
             for node in sorted(found, key=lambda node: node.lineno)]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -3,8 +3,16 @@ from fractions import Fraction
 import pytest
 
 from corpus import G, loc, make_game, three_clock_demo
-from wtgsolve.core import INF, MAX, MIN, Configuration, InputError, Transition
-from wtgsolve.oracle import GridOracle, grid_tolerance
+from wtgsolve.core import INF, MAX, MIN, InputError, Transition
+from wtgsolve.oracle import GridOracle
+
+
+def grid_tolerance(max_loc_weight: int, max_out_slope: Fraction,
+                   horizon: int, n_grid: int) -> Fraction:
+    """Error bound between grid and continuous play: one tick of rounding
+    per step, each worth at most the steepest rate in the game."""
+    s = (Fraction(max_loc_weight) + abs(Fraction(max_out_slope))) * (horizon + 1)
+    return 2 * s / n_grid
 
 
 def goal_only():

@@ -7,14 +7,14 @@ from wtgsolve.core import INF, DomainError
 from wtgsolve.plf import (
     PLF1,
     canonicalize,
-    envelope_pieces,
     eval1,
     pointwise_extremum,
     running_extremum,
 )
 
 from invariants import check_continuity
-from kernel_reference import PLF2, Segment, equals, fiber_extremum, restrict2
+from kernel_reference import (PLF2, Segment, envelope_pieces, equals,
+                              fiber_extremum, restrict2, segments)
 
 
 def plf(*pairs):
@@ -106,9 +106,9 @@ class TestRunningExtremum:
 def check_running_extremum_structure(f, g, direction):
     """Every non-constant piece of g is a piece of f; every constant piece
     value equals a local extremum (breakpoint value) of f."""
-    fsegs = list(f.segments())
+    fsegs = list(segments(f))
     fvals = {y for _, y in f.points}
-    for x1, x2, a, b in g.segments():
+    for x1, x2, a, b in segments(g):
         if a == 0:
             assert b in fvals, (x1, x2, b)
         else:
@@ -127,6 +127,15 @@ def random_plf1(draw):
     return PLF1(list(zip(xs, ys)))
 
 
+def breakpoints_and_midpoints(*fs):
+    """Every breakpoint of ``fs``, then the midpoint of each two consecutive
+    ones.  Between two consecutive breakpoints a result is affine and the
+    exact extremum is the min or max of affine functions, so the two agree
+    on the whole interval when they agree at its ends and its midpoint."""
+    xs = sorted({x for f in fs for x, _ in f.points})
+    return xs + [(u + v) / 2 for u, v in zip(xs, xs[1:])]
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_plf1(), st.sampled_from(["inf", "sup"]), st.sampled_from(["suffix", "prefix"]))
 def test_running_extremum_properties(f, direction, side):
@@ -134,17 +143,40 @@ def test_running_extremum_properties(f, direction, side):
     # input segments count as one piece
     f = canonicalize(f)
     g = running_extremum(f, side, direction)
-    # pointwise correctness on a grid
-    xs = [F(i, 16) for i in range(17)]
-    for x in xs:
-        dom = [u for u in xs if (u >= x if side == "suffix" else u <= x)]
-        brute = [eval1(f, u) for u in dom] + [eval1(f, x)]
-        gx = eval1(g, x)
-        if direction == "inf":
-            assert gx <= min(brute)
-        else:
-            assert gx >= max(brute)
+    better = min if direction == "inf" else max
+    for x in breakpoints_and_midpoints(f, g):
+        beyond = [y for u, y in f.points if (u > x if side == "suffix" else u < x)]
+        assert eval1(g, x) == better([eval1(f, x)] + beyond)
     check_running_extremum_structure(f, g, direction)
+    assert equals(canonicalize(g), g)
+
+
+@st.composite
+def extremum_inputs(draw):
+    """1-5 functions on [0, 1], or all on the point {0}, some of them +inf."""
+    on_point = draw(st.integers(0, 4)) == 0
+    fs = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            fs.append(PLF1.infinite())
+        elif on_point:
+            fs.append(PLF1.point(F(draw(st.integers(-8, 8)), draw(st.integers(1, 4)))))
+        else:
+            fs.append(draw(random_plf1()))
+    return fs
+
+
+@settings(max_examples=150, deadline=None)
+@given(extremum_inputs(), st.sampled_from(["inf", "sup"]))
+def test_pointwise_extremum_is_exact(fs, direction):
+    g = pointwise_extremum(fs, direction)
+    if g.is_infinite:
+        assert (all if direction == "inf" else any)(f.is_infinite for f in fs)
+        return
+    better = min if direction == "inf" else max
+    finite = [f for f in fs if not f.is_infinite]
+    for x in breakpoints_and_midpoints(g, *finite):
+        assert eval1(g, x) == better(eval1(f, x) for f in fs)
     assert equals(canonicalize(g), g)
 
 

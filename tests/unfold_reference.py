@@ -16,7 +16,7 @@ from typing import Optional
 from kernel_reference import (PLF2, Segment, clip_halfplane,
                               dedupe_polygon, fiber_extremum, make_ccw,
                               max_value, min_value, polygon_area2, restrict2,
-                              triangulate)
+                              segments, triangulate)
 from wtgsolve.core import (INF, MIN, DomainError, ExtRat, StructuralError,
                            Transition, Valuation, reset)
 from wtgsolve.cycles import Kernel
@@ -287,7 +287,7 @@ def _fire_plf2(t: Transition, child: NodeValue, poly) -> PLF2:
         return PLF2.affine(poly, (ZERO, ZERO,
                                   eval1(child.plf, ZERO) + t.weight))
     cells = []
-    for u1, u2, slope, icept in child.plf.segments():
+    for u1, u2, slope, icept in segments(child.plf):
         piece = poly
         # clip to u1 <= p[i] <= u2
         ax, ay = (ONE, ZERO) if i == 0 else (ZERO, ONE)
