@@ -7,13 +7,13 @@ extraction and the crude value upper bound W.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import Guard, Location, StructuralError, Transition, Valuation
+from .core import Guard, Location, StructuralError, Transition
 from .graphs import reachable, strongly_connected_components
-from .regions import RegionGame
+from .regions import RegionGame, _table
 
 ANZ = "almost-non-zeno"
 VIOLATION = "violation"
@@ -70,38 +70,21 @@ class Kernel:
             else frozenset()
 
 
-def _uniform_delay(c: Valuation, c2: Valuation) -> Optional[int]:
-    diffs = {b - a for a, b in zip(c, c2)}
-    if len(diffs) == 1:
-        d = diffs.pop()
-        if d in (0, 1):
-            return int(d)
-    return None
-
-
 def build_corner_point(rg: RegionGame) -> CornerPointGraph:
+    """The corner edges of each transition, from the region table."""
     if not rg.trimmed:
         raise StructuralError("corner-point abstraction needs a trimmed game")
     game = rg.game
+    table = _table(len(game.clocks))
     by_tid: dict[str, list] = {}
     for t in game.transitions:
-        fire = rg.guard_region[t.tid]
-        landing = rg.reg[t.tgt].corners()
+        moves = table.corner_moves(rg.reg[t.src], rg.guard_region[t.tid],
+                                   t.resets, rg.reg[t.tgt], t.tid)
         w_loc = game.locations[t.src].weight
-        for c in rg.reg[t.src].corners():
-            for c2 in fire.corners():
-                d = _uniform_delay(c, c2)
-                if d is None:
-                    continue
-                landed = tuple(Fraction(0) if i in t.resets else v
-                               for i, v in enumerate(c2))
-                if landed not in landing:
-                    raise StructuralError(
-                        f"corner {landed} off the target region of {t.tid}")
-                by_tid.setdefault(t.tid, []).append(
-                    ((t.src, c), (t.tgt, landed),
-                     {"tid": t.tid, "weight": d * w_loc + t.weight,
-                      "delay": d}))
+        if moves:
+            by_tid[t.tid] = [((t.src, c), (t.tgt, landed),
+                              {"tid": t.tid, "weight": d * w_loc + t.weight,
+                               "delay": d}) for c, landed, d in moves]
     return CornerPointGraph(rg, by_tid)
 
 
@@ -135,9 +118,7 @@ def _zero_product(cp: CornerPointGraph):
     pred: dict = {}
     built = 0
     for l, m, tid, edges in _inner_edges(zero):
-        # corners are 0/1 vectors: int tuples hash far faster than Fractions
-        pairs = [(tuple(map(int, c)), tuple(map(int, d)), data["weight"])
-                 for (_l, c), (_m, d), data in edges]
+        pairs = [(c, d, data["weight"]) for (_l, c), (_m, d), data in edges]
         for c, d, w0 in pairs:
             if w0:
                 continue
@@ -271,8 +252,7 @@ def fix_weight_zero(rg: RegionGame,
             src = twin if t.src == name and t.tid in green_tids else t.src
             tgt = twin if t.tgt == name else t.tgt
             if (src, tgt) != (t.src, t.tgt):
-                t = Transition(t.tid, src, tgt, t.guards, t.resets,
-                               t.weight, t.synthetic)
+                t = replace(t, src=src, tgt=tgt)
             out.append(t)
         transitions = out
         z = min(r.zeros)

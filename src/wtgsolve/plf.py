@@ -33,7 +33,10 @@ class PLF1:
         if is_infinite:
             self.points = ()
             return
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in points)
+        # Fraction() runs its type checks even on a Fraction: skip it then.
+        pts = tuple((x if type(x) is Fraction else Fraction(x),
+                     y if type(y) is Fraction else Fraction(y))
+                    for x, y in points)
         if not pts:
             raise DomainError("PLF1 needs at least one breakpoint")
         for (x1, _), (x2, _) in zip(pts, pts[1:]):
@@ -110,7 +113,8 @@ def eval1(plf: PLF1, x) -> Fraction:
     """Evaluate a PLF1 at an exact rational point of its domain."""
     if plf.is_infinite:
         return INF
-    x = frac(x)
+    if type(x) is not Fraction:
+        x = frac(x)
     pts = plf.points
     if plf.is_point:
         if x != pts[0][0]:

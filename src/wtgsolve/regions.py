@@ -20,10 +20,12 @@ After normalization every guard constant is 0 or 1, so a guard atom has one
 truth value on a whole region, and the feasibility questions of the build,
 trimming and guard-region inference are answered with sets of regions: the
 regions elapsed from a region meet the regions on which each atom holds.
-Those sets, and the results of the pure :class:`Region` methods, are
-tabulated once per number of clocks.  ``restrict`` is the one
-way to cut a region game down to some of its locations and transitions,
-and ``drop_dead_rolls`` the one liveness test for rollovers.
+Those sets, as int bitmasks over the regions, the results of the pure
+:class:`Region` methods and the corner moves of the corner-point
+abstraction are tabulated once per number of clocks (:class:`_Table`).
+``restrict`` is the one way to cut a region game down to some of its
+locations and transitions, and ``drop_dead_rolls`` the one liveness test
+for rollovers.
 """
 from __future__ import annotations
 
@@ -92,20 +94,9 @@ class Region:
         return self.blocks[1:]
 
     @property
-    def p(self) -> int:
-        return len(self.blocks) - 1
-
-    @property
     def dim(self) -> int:
         """Number of independent fractional values (dimension of the region)."""
-        return self.p
-
-    @property
-    def clocks(self) -> frozenset[int]:
-        out: set[int] = set(self.ones)
-        for b in self.blocks:
-            out |= b
-        return frozenset(out)
+        return len(self.blocks) - 1
 
     @property
     def fractional(self) -> bool:
@@ -122,7 +113,7 @@ class Region:
     @functools.cached_property
     def n_clocks(self) -> int:
         """The number of clocks the region is over."""
-        return max(self.clocks, default=-1) + 1
+        return max(self.ones.union(*self.blocks), default=-1) + 1
 
     # -- membership and points ----------------------------------------------
 
@@ -143,14 +134,14 @@ class Region:
         return True
 
     def representative(self) -> Valuation:
-        """One concrete valuation in the region (block i at i/(p+1))."""
+        """One concrete valuation in the region (block i at i/(dim+1))."""
         return _table(self.n_clocks).representative[self]
 
     def corners(self) -> tuple[Valuation, ...]:
         """Vertices of the topological closure, ordered bottom-up.
 
         Corner j sends the first j interior blocks to 0 and the rest to 1,
-        so corner 0 is the all-high vertex and corner p the all-low one.
+        so corner 0 is the all-high vertex and corner dim the all-low one.
         """
         return _table(self.n_clocks).corners[self]
 
@@ -227,24 +218,36 @@ def _nonempty_subsets(items):
 
 class _Table:
     """Every answer over n clocks that depends on regions alone, computed
-    once: the results of the pure :class:`Region` methods, the regions
-    elapsed from each region, and the regions on which each guard atom with
-    constant 0 or 1 holds (an interior clock compares as 1/2 does)."""
+    once: the results of the pure :class:`Region` methods, the guard
+    clauses pinning a valuation to each region (``constraints``), and, as
+    ints whose bit i stands for region ``all_regions(n)[i]``, the regions
+    elapsed from each region and those on which each guard atom with
+    constant 0 or 1 holds (an interior clock compares as 1/2 does).  The
+    corner moves of :meth:`corner_moves` are filled in on first use."""
 
     def __init__(self, n: int):
-        regions = all_regions(n)
+        self.regions = regions = all_regions(n)
         canon = {r: r for r in regions}
-        self.representative, self.corners, self.successors = {}, {}, {}
+        self.index = {r: i for i, r in enumerate(regions)}
+        self.representative, self.corners, self.vertices = {}, {}, {}
+        self.successors, self.reset, self.constraints = {}, {}, {}
+        self._corner_moves = {}
         for r in regions:
             rep = [ONE if x in r.ones else ZERO for x in range(n)]
-            corners = [list(rep) for _ in range(r.p + 1)]
+            corners = [list(map(int, rep)) for _ in range(r.dim + 1)]
             for i, b in enumerate(r.interior, start=1):
                 for x in b:
-                    rep[x] = Fraction(i, r.p + 1)
+                    rep[x] = Fraction(i, r.dim + 1)
                     for j, v in enumerate(corners):
-                        v[x] = ZERO if i <= j else ONE
+                        v[x] = int(i > j)
             self.representative[r] = tuple(rep)
-            self.corners[r] = tuple(map(tuple, corners))
+            self.vertices[r] = tuple(map(tuple, corners))
+            self.corners[r] = tuple(tuple(map(Fraction, c)) for c in corners)
+            self.constraints[r] = (
+                *(Guard(x, "==", 0) for x in sorted(r.zeros)),
+                *(Guard(x, "==", 1) for x in sorted(r.ones)),
+                *(g for b in r.interior for x in sorted(b)
+                  for g in (Guard(x, ">", 0), Guard(x, "<", 1))))
             if r.fractional:
                 out = [r]
                 shifted = (frozenset(),) + r.blocks if r.zeros else r.blocks
@@ -254,21 +257,62 @@ class _Table:
                     out.append(Region(shifted[:-1] or (frozenset(),),
                                       shifted[-1]))
                 self.successors[r] = tuple(canon[s] for s in out)
-        self.reset = {}
-        for r in regions:
             for xs in map(frozenset, _subsets(range(n))):
                 blocks = [r.zeros | xs] + [b - xs for b in r.interior if b - xs]
                 self.reset[r, xs] = canon[Region(tuple(blocks), r.ones - xs)]
         self.adherence = {r: tuple(s for s in regions if r.contains(
             self.representative[s], closed=True)) for r in regions}
-        self.elapsed = {r: frozenset(self.successors[r] if r.fractional
+        self.elapsed = {r: self.mask(self.successors[r] if r.fractional
                                      else (r,)) for r in regions}
-        self.sat = {}
-        for g in (Guard(x, op, c) for x in range(n) for op in OPS
-                  for c in (0, 1)):
-            self.sat[g] = frozenset(r for r in regions if g.holds(
-                ZERO if g.clock in r.zeros else ONE if g.clock in r.ones
-                else Fraction(1, 2)))
+        self.sat = {g: self.mask(r for r in regions if g.holds(
+            ZERO if g.clock in r.zeros else ONE if g.clock in r.ones
+            else Fraction(1, 2)))
+            for g in (Guard(x, op, c) for x in range(n) for op in OPS
+                      for c in (0, 1))}
+
+    def mask(self, regions: Iterable[Region]) -> int:
+        return sum(1 << self.index[r] for r in regions)
+
+    def decode(self, mask: int) -> tuple[Region, ...]:
+        return tuple(r for i, r in enumerate(self.regions) if mask >> i & 1)
+
+    def satisfying(self, guards: Iterable[Guard], mask: int) -> int:
+        """The regions of ``mask`` on which every guard holds.  A constant
+        other than 0 or 1, as :func:`normalize_01` leaves none, has no
+        single truth value on a region and raises :class:`StructuralError`."""
+        for g in guards:
+            try:
+                mask &= self.sat[g]
+            except KeyError:
+                raise StructuralError(
+                    f"guard constant {g.bound} is not 0 or 1") from None
+        return mask
+
+    def corner_moves(self, src: Region, fire: Region, resets: frozenset[int],
+                     tgt: Region, tid: str) -> list[tuple]:
+        """The ``(corner, landed corner, delay)`` moves of a transition from
+        ``src``, firing in ``fire`` and resetting ``resets`` into ``tgt``: a
+        delay of 0 or 1 from a corner of src to one of fire, then the reset.
+        Corners are 0/1 int tuples (``vertices``) equal to the Fraction ones
+        of :meth:`Region.corners`.  ``tid`` only names the transition in the
+        :class:`StructuralError` for a landed corner off tgt."""
+        key = (src, fire, resets, tgt)
+        moves = self._corner_moves.get(key)
+        if moves is None:
+            moves = []
+            for c in self.vertices[src]:
+                for c2 in self.vertices[fire]:
+                    d = {b - a for a, b in zip(c, c2)}
+                    if d not in ({0}, {1}):
+                        continue
+                    landed = tuple(0 if i in resets else v
+                                   for i, v in enumerate(c2))
+                    if landed not in self.vertices[tgt]:
+                        raise StructuralError(
+                            f"corner {landed} off the target region of {tid}")
+                    moves.append((c, landed, d.pop()))
+            self._corner_moves[key] = moves
+        return moves
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,40 +324,14 @@ def _table(n: int) -> _Table:
 # Feasibility by region sets
 # ---------------------------------------------------------------------------
 
-def _elapsed(r: Region) -> frozenset[Region]:
-    """The regions of nu+delta inside [0,1]^X, for delta >= 0 and nu in r;
-    from a clock at 1 only delta = 0 stays inside."""
-    return _table(r.n_clocks).elapsed[r]
-
-
-def _holding(g: Guard, n: int) -> frozenset[Region]:
-    """The regions over n clocks on which ``g`` holds.  Its constant must be
-    0 or 1, as after :func:`normalize_01`: anything else has no single truth
-    value on a region and raises :class:`StructuralError`."""
-    try:
-        return _table(n).sat[g]
-    except KeyError:
-        raise StructuralError(
-            f"guard constant {g.bound} is not 0 or 1") from None
-
-
-def _satisfying(guards: Iterable[Guard], regions: frozenset[Region],
-                n: int) -> frozenset[Region]:
-    """The regions among ``regions`` on which every guard holds."""
-    for g in guards:
-        regions = regions & _holding(g, n)
-    return regions
-
-
 def elapsed_region_feasible(src: Region, target: Region,
                             guards: Sequence[Guard]) -> bool:
     """Is there nu in src and delta >= 0 with nu+delta satisfying
-    ``guards`` and lying in ``target``?
-
-    Every guard constant must be 0 or 1, as after :func:`normalize_01`;
-    anything else raises :class:`StructuralError`.
-    """
-    return target in _satisfying(guards, _elapsed(src), src.n_clocks)
+    ``guards`` and lying in ``target``?  Constants are as for
+    :meth:`_Table.satisfying`."""
+    table = _table(src.n_clocks)
+    return bool(table.satisfying(guards, table.elapsed[src])
+                >> table.index[target] & 1)
 
 
 def delay_feasible(r: Region, guards: Sequence[Guard]) -> bool:
@@ -322,9 +340,10 @@ def delay_feasible(r: Region, guards: Sequence[Guard]) -> bool:
 
     Each guard atom has one truth value on a whole region, so the answer is
     whether some region of those elapsed points satisfies them.  Constants
-    are as for :func:`elapsed_region_feasible`.
+    are as for :meth:`_Table.satisfying`.
     """
-    return bool(_satisfying(guards, _elapsed(r), r.n_clocks))
+    table = _table(r.n_clocks)
+    return bool(table.satisfying(guards, table.elapsed[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +550,6 @@ def restrict(rg: RegionGame, locations: Collection[str],
                       guard_region, trimmed=rg.trimmed, relaxed=rg.relaxed)
 
 
-def region_constraint_guards(r: Region) -> list[Guard]:
-    """The guard clauses pinning an elapsed valuation inside region r."""
-    out = [Guard(x, "==", 0) for x in sorted(r.zeros)]
-    out += [Guard(x, "==", 1) for x in sorted(r.ones)]
-    for b in r.interior:
-        for x in sorted(b):
-            out += [Guard(x, ">", 0), Guard(x, "<", 1)]
-    return out
-
-
 def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
     """Refine a [0,1)-game so every location carries a single region.
 
@@ -556,6 +565,7 @@ def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
     if not r0.fractional:
         raise InputError("initial valuation not in [0,1)")
     order = {r: i for i, r in enumerate(all_regions(len(game.clocks), False))}
+    pinned = _table(len(game.clocks)).constraints
     rank = {name: i for i, name in enumerate(game.locations)}
 
     def rloc(name: str, r: Region) -> str:
@@ -576,8 +586,7 @@ def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
                 # A clock left at exactly 1 is impossible in a [0,1)-game.
                 if not tgt[1].fractional:
                     continue
-                guards = tuple(dict.fromkeys(
-                    list(t.guards) + region_constraint_guards(r2)))
+                guards = tuple(dict.fromkeys((*t.guards, *pinned[r2])))
                 if not delay_feasible(r, guards):
                     continue
                 moves.append(((i, order[r], k), r2, Transition(
@@ -616,15 +625,14 @@ def trim(rg: RegionGame) -> RegionGame:
     """
     kept: list[Transition] = []
     guard_region = dict(rg.guard_region)
+    table = _table(len(rg.game.clocks))
     for t in rg.game.transitions:
-        r = rg.reg[t.src]
-        elapsed = _elapsed(r)
-        if not _satisfying(t.guards, elapsed, r.n_clocks):
+        elapsed = table.elapsed[rg.reg[t.src]]
+        if not table.satisfying(t.guards, elapsed):
             guard_region.pop(t.tid, None)
             continue
         # A clause is redundant when every elapsed valuation satisfies it.
-        clauses = tuple(g for g in t.guards
-                        if not elapsed <= _holding(g, r.n_clocks))
+        clauses = tuple(g for g in t.guards if elapsed & ~table.sat[g])
         kept.append(t if len(clauses) == len(t.guards)
                     else replace(t, guards=clauses))
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
@@ -635,8 +643,11 @@ def trim(rg: RegionGame) -> RegionGame:
 
 def relax(rg: RegionGame) -> RegionGame:
     """Widen strict guards to their closure and trim."""
-    transitions = [replace(t, guards=tuple(g.closed() for g in t.guards))
-                   for t in rg.game.transitions]
+    def closed(t: Transition) -> Transition:
+        guards = tuple(g.closed() for g in t.guards)
+        return t if guards == t.guards else replace(t, guards=guards)
+
+    transitions = [closed(t) for t in rg.game.transitions]
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              transitions, rg.game.initial)
     return trim(RegionGame(game, dict(rg.reg), dict(rg.guard_region),
@@ -646,7 +657,8 @@ def relax(rg: RegionGame) -> RegionGame:
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
     """The region whose closure holds every guard-satisfying elapsed point."""
     src = rg.reg[t.src]
-    feas = _satisfying(t.guards, _elapsed(src), src.n_clocks)
+    table = _table(src.n_clocks)
+    feas = table.decode(table.satisfying(t.guards, table.elapsed[src]))
     if not feas:
         raise StructuralError(f"{t.tid}: guard unsatisfiable from its region")
     best = max(feas, key=lambda r: r.dim)
@@ -806,10 +818,11 @@ def add_resets(rg: RegionGame) -> RegionGame:
 
     # Resetting a clock that is guarded to be exactly 0 is a no-op, so do it:
     # it settles the "every ==0/==1 guard resets its clock" postcondition.
-    new_trans = [
-        replace(t, resets=t.resets | {g.clock for g in t.guards
-                                      if g.op == "==" and g.bound == 0})
-        for t in new_trans]
+    def settle(t: Transition) -> Transition:
+        zeros = {g.clock for g in t.guards if g.op == "==" and g.bound == 0}
+        return t if zeros <= t.resets else replace(t, resets=t.resets | zeros)
+
+    new_trans = [settle(t) for t in new_trans]
 
     initial = game.initial
     out_game = WeightedTimedGame(list(game.clocks), locations, new_trans, initial)

@@ -1,23 +1,69 @@
-"""Reference almost-non-Zeno check by simple-cycle enumeration.
+"""References for the corner-point abstraction and the almost-non-Zeno
+check.
 
-This is the check the solver used before it searched the corner-path
-product (``wtgsolve.cycles.check_almost_non_zeno``).  It enumerates every
-simple location cycle of the region game, branches on parallel transitions,
-and compares the corner paths that leave and re-enter the cycle's first
-location at the same corner.  It is exponential in the size of the game and
-misses the cycles whose zero-weight and positive corner paths do not close
-at their start corner, so it serves only as a cross-check: whenever it
-reports a violation, the product search must report one too.
+``build_corner_point`` is the corner-point construction the solver used
+before it read corner moves from the region table: it walks the
+``Fraction`` corners of each transition's regions and finds the uniform
+delays between them.  ``wtgsolve.cycles.build_corner_point`` must give the
+same edges, in the same order, with the same data.
+
+``enumerate_almost_non_zeno`` is the check the solver used before it
+searched the corner-path product (``wtgsolve.cycles.check_almost_non_zeno``).
+It enumerates every simple location cycle of the region game, branches on
+parallel transitions, and compares the corner paths that leave and re-enter
+the cycle's first location at the same corner.  It is exponential in the
+size of the game and misses the cycles whose zero-weight and positive
+corner paths do not close at their start corner, so it serves only as a
+cross-check: whenever it reports a violation, the product search must
+report one too.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 import networkx as nx
 
+from wtgsolve.core import StructuralError, Valuation
 from wtgsolve.cycles import ANZ, VIOLATION, AnzReport, CornerPointGraph
+from wtgsolve.regions import RegionGame
 
 BUDGET_EXCEEDED = "budget-exceeded"
+
+
+def _uniform_delay(c: Valuation, c2: Valuation) -> Optional[int]:
+    diffs = {b - a for a, b in zip(c, c2)}
+    if len(diffs) == 1:
+        d = diffs.pop()
+        if d in (0, 1):
+            return int(d)
+    return None
+
+
+def build_corner_point(rg: RegionGame) -> CornerPointGraph:
+    if not rg.trimmed:
+        raise StructuralError("corner-point abstraction needs a trimmed game")
+    game = rg.game
+    by_tid: dict[str, list] = {}
+    for t in game.transitions:
+        fire = rg.guard_region[t.tid]
+        landing = rg.reg[t.tgt].corners()
+        w_loc = game.locations[t.src].weight
+        for c in rg.reg[t.src].corners():
+            for c2 in fire.corners():
+                d = _uniform_delay(c, c2)
+                if d is None:
+                    continue
+                landed = tuple(Fraction(0) if i in t.resets else v
+                               for i, v in enumerate(c2))
+                if landed not in landing:
+                    raise StructuralError(
+                        f"corner {landed} off the target region of {t.tid}")
+                by_tid.setdefault(t.tid, []).append(
+                    ((t.src, c), (t.tgt, landed),
+                     {"tid": t.tid, "weight": d * w_loc + t.weight,
+                      "delay": d}))
+    return CornerPointGraph(rg, by_tid)
 
 
 def _location_digraph(cp: CornerPointGraph) -> nx.DiGraph:

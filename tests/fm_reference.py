@@ -201,7 +201,7 @@ def elapsed_region_feasible(src: Region, target: Region,
         for d in _guard_constraints([g], expr, None, box=False, n_clocks=0):
             cons += [c for c in d if c[0]]
             break
-    variables = list(range(src.p)) + [_DELTA]
+    variables = list(range(src.dim)) + [_DELTA]
     return _fm_feasible(cons, variables)
 
 
@@ -211,7 +211,7 @@ def delay_feasible(r: Region, guards: tuple[Guard, ...], n_clocks: int,
     satisfying ``guards`` and violating ``negate``, and, when ``box`` is
     set, inside [0,1] on clocks 0..n_clocks-1?"""
     rc, expr = _region_constraints(r, closure)
-    variables = list(range(r.p)) + [_DELTA]
+    variables = list(range(r.dim)) + [_DELTA]
     for disjunct in _guard_constraints(guards, expr, negate, box, n_clocks):
         if _fm_feasible(rc + disjunct, variables):
             return True

@@ -11,7 +11,7 @@ from wtgsolve.core import (Configuration, Guard, InputError, Location,
                            StructuralError, Transition, WeightedTimedGame)
 from wtgsolve.regions import (Region, RegionGame, _table, all_regions,
                               delay_feasible, elapsed_region_feasible,
-                              region_constraint_guards, region_of)
+                              region_of)
 
 # The atoms whose disjunction is the negation of a guard atom's operator.
 COMPLEMENT = {"<": (">=",), "<=": (">",), "==": ("<", ">"), ">=": ("<",),
@@ -60,7 +60,7 @@ def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
                     continue
                 tid = f"{t.tid}@{rloc(t.src, r)}~{k}"
                 guards = tuple(dict.fromkeys(
-                    list(t.guards) + region_constraint_guards(r2)))
+                    list(t.guards) + list(_table(n).constraints[r2])))
                 transitions.append(Transition(
                     tid=tid, src=rloc(t.src, r), tgt=rloc(t.tgt, tgt_region),
                     guards=guards, resets=t.resets, weight=t.weight,

@@ -17,8 +17,9 @@ from pathlib import Path
 import pytest
 
 from acceptance_corpus import exact_corpus, mixed_cycle, transformation_corpus
+import anz_reference
 from anz_reference import enumerate_almost_non_zeno
-from corpus import G, loc, make_game
+from corpus import G, loc, make_game, three_clock_demo
 from wtgsolve.cli import main
 from wtgsolve.core import MAX, MIN, Transition
 from wtgsolve.cycles import (ANZ, VIOLATION, build_corner_point,
@@ -73,12 +74,17 @@ def random_game(seed):
     return make_game(locs, trans, "q0", (0, 0))
 
 
-def checked_corner_point(game):
-    """The corner-point graph that ``prepare`` checks."""
+def checked_region_game(game):
+    """The region game whose corner points ``prepare`` checks."""
     rg = trim(build_region_wtg(normalize_01(game)))
     rg = prune_dead_rolls(rg)
     rg = prune_unreachable(rg, [rg.game.initial.location])
-    return build_corner_point(add_resets(prune_max_traps(relax(rg))))
+    return add_resets(prune_max_traps(relax(rg)))
+
+
+def checked_corner_point(game):
+    """The corner-point graph that ``prepare`` checks."""
+    return build_corner_point(checked_region_game(game))
 
 
 def corner_path_weights(cp, tids):
@@ -136,6 +142,23 @@ def test_product_search_agrees_with_the_enumerator():
             assert new.verdict == ANZ and old.verdict == ANZ, name
     # the self-loop game is the violation the enumerator misses
     assert "self_loop" in added
+
+
+def test_tabulated_corner_edges_match_the_valuation_reference():
+    """``build_corner_point`` reads corner moves from the region table; its
+    edges are those of the valuation reference, transition by transition,
+    in the same order and with the same data, on the trimmed region game
+    and on the one ``prepare`` checks.  Its corners are int tuples."""
+    games = differential_games() + [("three_clock_demo", three_clock_demo())]
+    games += [(f"random-{seed}", random_game(seed))
+              for seed in range(120, 400)]
+    for name, game in games:
+        for rg in (trim(build_region_wtg(normalize_01(game))),
+                   checked_region_game(game)):
+            got = build_corner_point(rg).by_tid
+            assert got == anz_reference.build_corner_point(rg).by_tid, name
+            assert all(type(x) is int for es in got.values()
+                       for (_l, c), (_m, d), _data in es for x in c + d), name
 
 
 def test_self_loop_game_is_rejected(tmp_path, capsys):

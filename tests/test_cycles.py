@@ -1,7 +1,10 @@
 from fractions import Fraction as F
 
+import pytest
+
+import anz_reference
 from corpus import G, loc, make_game, three_clock_demo
-from wtgsolve.core import MIN, Transition
+from wtgsolve.core import MIN, StructuralError, Transition
 from wtgsolve.cycles import (
     ANZ,
     VIOLATION,
@@ -14,6 +17,7 @@ from wtgsolve.cycles import (
 )
 from wtgsolve.oracle import GridOracle
 from wtgsolve.regions import (
+    Region,
     RegionGame,
     build_region_wtg,
     normalize_01,
@@ -98,6 +102,16 @@ class TestCornerPoint:
                    if n.split("#")[0] == "a" and cp.rg.reg[n].dim == 1)
         corners = {c for (n, c) in corner_nodes(cp) if n == seg}
         assert corners == {(0, 0), (0, 1)}
+
+    def test_a_corner_off_the_target_region_is_refused(self):
+        # Both resets land on (0, 0), which no region with x = y = 1 holds.
+        rg = pipeline(unit_cycle())
+        t = next(t for t in rg.game.transitions if t.resets == {0, 1})
+        rg.reg[t.tgt] = Region((frozenset(),), frozenset({0, 1}))
+        for build in (build_corner_point, anz_reference.build_corner_point):
+            with pytest.raises(StructuralError,
+                               match="off the target region of "):
+                build(rg)
 
     def test_forced_unit_delay_cycle_weight(self):
         cp = build_corner_point(pipeline(unit_cycle()))

@@ -176,6 +176,46 @@ _GUARD_SETS = ([()] + [(a,) for a in _ATOMS]
                + list(itertools.combinations(_ATOMS, 2)))
 
 
+class TestRegionTable:
+    """A region set of the table is an int whose bit i stands for region
+    ``all_regions(n)[i]``.  Decoded, each equals its direct definition, for
+    one, two and three clocks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sat_is_the_atom_read_on_each_region(self, n):
+        # The constant is 0 or 1, so the atom reads the same at every point
+        # of a region: at 0, at 1 or at an interior value.
+        table = regions._table(n)
+        atoms = [Guard(x, op, c) for x in range(n) for op in OPS
+                 for c in (0, 1)]
+        assert set(table.sat) == set(atoms)
+        for g in atoms:
+            assert table.decode(table.sat[g]) == tuple(
+                r for r in all_regions(n)
+                if g.holds(r.representative()[g.clock]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_elapsed_is_the_time_successors(self, n):
+        table = regions._table(n)
+        assert set(table.elapsed) == set(all_regions(n))
+        for r in all_regions(n):
+            elapsed = set(table.decode(table.elapsed[r]))
+            assert elapsed == set(r.time_successors() if r.fractional
+                                  else (r,))
+            # From the representative, delays in steps of half a block gap
+            # meet every region that time passes through inside [0,1]^n.
+            rep, k = r.representative(), 2 * (r.dim + 1)
+            assert elapsed == {
+                region_of(tuple(v + F(j, k) for v in rep))
+                for j in range(k + 1) if max(rep) + F(j, k) <= 1}
+
+    def test_masks_round_trip(self):
+        table = regions._table(2)
+        assert len(table.regions) == 11
+        for rs in itertools.combinations(table.regions, 3):
+            assert table.decode(table.mask(rs)) == rs
+
+
 class TestRegionLookups:
     """The region lookups answer as the Fourier-Motzkin bodies of
     ``fm_reference`` do on every question over two clocks, given the guards
