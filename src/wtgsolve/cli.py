@@ -32,11 +32,12 @@ def _dump_regions(rg) -> None:
               f"{tag}[{_region_text(rg.reg[name], clocks)}]")
 
 
-def _value_entry(nv) -> object:
+def _value_entry(nv, is_goal: bool) -> object:
+    """A scalar for a goal or a point function, else the breakpoints."""
     if nv is None or nv.is_infinite:
         return "+inf"
-    if nv.const is not None:
-        return frac_str(nv.const)
+    if is_goal or nv.plf.is_point:
+        return frac_str(nv.plf.points[0][1])
     return plf1_to_list(nv.plf)
 
 
@@ -45,7 +46,8 @@ def _dump_value_functions(rg, values, path: str) -> None:
     data = {
         name: {
             "region": _region_text(rg.reg[name], clocks),
-            "value": _value_entry(values.get(name)),
+            "value": _value_entry(values.get(name),
+                                  rg.game.locations[name].is_goal),
         }
         for name in sorted(rg.reg)
     }

@@ -103,7 +103,6 @@ class Location:
     owner: str  # MIN or MAX
     is_goal: bool = False
     weight: int = 0
-    synthetic: bool = False
 
     def __post_init__(self):
         if self.owner not in (MIN, MAX):
@@ -120,7 +119,6 @@ class Transition:
     guards: tuple[Guard, ...] = ()
     resets: frozenset[int] = frozenset()
     weight: int = 0
-    synthetic: bool = False
 
     def __post_init__(self):
         if self.weight < 0:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Guard, Location, StructuralError, Transition
-from .graphs import reachable, strongly_connected_components
+from .graphs import strongly_connected_components
 from .regions import RegionGame, _table
 
 ANZ = "almost-non-zeno"
@@ -27,8 +27,8 @@ class CornerPointGraph:
     transition's firing region (an integer 0 or 1, billed at the location
     rate) with the discrete jump, so every edge weight is a non-negative
     integer and run weights are sandwiched between corner path weights.
-    An edge is a ``(u, v, data)`` tuple; ``by_tid`` holds them all, grouped
-    by transition id.
+    An edge is a ``(u, v, weight)`` tuple; ``by_tid`` holds them all,
+    grouped by transition id.
     """
 
     rg: RegionGame
@@ -83,8 +83,7 @@ def build_corner_point(rg: RegionGame) -> CornerPointGraph:
         w_loc = game.locations[t.src].weight
         if moves:
             by_tid[t.tid] = [((t.src, c), (t.tgt, landed),
-                              {"tid": t.tid, "weight": d * w_loc + t.weight,
-                               "delay": d}) for c, landed, d in moves]
+                              d * w_loc + t.weight) for c, landed, d in moves]
     return CornerPointGraph(rg, by_tid)
 
 
@@ -113,12 +112,12 @@ def _zero_product(cp: CornerPointGraph):
     predecessor lists, each sorted, and the number of edges."""
     zero = [(edges[0][0][0], edges[0][1][0], tid, edges)
             for tid, edges in sorted(cp.by_tid.items())
-            if any(data["weight"] == 0 for _u, _v, data in edges)]
+            if any(w == 0 for _u, _v, w in edges)]
     succ: dict = {}
     pred: dict = {}
     built = 0
     for l, m, tid, edges in _inner_edges(zero):
-        pairs = [(c, d, data["weight"]) for (_l, c), (_m, d), data in edges]
+        pairs = [(c, d, w) for (_l, c), (_m, d), w in edges]
         for c, d, w0 in pairs:
             if w0:
                 continue
@@ -210,7 +209,7 @@ def mark_green(rg: RegionGame, cp: CornerPointGraph) -> GreenMarking:
     zero-weight edges inside a strongly connected component of the
     zero-weight corner graph."""
     zero = [(u, v, tid) for tid, edges in cp.by_tid.items()
-            for u, v, data in edges if data["weight"] == 0]
+            for u, v, w in edges if w == 0]
     inner = _inner_edges(zero)
     return GreenMarking(frozenset(u[0] for u, _v, _t in inner),
                         frozenset(tid for _u, _v, tid in inner))
@@ -244,8 +243,7 @@ def fix_weight_zero(rg: RegionGame,
                 f"green location {name} (weight {locobj.weight}) has no "
                 f"green exit guarded at 0")
         twin = f"{name}~z0"
-        locations[twin] = Location(twin, locobj.owner, weight=0,
-                                   synthetic=True)
+        locations[twin] = Location(twin, locobj.owner, weight=0)
         reg[twin] = r
         out = []
         for t in transitions:
@@ -257,7 +255,7 @@ def fix_weight_zero(rg: RegionGame,
         transitions = out
         z = min(r.zeros)
         hop = Transition(f"__z0_{name}", twin, name,
-                         guards=(Guard(z, "==", 0),), synthetic=True)
+                         guards=(Guard(z, "==", 0),))
         transitions.append(hop)
         guard_region[hop.tid] = r
         green_locs.discard(name)
@@ -289,15 +287,11 @@ def extract_kernel(rg: RegionGame, marking: GreenMarking) -> Kernel:
 
 def compute_bounds(rg: RegionGame) -> tuple[Fraction, Fraction]:
     """(kappa, W): the cycle-weight granularity and a crude upper bound on
-    any finite value, counted over the part reachable from the initial
-    location."""
+    any finite value, counted over every location.  An unreachable location
+    could only raise the bound, and a prepared game has none:
+    :func:`add_resets` prunes them, and the twin that :func:`fix_weight_zero`
+    adds takes every move into the location it splits and hops back to it."""
     game = rg.game
-    succ: dict = {}
-    for t in game.transitions:
-        succ.setdefault(t.src, []).append(t.tgt)
-    reach = reachable(succ, [game.initial.location])
-    max_loc = max((game.locations[n].weight for n in reach), default=0)
-    max_tr = max((t.weight for t in game.transitions if t.src in reach),
-                 default=0)
-    w = Fraction(len(reach) * (max_loc + max_tr + 1))
-    return Fraction(1), w
+    max_loc = max((l.weight for l in game.locations.values()), default=0)
+    max_tr = max((t.weight for t in game.transitions), default=0)
+    return Fraction(1), Fraction(len(game.locations) * (max_loc + max_tr + 1))

@@ -476,7 +476,6 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
                 guards=tuple(dict.fromkeys(clauses)),
                 resets=frozenset(resets),
                 weight=t.weight,
-                synthetic=t.synthetic,
             ))
 
     # Rollover: while waiting, the clocks of set S hit 1 together and wrap
@@ -498,7 +497,6 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
                         tgt=_copy_name(name, target),
                         guards=tuple(guards),
                         resets=frozenset(s),
-                        synthetic=True,
                     ))
 
     transitions = drop_dead_rolls(transitions, locations)
@@ -592,7 +590,7 @@ def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
                 moves.append(((i, order[r], k), r2, Transition(
                     tid=f"{t.tid}@{src}~{k}", src=src,
                     tgt=rloc(*tgt), guards=guards, resets=t.resets,
-                    weight=t.weight, synthetic=t.synthetic)))
+                    weight=t.weight)))
                 if tgt not in seen:
                     seen.add(tgt)
                     todo.append(tgt)
@@ -613,9 +611,11 @@ def trim(rg: RegionGame) -> RegionGame:
     A transition survives when a guard-satisfying delay exists from the
     source region; a clause survives when some elapsed valuation violates
     it.  :func:`build_region_wtg` keeps only satisfiable moves, and closing
-    a guard keeps a satisfiable one satisfiable, so the trim of
+    a guard keeps a satisfiable one satisfiable, so the trim after
     :func:`relax` drops only clauses; only the one inside
-    :func:`add_resets` can drop transitions.
+    :func:`add_resets` can drop transitions.  A clause implied by the
+    region stays implied once closed, so one trim after closing drops all
+    that a trim before it would.
 
     Once relaxed, the answers from r are those from its closure: relaxed
     guards are closed, so a delay that works from r works from every point
@@ -642,7 +642,8 @@ def trim(rg: RegionGame) -> RegionGame:
 
 
 def relax(rg: RegionGame) -> RegionGame:
-    """Widen strict guards to their closure and trim."""
+    """Widen strict guards to their closure.  The result is not trimmed:
+    :func:`trim` it before :func:`add_resets`."""
     def closed(t: Transition) -> Transition:
         guards = tuple(g.closed() for g in t.guards)
         return t if guards == t.guards else replace(t, guards=guards)
@@ -650,8 +651,8 @@ def relax(rg: RegionGame) -> RegionGame:
     transitions = [closed(t) for t in rg.game.transitions]
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              transitions, rg.game.initial)
-    return trim(RegionGame(game, dict(rg.reg), dict(rg.guard_region),
-                           relaxed=True))
+    return RegionGame(game, dict(rg.reg), dict(rg.guard_region),
+                      relaxed=True)
 
 
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
@@ -747,8 +748,7 @@ def add_resets(rg: RegionGame) -> RegionGame:
                     src=todo.src, tgt=t2.tgt,
                     guards=tuple(dict.fromkeys(list(todo.guards) + list(t2.guards))),
                     resets=t2.resets,
-                    weight=todo.weight + t2.weight,
-                    synthetic=todo.synthetic or t2.synthetic))
+                    weight=todo.weight + t2.weight))
         else:
             up = min(rg.reg[todo.src].upclock)
             transitions.append(replace(
@@ -794,8 +794,7 @@ def add_resets(rg: RegionGame) -> RegionGame:
                 tgt_dn = t.tgt
             new_trans.append(Transition(
                 tid=f"{t.tid}%gd", src=down(t.src), tgt=tgt_dn,
-                guards=cd, resets=t.resets, weight=t.weight,
-                synthetic=t.synthetic))
+                guards=cd, resets=t.resets, weight=t.weight))
         elif not t.resets:
             if not any(g.op == "==" and g.bound == 1 and g.clock in up
                        for g in t.guards):
@@ -803,18 +802,15 @@ def add_resets(rg: RegionGame) -> RegionGame:
                     f"{t.tid}: reset-free transition without a top x==1 guard")
             new_trans.append(Transition(
                 tid=f"{t.tid}%p", src=t.src, tgt=down(t.tgt),
-                guards=t.guards, resets=up, weight=t.weight,
-                synthetic=t.synthetic))
+                guards=t.guards, resets=up, weight=t.weight))
             new_trans.append(Transition(
                 tid=f"{t.tid}%pd", src=down(t.src), tgt=down(t.tgt),
-                guards=cd, resets=up, weight=t.weight,
-                synthetic=t.synthetic))
+                guards=cd, resets=up, weight=t.weight))
         else:
             new_trans.append(t)
             new_trans.append(Transition(
                 tid=f"{t.tid}%d", src=down(t.src), tgt=t.tgt,
-                guards=cd, resets=t.resets | up, weight=t.weight,
-                synthetic=t.synthetic))
+                guards=cd, resets=t.resets | up, weight=t.weight))
 
     # Resetting a clock that is guarded to be exactly 0 is a no-op, so do it:
     # it settles the "every ==0/==1 guard resets its clock" postcondition.

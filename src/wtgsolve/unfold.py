@@ -3,11 +3,13 @@
 The pipeline turns a raw two-clock game into a [0,1)-region game where every
 transition resets a clock, certifies that every cycle has weight zero or at
 least one, and collapses the zero-weight strongly connected components into
-kernels.  :func:`value_functions` then evaluates the semi-unfolding of the
-rest one strongly connected component at a time, successors first: plain
-locations by exact one-step delay optimization over piecewise linear
-successor values, kernels by iterating that same one-step operator to its
-fixed point (:mod:`.kernelvi`).
+kernels.  Since every move resets a clock, the value of a region-location
+is one piecewise-linear function of one clock (:class:`NodeValue`).
+:func:`value_functions` evaluates the semi-unfolding of the rest one
+strongly connected component at a time, successors first: plain locations
+by exact one-step delay optimization, whose extremum over the moves is one
+:func:`plf.pointwise_extremum`, kernels by iterating that same one-step
+operator to its fixed point (:mod:`.kernelvi`).
 :func:`solve` is the one entry point that both the library and the CLI call.
 """
 
@@ -21,7 +23,7 @@ from .core import (INF, MIN, ExtRat, GameError, InputError, StructuralError,
                    DomainError, Transition, Valuation, WeightedTimedGame,
                    frac, frac_str, reset)
 from .graphs import strongly_connected_components
-from .plf import (ONE, ZERO, PLF1, canonicalize, eval1, pointwise_extremum,
+from .plf import (ONE, ZERO, PLF1, eval1, pointwise_extremum,
                   running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
                       drop_dead_rolls, max_traps, normalize_01,
@@ -59,53 +61,31 @@ class NotAlmostNonZeno(GameError):
 class NodeValue:
     """Value function on the closure of a region-location's region.
 
-    ``const`` holds the value for 0-dimensional regions (and for the one
-    node that is only ever evaluated at a single anchor point: a root whose
-    region is 2-dimensional).  ``plf`` holds a PLF1 over [0, 1] in the
-    region's free coordinate for 1-dimensional regions.
+    Every transition resets a clock, so ``plf`` is always one PLF1: over
+    [0, 1] in the free coordinate of a 1-D region or of a goal (constant 0
+    there), and a point function at that coordinate for the origin and for
+    a 2-D region, which only the root can have and which is read only at
+    the initial valuation.  +inf is ``PLF1.infinite()``.
     """
 
     region: Region
-    const: Optional[ExtRat] = None
-    plf: Optional[PLF1] = None
-    anchor: Optional[Valuation] = None
-
-    @classmethod
-    def constant(cls, region: Region, value) -> "NodeValue":
-        return cls(region, const=value if value == INF else frac(value))
-
-    @classmethod
-    def infinite(cls, region: Region) -> "NodeValue":
-        return cls(region, const=INF)
-
-    @classmethod
-    def line(cls, region: Region, f: PLF1) -> "NodeValue":
-        if f.is_infinite:
-            return cls.infinite(region)
-        return cls(region, plf=canonicalize(f))
+    plf: PLF1
 
     @property
     def is_infinite(self) -> bool:
-        return self.const == INF
+        return self.plf.is_infinite
 
     def __le__(self, other: "NodeValue") -> bool:
         """Pointwise order over one region, +inf on top."""
-        if self.is_infinite or other.is_infinite:
-            return other.is_infinite
-        if self.plf is None:
-            return self.const <= other.const
         return self.plf <= other.plf
 
     def eval(self, v: Valuation) -> ExtRat:
-        if self.const is not None:
-            if self.anchor is not None and tuple(v) != tuple(self.anchor):
-                raise DomainError("value known only at the anchor point")
-            return self.const
         return eval1(self.plf, v[_param_axis(self.region)])
 
 
 def _param_axis(r: Region) -> int:
-    """The free coordinate of a 1-D region (x for the diagonal)."""
+    """The clock a region's value function reads: the free one of a 1-D
+    region (x for the diagonal), x on a 2-D region, y at the origin."""
     if 0 in r.zeros:
         return 1
     return 0
@@ -171,8 +151,6 @@ def _fire_plf1(t: Transition, child: NodeValue, a: Valuation,
     as a PLF1 in s (transition weight included)."""
     if child.is_infinite:
         return PLF1.infinite()
-    if child.const is not None:
-        return PLF1.constant(child.const + t.weight)
     i = _param_axis(child.region)
     u0 = reset(a, t.resets)[i]
     u1 = reset(b, t.resets)[i]
@@ -211,16 +189,18 @@ def _flow_cost(rg: RegionGame, t: Transition, child: NodeValue,
 
 
 def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
-                    nu: Valuation, direction: str) -> Optional[ExtRat]:
+                    nu: Valuation, direction: str) -> Optional[PLF1]:
     """ext over {delay d >= 0 : nu + d inside the closed guard region} of
-    d*w(src) + w(t) + child(reset(nu + d)); None when no delay fits."""
+    d*w(src) + w(t) + child(reset(nu + d)), as a point PLF1 at nu's x;
+    None when no delay fits."""
     if child.is_infinite:
-        return INF
+        return PLF1.infinite()
     h = _flow_cost(rg, t, child, nu[1] - nu[0])
     if h is None or h.hi < nu[0]:
         return None
     w0 = rg.game.locations[t.src].weight
-    return _ext_on(h, nu[0], h.hi, direction) - w0 * nu[0]
+    return PLF1.point(_ext_on(h, nu[0], h.hi, direction) - w0 * nu[0],
+                      x=nu[0])
 
 
 def _suffix_profile(h: PLF1, direction: str) -> PLF1:
@@ -289,8 +269,7 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
     # firing at (u, u).  The chord's range of u starts at 0 or ends at 1, so
     # its extremum is a running extremum of k, read at the other end e(c).
     above = 0 in gr.blocks[1]
-    reads_y = (child.const is None and _param_axis(child.region) == 1
-               and 1 not in t.resets)
+    reads_y = _param_axis(child.region) == 1 and 1 not in t.resets
     prefix = above != reads_y
     k = _add_affine(_fire_plf1(t, child, (ZERO, ZERO), (ONE, ONE)), w0, ZERO)
     ext = running_extremum(k, "prefix" if prefix else "suffix", direction)
@@ -323,8 +302,9 @@ def prune_max_traps(rg: RegionGame) -> RegionGame:
 
 
 def prune_dead_rolls(rg: RegionGame) -> RegionGame:
-    """Drop the rollovers that trimming left dead: it may have removed real
-    transitions that :func:`normalize_01` counted on when it kept them (see
+    """Drop the rollovers that the region build left dead: it keeps only the
+    moves whose guard can hold, which may leave out real transitions that
+    :func:`normalize_01` counted on when it kept them (see
     :func:`regions.drop_dead_rolls`)."""
     game = rg.game
     transitions = drop_dead_rolls(game.transitions, game.locations)
@@ -367,14 +347,13 @@ def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
               direction: str, shared: dict):
     """The cost of ``t`` from its source region, given the value ``child``
     behind it: a PLF1 in the free coordinate of a 1-D region, and otherwise
-    the extremum from its corner, or None when no delay fits.  A 2-D source
+    a point PLF1 at its corner, or None when no delay fits.  A 2-D source
     region can only be the root's (every transition resets a clock), so its
     value is only ever needed at the initial valuation.  ``shared`` holds
     the costs already computed, keyed by everything that they depend on."""
     r = rg.reg[t.src]
     key = (rg.game.locations[t.src].weight, rg.guard_region[t.tid],
-           t.resets, t.weight, r, direction, child.region, child.const,
-           child.plf, child.anchor)
+           t.resets, t.weight, r, direction, child.region, child.plf)
     if key not in shared:
         if r.dim == 1:
             shared[key] = _value_on_segment(rg, t, child, r, direction)
@@ -405,7 +384,7 @@ def _kernel_values(rg: RegionGame, comp: frozenset,
         child = {**child_values, **{t.tid: table[t.tgt] for t in inner}}
         return {n: _solve_plain(rg, n, moves[n], child, shared) for n in comp}
 
-    top = {n: NodeValue.infinite(rg.reg[n]) for n in comp}
+    top = {n: NodeValue(rg.reg[n], PLF1.infinite()) for n in comp}
     res = iterate(KernelGame({n: game.locations[n] for n in comp}, inner,
                              top, step))
     return res.functions, res.steps
@@ -417,23 +396,12 @@ def _solve_plain(rg: RegionGame, loc_name: str, ts: list[Transition],
     """The value function of a plain location from its outgoing transitions
     ``ts`` and the values behind them, with the one-step costs of
     ``shared``."""
-    loc = rg.game.locations[loc_name]
-    r = rg.reg[loc_name]
-    direction = "inf" if loc.owner == MIN else "sup"
-    if not ts:
-        return NodeValue.infinite(r)
+    direction = "inf" if rg.game.locations[loc_name].owner == MIN else "sup"
     costs = [_one_step(rg, t, child_values[t.tid], direction, shared)
              for t in ts]
-    if r.dim == 1:
-        return NodeValue.line(r, pointwise_extremum(costs, direction))
-    vals = [v for v in costs if v is not None]
-    if not vals:
-        return NodeValue.infinite(r)
-    best = min(vals) if direction == "inf" else max(vals)
-    out = NodeValue.constant(r, best) if best != INF else NodeValue.infinite(r)
-    if r.dim == 2:
-        out.anchor = rg.game.initial.valuation
-    return out
+    costs = [c for c in costs if c is not None]
+    return NodeValue(rg.reg[loc_name], pointwise_extremum(costs, direction)
+                     if costs else PLF1.infinite())
 
 
 def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
@@ -481,8 +449,8 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
                 succ[u].add(v)
                 pred[v].add(u)
 
-    values = {n: (NodeValue.constant(rg.reg[n], 0) if l.is_goal
-                  else NodeValue.infinite(rg.reg[n]))
+    values = {n: NodeValue(rg.reg[n], PLF1.constant(0) if l.is_goal
+                           else PLF1.infinite())
               for n, l in game.locations.items()}
     shared: dict = {}
 
@@ -560,12 +528,9 @@ def prepare(game: WeightedTimedGame) -> Prepared:
     if len(game.clocks) != 2:
         raise InputError("the solver expects exactly two clocks")
     g = normalize_01(game)
-    rg = build_region_wtg(g)
-    rg = trim(rg)
-    rg = prune_dead_rolls(rg)
+    rg = prune_dead_rolls(build_region_wtg(g))
     rg = prune_unreachable(rg, [rg.game.initial.location])
-    rg = relax(rg)
-    rg = prune_max_traps(rg)
+    rg = prune_max_traps(trim(relax(rg)))
     rg = add_resets(rg)
     cp = build_corner_point(rg)
     report = check_almost_non_zeno(cp)

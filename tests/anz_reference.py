@@ -5,7 +5,7 @@ check.
 before it read corner moves from the region table: it walks the
 ``Fraction`` corners of each transition's regions and finds the uniform
 delays between them.  ``wtgsolve.cycles.build_corner_point`` must give the
-same edges, in the same order, with the same data.
+same edges, in the same order, with the same weights.
 
 ``enumerate_almost_non_zeno`` is the check the solver used before it
 searched the corner-path product (``wtgsolve.cycles.check_almost_non_zeno``).
@@ -60,9 +60,7 @@ def build_corner_point(rg: RegionGame) -> CornerPointGraph:
                     raise StructuralError(
                         f"corner {landed} off the target region of {t.tid}")
                 by_tid.setdefault(t.tid, []).append(
-                    ((t.src, c), (t.tgt, landed),
-                     {"tid": t.tid, "weight": d * w_loc + t.weight,
-                      "delay": d}))
+                    ((t.src, c), (t.tgt, landed), d * w_loc + t.weight))
     return CornerPointGraph(rg, by_tid)
 
 
@@ -89,10 +87,9 @@ def _cycle_weight_range(cp: CornerPointGraph,
         for tid in cycle:
             nxt: dict = {}
             for node, (lo, hi) in front.items():
-                for u, v, data in cp.by_tid.get(tid, []):
+                for u, v, w in cp.by_tid.get(tid, []):
                     if u != node:
                         continue
-                    w = data["weight"]
                     cur = nxt.get(v)
                     if cur is None:
                         nxt[v] = (lo + w, hi + w)

@@ -546,8 +546,6 @@ def project_output(t: Transition, w: OutputValue, shape: str,
 def _to_output(child: NodeValue, t: Transition) -> OutputValue:
     if child.is_infinite:
         return OutputValue(PLF2.infinite(UNIT_SQUARE))
-    if child.const is not None:
-        return OutputValue.constant(child.const + t.weight)
     f = child.plf.shift(t.weight)
     return OutputValue.on_x(f) if _param_axis(child.region) == 0 \
         else OutputValue.on_y(f)
@@ -671,14 +669,12 @@ def _exit_cost(rg: RegionGame, t: Transition, child: NodeValue,
                shared: dict) -> Optional[PLF1]:
     """The cost of leaving a kernel by ``t`` as a function of the source's
     Delta, or None when no delay fits."""
-    r = rg.reg[t.src]
     owner = rg.game.locations[t.src].owner
     cost = _one_step(rg, t, child, "inf" if owner == MIN else "sup", shared)
-    if r.dim == 1:  # Delta is y on the y-axis and 1 - x on the x-axis
-        return cost.reversed_domain() if _shape_of(r) == ON_X else cost
-    if cost is None:
-        return None
-    return PLF1.infinite() if cost == INF else PLF1.point(cost)
+    # Delta is y on the y-axis and 1 - x on the x-axis
+    if cost is not None and _shape_of(rg.reg[t.src]) == ON_X:
+        return cost.reversed_domain()
+    return cost
 
 
 def _kernel_values(rg: RegionGame, comp: frozenset,
@@ -704,13 +700,9 @@ def _kernel_values(rg: RegionGame, comp: frozenset,
     for n in comp:
         r = rg.reg[n]
         f = res.functions[n]
-        if shapes[n] == POINT:
-            val = INF if f.is_infinite else value_at(res, n, r.corners()[0])
-            values[n] = NodeValue.constant(r, val)
-        elif f.is_infinite:
-            values[n] = NodeValue.infinite(r)
+        if shapes[n] == POINT and not f.is_infinite:
+            f = PLF1.point(value_at(res, n, r.corners()[0]))
         elif shapes[n] == ON_X:  # node parameter is x, kernel's is 1 - x
-            values[n] = NodeValue.line(r, f.reversed_domain())
-        else:
-            values[n] = NodeValue.line(r, f)
+            f = f.reversed_domain()
+        values[n] = NodeValue(r, canonicalize(f))
     return values, res.steps

@@ -63,8 +63,7 @@ def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
                     list(t.guards) + list(_table(n).constraints[r2])))
                 transitions.append(Transition(
                     tid=tid, src=rloc(t.src, r), tgt=rloc(t.tgt, tgt_region),
-                    guards=guards, resets=t.resets, weight=t.weight,
-                    synthetic=t.synthetic))
+                    guards=guards, resets=t.resets, weight=t.weight))
                 guard_region[tid] = r2
 
     init = game.initial

@@ -122,7 +122,7 @@ def check_round_by_round_approach(trace, n):
 def test_ac2_three_clock_demo():
     g = three_clock_demo()
     rg = region_pipeline(g)
-    rg = add_resets(prune_max_traps(relax(rg)))
+    rg = add_resets(prune_max_traps(trim(relax(rg))))
     report = check_almost_non_zeno(build_corner_point(rg))
     assert report.verdict == ANZ and report.kappa == 1
 
@@ -148,7 +148,7 @@ def test_ac3_transformation_stages():
         reference = val(g, cap=clock_bound(g))
         norm = normalize_01(g)
         rg = region_pipeline(g)
-        relaxed = relax(rg)
+        relaxed = trim(relax(rg))
         with_resets = add_resets(prune_max_traps(relaxed))
         fixed, _ = fix_weight_zero(
             with_resets, mark_green(with_resets,
@@ -277,7 +277,7 @@ def test_ac6_anz_checker():
 
     # every corpus game certifies almost non-Zeno with unit gap
     for name, g in transformation_corpus():
-        rg = add_resets(prune_max_traps(relax(region_pipeline(g))))
+        rg = add_resets(prune_max_traps(trim(relax(region_pipeline(g)))))
         rep = check_almost_non_zeno(build_corner_point(rg))
         assert rep.verdict == ANZ and rep.kappa == 1, name
 

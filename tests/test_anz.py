@@ -76,10 +76,9 @@ def random_game(seed):
 
 def checked_region_game(game):
     """The region game whose corner points ``prepare`` checks."""
-    rg = trim(build_region_wtg(normalize_01(game)))
-    rg = prune_dead_rolls(rg)
+    rg = prune_dead_rolls(build_region_wtg(normalize_01(game)))
     rg = prune_unreachable(rg, [rg.game.initial.location])
-    return add_resets(prune_max_traps(relax(rg)))
+    return add_resets(prune_max_traps(trim(relax(rg))))
 
 
 def checked_corner_point(game):
@@ -94,9 +93,9 @@ def corner_path_weights(cp, tids):
     front = {(first, c): {0} for c in cp.rg.reg[first].corners()}
     for tid in tids:
         nxt = {}
-        for u, v, data in cp.by_tid.get(tid, []):
+        for u, v, weight in cp.by_tid.get(tid, []):
             for w in front.get(u, ()):
-                nxt.setdefault(v, set()).add(w + data["weight"])
+                nxt.setdefault(v, set()).add(w + weight)
         front = nxt
     return set().union(*front.values())
 

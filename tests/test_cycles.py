@@ -29,7 +29,7 @@ from wtgsolve.regions import (
 def corner_nodes(cp):
     """The (region-location, corner) nodes that corner edges join."""
     return {n for edges in cp.by_tid.values()
-            for u, v, _data in edges for n in (u, v)}
+            for u, v, _w in edges for n in (u, v)}
 
 
 def pipeline(game):
@@ -119,18 +119,18 @@ class TestCornerPoint:
         assert report.verdict == ANZ
         # the loop through the weight-1 location costs exactly 1
         weights = set()
-        for u, v, d in cp.by_tid.get(next(
+        for _u, _v, w in cp.by_tid.get(next(
                 t.tid for t in cp.rg.game.transitions
                 if t.tid.split("#")[0] == "t1"), []):
-            weights.add(d["weight"])
+            weights.add(w)
         assert weights == {1}
 
     def test_integer_nonnegative_weights(self):
         cp = build_corner_point(pipeline(three_clock_demo()))
         edges = [e for es in cp.by_tid.values() for e in es]
         assert len(edges) == cp.graph.number_of_edges() > 0
-        for _u, _v, d in edges:
-            assert isinstance(d["weight"], int) and d["weight"] >= 0
+        for _u, _v, w in edges:
+            assert isinstance(w, int) and w >= 0
 
 
 class TestAnzCheck:

@@ -316,7 +316,8 @@ class TestNormalize:
         assert conf.location == "G" and w == F(1) * 1 + 1
         ng = normalize_01(g)
         roll = next(t for t in ng.transitions
-                    if t.src == "a#0,0" and t.tgt == "a#1,1" and t.synthetic)
+                    if t.src == "a#0,0" and t.tgt == "a#1,1"
+                    and t.tid.startswith("__roll_"))
         conf2, w2 = run_weight(ng, [
             (F(1), roll.tid), (F(0), "t1#1,1"), (F(0), "t2#1,1")])
         assert ng.locations[conf2.location].is_goal
@@ -328,7 +329,7 @@ def test_normalize_and_prune_share_roll_liveness():
     # b also rolls to c, after which nothing follows: that rollover is dead.
     def roll(tid, src, tgt):
         return Transition(tid, src, tgt, (Guard(X, "==", 1), Guard(Y, "<", 1)),
-                          frozenset({X}), synthetic=True)
+                          frozenset({X}))
 
     g = WeightedTimedGame(
         ["x", "y"], {n: Location(n, MIN, is_goal=n == "G") for n in "abcdG"},
@@ -485,15 +486,16 @@ def _region_set_games():
 
 
 def _stages(game):
-    """(transitions, guard regions) after trim, after relax and after
-    add_resets, up to the type of the error that stops the pipeline; trim
-    and guard-region inference are looked up in ``regions`` at call time."""
+    """(transitions, guard regions) of the built game trimmed, after relax
+    and trim, and after add_resets, up to the type of the error that stops
+    the pipeline; trim and guard-region inference are looked up in
+    ``regions`` at call time."""
     out = []
     try:
-        rg = regions.trim(build_region_wtg(normalize_01(game)))
-        out.append(rg)
-        rg = relax(prune_unreachable(prune_dead_rolls(rg),
-                                     [rg.game.initial.location]))
+        rg = build_region_wtg(normalize_01(game))
+        out.append(regions.trim(rg))
+        rg = regions.trim(relax(prune_unreachable(
+            prune_dead_rolls(rg), [rg.game.initial.location])))
         out.append(rg)
         out.append(add_resets(prune_max_traps(rg)))
     except GameError as exc:
@@ -519,13 +521,13 @@ class TestRegionSets:
 
 class TestRelax:
     def test_strict_guards_dropped(self):
-        xg = relax(trim(build_region_wtg(_small_01_game())))
+        xg = trim(relax(build_region_wtg(_small_01_game())))
         for t in xg.game.transitions:
             assert all(g.op in ("==",) for g in t.guards)
             assert all(g.bound in (0, 1) for g in t.guards)
 
     def test_equality_guards_survive(self):
-        xg = relax(trim(full_region_wtg(_small_01_game())))
+        xg = trim(relax(trim(full_region_wtg(_small_01_game()))))
         assert any(Guard(Y, "==", 1) in t.guards for t in xg.game.transitions)
 
 
@@ -552,7 +554,7 @@ def _kernel_game():
 
 
 def _relaxed(g):
-    return relax(trim(build_region_wtg(g)))
+    return trim(relax(build_region_wtg(g)))
 
 
 class TestAddResets:

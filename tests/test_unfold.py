@@ -386,8 +386,40 @@ class TestPipeline:
         vf = value_functions(prep.rg, prep.kernel, prep.w_bound, prep.kappa)
         for name, nv in vf.items():
             assert nv.region == prep.rg.reg[name]
-            if nv.plf is not None:
+            if nv.region.dim == 1:
                 assert nv.plf.lo == 0 and nv.plf.hi == 1
+
+    def test_every_value_has_the_form_of_its_region(self):
+        """Each value is +inf, or a point at the region's coordinate (0 at
+        the origin, x of the initial valuation at a 2-D root), or a function
+        over [0, 1] (a 1-D region or a goal)."""
+        forms = set()
+        for name, game in (_one_step_games("corpus")
+                           + _one_step_games("fractional_start")):
+            try:
+                verdict = solve(game)
+            except NotAlmostNonZeno:
+                continue
+            rg = verdict.prepared.rg
+            for n, nv in verdict.values.items():
+                f, r = nv.plf, nv.region
+                assert r == rg.reg[n]
+                if f.is_infinite:
+                    continue
+                if rg.game.locations[n].is_goal or r.dim == 1:
+                    form = "goal" if rg.game.locations[n].is_goal else "1-D"
+                    assert (f.lo, f.hi) == (0, 1) and not f.is_point, (name, n)
+                elif r.dim == 0:
+                    form = "origin"
+                    assert f.is_point and f.lo == 0, (name, n)
+                else:
+                    form = "2-D root"
+                    v = rg.game.initial.valuation
+                    assert n == rg.game.initial.location, (name, n)
+                    assert f.is_point and f.lo == v[0], (name, n)
+                    assert nv.eval(v) == verdict.value
+                forms.add(form)
+        assert forms == {"goal", "1-D", "origin", "2-D root"}
 
     def test_verdict_str(self):
         v = decide(min_wait(), F(3, 2))
@@ -540,7 +572,7 @@ class TestOneStepReference:
     def test_every_triangle_case_is_compared(self):
         """The triangle branch of ``_value_on_segment`` is compared above and
         below the diagonal, for both players, with a child that reads x,
-        reads y, is a constant, or reads a clock that the move resets.  No
+        reads y, is a goal, or reads a clock that the move resets.  No
         prepared game has the last child, so each move gets one made up on
         the clock it resets."""
         bumpy = PLF1(((0, 1), (F(1, 2), 0), (1, 2)))
@@ -563,10 +595,10 @@ class TestOneStepReference:
                         or not r.zeros or gr.dim != 2 or child.is_infinite):
                     continue
                 direction = "inf" if loc.owner == MIN else "sup"
-                kinds = [("const" if child.const is not None
+                kinds = [("goal" if rg.game.locations[t.tgt].is_goal
                           else "xy"[unfold._param_axis(child.region)], child)]
                 for x in t.resets:
-                    kinds.append(("reset", unfold.NodeValue.line(
+                    kinds.append(("reset", unfold.NodeValue(
                         Region((frozenset({1 - x}), frozenset({x}))), bumpy)))
                 for kind, nv in kinds:
                     args = (rg, t, nv, r, direction)
@@ -575,7 +607,7 @@ class TestOneStepReference:
                                         *args)), (name, t.tid, kind)
                     cases.add((0 in gr.blocks[1], kind, direction))
         assert cases == set(itertools.product(
-            (True, False), ("x", "y", "const", "reset"), ("inf", "sup")))
+            (True, False), ("x", "y", "goal", "reset"), ("inf", "sup")))
 
 
 # -- kernels against the Delta reference and its 2-D exit projection ---------
@@ -629,7 +661,7 @@ def _met_kernels():
 # Values that read x and y, for exits that in these games only ever have a
 # constant behind them
 _BUMPY = PLF1(((0, 1), (F(1, 2), 0), (1, 2)))
-_MADE_UP = tuple(unfold.NodeValue.line(
+_MADE_UP = tuple(unfold.NodeValue(
     Region((frozenset({1 - i}), frozenset({i}))), _BUMPY) for i in (0, 1))
 
 
@@ -694,8 +726,7 @@ def test_every_kernel_iterates_as_the_delta_reference():
                 assert got == want, (sorted(comp), owner)
                 runs += 1
                 bent += not isinstance(got, type) and any(
-                    nv.plf is not None and len(nv.plf.points) > 2
-                    for nv in got[0].values())
+                    len(nv.plf.points) > 2 for nv in got[0].values())
     assert runs >= 600 and bent >= 40
 
 

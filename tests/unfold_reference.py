@@ -152,10 +152,10 @@ def solve_node(node: UnfoldNode, rg: RegionGame, kernel: Kernel,
     while stack:
         n, ready = stack.pop()
         if n.kind == GOAL:
-            memo[id(n)] = NodeValue.constant(rg.reg.get(n.loc), 0)
+            memo[id(n)] = NodeValue(rg.reg.get(n.loc), PLF1.constant(0))
             continue
         if n.kind == STOPPED:
-            memo[id(n)] = NodeValue.infinite(rg.reg.get(n.loc))
+            memo[id(n)] = NodeValue(rg.reg.get(n.loc), PLF1.infinite())
             continue
         if not ready:
             if id(n) in expanded:
@@ -209,8 +209,8 @@ def jacobi_value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     for t in game.transitions:
         outgoing[t.src].append(t)
 
-    values = {n: (NodeValue.constant(rg.reg[n], 0) if l.is_goal
-                  else NodeValue.infinite(rg.reg[n]))
+    values = {n: NodeValue(rg.reg[n], PLF1.constant(0) if l.is_goal
+                           else PLF1.infinite())
               for n, l in game.locations.items()}
     sweeps = 0
     for _ in range(max_sweeps):
@@ -280,8 +280,6 @@ def _fire_plf2(t: Transition, child: NodeValue, poly) -> PLF2:
     """Cost-to-go after firing ``t`` anywhere in the guard polygon."""
     if child.is_infinite:
         return PLF2.infinite(poly)
-    if child.const is not None:
-        return PLF2.affine(poly, (ZERO, ZERO, child.const + t.weight))
     i = _param_axis(child.region)
     if i in t.resets:
         return PLF2.affine(poly, (ZERO, ZERO,
@@ -322,9 +320,19 @@ def _fiber_range(poly, c0: Fraction):
 
 
 def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
-                    nu: Valuation, direction: str) -> Optional[ExtRat]:
+                    nu: Valuation, direction: str) -> Optional[PLF1]:
     """ext over {delay d >= 0 : nu + d inside the closed guard region} of
-    d*w(src) + w(t) + child(reset(nu + d)); None when no delay fits."""
+    d*w(src) + w(t) + child(reset(nu + d)), as a point PLF1 at nu's x;
+    None when no delay fits."""
+    value = _point_value(rg, t, child, nu, direction)
+    if value is None:
+        return None
+    return PLF1.infinite() if value == INF else PLF1.point(value, x=nu[0])
+
+
+def _point_value(rg: RegionGame, t: Transition, child: NodeValue,
+                 nu: Valuation, direction: str) -> Optional[ExtRat]:
+    """The extremum of :func:`_value_at_point` as a number."""
     if child.is_infinite:
         return INF
     w0 = rg.game.locations[t.src].weight
