@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Union
 
 #: +infinity marker for extended values.  ``Fraction`` compares cleanly
@@ -65,17 +66,23 @@ def frac_str(value: ExtRat) -> str:
     return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
-@dataclass(frozen=True)
-class Guard:
-    """A single atomic clock constraint ``clock op bound``."""
+class Guard(tuple):
+    """A single atomic clock constraint ``clock op bound``.
 
-    clock: int
-    op: str
-    bound: int
+    It is the tuple ``(clock, op, bound)``, so that it hashes and compares
+    in C: the region tables look guards up by value, many times per solve.
+    """
 
-    def __post_init__(self):
-        if self.op not in OPS:
-            raise InputError(f"bad guard operator {self.op!r}")
+    __slots__ = ()
+
+    def __new__(cls, clock: int, op: str, bound: int):
+        if op not in OPS:
+            raise InputError(f"bad guard operator {op!r}")
+        return tuple.__new__(cls, (clock, op, bound))
+
+    clock = property(itemgetter(0))
+    op = property(itemgetter(1))
+    bound = property(itemgetter(2))
 
     def holds(self, value: Fraction) -> bool:
         if self.op == "<":

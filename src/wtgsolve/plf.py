@@ -26,10 +26,11 @@ class PLF1:
     everywhere-+inf function.
     """
 
-    __slots__ = ("points", "is_infinite")
+    __slots__ = ("points", "is_infinite", "_hash")
 
     def __init__(self, points=(), is_infinite: bool = False):
         self.is_infinite = is_infinite
+        self._hash = None
         if is_infinite:
             self.points = ()
             return
@@ -80,7 +81,10 @@ class PLF1:
                 and self.points == other.points)
 
     def __hash__(self):
-        return hash((self.is_infinite, self.points))
+        # computed once: the solver keys its stored one-step costs by PLF1s
+        if self._hash is None:
+            self._hash = hash((self.is_infinite, self.points))
+        return self._hash
 
     def __le__(self, other: "PLF1") -> bool:
         """Pointwise order, +inf on top."""
@@ -93,13 +97,6 @@ class PLF1:
         if self.is_infinite:
             return "PLF1(+inf)"
         return f"PLF1({list(self.points)})"
-
-    def shift(self, delta) -> "PLF1":
-        """Add a constant to the function (no-op on +inf)."""
-        if self.is_infinite:
-            return self
-        d = frac(delta)
-        return PLF1(tuple((x, y + d) for x, y in self.points))
 
     def reversed_domain(self) -> "PLF1":
         """g(x) = f(lo + hi - x): the function read right-to-left."""
@@ -154,18 +151,39 @@ def canonicalize(plf: PLF1) -> PLF1:
     return PLF1(tuple(out))
 
 
+def values_at(plf: PLF1, xs) -> list[Fraction]:
+    """``plf`` at every point of ``xs``, an increasing sequence inside its
+    domain, in one walk along both: the same values as :func:`eval1`."""
+    pts = plf.points
+    out = []
+    j = 0
+    for x in xs:
+        while pts[j][0] < x:
+            j += 1
+        xj, yj = pts[j]
+        if xj == x:
+            out.append(yj)
+        else:
+            xi, yi = pts[j - 1]
+            out.append(yi + (yj - yi) * (x - xi) / (xj - xi))
+    return out
+
+
 def pointwise_extremum(functions, direction: str) -> PLF1:
-    """Exact pointwise inf/sup of PLF1s sharing one domain."""
+    """Exact pointwise inf/sup of PLF1s sharing one domain.  An input given
+    more than once (the same object) counts once."""
     if direction not in ("inf", "sup"):
         raise ValueError(direction)
     better = min if direction == "inf" else max
-    fs = list(functions)
+    fs = list({id(f): f for f in functions}.values())
     if not fs:
         raise DomainError("extremum of no functions")
     finite = [f for f in fs if not f.is_infinite]
     if not finite or direction == "sup" and len(finite) < len(fs):
         return PLF1.infinite()
     fs = finite
+    if len(fs) == 1:
+        return canonicalize(fs[0])
     if any(f.is_point for f in fs):
         if not all(f.is_point and f.points[0][0] == fs[0].points[0][0] for f in fs):
             raise DomainError("mixed point/interval domains in extremum")
@@ -175,16 +193,16 @@ def pointwise_extremum(functions, direction: str) -> PLF1:
         raise DomainError("extremum of PLF1s with different domains")
     # Between consecutive breakpoints of all inputs every input is affine,
     # so the extremum bends only where two inputs cross.
-    xs = sorted({x for f in fs for x, _ in f.points})
-    cols = [[eval1(f, x) for f in fs] for x in xs]
+    xs = [lo, *sorted({x for f in fs for x, _ in f.points[1:-1]}), hi]
+    cols = list(zip(*(values_at(f, xs) for f in fs)))
     points = [(lo, better(cols[0]))]
     for u, v, a, b in zip(xs, xs[1:], cols, cols[1:]):
         ts = set()
         for i in range(len(fs)):
             for j in range(i + 1, len(fs)):
-                d0, d1 = a[i] - a[j], b[i] - b[j]
-                if d0 < 0 < d1 or d1 < 0 < d0:
-                    ts.add(d0 / (d0 - d1))
+                if a[i] < a[j] and b[j] < b[i] or a[j] < a[i] and b[i] < b[j]:
+                    d0 = a[i] - a[j]
+                    ts.add(d0 / (d0 - b[i] + b[j]))
         for t in sorted(ts):
             points.append((u + t * (v - u),
                            better(p + t * (q - p) for p, q in zip(a, b))))

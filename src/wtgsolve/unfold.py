@@ -13,15 +13,16 @@ operator to its fixed point (:mod:`.kernelvi`).
 :func:`solve` is the one entry point that both the library and the CLI call.
 """
 
+import functools
 import math
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (INF, MIN, ExtRat, GameError, InputError, StructuralError,
                    DomainError, Transition, Valuation, WeightedTimedGame,
-                   frac, frac_str, reset)
+                   frac, frac_str)
 from .graphs import strongly_connected_components
 from .plf import (ONE, ZERO, PLF1, eval1, pointwise_extremum,
                   running_extremum)
@@ -96,96 +97,151 @@ def _sorted_corners(r: Region) -> list[Valuation]:
 
 
 # ---------------------------------------------------------------------------
-# Small PLF1 manipulations
+# One transition: the child's value read along one affine view
 # ---------------------------------------------------------------------------
 
-def _reparam(f: PLF1, u0: Fraction, u1: Fraction) -> PLF1:
-    """g(s) = f(u0 + s*(u1 - u0)) over s in [0, 1]."""
+def _reparam(f: PLF1, u0: Fraction, u1: Fraction, slope=ZERO,
+             intercept=ZERO) -> PLF1:
+    """g(s) = f(u0 + s*(u1 - u0)) + slope*s + intercept over s in [0, 1],
+    in one pass over the breakpoints of f, backwards when u1 < u0."""
     if f.is_infinite:
         return f
     if u0 == u1:
-        return PLF1.constant(eval1(f, u0))
-    pts = {ZERO: eval1(f, u0), ONE: eval1(f, u1)}
-    for x, y in f.points:
-        s = (x - u0) / (u1 - u0)
-        if 0 < s < 1:
-            pts[s] = y
-    return PLF1(tuple(sorted(pts.items())))
+        y = eval1(f, u0) + intercept
+        return PLF1(((ZERO, y), (ONE, y + slope)))
+    pts = f.points
+    for u in (u0, u1):
+        if not pts[0][0] <= u <= pts[-1][0]:
+            eval1(f, u)  # raises the DomainError that names u
+    du = u1 - u0
+    out = []
+    s0 = y0 = None
+    for x, y in (pts if du > 0 else reversed(pts)):
+        s = (x - u0) / du
+        if s > 0:
+            if not out:  # f(u0), on the piece from the last breakpoint
+                out.append((ZERO, (y0 if s0 == 0 else
+                                   y0 - (y - y0) * s0 / (s - s0))
+                            + intercept))
+            if s >= 1:  # f(u1)
+                y1 = y if s == 1 else y0 + (y - y0) * (1 - s0) / (s - s0)
+                out.append((ONE, y1 + slope + intercept))
+                break
+            out.append((s, y + slope * s + intercept))
+        s0, y0 = s, y
+    return PLF1(tuple(out))
 
 
-def _map_domain(f: PLF1, x0: Fraction, x1: Fraction) -> PLF1:
-    """Affinely stretch the domain of ``f`` from [lo, hi] onto [x0, x1]."""
-    if f.is_infinite or f.is_point:
-        return f
-    lo, hi = f.lo, f.hi
-    scale = (x1 - x0) / (hi - lo)
-    return PLF1(tuple((x0 + (x - lo) * scale, y) for x, y in f.points))
-
-
-def _add_affine(f: PLF1, slope, intercept) -> PLF1:
-    if f.is_infinite:
-        return f
-    m, q = frac(slope), frac(intercept)
-    return PLF1(tuple((x, y + m * x + q) for x, y in f.points))
-
-
-def _ext_on(f: PLF1, lo: Fraction, hi: Fraction, direction: str) -> ExtRat:
-    """Extremum of ``f`` over [lo, hi] (must meet the domain)."""
-    if f.is_infinite:
-        return INF
-    lo, hi = max(lo, f.lo), min(hi, f.hi)
-    if lo > hi:
-        raise DomainError("extremum over an empty interval")
-    vals = [eval1(f, lo), eval1(f, hi)]
-    vals += [y for x, y in f.points if lo < x < hi]
-    return min(vals) if direction == "inf" else max(vals)
-
-
-# ---------------------------------------------------------------------------
-# One transition: value contribution over the source region closure
-# ---------------------------------------------------------------------------
-
-def _fire_plf1(t: Transition, child: NodeValue, a: Valuation,
-               b: Valuation) -> PLF1:
-    """Cost-to-go after firing ``t`` at p(s) = a + s*(b-a), s in [0, 1],
-    as a PLF1 in s (transition weight included)."""
-    if child.is_infinite:
-        return PLF1.infinite()
-    i = _param_axis(child.region)
-    u0 = reset(a, t.resets)[i]
-    u1 = reset(b, t.resets)[i]
-    return _reparam(child.plf, u0, u1).shift(t.weight)
-
-
-def _flow_cost(rg: RegionGame, t: Transition, child: NodeValue,
-               c0: Fraction) -> Optional[PLF1]:
-    """h(xi) = w(t) + child(reset(xi, xi + c0)) + w(src)*xi for every xi at
-    which the flow line y - x = c0 meets the closed guard region of ``t``;
-    None when the line misses it."""
-    w0 = rg.game.locations[t.src].weight
-    gr = rg.guard_region[t.tid]
+@functools.lru_cache(maxsize=None)
+def _chord(gr: Region, c0: Fraction) -> Optional[tuple[Valuation, Valuation]]:
+    """The lowest and highest points at which the flow line y - x = c0
+    meets the closed guard region ``gr`` (the same point twice where it
+    crosses a segment or touches a corner), or None when it misses it."""
     if gr.dim == 2:  # a triangle, met on a chord
         above = 0 in gr.blocks[1]  # 0 <= x <= y <= 1
         if not (0 <= c0 <= 1 if above else -1 <= c0 <= 0):
             return None
-        a, b = (((ZERO, c0), (ONE - c0, ONE)) if above
+        return (((ZERO, c0), (ONE - c0, ONE)) if above
                 else ((-c0, ZERO), (ONE, ONE + c0)))
-    else:
-        corners = _sorted_corners(gr)
-        a, b = corners[0], corners[-1]
-        dcp = (b[1] - a[1]) - (b[0] - a[0])
-        if dcp:  # a guard segment across the flow, met at one point
-            s = (c0 - (a[1] - a[0])) / dcp
-            if not 0 <= s <= 1:
-                return None
-            a = b = (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
+    corners = _sorted_corners(gr)
+    a, b = corners[0], corners[-1]
+    dcp = (b[1] - a[1]) - (b[0] - a[0])
+    if dcp:  # a guard segment across the flow, met at one point
+        s = (c0 - (a[1] - a[0])) / dcp
+        if not 0 <= s <= 1:
+            return None
+        a = b = (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
     if a[1] - a[0] != c0:
         return None
-    if a == b:
-        return PLF1.point(child.eval(reset(a, t.resets)) + t.weight
-                          + w0 * a[0], x=a[0])
-    return _add_affine(_map_domain(_fire_plf1(t, child, a, b), a[0], b[0]),
-                       w0, ZERO)
+    return a, b
+
+
+class _Plan(NamedTuple):
+    """How a move is costed over a 1-D source region, per unit of the
+    source's rate w0.  Its cost is the child's value read along ``view``
+    = (u0, u1, slope, intercept), as ``_reparam(child, u0, u1, w0*slope,
+    w0*intercept + w(t))``; with a ``side``, the running extremum on that
+    side of the result, read along ``then`` with (slope, intercept) scaled
+    by w0 alone.  ``error`` is instead the exception class and message
+    (``{tid}`` naming the move) of a move that cannot be costed."""
+
+    view: tuple = ()
+    side: str = ""
+    then: tuple = ()
+    error: tuple = ()
+
+
+@functools.lru_cache(maxsize=None)
+def _segment_plan(src: Region, gr: Region, resets: frozenset[int],
+                  axis: int) -> _Plan:
+    """The :class:`_Plan` of a move from the 1-D region ``src``, firing in
+    the closed guard region ``gr`` and resetting ``resets``, into a value
+    that reads clock ``axis``."""
+    def u(p: Valuation) -> Fraction:  # the clock the child reads after p
+        return ZERO if axis in resets else p[axis]
+
+    a, b = _sorted_corners(src)
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    if dx == dy:
+        # A diagonal source: every point shares the flow line c = 0, which
+        # meets a region's closure in (0, 0), in (1, 1) or between them.
+        chord = _chord(gr, ZERO)
+        if chord is None:
+            return _Plan(error=(StructuralError,
+                                "{tid}: guard misses the flow line"))
+        pa, pb = chord
+        if pb[0] != ONE:
+            return _Plan(error=(
+                StructuralError,
+                "transition feasible on only part of its source region"))
+        if pa == pb:
+            return _Plan((u(pa), u(pa), -ONE, pa[0]))
+        # firing at (xi, xi) costs k(xi) = child + w(t) + w0*xi; from the
+        # source point at xi, the suffix extremum of k less w0*xi
+        return _Plan((u(pa), u(pb), ONE, ZERO), "suffix",
+                     (ZERO, ONE, -ONE, ZERO))
+
+    # Non-diagonal 1-D source: each point lies on its own flow line, and the
+    # closed guard region sits forward in time on all of them, so the d >= 0
+    # constraint is vacuous.
+    c_a, c_b = a[1] - a[0], b[1] - b[0]
+    if gr.dim == 0:
+        return _Plan(error=(
+            StructuralError,
+            "{tid}: point guard region from a sliding source"))
+    if gr.dim == 1:
+        ga, gb = _sorted_corners(gr)
+        dcp = (gb[1] - ga[1]) - (gb[0] - ga[0])
+        if dcp == 0:
+            return _Plan(error=(
+                StructuralError,
+                "{tid}: diagonal guard from a sliding source"))
+        # the source corners' flow lines cross the guard at s0 and s1
+        s0 = (c_a - (ga[1] - ga[0])) / dcp
+        s1 = (c_b - (ga[1] - ga[0])) / dcp
+        for s in (s0, s1):
+            if not 0 <= s <= 1:
+                return _Plan(error=(DomainError,
+                                    f"PLF1 evaluated outside [0, 1]: {s}"))
+        gdx = gb[0] - ga[0]
+        ua, ub = u(ga), u(gb)
+        return _Plan((ua + s0 * (ub - ua), ua + s1 * (ub - ua),
+                      (s1 - s0) * gdx - dx, ga[0] + s0 * gdx - a[0]))
+    # A triangle: the flow line y - x = c through the source point meets it
+    # on a chord, x in [0, 1 - c] above the diagonal and in [-c, 1] below.
+    # Firing on it, the child reads one clock u, x or y = x + c (take x when
+    # it reads none), and the cost from the source is k(u) - w0*(c if u is
+    # y) - w0*x_src, where k(u) = child(u) + w(t) + w0*u is also the cost of
+    # firing at (u, u).  The chord's range of u starts at 0 or ends at 1, so
+    # its extremum is a running extremum of k, read at the other end e(c).
+    above = 0 in gr.blocks[1]
+    reads_y = axis == 1 and 1 not in resets
+    prefix = above != reads_y
+    e0, sign = (ONE if prefix else ZERO), (1 if reads_y else -1)
+    return _Plan((ZERO, u((ONE, ONE)), ONE, ZERO),
+                 "prefix" if prefix else "suffix",
+                 (e0 + sign * c_a, e0 + sign * c_b,
+                  -(reads_y * (c_b - c_a) + dx), -(reads_y * c_a + a[0])))
 
 
 def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
@@ -195,33 +251,19 @@ def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
     None when no delay fits."""
     if child.is_infinite:
         return PLF1.infinite()
-    h = _flow_cost(rg, t, child, nu[1] - nu[0])
-    if h is None or h.hi < nu[0]:
+    chord = _chord(rg.guard_region[t.tid], nu[1] - nu[0])
+    if chord is None or chord[1][0] < nu[0]:
         return None
+    pa, pb = chord
+    if pa[0] < nu[0]:  # only the part of the chord ahead of nu
+        pa = nu
+    axis = _param_axis(child.region)
+    ua, ub = ((ZERO, ZERO) if axis in t.resets else (pa[axis], pb[axis]))
     w0 = rg.game.locations[t.src].weight
-    return PLF1.point(_ext_on(h, nu[0], h.hi, direction) - w0 * nu[0],
-                      x=nu[0])
-
-
-def _suffix_profile(h: PLF1, direction: str) -> PLF1:
-    """g(xi0) = ext of h over [xi0, 1] for xi0 in [0, 1]; h lives on a
-    sub-interval of [0, 1] whose upper end must reach 1."""
-    if h.is_infinite:
-        return h
-    if h.is_point:
-        x, v = h.points[0]
-        if x != ONE:
-            raise StructuralError(
-                "transition feasible on only part of its source region")
-        return PLF1.constant(v)
-    if h.hi != ONE:
-        raise StructuralError(
-            "transition feasible on only part of its source region")
-    sfx = running_extremum(h, "suffix", direction)
-    pts = list(sfx.points)
-    if sfx.lo > ZERO:
-        pts = [(ZERO, pts[0][1])] + pts
-    return PLF1(tuple(pts))
+    g = _reparam(child.plf, ua, ub, w0 * (pb[0] - pa[0]),
+                 w0 * (pa[0] - nu[0]) + t.weight)
+    ys = [y for _, y in g.points]
+    return PLF1.point(min(ys) if direction == "inf" else max(ys), x=nu[0])
 
 
 def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
@@ -230,53 +272,19 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
     region's free coordinate."""
     if child.is_infinite:
         return PLF1.infinite()
+    plan = _segment_plan(src, rg.guard_region[t.tid], t.resets,
+                         _param_axis(child.region))
+    if plan.error:
+        cls, message = plan.error
+        raise cls(message.format(tid=t.tid))
     w0 = rg.game.locations[t.src].weight
-    gr = rg.guard_region[t.tid]
-    a, b = _sorted_corners(src)
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    if dx == dy:  # diagonal source: every point shares the flow line c = 0
-        h = _flow_cost(rg, t, child, ZERO)
-        if h is None:
-            raise StructuralError(f"{t.tid}: guard misses the flow line")
-        return _add_affine(_suffix_profile(h, direction), -w0, ZERO)
-
-    # Non-diagonal 1-D source: each point lies on its own flow line, and the
-    # closed guard region sits forward in time on all of them, so the d >= 0
-    # constraint is vacuous.
-    c_a, c_b = a[1] - a[0], b[1] - b[0]
-    if gr.dim == 0:
-        raise StructuralError(
-            f"{t.tid}: point guard region from a sliding source")
-    if gr.dim == 1:
-        ga, gb = _sorted_corners(gr)
-        dcp = (gb[1] - ga[1]) - (gb[0] - ga[0])
-        if dcp == 0:
-            raise StructuralError(
-                f"{t.tid}: diagonal guard from a sliding source")
-        f1 = _fire_plf1(t, child, ga, gb)
-        s0 = (c_a - (ga[1] - ga[0])) / dcp
-        s1 = (c_b - (ga[1] - ga[0])) / dcp
-        g = _reparam(f1, s0, s1)
-        gdx = gb[0] - ga[0]
-        xi_slope = (s1 - s0) * gdx - dx
-        xi_const = ga[0] + s0 * gdx - a[0]
-        return _add_affine(g, w0 * xi_slope, w0 * xi_const)
-    # A triangle: the flow line y - x = c through the source point meets it
-    # on a chord, x in [0, 1 - c] above the diagonal and in [-c, 1] below.
-    # Firing on it, the child reads one clock u, x or y = x + c (take x when
-    # it reads none), and the cost from the source is k(u) - w0*(c if u is
-    # y) - w0*x_src, where k(u) = child(u) + w(t) + w0*u is also the cost of
-    # firing at (u, u).  The chord's range of u starts at 0 or ends at 1, so
-    # its extremum is a running extremum of k, read at the other end e(c).
-    above = 0 in gr.blocks[1]
-    reads_y = _param_axis(child.region) == 1 and 1 not in t.resets
-    prefix = above != reads_y
-    k = _add_affine(_fire_plf1(t, child, (ZERO, ZERO), (ONE, ONE)), w0, ZERO)
-    ext = running_extremum(k, "prefix" if prefix else "suffix", direction)
-    e0, sign = (ONE if prefix else ZERO), (1 if reads_y else -1)
-    g = _reparam(ext, e0 + sign * c_a, e0 + sign * c_b)
-    return _add_affine(g, -w0 * (reads_y * (c_b - c_a) + dx),
-                       -w0 * (reads_y * c_a + a[0]))
+    u0, u1, m, q = plan.view
+    g = _reparam(child.plf, u0, u1, w0 * m, w0 * q + t.weight)
+    if not plan.side:
+        return g
+    v0, v1, m, q = plan.then
+    return _reparam(running_extremum(g, plan.side, direction), v0, v1,
+                    w0 * m, w0 * q)
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +362,17 @@ def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
     r = rg.reg[t.src]
     key = (rg.game.locations[t.src].weight, rg.guard_region[t.tid],
            t.resets, t.weight, r, direction, child.region, child.plf)
-    if key not in shared:
-        if r.dim == 1:
-            shared[key] = _value_on_segment(rg, t, child, r, direction)
-        else:
-            nu = (r.corners()[0] if r.dim == 0
-                  else rg.game.initial.valuation)
-            shared[key] = _value_at_point(rg, t, child, nu, direction)
-    return shared[key]
+    try:
+        return shared[key]
+    except KeyError:
+        pass
+    if r.dim == 1:
+        cost = _value_on_segment(rg, t, child, r, direction)
+    else:
+        nu = r.corners()[0] if r.dim == 0 else rg.game.initial.valuation
+        cost = _value_at_point(rg, t, child, nu, direction)
+    shared[key] = cost
+    return cost
 
 
 def _kernel_values(rg: RegionGame, comp: frozenset,

@@ -546,7 +546,7 @@ def project_output(t: Transition, w: OutputValue, shape: str,
 def _to_output(child: NodeValue, t: Transition) -> OutputValue:
     if child.is_infinite:
         return OutputValue(PLF2.infinite(UNIT_SQUARE))
-    f = child.plf.shift(t.weight)
+    f = PLF1(tuple((x, y + t.weight) for x, y in child.plf.points))
     return OutputValue.on_x(f) if _param_axis(child.region) == 0 \
         else OutputValue.on_y(f)
 

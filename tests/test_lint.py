@@ -1,6 +1,8 @@
 """Every name a module of ``src/wtgsolve`` or ``tests`` imports is read
-somewhere in it, and the solver computes without floats: the one float in
-``src/wtgsolve`` is ``core.INF``, the +infinity of extended values."""
+somewhere in it, every function of ``src/wtgsolve`` is reached from it
+(or kept for a reason named in ``KEPT``), and the solver computes without
+floats: the one float in ``src/wtgsolve`` is ``core.INF``, the +infinity of
+extended values."""
 import ast
 from pathlib import Path
 
@@ -65,3 +67,66 @@ def test_the_scan_finds_a_float():
                                   "4: float(y)"]
     assert float_uses(source, allow_inf=True) == ["2: 1000.0", "2: 0.5",
                                                   "4: float(y)"]
+
+
+# Functions and methods that no code of ``src/wtgsolve`` reads, each kept for
+# a caller outside it.
+KEPT = {
+    "unfold.decide": "public API: is the value at most a threshold?",
+    "gameio.save_game": "public API: writes what gameio.load_game reads",
+    "oracle.GridOracle.value_at": "public API: the oracle's value at a point",
+    "oracle.GridOracle.play": "public API: a grid-optimal play",
+    "regions.elapsed_region_feasible":
+        "bench/tracing.py wraps it and counts its feasibility queries",
+    "cycles.CornerPointGraph.graph":
+        "bench/tracing.py counts corner edges through it",
+    "cycles.CornerPointGraph.number_of_edges":
+        "bench/tracing.py counts corner edges through it",
+}
+
+
+def unread_functions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and the methods of top-level classes of
+    ``sources`` (module name -> source) whose name no module reads, as a
+    name or an attribute, named ``module.function`` or
+    ``module.Class.method``.  Python itself calls the dunder methods."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, functions):
+                defs = [(node.name, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{d.name}", d.name) for d in node.body
+                        if isinstance(d, functions)]
+            else:
+                continue
+            found += [f"{module}.{qualified}" for qualified, name in defs
+                      if name not in read
+                      and not (name.startswith("__") and name.endswith("__"))]
+    return found
+
+
+def test_every_function_is_reached():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(unread_functions(sources)) == sorted(KEPT)
+
+
+def test_the_scan_finds_a_dead_function():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef dead():\n    return used()\n",
+        "b": ("from a import used\n\nclass C:\n    def __init__(self):\n"
+              "        self.x = used()\n\n    def m(self):\n        pass\n\n"
+              "    def live(self):\n        return self.x\n\n"
+              "C().live()\n"),
+    }
+    assert unread_functions(sources) == ["a.dead", "b.C.m"]

@@ -10,6 +10,7 @@ from wtgsolve.plf import (
     eval1,
     pointwise_extremum,
     running_extremum,
+    values_at,
 )
 
 from invariants import check_continuity
@@ -153,11 +154,14 @@ def test_running_extremum_properties(f, direction, side):
 
 @st.composite
 def extremum_inputs(draw):
-    """1-5 functions on [0, 1], or all on the point {0}, some of them +inf."""
+    """1-5 functions on [0, 1], or all on the point {0}, some of them +inf
+    and some given twice."""
     on_point = draw(st.integers(0, 4)) == 0
     fs = []
     for _ in range(draw(st.integers(1, 5))):
-        if draw(st.integers(0, 5)) == 0:
+        if fs and draw(st.integers(0, 5)) == 0:  # the same object again
+            fs.append(fs[draw(st.integers(0, len(fs) - 1))])
+        elif draw(st.integers(0, 5)) == 0:
             fs.append(PLF1.infinite())
         elif on_point:
             fs.append(PLF1.point(F(draw(st.integers(-8, 8)), draw(st.integers(1, 4)))))
@@ -178,6 +182,16 @@ def test_pointwise_extremum_is_exact(fs, direction):
     for x in breakpoints_and_midpoints(g, *finite):
         assert eval1(g, x) == better(eval1(f, x) for f in fs)
     assert equals(canonicalize(g), g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_plf1(), random_plf1(),
+       st.lists(st.fractions(0, 1, max_denominator=64), max_size=4))
+def test_values_at_is_eval1_on_a_merged_walk(f, g, extra):
+    """``pointwise_extremum`` reads its inputs at their merged breakpoints
+    with ``values_at``: the same values as ``eval1``, also between them."""
+    xs = sorted({x for h in (f, g) for x, _ in h.points} | set(extra))
+    assert values_at(f, xs) == [eval1(f, x) for x in xs]
 
 
 class TestEnvelopePieces:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import kernel_reference
 import test_anz
@@ -17,14 +18,14 @@ from acceptance_corpus import (double_reset_kernel, exact_corpus,
 from corpus import G, loc, make_game, three_clock_demo
 from kernel_reference import (ON_X, ON_Y, POINT, _exit_cost, _shape_of,
                               _to_output, equals, project_output)
-from wtgsolve import kernelvi, unfold
+from wtgsolve import kernelvi, regions, unfold
 from wtgsolve.core import (MAX, MIN, Configuration, DomainError, GameError,
                            Transition)
 from wtgsolve.gameio import game_from_dict, game_to_dict
 from wtgsolve.oracle import GridOracle
-from wtgsolve.plf import PLF1
-from wtgsolve.regions import (Region, build_region_wtg, clock_bound,
-                              normalize_01, trim)
+from wtgsolve.plf import PLF1, eval1
+from wtgsolve.regions import (Region, all_regions, build_region_wtg,
+                              clock_bound, normalize_01, trim)
 from wtgsolve.unfold import (
     MoreThanTwoClocks,
     NotAlmostNonZeno,
@@ -38,6 +39,7 @@ from wtgsolve.unfold import (
 from unfold_reference import (GOAL, KERNEL, STOPPED, deeper_root_value,
                               jacobi_value_functions, rescan_finite_value,
                               semi_unfold, solve_node)
+from test_plf import random_plf1
 
 INF = float("inf")
 
@@ -608,6 +610,103 @@ class TestOneStepReference:
                     cases.add((0 in gr.blocks[1], kind, direction))
         assert cases == set(itertools.product(
             (True, False), ("x", "y", "goal", "reset"), ("inf", "sup")))
+
+
+# -- the one view and the tabulated geometry behind every one-step cost -----
+
+_UNIT = st.fractions(0, 1, max_denominator=16)
+_SMALL = st.fractions(-4, 4, max_denominator=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_plf1(), _UNIT, _UNIT, st.sampled_from(["up", "down", "equal"]),
+       _SMALL, _SMALL, st.lists(st.fractions(0, 1, max_denominator=64),
+                                max_size=3))
+def test_reparam_is_one_affine_view(f, u, v, order, slope, intercept, extra):
+    """``_reparam`` reads f along u0 -> u1 and adds slope*s + intercept: its
+    breakpoints are the ends and those of f strictly inside, in order, and
+    its values are f's there and anywhere between."""
+    if order == "equal":
+        u0 = u1 = u
+    else:
+        assume(u != v)
+        u0, u1 = sorted((u, v), reverse=order == "down")
+    g = unfold._reparam(f, u0, u1, slope, intercept)
+    du = u1 - u0
+    inner = sorted(s for s in ((x - u0) / du for x, _ in f.points)
+                   if 0 < s < 1) if du else []
+    assert [s for s, _ in g.points] == [0, *inner, 1]
+    for s in [0, *inner, 1, *extra]:
+        assert eval1(g, s) == eval1(f, u0 + s * du) + slope * s + intercept
+
+
+def test_reparam_refuses_points_outside_the_domain():
+    f = PLF1(((0, 1), (F(1, 2), 0), (1, 2)))
+    for out in (F(-1, 3), F(4, 3)):
+        for u0, u1 in ((out, F(1, 2)), (F(1, 2), out), (out, out)):
+            with pytest.raises(DomainError, match=str(out)):
+                unfold._reparam(f, u0, u1)
+    point = PLF1.point(3)
+    assert unfold._reparam(point, 0, 0, 1, 2) == PLF1(((0, 5), (1, 6)))
+    with pytest.raises(DomainError):
+        unfold._reparam(point, 0, 1)
+    assert unfold._reparam(PLF1.infinite(), 0, 1).is_infinite
+
+
+def test_the_tabulated_geometry_equals_its_uncached_form():
+    """``_chord`` and ``_segment_plan`` answer from process-wide tables:
+    computed once and then looked up, every answer equals a fresh
+    computation, for every 2-clock guard region, 1-D source region, set of
+    reset clocks and clock read, and for flow lines through and past the
+    unit square."""
+    unfold._chord.cache_clear()
+    unfold._segment_plan.cache_clear()
+    regs = all_regions(2)
+    flows = [F(-3, 2), F(-1), F(-1, 3), F(0), F(1, 4), F(1), F(2)]
+    resets = [frozenset(c) for c in ((), (0,), (1,), (0, 1))]
+    plans = set()
+    for _ in range(2):
+        for gr in regs:
+            for c0 in flows:
+                assert (unfold._chord(gr, c0)
+                        == unfold._chord.__wrapped__(gr, c0)), (gr, c0)
+            for src in (r for r in regs if r.dim == 1):
+                for rs, axis in itertools.product(resets, (0, 1)):
+                    plan = unfold._segment_plan(src, gr, rs, axis)
+                    assert plan == unfold._segment_plan.__wrapped__(
+                        src, gr, rs, axis), (src, gr, rs, axis)
+                    plans.add((bool(plan.error), plan.side))
+    assert plans == {(True, ""), (False, ""), (False, "prefix"),
+                     (False, "suffix")}
+
+
+def test_the_process_wide_tables_do_not_leak_between_games():
+    """The region tables and the one-step geometry are filled as games ask
+    for them: solving the same games in either order, in one process, or
+    each from empty tables, gives the same values, verdicts and value
+    functions."""
+    games = ([g for _, g, _ in exact_corpus()]
+             + [test_anz.random_game(s) for s in range(150)])
+    tables = (unfold._chord, unfold._segment_plan, regions._table)
+
+    def outcomes(order, fresh=False):
+        out = {}
+        for i in order:
+            for table in tables if fresh else ():
+                table.cache_clear()
+            try:
+                v = solve(games[i])
+                out[i] = (v.value, v.sweeps, v.vi_steps, v.values)
+            except GameError as exc:
+                out[i] = (type(exc), str(exc))
+        return out
+
+    alone = outcomes(range(len(games)), fresh=True)
+    for table in tables:
+        table.cache_clear()
+    assert outcomes(range(len(games))) == alone
+    assert outcomes(reversed(range(len(games)))) == alone
+    assert any(isinstance(v[0], type) for v in alone.values())
 
 
 # -- kernels against the Delta reference and its 2-D exit projection ---------

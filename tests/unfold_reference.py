@@ -6,7 +6,10 @@ location at once; the re-scanning attractor that
 optimization with a separate guard-region case analysis for point and for
 diagonal sources, costing a triangle guard region as a function of both
 clocks over the triangle, which ``unfold._value_at_point`` and
-``unfold._value_on_segment`` are checked against."""
+``unfold._value_on_segment`` are checked against.  The one-step reference
+composes its own copies of the PLF1 helpers that ``unfold`` used before it
+read every cost along one affine view, so it runs none of the code it
+checks."""
 import math
 
 from dataclasses import dataclass, field
@@ -18,14 +21,12 @@ from kernel_reference import (PLF2, Segment, clip_halfplane,
                               max_value, min_value, polygon_area2, restrict2,
                               segments, triangulate)
 from wtgsolve.core import (INF, MIN, DomainError, ExtRat, StructuralError,
-                           Transition, Valuation, reset)
+                           Transition, Valuation, frac, reset)
 from wtgsolve.cycles import Kernel
-from wtgsolve.plf import ONE, ZERO, PLF1, eval1
+from wtgsolve.plf import ONE, ZERO, PLF1, eval1, running_extremum
 from wtgsolve.regions import Region, RegionGame
-from wtgsolve.unfold import (NodeValue, _add_affine, _ext_on,
-                             _fire_plf1, _kernel_values, _map_domain,
-                             _param_axis, _reparam, _solve_plain,
-                             _sorted_corners, _suffix_profile,
+from wtgsolve.unfold import (NodeValue, _kernel_values, _param_axis,
+                             _solve_plain, _sorted_corners,
                              check_finite_value, prepare)
 
 PLAIN, KERNEL, GOAL, STOPPED = "plain", "kernel", "goal", "stopped"
@@ -270,6 +271,83 @@ def rescan_finite_value(rg: RegionGame) -> bool:
                 attr.add(n)
                 changed = True
     return game.initial.location in attr
+
+
+# -- the PLF1 manipulations that the one-step reference composes ------------
+
+def _reparam(f: PLF1, u0: Fraction, u1: Fraction) -> PLF1:
+    """g(s) = f(u0 + s*(u1 - u0)) over s in [0, 1]."""
+    if f.is_infinite:
+        return f
+    if u0 == u1:
+        return PLF1.constant(eval1(f, u0))
+    pts = {ZERO: eval1(f, u0), ONE: eval1(f, u1)}
+    for x, y in f.points:
+        s = (x - u0) / (u1 - u0)
+        if 0 < s < 1:
+            pts[s] = y
+    return PLF1(tuple(sorted(pts.items())))
+
+
+def _map_domain(f: PLF1, x0: Fraction, x1: Fraction) -> PLF1:
+    """Affinely stretch the domain of ``f`` from [lo, hi] onto [x0, x1]."""
+    if f.is_infinite or f.is_point:
+        return f
+    lo, hi = f.lo, f.hi
+    scale = (x1 - x0) / (hi - lo)
+    return PLF1(tuple((x0 + (x - lo) * scale, y) for x, y in f.points))
+
+
+def _add_affine(f: PLF1, slope, intercept) -> PLF1:
+    if f.is_infinite:
+        return f
+    m, q = frac(slope), frac(intercept)
+    return PLF1(tuple((x, y + m * x + q) for x, y in f.points))
+
+
+def _ext_on(f: PLF1, lo: Fraction, hi: Fraction, direction: str) -> ExtRat:
+    """Extremum of ``f`` over [lo, hi] (must meet the domain)."""
+    if f.is_infinite:
+        return INF
+    lo, hi = max(lo, f.lo), min(hi, f.hi)
+    if lo > hi:
+        raise DomainError("extremum over an empty interval")
+    vals = [eval1(f, lo), eval1(f, hi)]
+    vals += [y for x, y in f.points if lo < x < hi]
+    return min(vals) if direction == "inf" else max(vals)
+
+
+def _fire_plf1(t: Transition, child: NodeValue, a: Valuation,
+               b: Valuation) -> PLF1:
+    """Cost-to-go after firing ``t`` at p(s) = a + s*(b-a), s in [0, 1],
+    as a PLF1 in s (transition weight included)."""
+    if child.is_infinite:
+        return PLF1.infinite()
+    i = _param_axis(child.region)
+    u0 = reset(a, t.resets)[i]
+    u1 = reset(b, t.resets)[i]
+    return _add_affine(_reparam(child.plf, u0, u1), ZERO, t.weight)
+
+
+def _suffix_profile(h: PLF1, direction: str) -> PLF1:
+    """g(xi0) = ext of h over [xi0, 1] for xi0 in [0, 1]; h lives on a
+    sub-interval of [0, 1] whose upper end must reach 1."""
+    if h.is_infinite:
+        return h
+    if h.is_point:
+        x, v = h.points[0]
+        if x != ONE:
+            raise StructuralError(
+                "transition feasible on only part of its source region")
+        return PLF1.constant(v)
+    if h.hi != ONE:
+        raise StructuralError(
+            "transition feasible on only part of its source region")
+    sfx = running_extremum(h, "suffix", direction)
+    pts = list(sfx.points)
+    if sfx.lo > ZERO:
+        pts = [(ZERO, pts[0][1])] + pts
+    return PLF1(tuple(pts))
 
 
 def _polygon(r: Region):
