@@ -6,9 +6,12 @@ blocks strictly between 0 and 1, and a (possibly empty) block at exactly 1.
 The pipeline built on top of regions takes a raw game to a form the kernel
 value iteration can digest:
 
-    normalize_01      -> all reachable clock values in [0, 1)
-    build_region_wtg  -> the reachable region-locations, one region each,
-                         with guards refined per region
+    normalize_01      -> clock integer parts folded out: per transition, its
+                         guards over fractional parts in each integer part,
+                         and the integer copies whose rollovers are live
+    build_region_wtg  -> one forward walk over the reached (location, integer
+                         parts, region): the region-locations, one region
+                         each, with guards refined per region
     trim              -> drop unsatisfiable transitions and implied clauses
     relax             -> strict guards widened to their closure, re-trimmed
     add_resets        -> every non-goal transition resets at least one clock
@@ -24,31 +27,19 @@ Those sets, as int bitmasks over the regions, the results of the pure
 :class:`Region` methods and the corner moves of the corner-point
 abstraction are tabulated once per number of clocks (:class:`_Table`).
 ``restrict`` is the one way to cut a region game down to some of its
-locations and transitions, and ``drop_dead_rolls`` the one liveness test
-for rollovers.
+locations and transitions.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
-from .core import (
-    MAX,
-    MIN,
-    OPS,
-    Configuration,
-    DomainError,
-    Guard,
-    InputError,
-    Location,
-    StructuralError,
-    Transition,
-    Valuation,
-    WeightedTimedGame,
-)
+from .core import (MAX, MIN, OPS, Configuration, DomainError, Guard,
+                   InputError, Location, StructuralError, Transition,
+                   Valuation, WeightedTimedGame)
 from .graphs import reachable, strongly_connected_components
 
 ZERO = Fraction(0)
@@ -66,6 +57,8 @@ class Region:
     ``blocks[0]`` holds the clocks at exactly 0 (may be empty); blocks 1..p
     hold clocks sharing a value strictly between 0 and 1, in increasing
     order, and are never empty; ``ones`` holds the clocks at exactly 1.
+    Equality is structural; the hash is computed once, at construction,
+    since the region tables look regions up many times per solve.
     """
 
     blocks: tuple[frozenset[int], ...]
@@ -74,14 +67,15 @@ class Region:
     def __post_init__(self):
         if not self.blocks:
             raise DomainError("region needs a zero block (possibly empty)")
-        for b in self.blocks[1:]:
-            if not b:
-                raise InputError("interior region blocks must be non-empty")
-        seen: set[int] = set()
-        for b in (*self.blocks, self.ones):
-            if b & seen:
-                raise InputError("region blocks must be disjoint")
-            seen |= b
+        if not all(self.blocks[1:]):
+            raise InputError("interior region blocks must be non-empty")
+        if (sum(map(len, self.blocks)) + len(self.ones)
+                != len(self.ones.union(*self.blocks))):
+            raise InputError("region blocks must be disjoint")
+        object.__setattr__(self, "_hash", hash((self.blocks, self.ones)))
+
+    def __hash__(self):
+        return self._hash
 
     # -- structure ----------------------------------------------------------
 
@@ -174,10 +168,8 @@ def region_of(valuation: Valuation) -> Region:
             ones.add(x)
         else:
             groups.setdefault(v, set()).add(x)
-    blocks = [frozenset(zeros)]
-    for v in sorted(groups):
-        blocks.append(frozenset(groups[v]))
-    return Region(tuple(blocks), frozenset(ones))
+    return Region((frozenset(zeros), *(frozenset(groups[v]) for v in sorted(groups))),
+                  frozenset(ones))
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,7 +182,7 @@ def all_regions(n_clocks: int, include_ones: bool = True) -> tuple[Region, ...]:
             yield ()
             return
         items = sorted(xs)
-        for first in _nonempty_subsets(items):
+        for first in _subsets(items, 1):
             rest = xs - frozenset(first)
             for tail in ordered_partitions(rest):
                 yield (frozenset(first),) + tail
@@ -206,13 +198,8 @@ def all_regions(n_clocks: int, include_ones: bool = True) -> tuple[Region, ...]:
     return tuple(out)
 
 
-def _subsets(items):
-    for k in range(len(items) + 1):
-        yield from itertools.combinations(items, k)
-
-
-def _nonempty_subsets(items):
-    for k in range(1, len(items) + 1):
+def _subsets(items, smallest: int = 0):
+    for k in range(smallest, len(items) + 1):
         yield from itertools.combinations(items, k)
 
 
@@ -365,14 +352,10 @@ def clock_bound(game: WeightedTimedGame) -> int:
         return 1
 
     def pinned(t: Transition, x: int, strict: bool) -> bool:
-        for g in t.guards:
-            if g.clock != x:
-                continue
-            if g.op == "<" and g.bound <= 1:
-                return True
-            if g.op in ("<=", "==") and g.bound <= (0 if strict else 1):
-                return True
-        return False
+        return any(g.clock == x and (
+            g.op == "<" and g.bound <= 1
+            or g.op in ("<=", "==") and g.bound <= (0 if strict else 1))
+            for g in t.guards)
 
     if m == 1 and all(
             pinned(t, x, strict=x not in t.resets)
@@ -381,135 +364,115 @@ def clock_bound(game: WeightedTimedGame) -> int:
     return m + 1
 
 
-def _copy_name(name: str, nbar: tuple[int, ...]) -> str:
-    return f"{name}#{','.join(map(str, nbar))}"
+@functools.lru_cache(maxsize=None)
+def _translate(g: Guard, ni: int) -> Optional[tuple[Guard, ...]]:
+    """Clauses over the fractional clock of ``g`` in integer part ``ni``, or
+    None when unsatisfiable.  The atom has one truth value at ni, one on
+    (ni, ni + 1), read at ni + 1/2, and one at ni + 1."""
+    x = g.clock
+    if g.holds(ni + Fraction(1, 2)):
+        return () if g.holds(ni) else (Guard(x, ">", 0),)
+    if g.holds(ni):
+        return (Guard(x, "==", 0),)
+    if g.holds(ni + 1):
+        return (Guard(x, "==", 1),)
+    return None
 
 
-def drop_dead_rolls(transitions: Sequence[Transition],
-                    locations: Mapping[str, Location]) -> list[Transition]:
-    """The transitions without the rollovers after which no real transition
-    and no goal is reachable through rollovers alone.
-
-    A rollover ``__roll_*`` models pure waiting across an integer clock
-    boundary, but a move of the game is a delay *plus* an enabled
-    transition: a rollover leading nowhere would let a player "wait" into a
-    deadlock that the source game does not have.
-    """
-    back: dict[str, list[str]] = {}
-    for t in transitions:
-        if t.tid.startswith("__roll_"):
-            back.setdefault(t.tgt, []).append(t.src)
-    live = reachable(back, [t.src for t in transitions
-                            if not t.tid.startswith("__roll_")]
-                     + [n for n, l in locations.items() if l.is_goal])
-    return [t for t in transitions
-            if not t.tid.startswith("__roll_") or t.tgt in live]
+def _copy_move(t: Transition, rows, nbar: tuple[int, ...]):
+    """(guards, resets, target integer parts) of ``t`` in integer parts
+    ``nbar``, or None when an atom fails there; ``rows`` are the atoms'
+    :func:`_translate` rows.  A clause x==1 resets x and bumps its integer
+    part; a clock no clause pins to 0 or 1 stays below 1."""
+    trs = [row[nbar[g.clock]] for g, row in zip(t.guards, rows)]
+    if None in trs:
+        return None
+    clauses = [c for tr in trs for c in tr]
+    bump = {g.clock for g in clauses if g.op == "==" and g.bound == 1}
+    pinned = bump | {g.clock for g in clauses if g.op == "==" and g.bound == 0}
+    clauses += [Guard(x, "<", 1) for x in range(len(nbar)) if x not in pinned]
+    target = tuple(0 if x in t.resets else v + 1 if x in bump else v
+                   for x, v in enumerate(nbar))
+    return tuple(dict.fromkeys(clauses)), t.resets | bump, target
 
 
-def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
-    """Fold clock integer parts into the locations.
+@dataclass
+class Normalized:
+    """A game with clock integer parts folded out, as tables over it: copy
+    (l, n1..nk) with fractional valuation nu stands for l with valuation
+    (n1+nu1, ..).  ``clauses[t][a]`` is the :func:`_translate` row of atom
+    a of transition t over the integer parts 0..m-1, ``live`` the copies
+    (location index, integer parts) from which rollovers alone reach a real
+    transition or a goal, and ``initial`` the initial copy and fractional
+    valuation."""
 
-    Location (l, n1..nk) with fractional valuation nu stands for l with
-    valuation (n1+nu1, ..).  Guards are rewritten over fractional parts
-    (constants 0/1 only); a guard x==1 always resets x and bumps the stored
-    integer part.  Zero-weight "rollover" transitions let a clock cross an
-    integer boundary mid-wait.  Clocks are assumed bounded by M = max guard
-    constant + 1; guards that stay satisfiable at arbitrarily large clock
-    values are rejected.
+    game: WeightedTimedGame
+    m: int
+    clauses: list[tuple[tuple[Optional[tuple[Guard, ...]], ...], ...]]
+    live: set[tuple[int, tuple[int, ...]]]
+    initial: tuple[int, tuple[int, ...], Valuation]
+
+
+def normalize_01(game: WeightedTimedGame) -> Normalized:
+    """Fold clock integer parts into the locations, as tables.
+
+    Guards are rewritten over fractional parts (constants 0/1 only); a
+    guard x==1 always resets x and bumps the stored integer part.
+    Zero-weight rollovers ``__roll_*`` let clocks cross an integer boundary
+    mid-wait.  A move is a delay *plus* an enabled transition, so only the
+    rollovers after which rollovers alone reach a real transition or a goal
+    are live, found by one backward search (transitions named ``__roll_*``
+    count as rollovers, as in :func:`unfold.prune_dead_rolls`).  Clocks are
+    bounded by M = :func:`clock_bound`: a clock with only lower bounds is
+    rejected.
     """
     n = len(game.clocks)
     m = clock_bound(game)
     for t in game.transitions:
-        by_clock: dict[int, list[str]] = {}
-        for g in t.guards:
-            by_clock.setdefault(g.clock, []).append(g.op)
-        for x, ops in by_clock.items():
-            if all(op in (">", ">=") for op in ops):
+        for x in dict.fromkeys(g.clock for g in t.guards):
+            if all(g.op in (">", ">=") for g in t.guards if g.clock == x):
                 raise InputError(
                     f"transition {t.tid}: clock {game.clocks[x]} only has lower "
                     "bounds, so it is not syntactically bounded")
 
-    copies = list(itertools.product(range(m), repeat=n))
-    locations: dict[str, Location] = {}
-    for name, loc in game.locations.items():
-        for nbar in copies:
-            locations[_copy_name(name, nbar)] = replace(loc, name=_copy_name(name, nbar))
-
-    transitions: list[Transition] = []
-
-    def translate(g: Guard, ni: int) -> Optional[list[Guard]]:
-        """Clauses over the fractional clock in its integer copy ``ni``, or
-        None when unsatisfiable.  The atom has one truth value at ni, one on
-        (ni, ni + 1), read at ni + 1/2, and one at ni + 1."""
-        x = g.clock
-        if g.holds(ni + Fraction(1, 2)):
-            return [] if g.holds(ni) else [Guard(x, ">", 0)]
-        if g.holds(ni):
-            return [Guard(x, "==", 0)]
-        if g.holds(ni + 1):
-            return [Guard(x, "==", 1)]
-        return None
-
-    for t in game.transitions:
-        by_copy = [[translate(g, ni) for ni in range(m)] for g in t.guards]
-        for nbar in copies:
-            trs = [row[nbar[g.clock]] for g, row in zip(t.guards, by_copy)]
-            if None in trs:
+    clauses = [tuple(tuple(_translate(g, ni) for ni in range(m))
+                     for g in t.guards) for t in game.transitions]
+    index = {name: i for i, name in enumerate(game.locations)}
+    goal = [loc.is_goal for loc in game.locations.values()]
+    live: set[tuple[int, tuple[int, ...]]] = set()
+    back: dict[tuple, list[tuple]] = {}
+    for t, rows in zip(game.transitions, clauses):
+        parts = [range(m)] * n
+        for g, row in zip(t.guards, rows):
+            parts[g.clock] = [ni for ni in parts[g.clock] if row[ni] is not None]
+        for nbar in itertools.product(*parts):
+            if not t.tid.startswith("__roll_"):
+                live.add((index[t.src], nbar))
                 continue
-            clauses = [c for tr in trs for c in tr]
-            bump = {g.clock for g in clauses if g.op == "==" and g.bound == 1}
-            pinned = bump | {g.clock for g in clauses if g.op == "==" and g.bound == 0}
-            for x in range(n):
-                if x not in pinned:
-                    clauses.append(Guard(x, "<", 1))
-            target = list(nbar)
-            resets = set(t.resets) | bump
-            for x in range(n):
-                if x in t.resets:
-                    target[x] = 0
-                elif x in bump:
-                    target[x] = nbar[x] + 1
-            transitions.append(Transition(
-                tid=f"{t.tid}#{','.join(map(str, nbar))}",
-                src=_copy_name(t.src, nbar),
-                tgt=_copy_name(t.tgt, tuple(target)),
-                guards=tuple(dict.fromkeys(clauses)),
-                resets=frozenset(resets),
-                weight=t.weight,
-            ))
+            tgt = (index[t.tgt], _copy_move(t, rows, nbar)[2])
+            back.setdefault(tgt, []).append((index[t.src], nbar))
+            if goal[tgt[0]]:
+                live.add(tgt)
+    todo = list(live)
+    while todo:
+        li, nbar = todo.pop()
+        # Rolling the clocks of S ends here from nbar - S: one clock at a
+        # time reaches all of those copies.
+        before = [] if goal[li] else [(li, (*nbar[:x], v - 1, *nbar[x + 1:]))
+                                      for x, v in enumerate(nbar) if v]
+        for copy in before + back.get((li, nbar), []):
+            if copy not in live:
+                live.add(copy)
+                todo.append(copy)
 
-    # Rollover: while waiting, the clocks of set S hit 1 together and wrap
-    # into the next integer part.  Same physical state, corrected encoding.
-    for name, loc in game.locations.items():
-        if loc.is_goal:
-            continue
-        for nbar in copies:
-            for size in range(1, n + 1):
-                for s in itertools.combinations(range(n), size):
-                    if any(nbar[x] >= m - 1 for x in s):
-                        continue
-                    guards = [Guard(x, "==", 1) for x in s]
-                    guards += [Guard(y, "<", 1) for y in range(n) if y not in s]
-                    target = tuple(nbar[x] + 1 if x in s else nbar[x] for x in range(n))
-                    transitions.append(Transition(
-                        tid=f"__roll_{name}#{','.join(map(str, nbar))}_{'_'.join(map(str, s))}",
-                        src=_copy_name(name, nbar),
-                        tgt=_copy_name(name, target),
-                        guards=tuple(guards),
-                        resets=frozenset(s),
-                    ))
-
-    transitions = drop_dead_rolls(transitions, locations)
-
-    init = game.initial
     nbar0, frac0 = [], []
-    for v in init.valuation:
+    for v in game.initial.valuation:
         if not 0 <= v < m:
             raise InputError(f"initial clock value {v} out of [0,{m})")
         nbar0.append(int(v))
         frac0.append(v - int(v))
-    initial = Configuration(_copy_name(init.location, tuple(nbar0)), tuple(frac0))
-    return WeightedTimedGame(list(game.clocks), locations, transitions, initial)
+    return Normalized(game, m, clauses, live, (
+        index[game.initial.location], tuple(nbar0), tuple(frac0)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,61 +511,89 @@ def restrict(rg: RegionGame, locations: Collection[str],
                       guard_region, trimmed=rg.trimmed, relaxed=rg.relaxed)
 
 
-def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
-    """Refine a [0,1)-game so every location carries a single region.
+def build_region_wtg(ng: Normalized) -> RegionGame:
+    """Refine a normalized game so every location carries a single region.
 
-    Only the region-locations reachable from the initial one are built.  A
-    move of transition t from region r fires after the time successor k of
-    r; it is kept when its target region is fractional and some delay from
-    r satisfies its guard, the test :func:`trim` applies.  Locations and
-    transitions come in product order: input location or transition, then
-    region in :func:`all_regions` order, then k.
+    One forward walk expands each reached (location, integer parts, region)
+    once.  A copy's moves are made on its first visit: its transitions
+    whose atoms all hold there, then its live rollovers.  A move from
+    region r fires after the time successor k of r; it is kept when its
+    target region is fractional and some delay from r satisfies its guard,
+    the test :func:`trim` applies.  Transitions come in the order
+    (transition, integer parts, region, k), rollovers after them by
+    (location, integer parts, clocks rolled, region, k), and locations by
+    (location, integer parts, region): integer parts in
+    ``itertools.product`` order, regions in :func:`all_regions` order.
     """
-    init = game.initial
-    r0 = region_of(init.valuation)
-    if not r0.fractional:
-        raise InputError("initial valuation not in [0,1)")
-    order = {r: i for i, r in enumerate(all_regions(len(game.clocks), False))}
-    pinned = _table(len(game.clocks)).constraints
-    rank = {name: i for i, name in enumerate(game.locations)}
+    game, m, table = ng.game, ng.m, _table(len(ng.game.clocks))
+    names, locs = list(game.locations), list(game.locations.values())
+    index = {name: i for i, name in enumerate(names)}
+    out_of: list[list[int]] = [[] for _ in names]
+    for ti, t in enumerate(game.transitions):
+        out_of[index[t.src]].append(ti)
 
-    def rloc(name: str, r: Region) -> str:
-        tag = "|".join(
-            ",".join(game.clocks[x] for x in sorted(b)) for b in r.blocks)
-        return f"{name}@[{tag}]"
+    def copy_moves(li: int, nbar: tuple[int, ...]) -> list[tuple]:
+        """(sort rank, id, target copy, guards, resets, weight) per move."""
+        part, out = ",".join(map(str, nbar)), []
+        for ti in out_of[li]:
+            t = game.transitions[ti]
+            move = _copy_move(t, ng.clauses[ti], nbar)
+            if move and (not t.tid.startswith("__roll_")
+                         or (index[t.tgt], move[2]) in ng.live):
+                out.append(((ti, nbar), f"{t.tid}#{part}",
+                            (index[t.tgt], move[2]), *move[:2], t.weight))
+        for si, s in enumerate(_subsets(range(len(nbar)), 1)):
+            tgt = (li, tuple(v + (x in s) for x, v in enumerate(nbar)))
+            if (not locs[li].is_goal and all(nbar[x] < m - 1 for x in s)
+                    and tgt in ng.live):
+                out.append(((len(game.transitions), li, nbar, si),
+                            f"__roll_{names[li]}#{part}_{'_'.join(map(str, s))}",
+                            tgt, (*(Guard(x, "==", 1) for x in s),
+                                  *(Guard(y, "<", 1) for y in range(len(nbar))
+                                    if y not in s)), frozenset(s), 0))
+        return out
 
-    out_of: dict[str, list[tuple[int, Transition]]] = {}
-    for i, t in enumerate(game.transitions):
-        out_of.setdefault(t.src, []).append((i, t))
-    seen, todo, moves = {(init.location, r0)}, [(init.location, r0)], []
+    named: dict[tuple, str] = {}
+
+    def rloc(key: tuple) -> str:
+        if key not in named:
+            li, nbar, ri = key
+            tag = "|".join(",".join(game.clocks[x] for x in sorted(b))
+                           for b in table.regions[ri].blocks)
+            named[key] = f"{names[li]}#{','.join(map(str, nbar))}@[{tag}]"
+        return named[key]
+
+    li0, nbar0, frac0 = ng.initial
+    todo, moves, by_copy = [(li0, nbar0, table.index[region_of(frac0)])], [], {}
+    initial = Configuration(rloc(todo[0]), frac0)
     while todo:
-        name, r = todo.pop()
-        src = rloc(name, r)
-        for i, t in out_of.get(name, ()):
+        li, nbar, ri = todo.pop()
+        r, src = table.regions[ri], named[li, nbar, ri]
+        if (li, nbar) not in by_copy:
+            by_copy[li, nbar] = copy_moves(li, nbar)
+        for rank, tid, (lj, nbar2), guards0, resets, w in by_copy[li, nbar]:
             for k, r2 in enumerate(r.time_successors()):
-                tgt = (t.tgt, r2.reset(t.resets) if t.resets else r2)
+                r3 = table.reset[r2, resets] if resets else r2
                 # A clock left at exactly 1 is impossible in a [0,1)-game.
-                if not tgt[1].fractional:
+                if r3.ones:
                     continue
-                guards = tuple(dict.fromkeys((*t.guards, *pinned[r2])))
+                guards = tuple(dict.fromkeys((*guards0, *table.constraints[r2])))
                 if not delay_feasible(r, guards):
                     continue
-                moves.append(((i, order[r], k), r2, Transition(
-                    tid=f"{t.tid}@{src}~{k}", src=src,
-                    tgt=rloc(*tgt), guards=guards, resets=t.resets,
-                    weight=t.weight)))
-                if tgt not in seen:
-                    seen.add(tgt)
+                tgt = (lj, nbar2, table.index[r3])
+                if tgt not in named:
                     todo.append(tgt)
-    moves.sort(key=lambda m: m[0])
-    locations: dict[str, Location] = {}
-    reg: dict[str, Region] = {}
-    for n, r in sorted(seen, key=lambda nr: (rank[nr[0]], order[nr[1]])):
-        reg[rloc(n, r)] = r
-        locations[rloc(n, r)] = replace(game.locations[n], name=rloc(n, r))
-    g = WeightedTimedGame(list(game.clocks), locations, [t for *_, t in moves],
-                          Configuration(rloc(init.location, r0), init.valuation))
-    return RegionGame(g, reg, {t.tid: r2 for _, r2, t in moves})
+                moves.append(((rank, ri, k), r2, Transition(
+                    f"{tid}@{src}~{k}", src, rloc(tgt), guards, resets, w)))
+    moves.sort(key=lambda mv: mv[0])
+    keys = sorted(named)
+    locations = {named[k]: Location(named[k], locs[k[0]].owner,
+                                    locs[k[0]].is_goal, locs[k[0]].weight)
+                 for k in keys}
+    g = WeightedTimedGame(list(game.clocks), locations,
+                          [t for *_, t in moves], initial)
+    return RegionGame(g, {named[k]: table.regions[k[2]] for k in keys},
+                      {t.tid: r2 for _, r2, t in moves})
 
 
 def trim(rg: RegionGame) -> RegionGame:
@@ -633,8 +624,8 @@ def trim(rg: RegionGame) -> RegionGame:
             continue
         # A clause is redundant when every elapsed valuation satisfies it.
         clauses = tuple(g for g in t.guards if elapsed & ~table.sat[g])
-        kept.append(t if len(clauses) == len(t.guards)
-                    else replace(t, guards=clauses))
+        kept.append(t if len(clauses) == len(t.guards) else Transition(
+            t.tid, t.src, t.tgt, clauses, t.resets, t.weight))
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              kept, rg.game.initial)
     return RegionGame(game, dict(rg.reg), guard_region, trimmed=True,
@@ -646,7 +637,8 @@ def relax(rg: RegionGame) -> RegionGame:
     :func:`trim` it before :func:`add_resets`."""
     def closed(t: Transition) -> Transition:
         guards = tuple(g.closed() for g in t.guards)
-        return t if guards == t.guards else replace(t, guards=guards)
+        return t if guards == t.guards else Transition(
+            t.tid, t.src, t.tgt, guards, t.resets, t.weight)
 
     transitions = [closed(t) for t in rg.game.transitions]
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
@@ -738,21 +730,21 @@ def add_resets(rg: RegionGame) -> RegionGame:
                        and any(t2.src == todo.tgt for t2 in transitions))
         transitions.remove(todo)
         if zero_clocks:
-            transitions.append(replace(todo, resets=frozenset(zero_clocks)))
+            transitions.append(Transition(todo.tid, todo.src, todo.tgt, todo.guards,
+                                          frozenset(zero_clocks), todo.weight))
         elif same_player:
             for t2 in list(transitions):
                 if t2.src != todo.tgt or t2.tgt == todo.src:
                     continue
                 transitions.append(Transition(
-                    tid=f"{todo.tid}>{t2.tid}#{next(counter)}",
-                    src=todo.src, tgt=t2.tgt,
-                    guards=tuple(dict.fromkeys(list(todo.guards) + list(t2.guards))),
-                    resets=t2.resets,
-                    weight=todo.weight + t2.weight))
+                    f"{todo.tid}>{t2.tid}#{next(counter)}", todo.src, t2.tgt,
+                    tuple(dict.fromkeys((*todo.guards, *t2.guards))),
+                    t2.resets, todo.weight + t2.weight))
         else:
             up = min(rg.reg[todo.src].upclock)
-            transitions.append(replace(
-                todo, guards=tuple(list(todo.guards) + [Guard(up, "==", 1)])))
+            transitions.append(Transition(
+                todo.tid, todo.src, todo.tgt, (*todo.guards, Guard(up, "==", 1)),
+                todo.resets, todo.weight))
 
     # Doubling: l_down stands for l at the instant its top clocks hit 1,
     # with those clocks already reset.
@@ -763,10 +755,10 @@ def add_resets(rg: RegionGame) -> RegionGame:
     locations = dict(game.locations)
     for name, loc in game.locations.items():
         r = rg.reg[name]
-        dn_region = (Region((r.zeros | r.blocks[-1],) + r.blocks[1:-1])
-                     if r.interior else r)
-        locations[down(name)] = replace(loc, name=down(name))
-        reg2[down(name)] = dn_region
+        locations[down(name)] = Location(down(name), loc.owner, loc.is_goal,
+                                         loc.weight)
+        reg2[down(name)] = (Region((r.zeros | r.blocks[-1],) + r.blocks[1:-1])
+                            if r.interior else r)
 
     def guard_down(guards: tuple[Guard, ...], up: frozenset[int]) -> tuple[Guard, ...]:
         out = [g for g in guards
@@ -787,36 +779,34 @@ def add_resets(rg: RegionGame) -> RegionGame:
             ones = up - t.resets
             if ones:
                 twin = f"{down(t.tgt)}${t.tid}"
-                locations[twin] = replace(game.locations[t.tgt], name=twin)
+                goal = game.locations[t.tgt]
+                locations[twin] = Location(twin, goal.owner, True, goal.weight)
                 reg2[twin] = rg.reg[t.tgt].reset(ones)
                 tgt_dn = twin
             else:
                 tgt_dn = t.tgt
-            new_trans.append(Transition(
-                tid=f"{t.tid}%gd", src=down(t.src), tgt=tgt_dn,
-                guards=cd, resets=t.resets, weight=t.weight))
+            new_trans.append(Transition(f"{t.tid}%gd", down(t.src), tgt_dn, cd,
+                                        t.resets, t.weight))
         elif not t.resets:
             if not any(g.op == "==" and g.bound == 1 and g.clock in up
                        for g in t.guards):
                 raise StructuralError(
                     f"{t.tid}: reset-free transition without a top x==1 guard")
-            new_trans.append(Transition(
-                tid=f"{t.tid}%p", src=t.src, tgt=down(t.tgt),
-                guards=t.guards, resets=up, weight=t.weight))
-            new_trans.append(Transition(
-                tid=f"{t.tid}%pd", src=down(t.src), tgt=down(t.tgt),
-                guards=cd, resets=up, weight=t.weight))
+            new_trans.append(Transition(f"{t.tid}%p", t.src, down(t.tgt),
+                                        t.guards, up, t.weight))
+            new_trans.append(Transition(f"{t.tid}%pd", down(t.src),
+                                        down(t.tgt), cd, up, t.weight))
         else:
             new_trans.append(t)
-            new_trans.append(Transition(
-                tid=f"{t.tid}%d", src=down(t.src), tgt=t.tgt,
-                guards=cd, resets=t.resets | up, weight=t.weight))
+            new_trans.append(Transition(f"{t.tid}%d", down(t.src), t.tgt, cd,
+                                        t.resets | up, t.weight))
 
     # Resetting a clock that is guarded to be exactly 0 is a no-op, so do it:
     # it settles the "every ==0/==1 guard resets its clock" postcondition.
     def settle(t: Transition) -> Transition:
         zeros = {g.clock for g in t.guards if g.op == "==" and g.bound == 0}
-        return t if zeros <= t.resets else replace(t, resets=t.resets | zeros)
+        return t if zeros <= t.resets else Transition(
+            t.tid, t.src, t.tgt, t.guards, t.resets | zeros, t.weight)
 
     new_trans = [settle(t) for t in new_trans]
 

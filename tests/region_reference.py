@@ -1,17 +1,25 @@
-"""References that ``tests/test_regions.py`` checks the region pipeline
-against: the full region product, every [0,1)-region of every location and
-every move whose target region is fractional, satisfiable or not, for the
-forward ``regions.build_region_wtg``; and ``trim`` and
-``infer_guard_region`` asking the feasibility predicates region by region
-and clause by clause, over every region of a relaxed source's closure
-(``adherence``), for the region-set versions in ``regions``."""
+"""References that the region pipeline is checked against: the
+materialising ``normalize_01``, which builds every integer copy of every
+location and transition and then drops the dead rollovers, and the forward
+``build_region_wtg`` over the [0,1)-game it returns, which together give
+what ``regions.build_region_wtg(regions.normalize_01(game))`` must give
+field for field; the full region product, every [0,1)-region of every
+location and every move whose target region is fractional, satisfiable or
+not; and ``trim`` and ``infer_guard_region`` asking the feasibility
+predicates region by region and clause by clause, over every region of a
+relaxed source's closure (``adherence``), for the region-set versions in
+``regions``."""
+import itertools
 from dataclasses import replace
+from fractions import Fraction
+from typing import Mapping, Optional, Sequence
 
 from wtgsolve.core import (Configuration, Guard, InputError, Location,
                            StructuralError, Transition, WeightedTimedGame)
+from wtgsolve.graphs import reachable
 from wtgsolve.regions import (Region, RegionGame, _table, all_regions,
-                              delay_feasible, elapsed_region_feasible,
-                              region_of)
+                              clock_bound, delay_feasible,
+                              elapsed_region_feasible, region_of)
 
 # The atoms whose disjunction is the negation of a guard atom's operator.
 COMPLEMENT = {"<": (">=",), "<=": (">",), "==": ("<", ">"), ">=": ("<",),
@@ -28,6 +36,194 @@ def _from(r: Region, closure: bool) -> tuple[Region, ...]:
     question from the closure is answered as the union of the questions
     from them."""
     return adherence(r) if closure else (r,)
+
+
+def _copy_name(name: str, nbar: tuple[int, ...]) -> str:
+    return f"{name}#{','.join(map(str, nbar))}"
+
+
+def drop_dead_rolls(transitions: Sequence[Transition],
+                    locations: Mapping[str, Location]) -> list[Transition]:
+    """The transitions without the rollovers after which no real transition
+    and no goal is reachable through rollovers alone.
+
+    A rollover ``__roll_*`` models pure waiting across an integer clock
+    boundary, but a move of the game is a delay *plus* an enabled
+    transition: a rollover leading nowhere would let a player "wait" into a
+    deadlock that the source game does not have.
+    """
+    back: dict[str, list[str]] = {}
+    for t in transitions:
+        if t.tid.startswith("__roll_"):
+            back.setdefault(t.tgt, []).append(t.src)
+    live = reachable(back, [t.src for t in transitions
+                            if not t.tid.startswith("__roll_")]
+                     + [n for n, l in locations.items() if l.is_goal])
+    return [t for t in transitions
+            if not t.tid.startswith("__roll_") or t.tgt in live]
+
+
+def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
+    """Fold clock integer parts into the locations.
+
+    Location (l, n1..nk) with fractional valuation nu stands for l with
+    valuation (n1+nu1, ..).  Guards are rewritten over fractional parts
+    (constants 0/1 only); a guard x==1 always resets x and bumps the stored
+    integer part.  Zero-weight "rollover" transitions let a clock cross an
+    integer boundary mid-wait.  Clocks are assumed bounded by M = max guard
+    constant + 1; guards that stay satisfiable at arbitrarily large clock
+    values are rejected.
+    """
+    n = len(game.clocks)
+    m = clock_bound(game)
+    for t in game.transitions:
+        by_clock: dict[int, list[str]] = {}
+        for g in t.guards:
+            by_clock.setdefault(g.clock, []).append(g.op)
+        for x, ops in by_clock.items():
+            if all(op in (">", ">=") for op in ops):
+                raise InputError(
+                    f"transition {t.tid}: clock {game.clocks[x]} only has lower "
+                    "bounds, so it is not syntactically bounded")
+
+    copies = list(itertools.product(range(m), repeat=n))
+    locations: dict[str, Location] = {}
+    for name, loc in game.locations.items():
+        for nbar in copies:
+            locations[_copy_name(name, nbar)] = replace(loc, name=_copy_name(name, nbar))
+
+    transitions: list[Transition] = []
+
+    def translate(g: Guard, ni: int) -> Optional[list[Guard]]:
+        """Clauses over the fractional clock in its integer copy ``ni``, or
+        None when unsatisfiable.  The atom has one truth value at ni, one on
+        (ni, ni + 1), read at ni + 1/2, and one at ni + 1."""
+        x = g.clock
+        if g.holds(ni + Fraction(1, 2)):
+            return [] if g.holds(ni) else [Guard(x, ">", 0)]
+        if g.holds(ni):
+            return [Guard(x, "==", 0)]
+        if g.holds(ni + 1):
+            return [Guard(x, "==", 1)]
+        return None
+
+    for t in game.transitions:
+        by_copy = [[translate(g, ni) for ni in range(m)] for g in t.guards]
+        for nbar in copies:
+            trs = [row[nbar[g.clock]] for g, row in zip(t.guards, by_copy)]
+            if None in trs:
+                continue
+            clauses = [c for tr in trs for c in tr]
+            bump = {g.clock for g in clauses if g.op == "==" and g.bound == 1}
+            pinned = bump | {g.clock for g in clauses if g.op == "==" and g.bound == 0}
+            for x in range(n):
+                if x not in pinned:
+                    clauses.append(Guard(x, "<", 1))
+            target = list(nbar)
+            resets = set(t.resets) | bump
+            for x in range(n):
+                if x in t.resets:
+                    target[x] = 0
+                elif x in bump:
+                    target[x] = nbar[x] + 1
+            transitions.append(Transition(
+                tid=f"{t.tid}#{','.join(map(str, nbar))}",
+                src=_copy_name(t.src, nbar),
+                tgt=_copy_name(t.tgt, tuple(target)),
+                guards=tuple(dict.fromkeys(clauses)),
+                resets=frozenset(resets),
+                weight=t.weight,
+            ))
+
+    # Rollover: while waiting, the clocks of set S hit 1 together and wrap
+    # into the next integer part.  Same physical state, corrected encoding.
+    for name, loc in game.locations.items():
+        if loc.is_goal:
+            continue
+        for nbar in copies:
+            for size in range(1, n + 1):
+                for s in itertools.combinations(range(n), size):
+                    if any(nbar[x] >= m - 1 for x in s):
+                        continue
+                    guards = [Guard(x, "==", 1) for x in s]
+                    guards += [Guard(y, "<", 1) for y in range(n) if y not in s]
+                    target = tuple(nbar[x] + 1 if x in s else nbar[x] for x in range(n))
+                    transitions.append(Transition(
+                        tid=f"__roll_{name}#{','.join(map(str, nbar))}_{'_'.join(map(str, s))}",
+                        src=_copy_name(name, nbar),
+                        tgt=_copy_name(name, target),
+                        guards=tuple(guards),
+                        resets=frozenset(s),
+                    ))
+
+    transitions = drop_dead_rolls(transitions, locations)
+
+    init = game.initial
+    nbar0, frac0 = [], []
+    for v in init.valuation:
+        if not 0 <= v < m:
+            raise InputError(f"initial clock value {v} out of [0,{m})")
+        nbar0.append(int(v))
+        frac0.append(v - int(v))
+    initial = Configuration(_copy_name(init.location, tuple(nbar0)), tuple(frac0))
+    return WeightedTimedGame(list(game.clocks), locations, transitions, initial)
+
+
+def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
+    """Refine a [0,1)-game so every location carries a single region.
+
+    Only the region-locations reachable from the initial one are built.  A
+    move of transition t from region r fires after the time successor k of
+    r; it is kept when its target region is fractional and some delay from
+    r satisfies its guard, the test :func:`trim` applies.  Locations and
+    transitions come in product order: input location or transition, then
+    region in :func:`all_regions` order, then k.
+    """
+    init = game.initial
+    r0 = region_of(init.valuation)
+    if not r0.fractional:
+        raise InputError("initial valuation not in [0,1)")
+    order = {r: i for i, r in enumerate(all_regions(len(game.clocks), False))}
+    pinned = _table(len(game.clocks)).constraints
+    rank = {name: i for i, name in enumerate(game.locations)}
+
+    def rloc(name: str, r: Region) -> str:
+        tag = "|".join(
+            ",".join(game.clocks[x] for x in sorted(b)) for b in r.blocks)
+        return f"{name}@[{tag}]"
+
+    out_of: dict[str, list[tuple[int, Transition]]] = {}
+    for i, t in enumerate(game.transitions):
+        out_of.setdefault(t.src, []).append((i, t))
+    seen, todo, moves = {(init.location, r0)}, [(init.location, r0)], []
+    while todo:
+        name, r = todo.pop()
+        src = rloc(name, r)
+        for i, t in out_of.get(name, ()):
+            for k, r2 in enumerate(r.time_successors()):
+                tgt = (t.tgt, r2.reset(t.resets) if t.resets else r2)
+                # A clock left at exactly 1 is impossible in a [0,1)-game.
+                if not tgt[1].fractional:
+                    continue
+                guards = tuple(dict.fromkeys((*t.guards, *pinned[r2])))
+                if not delay_feasible(r, guards):
+                    continue
+                moves.append(((i, order[r], k), r2, Transition(
+                    tid=f"{t.tid}@{src}~{k}", src=src,
+                    tgt=rloc(*tgt), guards=guards, resets=t.resets,
+                    weight=t.weight)))
+                if tgt not in seen:
+                    seen.add(tgt)
+                    todo.append(tgt)
+    moves.sort(key=lambda m: m[0])
+    locations: dict[str, Location] = {}
+    reg: dict[str, Region] = {}
+    for n, r in sorted(seen, key=lambda nr: (rank[nr[0]], order[nr[1]])):
+        reg[rloc(n, r)] = r
+        locations[rloc(n, r)] = replace(game.locations[n], name=rloc(n, r))
+    g = WeightedTimedGame(list(game.clocks), locations, [t for *_, t in moves],
+                          Configuration(rloc(init.location, r0), init.valuation))
+    return RegionGame(g, reg, {t.tid: r2 for _, r2, t in moves})
 
 
 def full_region_wtg(game: WeightedTimedGame) -> RegionGame:

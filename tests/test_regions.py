@@ -23,7 +23,8 @@ from wtgsolve.core import (
     frac,
 )
 from wtgsolve import regions
-from wtgsolve.gameio import game_from_dict, game_to_dict
+from wtgsolve.cli import main
+from wtgsolve.gameio import game_from_dict, game_to_dict, save_game
 from wtgsolve.regions import (
     Region,
     RegionGame,
@@ -32,7 +33,6 @@ from wtgsolve.regions import (
     build_region_wtg,
     clock_bound,
     delay_feasible,
-    drop_dead_rolls,
     elapsed_region_feasible,
     infer_guard_region,
     max_traps,
@@ -47,8 +47,11 @@ from wtgsolve.unfold import prune_dead_rolls, prune_max_traps, solve
 
 import fm_reference
 import test_anz
+import test_golden
 from acceptance_corpus import (exact_corpus, max_dead_end,
+                               normalization_fixtures,
                                transformation_corpus)
+from corpus import three_clock_demo
 from invariants import check_trimmed_observation
 import region_reference
 from region_reference import adherence, full_region_wtg
@@ -215,6 +218,22 @@ class TestRegionTable:
         for rs in itertools.combinations(table.regions, 3):
             assert table.decode(table.mask(rs)) == rs
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equal_regions_hash_alike_and_find_each_other(self, n):
+        """A region keeps the hash it was built with; one built apart from
+        the table's, from fresh blocks or from a valuation, equals it,
+        hashes alike and finds the table's entries."""
+        table = regions._table(n)
+        for r in table.regions:
+            for twin in (Region(tuple(frozenset(set(b)) for b in r.blocks),
+                                frozenset(set(r.ones))),
+                         region_of(r.representative())):
+                assert twin == r and twin is not r and hash(twin) == hash(r)
+                assert table.index[twin] == table.index[r]
+                assert table.elapsed[twin] == table.elapsed[r]
+                assert table.reset[twin, frozenset()] is r
+                assert twin in set(table.regions)
+
 
 class TestRegionLookups:
     """The region lookups answer as the Fourier-Motzkin bodies of
@@ -274,11 +293,16 @@ def _raw_game():
 
 
 class TestNormalize:
+    """The materialising reference makes one copy of each location per
+    integer part; ``normalize_01`` keeps tables the walk makes copies
+    from, on demand, equal to the reference's (``TestForwardBuild``)."""
+
     def test_location_count(self):
         g = _raw_game()
         assert clock_bound(g) == 2
-        ng = normalize_01(g)
+        ng = region_reference.normalize_01(g)
         assert len(ng.locations) == len(g.locations) * clock_bound(g) ** 2
+        assert normalize_01(g).m == 2
 
     def test_m1_game_unchanged_count(self):
         g = WeightedTimedGame(
@@ -289,11 +313,14 @@ class TestNormalize:
                                             Guard(Y, "<", 1)))],
             initial=Configuration("a", (F(0), F(0))),
         )
-        assert len(normalize_01(g).locations) == len(g.locations)
+        assert len(region_reference.normalize_01(g).locations) == \
+            len(g.locations)
+        assert normalize_01(g).m == 1
 
     def test_one_guard_resets(self):
-        ng = normalize_01(_raw_game())
-        for t in ng.transitions:
+        rg = build_region_wtg(normalize_01(_raw_game()))
+        assert rg.game.transitions
+        for t in rg.game.transitions:
             for g in t.guards:
                 if g.op == "==" and g.bound == 1:
                     assert g.clock in t.resets
@@ -314,7 +341,7 @@ class TestNormalize:
         g = _raw_game()
         conf, w = run_weight(g, [(F(1), "t1"), (F(0), "t2")])
         assert conf.location == "G" and w == F(1) * 1 + 1
-        ng = normalize_01(g)
+        ng = region_reference.normalize_01(g)
         roll = next(t for t in ng.transitions
                     if t.src == "a#0,0" and t.tgt == "a#1,1"
                     and t.tid.startswith("__roll_"))
@@ -337,11 +364,13 @@ def test_normalize_and_prune_share_roll_liveness():
          roll("__roll_ba", "b", "a"),
          Transition("t", "a", "G", (Guard(X, "<", 1), Guard(Y, "<", 1)))],
         Configuration("a", (F(0), F(0))))
-    kept = [t.tid for t in drop_dead_rolls(g.transitions, g.locations)]
-    assert kept == ["__roll_d", "__roll_ba", "t"]
-    # With one integer part (M = 1), normalize_01 drops the same rollover...
+    kept = ["__roll_d", "__roll_ba", "t"]
+    # With one integer part (M = 1), normalize_01 finds c dead, so the walk
+    # drops the rollover into it, as the reference does...
     assert clock_bound(g) == 1
-    assert [t.tid for t in normalize_01(g).transitions] == \
+    ng = normalize_01(g)
+    assert {list(g.locations)[li] for li, _ in ng.live} == set("abd")
+    assert [t.tid for t in region_reference.normalize_01(g).transitions] == \
         [f"{tid}#0,0" for tid in kept]
     # ... and prune_dead_rolls restricts a region game to the same moves.
     pruned = prune_dead_rolls(RegionGame(g, {}, {}))
@@ -352,6 +381,13 @@ def test_normalize_and_prune_share_roll_liveness():
 # ---------------------------------------------------------------------------
 # Region game construction and trimming
 # ---------------------------------------------------------------------------
+
+# The tests below on hand-written [0,1)-games build their region games with
+# the reference's forward build, which takes a [0,1)-game as it is;
+# ``build_region_wtg`` takes a normalized game, and ``TestForwardBuild``
+# checks it against the reference.
+build_01 = region_reference.build_region_wtg
+
 
 def _small_01_game():
     return WeightedTimedGame(
@@ -373,7 +409,7 @@ class TestRegionGame:
         # The full product has 2 * 6 region-locations; from (0, 0) no move
         # fires (y == 1 needs x == 1 too, which the reset of y leaves at 1).
         assert len(full_region_wtg(_small_01_game()).game.locations) == 2 * 6
-        rg = build_region_wtg(_small_01_game())
+        rg = build_01(_small_01_game())
         assert list(rg.game.locations) == [rg.game.initial.location]
 
     def test_self_loop_full_reset(self):
@@ -388,7 +424,7 @@ class TestRegionGame:
             ],
             initial=Configuration("a", (F(0), F(0))),
         )
-        rg = build_region_wtg(g)
+        rg = build_01(g)
         both_zero = rg.game.initial.location
         loops = [t for t in rg.game.transitions
                  if t.src == both_zero and t.tgt == both_zero and "l@" in t.tid]
@@ -402,7 +438,7 @@ class TestRegionGame:
             assert rg.reg[t.src] in (R({X}, {Y}), R((), {X}, {Y}))
 
     def test_trim_idempotent(self):
-        rg = trim(build_region_wtg(_small_01_game()))
+        rg = trim(build_01(_small_01_game()))
         again = trim(rg)
         assert {t.tid for t in again.game.transitions} == \
             {t.tid for t in rg.game.transitions}
@@ -410,10 +446,10 @@ class TestRegionGame:
             [t.guards for t in rg.game.transitions]
 
     def test_trimmed_observation(self):
-        check_trimmed_observation(trim(build_region_wtg(_small_01_game())))
+        check_trimmed_observation(trim(build_01(_small_01_game())))
 
     def test_guard_region_metadata(self):
-        rg = trim(build_region_wtg(_small_01_game()))
+        rg = trim(build_01(_small_01_game()))
         for t in rg.game.transitions:
             assert rg.guard_region[t.tid] == infer_guard_region(rg, t)
 
@@ -449,14 +485,119 @@ def _reachable_part(rg):
     return prune_unreachable(rg, [rg.game.initial.location])
 
 
+def _walk_games():
+    """The games the walk is checked on, two of them rejected."""
+    families = test_anz.families
+    unbounded = WeightedTimedGame(
+        ["x", "y"], {"a": Location("a", MIN), "G": Location("G", MIN, True)},
+        [Transition("t", "a", "G", (Guard(X, "<", 1), Guard(Y, ">=", 1)))],
+        Configuration("a", (F(0), F(0))))
+    far = WeightedTimedGame(
+        ["x", "y"], dict(unbounded.locations),
+        [Transition("t", "a", "G", (Guard(X, "<=", 1),))],
+        Configuration("a", (F(0), F(5, 2))))
+    return ([(name, g) for name, g, _ in exact_corpus()]
+            + transformation_corpus() + normalization_fixtures()
+            + [(f"random-{seed}", test_anz.random_game(seed))
+               for seed in range(400)]
+            + [(f"{kind}-{s}", game_from_dict(families.random_game(s, 3, kind)))
+               for kind in ("plain", "inf", "zeno") for s in range(40)]
+            + [(f"kernel_chain-{k}", game_from_dict(families.kernel_chain(k)))
+               for k in range(1, 6)]
+            + [("three_clock_demo", three_clock_demo()),
+               ("unbounded", unbounded), ("far", far)])
+
+
+def _built(game, reference=False):
+    """Every field of the region game built from ``game``, in order, or the
+    class and message of the error that stops the build."""
+    try:
+        rg = (region_reference.build_region_wtg(
+            region_reference.normalize_01(game)) if reference
+            else build_region_wtg(normalize_01(game)))
+    except GameError as exc:
+        return type(exc), str(exc)
+    return (rg.game.clocks, list(rg.game.locations.items()),
+            rg.game.transitions, rg.game.initial, list(rg.reg.items()),
+            list(rg.guard_region.items()), rg.trimmed, rg.relaxed)
+
+
+def _padded(game, count=200):
+    """``game`` with ``count`` more locations that nothing else enters,
+    each with a move whose guard constants are at most the game's largest,
+    so that the clock bound M stays the same.  A larger M may change the
+    value itself, not only the walk: clocks are assumed bounded by M, the
+    known defect that an absorbing integer copy is to mend (ROADMAP.md)."""
+    cmax, n = game.max_constant(), len(game.clocks)
+    guards = ((Guard(X, "<=", cmax), Guard(Y, "==", cmax // 2)) if cmax > 1
+              else tuple(Guard(x, "<", cmax) for x in range(n)))
+    locations, transitions = dict(game.locations), list(game.transitions)
+    first = next(iter(game.locations))
+    for i in range(count):
+        name = f"unreached{i}"
+        locations[name] = Location(name, (MIN, MAX)[i % 2], weight=i % 3)
+        transitions.append(Transition(
+            name, name, (first, name, "unreached0")[i % 3], guards,
+            frozenset(range(i % (n + 1))), i % 2))
+    return WeightedTimedGame(list(game.clocks), locations, transitions,
+                             game.initial)
+
+
 class TestForwardBuild:
+    def test_the_walk_builds_what_the_reference_builds(self):
+        """The walk over integer copies gives the reference's region game
+        field for field: names, order, guards with their clause order,
+        resets, weights, regions, guard regions and the initial
+        configuration; or the same error class and message."""
+        games = _walk_games()
+        rolls = errors = 0
+        for name, game in games:
+            new = _built(game)
+            assert new == _built(game, reference=True), name
+            errors += len(new) == 2
+            rolls += len(new) > 2 and any(
+                t.tid.startswith("__roll_") for t in new[2])
+        assert errors == 2 and rolls > 50, (errors, rolls)
+
+    def test_unreachable_locations_cost_nothing_and_change_nothing(
+            self, tmp_path, monkeypatch):
+        copied = []
+        copy_move = regions._copy_move
+        monkeypatch.setattr(regions, "_copy_move", lambda t, rows, nbar: (
+            copied.append(t.src), copy_move(t, rows, nbar))[1])
+        for name, game in test_golden.corpus():
+            padded = _padded(game)
+            assert clock_bound(padded) == clock_bound(game), name
+            assert _built(padded) == _built(game), name
+            assert solve(padded).value == solve(game).value, name
+            assert test_golden.dumps(padded, tmp_path) == \
+                test_golden.dumps(game, tmp_path), name
+        assert copied and not any(src.startswith("unreached")
+                                  for src in copied)
+
+    def test_an_unreachable_clock_with_only_lower_bounds_is_rejected(
+            self, tmp_path, capsys):
+        name, game = test_golden.corpus()[0]
+        game = _padded(game, 1)
+        game.transitions.append(Transition(
+            "unbounded", "unreached0", "unreached0", (Guard(Y, ">", 0),)))
+        message = (f"transition unbounded: clock {game.clocks[Y]} only has "
+                   "lower bounds, so it is not syntactically bounded")
+        with pytest.raises(InputError) as info:
+            normalize_01(game)
+        assert str(info.value) == message
+        path = tmp_path / "game.json"
+        save_game(game, str(path))
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_same_cut_as_the_full_product(self):
         """Same locations and transitions in the same order, with the same
         ids, guards and resets, and the same regions and guard regions."""
         for name, game in _forward_build_games():
-            g = normalize_01(game)
-            new = _reachable_part(build_region_wtg(g))
-            ref = _reachable_part(full_region_wtg(g))
+            new = _reachable_part(build_region_wtg(normalize_01(game)))
+            ref = _reachable_part(full_region_wtg(
+                region_reference.normalize_01(game)))
             assert list(new.game.locations.items()) == \
                 list(ref.game.locations.items()), name
             assert new.game.transitions == ref.game.transitions, name
@@ -465,8 +606,9 @@ class TestForwardBuild:
             assert new.guard_region == ref.guard_region, name
 
     def test_only_reachable_moves_are_built(self):
-        g = normalize_01(test_anz.random_game(3))
-        rg, full = build_region_wtg(g), full_region_wtg(g)
+        game = test_anz.random_game(3)
+        rg = build_region_wtg(normalize_01(game))
+        full = full_region_wtg(region_reference.normalize_01(game))
         assert set(rg.game.locations) < set(full.game.locations)
         assert {t.tid for t in rg.game.transitions} == \
             {t.tid for t in trim(rg).game.transitions}
@@ -521,7 +663,7 @@ class TestRegionSets:
 
 class TestRelax:
     def test_strict_guards_dropped(self):
-        xg = trim(relax(build_region_wtg(_small_01_game())))
+        xg = trim(relax(build_01(_small_01_game())))
         for t in xg.game.transitions:
             assert all(g.op in ("==",) for g in t.guards)
             assert all(g.bound in (0, 1) for g in t.guards)
@@ -554,7 +696,7 @@ def _kernel_game():
 
 
 def _relaxed(g):
-    return trim(relax(build_region_wtg(g)))
+    return trim(relax(build_01(g)))
 
 
 class TestAddResets:
@@ -633,7 +775,8 @@ class TestAddResets:
         to be composed with: it is pinned instead of dropped, so Max can
         still strand the play there."""
         g = max_dead_end()
-        ar = add_resets(prune_max_traps(_relaxed(normalize_01(g))))
+        ar = add_resets(prune_max_traps(
+            trim(relax(build_region_wtg(normalize_01(g))))))
         dead = {n for n in ar.game.locations
                 if not ar.game.locations[n].is_goal
                 and not any(t.src == n for t in ar.game.transitions)}
