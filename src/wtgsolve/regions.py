@@ -393,7 +393,7 @@ def _copy_move(t: Transition, rows, nbar: tuple[int, ...]):
     clauses += [Guard(x, "<", 1) for x in range(len(nbar)) if x not in pinned]
     target = tuple(0 if x in t.resets else v + 1 if x in bump else v
                    for x, v in enumerate(nbar))
-    return tuple(dict.fromkeys(clauses)), t.resets | bump, target
+    return tuple(dict.fromkeys(clauses)), frozenset(t.resets) | bump, target
 
 
 @dataclass

@@ -496,6 +496,15 @@ def _walk_games():
         ["x", "y"], dict(unbounded.locations),
         [Transition("t", "a", "G", (Guard(X, "<=", 1),))],
         Configuration("a", (F(0), F(5, 2))))
+    # Ids named like rollovers are judged as rollovers: from d the walk
+    # keeps b's roll to a, which has a real exit, and drops the one to c.
+    named_rolls = WeightedTimedGame(
+        ["x", "y"], {n: Location(n, MIN, is_goal=n == "G") for n in "abcdG"},
+        [Transition(tid, src, tgt, resets=frozenset({X}))
+         for tid, src, tgt in [("__roll_d", "d", "b"), ("__roll_bc", "b", "c"),
+                               ("__roll_ba", "b", "a")]]
+        + [Transition("t", "a", "G", (Guard(X, "<", 1), Guard(Y, "<", 1)))],
+        Configuration("d", (F(0), F(0))))
     return ([(name, g) for name, g, _ in exact_corpus()]
             + transformation_corpus() + normalization_fixtures()
             + [(f"random-{seed}", test_anz.random_game(seed))
@@ -505,7 +514,8 @@ def _walk_games():
             + [(f"kernel_chain-{k}", game_from_dict(families.kernel_chain(k)))
                for k in range(1, 6)]
             + [("three_clock_demo", three_clock_demo()),
-               ("unbounded", unbounded), ("far", far)])
+               ("named_rolls", named_rolls), ("unbounded", unbounded),
+               ("far", far)])
 
 
 def _built(game, reference=False):
@@ -549,15 +559,17 @@ class TestForwardBuild:
         field for field: names, order, guards with their clause order,
         resets, weights, regions, guard regions and the initial
         configuration; or the same error class and message."""
-        games = _walk_games()
+        games = dict(_walk_games())
         rolls = errors = 0
-        for name, game in games:
+        for name, game in games.items():
             new = _built(game)
             assert new == _built(game, reference=True), name
             errors += len(new) == 2
             rolls += len(new) > 2 and any(
                 t.tid.startswith("__roll_") for t in new[2])
         assert errors == 2 and rolls > 50, (errors, rolls)
+        named = {t.tid.split("#")[0] for t in _built(games["named_rolls"])[2]}
+        assert "__roll_ba" in named and "__roll_bc" not in named
 
     def test_unreachable_locations_cost_nothing_and_change_nothing(
             self, tmp_path, monkeypatch):
