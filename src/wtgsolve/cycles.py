@@ -13,7 +13,7 @@ from typing import Optional
 
 from .core import Guard, Location, StructuralError, Transition
 from .graphs import strongly_connected_components
-from .regions import RegionGame, _table
+from .regions import RegionGame, _table, is_rollover
 
 ANZ = "almost-non-zeno"
 VIOLATION = "violation"
@@ -198,7 +198,7 @@ def check_almost_non_zeno(cp: CornerPointGraph) -> AnzReport:
         report = AnzReport(VIOLATION, witness=[t for t, _w in walk],
                            witness_weights=(0, sum(w for _t, w in walk)),
                            cycles_checked=built)
-        if not walk[0][0].startswith("__roll_"):
+        if not is_rollover(walk[0][0]):
             return report
         first = first or report
     return first or AnzReport(ANZ, kappa=Fraction(1), cycles_checked=built)

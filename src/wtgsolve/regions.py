@@ -27,7 +27,8 @@ Those sets, as int bitmasks over the regions, the results of the pure
 :class:`Region` methods and the corner moves of the corner-point
 abstraction are tabulated once per number of clocks (:class:`_Table`).
 ``restrict`` is the one way to cut a region game down to some of its
-locations and transitions.
+locations and transitions, and ``is_rollover`` the one test for what is a
+rollover.
 """
 from __future__ import annotations
 
@@ -35,11 +36,22 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
-from .core import (MAX, MIN, OPS, Configuration, DomainError, Guard,
-                   InputError, Location, StructuralError, Transition,
-                   Valuation, WeightedTimedGame)
+from .core import (
+    MAX,
+    MIN,
+    OPS,
+    Configuration,
+    DomainError,
+    Guard,
+    InputError,
+    Location,
+    StructuralError,
+    Transition,
+    Valuation,
+    WeightedTimedGame,
+)
 from .graphs import reachable, strongly_connected_components
 
 ZERO = Fraction(0)
@@ -67,11 +79,14 @@ class Region:
     def __post_init__(self):
         if not self.blocks:
             raise DomainError("region needs a zero block (possibly empty)")
-        if not all(self.blocks[1:]):
-            raise InputError("interior region blocks must be non-empty")
-        if (sum(map(len, self.blocks)) + len(self.ones)
-                != len(self.ones.union(*self.blocks))):
-            raise InputError("region blocks must be disjoint")
+        for b in self.blocks[1:]:
+            if not b:
+                raise InputError("interior region blocks must be non-empty")
+        seen: set[int] = set()
+        for b in (*self.blocks, self.ones):
+            if b & seen:
+                raise InputError("region blocks must be disjoint")
+            seen |= b
         object.__setattr__(self, "_hash", hash((self.blocks, self.ones)))
 
     def __hash__(self):
@@ -168,8 +183,10 @@ def region_of(valuation: Valuation) -> Region:
             ones.add(x)
         else:
             groups.setdefault(v, set()).add(x)
-    return Region((frozenset(zeros), *(frozenset(groups[v]) for v in sorted(groups))),
-                  frozenset(ones))
+    blocks = [frozenset(zeros)]
+    for v in sorted(groups):
+        blocks.append(frozenset(groups[v]))
+    return Region(tuple(blocks), frozenset(ones))
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,7 +199,7 @@ def all_regions(n_clocks: int, include_ones: bool = True) -> tuple[Region, ...]:
             yield ()
             return
         items = sorted(xs)
-        for first in _subsets(items, 1):
+        for first in _nonempty_subsets(items):
             rest = xs - frozenset(first)
             for tail in ordered_partitions(rest):
                 yield (frozenset(first),) + tail
@@ -198,8 +215,13 @@ def all_regions(n_clocks: int, include_ones: bool = True) -> tuple[Region, ...]:
     return tuple(out)
 
 
-def _subsets(items, smallest: int = 0):
-    for k in range(smallest, len(items) + 1):
+def _subsets(items):
+    for k in range(len(items) + 1):
+        yield from itertools.combinations(items, k)
+
+
+def _nonempty_subsets(items):
+    for k in range(1, len(items) + 1):
         yield from itertools.combinations(items, k)
 
 
@@ -352,10 +374,14 @@ def clock_bound(game: WeightedTimedGame) -> int:
         return 1
 
     def pinned(t: Transition, x: int, strict: bool) -> bool:
-        return any(g.clock == x and (
-            g.op == "<" and g.bound <= 1
-            or g.op in ("<=", "==") and g.bound <= (0 if strict else 1))
-            for g in t.guards)
+        for g in t.guards:
+            if g.clock != x:
+                continue
+            if g.op == "<" and g.bound <= 1:
+                return True
+            if g.op in ("<=", "==") and g.bound <= (0 if strict else 1):
+                return True
+        return False
 
     if m == 1 and all(
             pinned(t, x, strict=x not in t.resets)
@@ -364,13 +390,33 @@ def clock_bound(game: WeightedTimedGame) -> int:
     return m + 1
 
 
-@functools.lru_cache(maxsize=None)
+def is_rollover(tid: str) -> bool:
+    """Whether ``tid`` names a rollover: :func:`build_region_wtg` names them
+    ``__roll_*``, and the moves made from one keep the prefix."""
+    return tid.startswith("__roll_")
+
+
+def drop_dead_rolls(transitions: Sequence[Transition],
+                    locations: Mapping[str, Location]) -> list[Transition]:
+    """The transitions without the rollovers after which no real transition
+    and no goal is reachable through rollovers alone.  :func:`normalize_01`
+    runs the same search over integer copies."""
+    back: dict[str, list[str]] = {}
+    for t in transitions:
+        if is_rollover(t.tid):
+            back.setdefault(t.tgt, []).append(t.src)
+    live = reachable(back, [t.src for t in transitions if not is_rollover(t.tid)]
+                     + [n for n, l in locations.items() if l.is_goal])
+    return [t for t in transitions if not is_rollover(t.tid) or t.tgt in live]
+
+
 def _translate(g: Guard, ni: int) -> Optional[tuple[Guard, ...]]:
     """Clauses over the fractional clock of ``g`` in integer part ``ni``, or
     None when unsatisfiable.  The atom has one truth value at ni, one on
-    (ni, ni + 1), read at ni + 1/2, and one at ni + 1."""
+    (ni, ni + 1), read at ni + 1/2 (as 2ni + 1 against twice the bound), and
+    one at ni + 1."""
     x = g.clock
-    if g.holds(ni + Fraction(1, 2)):
+    if Guard(x, g.op, 2 * g.bound).holds(2 * ni + 1):
         return () if g.holds(ni) else (Guard(x, ">", 0),)
     if g.holds(ni):
         return (Guard(x, "==", 0),)
@@ -421,22 +467,26 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
     Zero-weight rollovers ``__roll_*`` let clocks cross an integer boundary
     mid-wait.  A move is a delay *plus* an enabled transition, so only the
     rollovers after which rollovers alone reach a real transition or a goal
-    are live, found by one backward search (transitions named ``__roll_*``
-    count as rollovers, as in :func:`unfold.prune_dead_rolls`).  Clocks are
+    are live, found by one backward search over the integer copies, as
+    :func:`drop_dead_rolls` does over named locations.  Clocks are
     bounded by M = :func:`clock_bound`: a clock with only lower bounds is
     rejected.
     """
     n = len(game.clocks)
     m = clock_bound(game)
     for t in game.transitions:
-        for x in dict.fromkeys(g.clock for g in t.guards):
-            if all(g.op in (">", ">=") for g in t.guards if g.clock == x):
+        by_clock: dict[int, list[str]] = {}
+        for g in t.guards:
+            by_clock.setdefault(g.clock, []).append(g.op)
+        for x, ops in by_clock.items():
+            if all(op in (">", ">=") for op in ops):
                 raise InputError(
                     f"transition {t.tid}: clock {game.clocks[x]} only has lower "
                     "bounds, so it is not syntactically bounded")
 
-    clauses = [tuple(tuple(_translate(g, ni) for ni in range(m))
-                     for g in t.guards) for t in game.transitions]
+    by_atom = {g: tuple(_translate(g, ni) for ni in range(m))
+               for g in dict.fromkeys(g for t in game.transitions for g in t.guards)}
+    clauses = [tuple(by_atom[g] for g in t.guards) for t in game.transitions]
     index = {name: i for i, name in enumerate(game.locations)}
     goal = [loc.is_goal for loc in game.locations.values()]
     live: set[tuple[int, tuple[int, ...]]] = set()
@@ -446,7 +496,7 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
         for g, row in zip(t.guards, rows):
             parts[g.clock] = [ni for ni in parts[g.clock] if row[ni] is not None]
         for nbar in itertools.product(*parts):
-            if not t.tid.startswith("__roll_"):
+            if not is_rollover(t.tid):
                 live.add((index[t.src], nbar))
                 continue
             tgt = (index[t.tgt], _copy_move(t, rows, nbar)[2])
@@ -538,11 +588,11 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
         for ti in out_of[li]:
             t = game.transitions[ti]
             move = _copy_move(t, ng.clauses[ti], nbar)
-            if move and (not t.tid.startswith("__roll_")
+            if move and (not is_rollover(t.tid)
                          or (index[t.tgt], move[2]) in ng.live):
                 out.append(((ti, nbar), f"{t.tid}#{part}",
                             (index[t.tgt], move[2]), *move[:2], t.weight))
-        for si, s in enumerate(_subsets(range(len(nbar)), 1)):
+        for si, s in enumerate(_nonempty_subsets(range(len(nbar)))):
             tgt = (li, tuple(v + (x in s) for x, v in enumerate(nbar)))
             if (not locs[li].is_goal and all(nbar[x] < m - 1 for x in s)
                     and tgt in ng.live):
@@ -584,12 +634,13 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
                 if tgt not in named:
                     todo.append(tgt)
                 moves.append(((rank, ri, k), r2, Transition(
-                    f"{tid}@{src}~{k}", src, rloc(tgt), guards, resets, w)))
+                    tid=f"{tid}@{src}~{k}", src=src, tgt=rloc(tgt),
+                    guards=guards, resets=resets, weight=w)))
     moves.sort(key=lambda mv: mv[0])
     keys = sorted(named)
-    locations = {named[k]: Location(named[k], locs[k[0]].owner,
-                                    locs[k[0]].is_goal, locs[k[0]].weight)
-                 for k in keys}
+    locations = {named[k]: Location(
+        name=named[k], owner=locs[k[0]].owner, is_goal=locs[k[0]].is_goal,
+        weight=locs[k[0]].weight) for k in keys}
     g = WeightedTimedGame(list(game.clocks), locations,
                           [t for *_, t in moves], initial)
     return RegionGame(g, {named[k]: table.regions[k[2]] for k in keys},
@@ -625,7 +676,8 @@ def trim(rg: RegionGame) -> RegionGame:
         # A clause is redundant when every elapsed valuation satisfies it.
         clauses = tuple(g for g in t.guards if elapsed & ~table.sat[g])
         kept.append(t if len(clauses) == len(t.guards) else Transition(
-            t.tid, t.src, t.tgt, clauses, t.resets, t.weight))
+            tid=t.tid, src=t.src, tgt=t.tgt, guards=clauses,
+            resets=t.resets, weight=t.weight))
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              kept, rg.game.initial)
     return RegionGame(game, dict(rg.reg), guard_region, trimmed=True,
@@ -638,7 +690,8 @@ def relax(rg: RegionGame) -> RegionGame:
     def closed(t: Transition) -> Transition:
         guards = tuple(g.closed() for g in t.guards)
         return t if guards == t.guards else Transition(
-            t.tid, t.src, t.tgt, guards, t.resets, t.weight)
+            tid=t.tid, src=t.src, tgt=t.tgt, guards=guards,
+            resets=t.resets, weight=t.weight)
 
     transitions = [closed(t) for t in rg.game.transitions]
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
@@ -730,21 +783,25 @@ def add_resets(rg: RegionGame) -> RegionGame:
                        and any(t2.src == todo.tgt for t2 in transitions))
         transitions.remove(todo)
         if zero_clocks:
-            transitions.append(Transition(todo.tid, todo.src, todo.tgt, todo.guards,
-                                          frozenset(zero_clocks), todo.weight))
+            transitions.append(Transition(
+                tid=todo.tid, src=todo.src, tgt=todo.tgt, guards=todo.guards,
+                resets=frozenset(zero_clocks), weight=todo.weight))
         elif same_player:
             for t2 in list(transitions):
                 if t2.src != todo.tgt or t2.tgt == todo.src:
                     continue
                 transitions.append(Transition(
-                    f"{todo.tid}>{t2.tid}#{next(counter)}", todo.src, t2.tgt,
-                    tuple(dict.fromkeys((*todo.guards, *t2.guards))),
-                    t2.resets, todo.weight + t2.weight))
+                    tid=f"{todo.tid}>{t2.tid}#{next(counter)}",
+                    src=todo.src, tgt=t2.tgt,
+                    guards=tuple(dict.fromkeys(list(todo.guards) + list(t2.guards))),
+                    resets=t2.resets,
+                    weight=todo.weight + t2.weight))
         else:
             up = min(rg.reg[todo.src].upclock)
             transitions.append(Transition(
-                todo.tid, todo.src, todo.tgt, (*todo.guards, Guard(up, "==", 1)),
-                todo.resets, todo.weight))
+                tid=todo.tid, src=todo.src, tgt=todo.tgt,
+                guards=tuple(list(todo.guards) + [Guard(up, "==", 1)]),
+                resets=todo.resets, weight=todo.weight))
 
     # Doubling: l_down stands for l at the instant its top clocks hit 1,
     # with those clocks already reset.
@@ -755,10 +812,11 @@ def add_resets(rg: RegionGame) -> RegionGame:
     locations = dict(game.locations)
     for name, loc in game.locations.items():
         r = rg.reg[name]
-        locations[down(name)] = Location(down(name), loc.owner, loc.is_goal,
-                                         loc.weight)
-        reg2[down(name)] = (Region((r.zeros | r.blocks[-1],) + r.blocks[1:-1])
-                            if r.interior else r)
+        dn_region = (Region((r.zeros | r.blocks[-1],) + r.blocks[1:-1])
+                     if r.interior else r)
+        locations[down(name)] = Location(name=down(name), owner=loc.owner,
+                                         is_goal=loc.is_goal, weight=loc.weight)
+        reg2[down(name)] = dn_region
 
     def guard_down(guards: tuple[Guard, ...], up: frozenset[int]) -> tuple[Guard, ...]:
         out = [g for g in guards
@@ -779,34 +837,40 @@ def add_resets(rg: RegionGame) -> RegionGame:
             ones = up - t.resets
             if ones:
                 twin = f"{down(t.tgt)}${t.tid}"
-                goal = game.locations[t.tgt]
-                locations[twin] = Location(twin, goal.owner, True, goal.weight)
+                loc = game.locations[t.tgt]
+                locations[twin] = Location(name=twin, owner=loc.owner,
+                                           is_goal=loc.is_goal, weight=loc.weight)
                 reg2[twin] = rg.reg[t.tgt].reset(ones)
                 tgt_dn = twin
             else:
                 tgt_dn = t.tgt
-            new_trans.append(Transition(f"{t.tid}%gd", down(t.src), tgt_dn, cd,
-                                        t.resets, t.weight))
+            new_trans.append(Transition(
+                tid=f"{t.tid}%gd", src=down(t.src), tgt=tgt_dn,
+                guards=cd, resets=t.resets, weight=t.weight))
         elif not t.resets:
             if not any(g.op == "==" and g.bound == 1 and g.clock in up
                        for g in t.guards):
                 raise StructuralError(
                     f"{t.tid}: reset-free transition without a top x==1 guard")
-            new_trans.append(Transition(f"{t.tid}%p", t.src, down(t.tgt),
-                                        t.guards, up, t.weight))
-            new_trans.append(Transition(f"{t.tid}%pd", down(t.src),
-                                        down(t.tgt), cd, up, t.weight))
+            new_trans.append(Transition(
+                tid=f"{t.tid}%p", src=t.src, tgt=down(t.tgt),
+                guards=t.guards, resets=up, weight=t.weight))
+            new_trans.append(Transition(
+                tid=f"{t.tid}%pd", src=down(t.src), tgt=down(t.tgt),
+                guards=cd, resets=up, weight=t.weight))
         else:
             new_trans.append(t)
-            new_trans.append(Transition(f"{t.tid}%d", down(t.src), t.tgt, cd,
-                                        t.resets | up, t.weight))
+            new_trans.append(Transition(
+                tid=f"{t.tid}%d", src=down(t.src), tgt=t.tgt,
+                guards=cd, resets=t.resets | up, weight=t.weight))
 
     # Resetting a clock that is guarded to be exactly 0 is a no-op, so do it:
     # it settles the "every ==0/==1 guard resets its clock" postcondition.
     def settle(t: Transition) -> Transition:
         zeros = {g.clock for g in t.guards if g.op == "==" and g.bound == 0}
         return t if zeros <= t.resets else Transition(
-            t.tid, t.src, t.tgt, t.guards, t.resets | zeros, t.weight)
+            tid=t.tid, src=t.src, tgt=t.tgt, guards=t.guards,
+            resets=t.resets | zeros, weight=t.weight)
 
     new_trans = [settle(t) for t in new_trans]
 

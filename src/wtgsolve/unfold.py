@@ -23,12 +23,12 @@ from typing import NamedTuple, Optional
 from .core import (INF, MIN, ExtRat, GameError, InputError, StructuralError,
                    DomainError, Transition, Valuation, WeightedTimedGame,
                    frac, frac_str)
-from .graphs import reachable, strongly_connected_components
+from .graphs import strongly_connected_components
 from .plf import (ONE, ZERO, PLF1, eval1, pointwise_extremum,
                   running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
-                      max_traps, normalize_01, prune_unreachable, relax,
-                      restrict, trim)
+                      drop_dead_rolls, max_traps, normalize_01,
+                      prune_unreachable, relax, restrict, trim)
 from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      check_almost_non_zeno, compute_bounds, extract_kernel,
                      fix_weight_zero, mark_green)
@@ -310,22 +310,15 @@ def prune_max_traps(rg: RegionGame) -> RegionGame:
 
 
 def prune_dead_rolls(rg: RegionGame) -> RegionGame:
-    """Drop the rollovers after which rollovers alone reach no real
-    transition and no goal: the region build keeps only moves whose guard
-    can hold, which may leave out those :func:`normalize_01` counted on."""
+    """Drop the rollovers that the region build left dead: it keeps only the
+    moves whose guard can hold, which may leave out real transitions that
+    :func:`normalize_01` counted on when it kept them (see
+    :func:`regions.drop_dead_rolls`)."""
     game = rg.game
-    back: dict[str, list[str]] = {}
-    for t in game.transitions:
-        if t.tid.startswith("__roll_"):
-            back.setdefault(t.tgt, []).append(t.src)
-    live = reachable(back, [t.src for t in game.transitions
-                            if not t.tid.startswith("__roll_")]
-                     + [n for n, l in game.locations.items() if l.is_goal])
-    kept = [t.tid for t in game.transitions
-            if not t.tid.startswith("__roll_") or t.tgt in live]
-    if len(kept) == len(game.transitions):
+    transitions = drop_dead_rolls(game.transitions, game.locations)
+    if len(transitions) == len(game.transitions):
         return rg
-    return restrict(rg, game.locations, kept)
+    return restrict(rg, game.locations, [t.tid for t in transitions])
 
 
 def check_finite_value(rg: RegionGame) -> bool:

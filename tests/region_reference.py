@@ -12,13 +12,12 @@ relaxed source's closure (``adherence``), for the region-set versions in
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from wtgsolve.core import (Configuration, Guard, InputError, Location,
                            StructuralError, Transition, WeightedTimedGame)
-from wtgsolve.graphs import reachable
 from wtgsolve.regions import (Region, RegionGame, _table, all_regions,
-                              clock_bound, delay_feasible,
+                              clock_bound, delay_feasible, drop_dead_rolls,
                               elapsed_region_feasible, region_of)
 
 # The atoms whose disjunction is the negation of a guard atom's operator.
@@ -40,27 +39,6 @@ def _from(r: Region, closure: bool) -> tuple[Region, ...]:
 
 def _copy_name(name: str, nbar: tuple[int, ...]) -> str:
     return f"{name}#{','.join(map(str, nbar))}"
-
-
-def drop_dead_rolls(transitions: Sequence[Transition],
-                    locations: Mapping[str, Location]) -> list[Transition]:
-    """The transitions without the rollovers after which no real transition
-    and no goal is reachable through rollovers alone.
-
-    A rollover ``__roll_*`` models pure waiting across an integer clock
-    boundary, but a move of the game is a delay *plus* an enabled
-    transition: a rollover leading nowhere would let a player "wait" into a
-    deadlock that the source game does not have.
-    """
-    back: dict[str, list[str]] = {}
-    for t in transitions:
-        if t.tid.startswith("__roll_"):
-            back.setdefault(t.tgt, []).append(t.src)
-    live = reachable(back, [t.src for t in transitions
-                            if not t.tid.startswith("__roll_")]
-                     + [n for n, l in locations.items() if l.is_goal])
-    return [t for t in transitions
-            if not t.tid.startswith("__roll_") or t.tgt in live]
 
 
 def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:

@@ -344,7 +344,7 @@ class TestNormalize:
         ng = region_reference.normalize_01(g)
         roll = next(t for t in ng.transitions
                     if t.src == "a#0,0" and t.tgt == "a#1,1"
-                    and t.tid.startswith("__roll_"))
+                    and regions.is_rollover(t.tid))
         conf2, w2 = run_weight(ng, [
             (F(1), roll.tid), (F(0), "t1#1,1"), (F(0), "t2#1,1")])
         assert ng.locations[conf2.location].is_goal
@@ -566,7 +566,7 @@ class TestForwardBuild:
             assert new == _built(game, reference=True), name
             errors += len(new) == 2
             rolls += len(new) > 2 and any(
-                t.tid.startswith("__roll_") for t in new[2])
+                regions.is_rollover(t.tid) for t in new[2])
         assert errors == 2 and rolls > 50, (errors, rolls)
         named = {t.tid.split("#")[0] for t in _built(games["named_rolls"])[2]}
         assert "__roll_ba" in named and "__roll_bc" not in named
