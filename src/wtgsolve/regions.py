@@ -11,10 +11,15 @@ value iteration can digest:
                          and the integer copies whose rollovers are live
     build_region_wtg  -> one forward walk over the reached (location, integer
                          parts, region): the region-locations, one region
-                         each, with guards refined per region
+                         each, with guards refined per region, closed and
+                         cut to the clauses the region does not imply
+    relax             -> strict guards widened to their closure
     trim              -> drop unsatisfiable transitions and implied clauses
-    relax             -> strict guards widened to their closure, re-trimmed
     add_resets        -> every non-goal transition resets at least one clock
+
+The walk emits what ``trim(relax(.))`` would leave, so both return its
+output as it is; ``trim`` still does work on the doubled game of
+:func:`add_resets`.
 
 Each transformation preserves the value of the game (checked externally
 against the grid oracle on the test corpus).
@@ -392,7 +397,8 @@ def clock_bound(game: WeightedTimedGame) -> int:
 
 def is_rollover(tid: str) -> bool:
     """Whether ``tid`` names a rollover: :func:`build_region_wtg` names them
-    ``__roll_*``, and the moves made from one keep the prefix."""
+    ``__roll_*``, the moves made from one keep the prefix, and
+    :func:`normalize_01` rejects input ids that have it."""
     return tid.startswith("__roll_")
 
 
@@ -449,7 +455,7 @@ class Normalized:
     (n1+nu1, ..).  ``clauses[t][a]`` is the :func:`_translate` row of atom
     a of transition t over the integer parts 0..m-1, ``live`` the copies
     (location index, integer parts) from which rollovers alone reach a real
-    transition or a goal, and ``initial`` the initial copy and fractional
+    transition, and ``initial`` the initial copy and fractional
     valuation."""
 
     game: WeightedTimedGame
@@ -465,16 +471,19 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
     Guards are rewritten over fractional parts (constants 0/1 only); a
     guard x==1 always resets x and bumps the stored integer part.
     Zero-weight rollovers ``__roll_*`` let clocks cross an integer boundary
-    mid-wait.  A move is a delay *plus* an enabled transition, so only the
-    rollovers after which rollovers alone reach a real transition or a goal
-    are live, found by one backward search over the integer copies, as
-    :func:`drop_dead_rolls` does over named locations.  Clocks are
-    bounded by M = :func:`clock_bound`: a clock with only lower bounds is
-    rejected.
+    mid-wait, so an input id with that prefix is rejected.  A move is a
+    delay *plus* an enabled transition, so only the rollovers after which
+    rollovers alone reach a real transition are live, found by one backward
+    search over the integer copies, as :func:`drop_dead_rolls` does over
+    named locations.  Clocks are bounded by M = :func:`clock_bound`: a clock
+    with only lower bounds is rejected.
     """
     n = len(game.clocks)
     m = clock_bound(game)
     for t in game.transitions:
+        if is_rollover(t.tid):
+            raise InputError(f"transition {t.tid}: ids starting with __roll_ "
+                             "are kept for rollovers")
         by_clock: dict[int, list[str]] = {}
         for g in t.guards:
             by_clock.setdefault(g.clock, []).append(g.op)
@@ -490,19 +499,11 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
     index = {name: i for i, name in enumerate(game.locations)}
     goal = [loc.is_goal for loc in game.locations.values()]
     live: set[tuple[int, tuple[int, ...]]] = set()
-    back: dict[tuple, list[tuple]] = {}
     for t, rows in zip(game.transitions, clauses):
         parts = [range(m)] * n
         for g, row in zip(t.guards, rows):
             parts[g.clock] = [ni for ni in parts[g.clock] if row[ni] is not None]
-        for nbar in itertools.product(*parts):
-            if not is_rollover(t.tid):
-                live.add((index[t.src], nbar))
-                continue
-            tgt = (index[t.tgt], _copy_move(t, rows, nbar)[2])
-            back.setdefault(tgt, []).append((index[t.src], nbar))
-            if goal[tgt[0]]:
-                live.add(tgt)
+        live.update((index[t.src], nbar) for nbar in itertools.product(*parts))
     todo = list(live)
     while todo:
         li, nbar = todo.pop()
@@ -510,7 +511,7 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
         # time reaches all of those copies.
         before = [] if goal[li] else [(li, (*nbar[:x], v - 1, *nbar[x + 1:]))
                                       for x, v in enumerate(nbar) if v]
-        for copy in before + back.get((li, nbar), []):
+        for copy in before:
             if copy not in live:
                 live.add(copy)
                 todo.append(copy)
@@ -569,10 +570,14 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     whose atoms all hold there, then its live rollovers.  A move from
     region r fires after the time successor k of r; it is kept when its
     target region is fractional and some delay from r satisfies its guard,
-    the test :func:`trim` applies.  Transitions come in the order
-    (transition, integer parts, region, k), rollovers after them by
-    (location, integer parts, clocks rolled, region, k), and locations by
-    (location, integer parts, region): integer parts in
+    the test :func:`trim` applies.  Its guard is emitted closed, without
+    the clauses that hold after every delay from r: what :func:`relax` and
+    then :func:`trim` would leave, so the game is flagged relaxed and
+    trimmed.  The firings from r of a guard and a reset set are found once
+    per call, and so is each feasibility question.  Transitions come in
+    the order (transition, integer parts, region, k), rollovers after them
+    by (location, integer parts, clocks rolled, region, k), and locations
+    by (location, integer parts, region): integer parts in
     ``itertools.product`` order, regions in :func:`all_regions` order.
     """
     game, m, table = ng.game, ng.m, _table(len(ng.game.clocks))
@@ -588,8 +593,7 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
         for ti in out_of[li]:
             t = game.transitions[ti]
             move = _copy_move(t, ng.clauses[ti], nbar)
-            if move and (not is_rollover(t.tid)
-                         or (index[t.tgt], move[2]) in ng.live):
+            if move:
                 out.append(((ti, nbar), f"{t.tid}#{part}",
                             (index[t.tgt], move[2]), *move[:2], t.weight))
         for si, s in enumerate(_nonempty_subsets(range(len(nbar)))):
@@ -613,24 +617,41 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
             named[key] = f"{names[li]}#{','.join(map(str, nbar))}@[{tag}]"
         return named[key]
 
+    feasible: dict[tuple, bool] = {}
+
+    def firings(ri: int, guards0: tuple, resets: frozenset) -> list[tuple]:
+        """(k, r2, target region index, emitted guards) per firing kept."""
+        r, out = table.regions[ri], []
+        elapsed = table.elapsed[r]
+        for k, r2 in enumerate(r.time_successors()):
+            r3 = table.reset[r2, resets] if resets else r2
+            # A clock left at exactly 1 is impossible in a [0,1)-game.
+            if r3.ones:
+                continue
+            guards = tuple(dict.fromkeys((*guards0, *table.constraints[r2])))
+            if (ri, guards) not in feasible:
+                feasible[ri, guards] = delay_feasible(r, guards)
+            if feasible[ri, guards]:
+                closed = [g.closed() for g in guards]
+                out.append((k, r2, table.index[r3], tuple(
+                    g for g in closed if elapsed & ~table.sat[g])))
+        return out
+
     li0, nbar0, frac0 = ng.initial
     todo, moves, by_copy = [(li0, nbar0, table.index[region_of(frac0)])], [], {}
+    fired: dict[tuple, list[tuple]] = {}
     initial = Configuration(rloc(todo[0]), frac0)
     while todo:
         li, nbar, ri = todo.pop()
-        r, src = table.regions[ri], named[li, nbar, ri]
+        src = named[li, nbar, ri]
         if (li, nbar) not in by_copy:
             by_copy[li, nbar] = copy_moves(li, nbar)
         for rank, tid, (lj, nbar2), guards0, resets, w in by_copy[li, nbar]:
-            for k, r2 in enumerate(r.time_successors()):
-                r3 = table.reset[r2, resets] if resets else r2
-                # A clock left at exactly 1 is impossible in a [0,1)-game.
-                if r3.ones:
-                    continue
-                guards = tuple(dict.fromkeys((*guards0, *table.constraints[r2])))
-                if not delay_feasible(r, guards):
-                    continue
-                tgt = (lj, nbar2, table.index[r3])
+            key = (ri, guards0, resets)
+            if key not in fired:
+                fired[key] = firings(*key)
+            for k, r2, ri3, guards in fired[key]:
+                tgt = (lj, nbar2, ri3)
                 if tgt not in named:
                     todo.append(tgt)
                 moves.append(((rank, ri, k), r2, Transition(
@@ -644,7 +665,8 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     g = WeightedTimedGame(list(game.clocks), locations,
                           [t for *_, t in moves], initial)
     return RegionGame(g, {named[k]: table.regions[k[2]] for k in keys},
-                      {t.tid: r2 for _, r2, t in moves})
+                      {t.tid: r2 for _, r2, t in moves},
+                      trimmed=True, relaxed=True)
 
 
 def trim(rg: RegionGame) -> RegionGame:
@@ -652,12 +674,12 @@ def trim(rg: RegionGame) -> RegionGame:
 
     A transition survives when a guard-satisfying delay exists from the
     source region; a clause survives when some elapsed valuation violates
-    it.  :func:`build_region_wtg` keeps only satisfiable moves, and closing
-    a guard keeps a satisfiable one satisfiable, so the trim after
-    :func:`relax` drops only clauses; only the one inside
-    :func:`add_resets` can drop transitions.  A clause implied by the
-    region stays implied once closed, so one trim after closing drops all
-    that a trim before it would.
+    it.  A game flagged trimmed is returned as it is: trimming it again
+    changes nothing, and :func:`build_region_wtg` emits its moves trimmed,
+    so only the trim inside :func:`add_resets` does work in the pipeline.
+    Closing a guard keeps a satisfiable one satisfiable, and a clause
+    implied by the region stays implied once closed, so one trim after
+    closing drops all that a trim before it would.
 
     Once relaxed, the answers from r are those from its closure: relaxed
     guards are closed, so a delay that works from r works from every point
@@ -665,6 +687,8 @@ def trim(rg: RegionGame) -> RegionGame:
     clause that fails after some delay from the closure fails after one
     from r too, since a closed clause fails on an open set.
     """
+    if rg.trimmed:
+        return rg
     kept: list[Transition] = []
     guard_region = dict(rg.guard_region)
     table = _table(len(rg.game.clocks))
@@ -685,8 +709,12 @@ def trim(rg: RegionGame) -> RegionGame:
 
 
 def relax(rg: RegionGame) -> RegionGame:
-    """Widen strict guards to their closure.  The result is not trimmed:
-    :func:`trim` it before :func:`add_resets`."""
+    """Widen strict guards to their closure.  A game flagged relaxed, as
+    :func:`build_region_wtg` emits, is returned as it is; otherwise the
+    result is not trimmed: :func:`trim` it before :func:`add_resets`."""
+    if rg.relaxed:
+        return rg
+
     def closed(t: Transition) -> Transition:
         guards = tuple(g.closed() for g in t.guards)
         return t if guards == t.guards else Transition(
@@ -750,7 +778,9 @@ def add_resets(rg: RegionGame) -> RegionGame:
     are weight-free, and a dead end is worth +inf whenever it is entered).
     Every location is then doubled with an "early reset" twin whose top
     clocks are already back at zero, so the pinned transitions can reset on
-    the spot.
+    the spot.  Only the locations that the initial one reaches in the
+    doubled graph, and the moves between them, are built: the doubled graph
+    is found from names alone before any of it is made.
     """
     if not (rg.trimmed and rg.relaxed):
         raise StructuralError("add_resets expects a relaxed trimmed game")
@@ -808,79 +838,80 @@ def add_resets(rg: RegionGame) -> RegionGame:
     def down(name: str) -> str:
         return f"{name}~dn"
 
-    reg2: dict[str, Region] = dict(rg.reg)
-    locations = dict(game.locations)
-    for name, loc in game.locations.items():
-        r = rg.reg[name]
-        dn_region = (Region((r.zeros | r.blocks[-1],) + r.blocks[1:-1])
-                     if r.interior else r)
-        locations[down(name)] = Location(name=down(name), owner=loc.owner,
-                                         is_goal=loc.is_goal, weight=loc.weight)
-        reg2[down(name)] = dn_region
-
     def guard_down(guards: tuple[Guard, ...], up: frozenset[int]) -> tuple[Guard, ...]:
         out = [g for g in guards
                if not (g.clock in up and g.op == "==" and g.bound == 1)]
         out += [Guard(x, "==", 0) for x in sorted(up)]
         return tuple(dict.fromkeys(out))
 
-    new_trans: list[Transition] = []
+    # The moves each transition becomes, by name first: (transition, top
+    # clocks of its source, id suffix, source, target, resets), where no
+    # suffix keeps t as it is.  The early-reset copy of a move into a goal
+    # arrives with the clocks of ``up`` not reset by t physically at 1 yet
+    # stored at 0, so it lands in a per-source goal twin whose region has
+    # them at 0.
+    moves: list[tuple] = []
     for t in transitions:
-        up = rg.reg[t.src].upclock
-        cd = guard_down(t.guards, up)
+        up, src_dn = rg.reg[t.src].upclock, down(t.src)
         if t.tgt in goals:
-            # The plain copy is unchanged.  The early-reset copy arrives at
-            # the goal with the clocks of ``up`` not reset by t physically
-            # at 1 yet stored at 0, so it lands in a per-source goal twin
-            # whose region has them at 0.
-            new_trans.append(t)
-            ones = up - t.resets
-            if ones:
-                twin = f"{down(t.tgt)}${t.tid}"
-                loc = game.locations[t.tgt]
-                locations[twin] = Location(name=twin, owner=loc.owner,
-                                           is_goal=loc.is_goal, weight=loc.weight)
-                reg2[twin] = rg.reg[t.tgt].reset(ones)
-                tgt_dn = twin
-            else:
-                tgt_dn = t.tgt
-            new_trans.append(Transition(
-                tid=f"{t.tid}%gd", src=down(t.src), tgt=tgt_dn,
-                guards=cd, resets=t.resets, weight=t.weight))
+            tgt_dn = f"{down(t.tgt)}${t.tid}" if up - t.resets else t.tgt
+            moves += [(t, up, "", t.src, t.tgt, t.resets),
+                      (t, up, "%gd", src_dn, tgt_dn, t.resets)]
         elif not t.resets:
             if not any(g.op == "==" and g.bound == 1 and g.clock in up
                        for g in t.guards):
                 raise StructuralError(
                     f"{t.tid}: reset-free transition without a top x==1 guard")
-            new_trans.append(Transition(
-                tid=f"{t.tid}%p", src=t.src, tgt=down(t.tgt),
-                guards=t.guards, resets=up, weight=t.weight))
-            new_trans.append(Transition(
-                tid=f"{t.tid}%pd", src=down(t.src), tgt=down(t.tgt),
-                guards=cd, resets=up, weight=t.weight))
+            moves += [(t, up, "%p", t.src, down(t.tgt), up),
+                      (t, up, "%pd", src_dn, down(t.tgt), up)]
         else:
-            new_trans.append(t)
-            new_trans.append(Transition(
-                tid=f"{t.tid}%d", src=down(t.src), tgt=t.tgt,
-                guards=cd, resets=t.resets | up, weight=t.weight))
+            moves += [(t, up, "", t.src, t.tgt, t.resets),
+                      (t, up, "%d", src_dn, t.tgt, t.resets | up)]
+    adj: dict[str, list[str]] = {}
+    for *_, src, tgt, _ in moves:
+        adj.setdefault(src, []).append(tgt)
+    seen = reachable(adj, [game.initial.location])
+
+    # Only what the initial location reaches is built: the originals, then
+    # the early-reset twins, then the goal twins in the order of the moves.
+    locations = {n: loc for n, loc in game.locations.items() if n in seen}
+    reg2 = {n: r for n, r in rg.reg.items() if n in seen}
+    for name, loc in game.locations.items():
+        if down(name) in seen:
+            r = rg.reg[name]
+            locations[down(name)] = Location(name=down(name), owner=loc.owner,
+                                             is_goal=loc.is_goal, weight=loc.weight)
+            reg2[down(name)] = (Region((r.zeros | r.blocks[-1],) + r.blocks[1:-1])
+                                if r.interior else r)
 
     # Resetting a clock that is guarded to be exactly 0 is a no-op, so do it:
     # it settles the "every ==0/==1 guard resets its clock" postcondition.
-    def settle(t: Transition) -> Transition:
-        zeros = {g.clock for g in t.guards if g.op == "==" and g.bound == 0}
-        return t if zeros <= t.resets else Transition(
-            tid=t.tid, src=t.src, tgt=t.tgt, guards=t.guards,
-            resets=t.resets | zeros, weight=t.weight)
+    new_trans: list[Transition] = []
+    for t, up, suffix, src, tgt, resets in moves:
+        if src not in seen:
+            continue
+        if tgt not in locations:  # a goal twin
+            loc = game.locations[t.tgt]
+            locations[tgt] = Location(name=tgt, owner=loc.owner,
+                                      is_goal=loc.is_goal, weight=loc.weight)
+            reg2[tgt] = rg.reg[t.tgt].reset(up - t.resets)
+        guards = t.guards if src == t.src else guard_down(t.guards, up)
+        zeros = {g.clock for g in guards if g.op == "==" and g.bound == 0}
+        new_trans.append(t if not suffix and zeros <= resets else Transition(
+            tid=t.tid + suffix, src=src, tgt=tgt, guards=guards,
+            resets=resets | zeros, weight=t.weight))
 
-    new_trans = [settle(t) for t in new_trans]
-
-    initial = game.initial
-    out_game = WeightedTimedGame(list(game.clocks), locations, new_trans, initial)
-    out = RegionGame(out_game, reg2, {}, trimmed=False, relaxed=True)
-    out = prune_unreachable(out, roots=[initial.location])
-    out = trim(out)
+    out_game = WeightedTimedGame(list(game.clocks), locations, new_trans,
+                                 game.initial)
+    out = trim(RegionGame(out_game, reg2, {}, trimmed=False, relaxed=True))
+    # Equal questions, as a transition and its copies ask them, are
+    # answered once.
+    regions_of: dict[tuple, Region] = {}
     for t in out.game.transitions:
-        out.guard_region[t.tid] = infer_guard_region(out, t)
+        key = (out.reg[t.src], t.guards)
+        if key not in regions_of:
+            regions_of[key] = infer_guard_region(out, t)
+        out.guard_region[t.tid] = regions_of[key]
     return out
 
 

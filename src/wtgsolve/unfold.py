@@ -132,7 +132,6 @@ def _reparam(f: PLF1, u0: Fraction, u1: Fraction, slope=ZERO,
     return PLF1(tuple(out))
 
 
-@functools.lru_cache(maxsize=None)
 def _chord(gr: Region, c0: Fraction) -> Optional[tuple[Valuation, Valuation]]:
     """The lowest and highest points at which the flow line y - x = c0
     meets the closed guard region ``gr`` (the same point twice where it
@@ -154,6 +153,12 @@ def _chord(gr: Region, c0: Fraction) -> Optional[tuple[Valuation, Valuation]]:
     if a[1] - a[0] != c0:
         return None
     return a, b
+
+
+# Chords of the flow lines through a corner of the unit square, as from a
+# point source region: a table fixed by the regions, where the chords
+# through initial valuations would grow with every game solved.
+_corner_chord = functools.lru_cache(maxsize=None)(_chord)
 
 
 class _Plan(NamedTuple):
@@ -251,7 +256,9 @@ def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
     None when no delay fits."""
     if child.is_infinite:
         return PLF1.infinite()
-    chord = _chord(rg.guard_region[t.tid], nu[1] - nu[0])
+    c0 = nu[1] - nu[0]
+    chord = (_corner_chord if c0.denominator == 1 else _chord)(
+        rg.guard_region[t.tid], c0)
     if chord is None or chord[1][0] < nu[0]:
         return None
     pa, pb = chord

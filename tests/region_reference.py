@@ -8,13 +8,16 @@ location and every move whose target region is fractional, satisfiable or
 not; and ``trim`` and ``infer_guard_region`` asking the feasibility
 predicates region by region and clause by clause, over every region of a
 relaxed source's closure (``adherence``), for the region-set versions in
-``regions``."""
+``regions``; and ``add_resets`` doubling every location and then cutting
+the doubled game to what the initial location reaches, for the version in
+``regions`` that builds only what it keeps."""
 import itertools
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from wtgsolve.core import (Configuration, Guard, InputError, Location,
+from wtgsolve import regions
+from wtgsolve.core import (MIN, Configuration, Guard, InputError, Location,
                            StructuralError, Transition, WeightedTimedGame)
 from wtgsolve.regions import (Region, RegionGame, _table, all_regions,
                               clock_bound, delay_feasible, drop_dead_rolls,
@@ -50,11 +53,14 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
     integer part.  Zero-weight "rollover" transitions let a clock cross an
     integer boundary mid-wait.  Clocks are assumed bounded by M = max guard
     constant + 1; guards that stay satisfiable at arbitrarily large clock
-    values are rejected.
+    values are rejected, and so are input ids with the rollovers' prefix.
     """
     n = len(game.clocks)
     m = clock_bound(game)
     for t in game.transitions:
+        if t.tid.startswith("__roll_"):
+            raise InputError(f"transition {t.tid}: ids starting with __roll_ "
+                             "are kept for rollovers")
         by_clock: dict[int, list[str]] = {}
         for g in t.guards:
             by_clock.setdefault(g.clock, []).append(g.op)
@@ -293,3 +299,150 @@ def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
             raise StructuralError(
                 f"{t.tid}: firing set spans incomparable regions")
     return best
+
+
+def add_resets(rg: RegionGame) -> RegionGame:
+    """Make every non-goal transition reset at least one clock.
+
+    Reset-free transitions are first given forced timing: urgent ones
+    (guarded x==0) start resetting, same-player ones are short-circuited
+    into their successors, and cross-player ones and moves into a dead end
+    are pinned to fire when the top clocks reach 1 (which never changes
+    what either player can secure: both locations of a cross-player move
+    are weight-free, and a dead end is worth +inf whenever it is entered).
+    Every location is then doubled with an "early reset" twin whose top
+    clocks are already back at zero, so the pinned transitions can reset on
+    the spot, and the doubled game is cut to what the initial location
+    reaches.
+    """
+    if not (rg.trimmed and rg.relaxed):
+        raise StructuralError("add_resets expects a relaxed trimmed game")
+    game = rg.game
+    goals = {name for name, loc in game.locations.items() if loc.is_goal}
+
+    transitions = [t for t in game.transitions
+                   if not (t.src == t.tgt and not t.resets
+                           and game.locations[t.src].owner == MIN)]
+
+    def needs_prepass(t: Transition) -> bool:
+        return (t.tgt not in goals and not t.resets
+                and not any(g.op == "==" and g.bound == 1 for g in t.guards))
+
+    counter = itertools.count()
+    steps = 0
+    while True:
+        todo = next((t for t in transitions if needs_prepass(t)), None)
+        if todo is None:
+            break
+        steps += 1
+        if steps > regions._COMPOSE_CAP:
+            raise StructuralError("reset-free composition did not terminate")
+        zero_clocks = {g.clock for g in todo.guards
+                       if g.op == "==" and g.bound == 0}
+        # A move into a dead end has no successors to compose with: pinned,
+        # it survives, and its target stays a +inf sink.
+        same_player = (game.locations[todo.src].owner
+                       == game.locations[todo.tgt].owner
+                       and any(t2.src == todo.tgt for t2 in transitions))
+        transitions.remove(todo)
+        if zero_clocks:
+            transitions.append(Transition(
+                tid=todo.tid, src=todo.src, tgt=todo.tgt, guards=todo.guards,
+                resets=frozenset(zero_clocks), weight=todo.weight))
+        elif same_player:
+            for t2 in list(transitions):
+                if t2.src != todo.tgt or t2.tgt == todo.src:
+                    continue
+                transitions.append(Transition(
+                    tid=f"{todo.tid}>{t2.tid}#{next(counter)}",
+                    src=todo.src, tgt=t2.tgt,
+                    guards=tuple(dict.fromkeys(list(todo.guards) + list(t2.guards))),
+                    resets=t2.resets,
+                    weight=todo.weight + t2.weight))
+        else:
+            up = min(rg.reg[todo.src].upclock)
+            transitions.append(Transition(
+                tid=todo.tid, src=todo.src, tgt=todo.tgt,
+                guards=tuple(list(todo.guards) + [Guard(up, "==", 1)]),
+                resets=todo.resets, weight=todo.weight))
+
+    # Doubling: l_down stands for l at the instant its top clocks hit 1,
+    # with those clocks already reset.
+    def down(name: str) -> str:
+        return f"{name}~dn"
+
+    reg2: dict[str, Region] = dict(rg.reg)
+    locations = dict(game.locations)
+    for name, loc in game.locations.items():
+        r = rg.reg[name]
+        dn_region = (Region((r.zeros | r.blocks[-1],) + r.blocks[1:-1])
+                     if r.interior else r)
+        locations[down(name)] = Location(name=down(name), owner=loc.owner,
+                                         is_goal=loc.is_goal, weight=loc.weight)
+        reg2[down(name)] = dn_region
+
+    def guard_down(guards: tuple[Guard, ...], up: frozenset[int]) -> tuple[Guard, ...]:
+        out = [g for g in guards
+               if not (g.clock in up and g.op == "==" and g.bound == 1)]
+        out += [Guard(x, "==", 0) for x in sorted(up)]
+        return tuple(dict.fromkeys(out))
+
+    new_trans: list[Transition] = []
+    for t in transitions:
+        up = rg.reg[t.src].upclock
+        cd = guard_down(t.guards, up)
+        if t.tgt in goals:
+            # The plain copy is unchanged.  The early-reset copy arrives at
+            # the goal with the clocks of ``up`` not reset by t physically
+            # at 1 yet stored at 0, so it lands in a per-source goal twin
+            # whose region has them at 0.
+            new_trans.append(t)
+            ones = up - t.resets
+            if ones:
+                twin = f"{down(t.tgt)}${t.tid}"
+                loc = game.locations[t.tgt]
+                locations[twin] = Location(name=twin, owner=loc.owner,
+                                           is_goal=loc.is_goal, weight=loc.weight)
+                reg2[twin] = rg.reg[t.tgt].reset(ones)
+                tgt_dn = twin
+            else:
+                tgt_dn = t.tgt
+            new_trans.append(Transition(
+                tid=f"{t.tid}%gd", src=down(t.src), tgt=tgt_dn,
+                guards=cd, resets=t.resets, weight=t.weight))
+        elif not t.resets:
+            if not any(g.op == "==" and g.bound == 1 and g.clock in up
+                       for g in t.guards):
+                raise StructuralError(
+                    f"{t.tid}: reset-free transition without a top x==1 guard")
+            new_trans.append(Transition(
+                tid=f"{t.tid}%p", src=t.src, tgt=down(t.tgt),
+                guards=t.guards, resets=up, weight=t.weight))
+            new_trans.append(Transition(
+                tid=f"{t.tid}%pd", src=down(t.src), tgt=down(t.tgt),
+                guards=cd, resets=up, weight=t.weight))
+        else:
+            new_trans.append(t)
+            new_trans.append(Transition(
+                tid=f"{t.tid}%d", src=down(t.src), tgt=t.tgt,
+                guards=cd, resets=t.resets | up, weight=t.weight))
+
+    # Resetting a clock that is guarded to be exactly 0 is a no-op, so do it:
+    # it settles the "every ==0/==1 guard resets its clock" postcondition.
+    def settle(t: Transition) -> Transition:
+        zeros = {g.clock for g in t.guards if g.op == "==" and g.bound == 0}
+        return t if zeros <= t.resets else Transition(
+            tid=t.tid, src=t.src, tgt=t.tgt, guards=t.guards,
+            resets=t.resets | zeros, weight=t.weight)
+
+    new_trans = [settle(t) for t in new_trans]
+
+    initial = game.initial
+    out_game = WeightedTimedGame(list(game.clocks), locations, new_trans, initial)
+    out = RegionGame(out_game, reg2, {}, trimmed=False, relaxed=True)
+    out = regions.prune_unreachable(out, roots=[initial.location])
+    out = regions.trim(out)
+    for t in out.game.transitions:
+        out.guard_region[t.tid] = regions.infer_guard_region(out, t)
+    return out
+

@@ -367,17 +367,62 @@ def test_normalize_and_prune_share_roll_liveness():
         Configuration("a", (F(0), F(0))))
     kept = [t.tid for t in drop_dead_rolls(g.transitions, g.locations)]
     assert kept == ["__roll_d", "__roll_ba", "t"]
-    # With one integer part (M = 1), normalize_01 finds c dead, so the walk
-    # drops the rollover into it, as the reference does...
-    assert clock_bound(g) == 1
-    ng = normalize_01(g)
-    assert {list(g.locations)[li] for li, _ in ng.live} == set("abd")
-    assert [t.tid for t in region_reference.normalize_01(g).transitions] == \
-        [f"{tid}#0,0" for tid in kept]
-    # ... and prune_dead_rolls restricts a region game to the same moves.
     pruned = prune_dead_rolls(RegionGame(g, {}, {}))
     assert [t.tid for t in pruned.game.transitions] == kept
     assert prune_dead_rolls(pruned) is pruned
+    # Only the region game has rollovers: an input id named like one is
+    # refused, by normalize_01 and by its reference alike.
+    message = "transition __roll_d: ids starting with __roll_ are kept for rollovers"
+    for normalize in (normalize_01, region_reference.normalize_01):
+        with pytest.raises(InputError) as info:
+            normalize(g)
+        assert str(info.value) == message
+    # Over integer copies, the rollovers that drop_dead_rolls keeps in the
+    # reference's materialised game are those into normalize_01's live copies.
+    dropped = 0
+    for name, game in ([(name, g) for name, g, _ in exact_corpus()]
+                       + [(f"random-{seed}", test_anz.random_game(seed))
+                          for seed in range(60)]):
+        ng, ref = normalize_01(game), region_reference.normalize_01(game)
+        n, names = len(game.clocks), list(game.locations)
+        rolls = {f"__roll_{names[li]}#{','.join(map(str, nbar))}_"
+                 f"{'_'.join(map(str, s))}": (li, tuple(
+                     v + (x in s) for x, v in enumerate(nbar)))
+                 for li in range(len(names))
+                 if not game.locations[names[li]].is_goal
+                 for nbar in itertools.product(range(ng.m), repeat=n)
+                 for s in regions._nonempty_subsets(range(n))
+                 if all(nbar[x] < ng.m - 1 for x in s)}
+        kept = {t.tid for t in ref.transitions if regions.is_rollover(t.tid)}
+        assert kept == {tid for tid, tgt in rolls.items() if tgt in ng.live}, \
+            name
+        dropped += len(rolls) - len(kept)
+    assert dropped
+
+
+def test_an_id_named_like_a_rollover_is_refused(tmp_path, capsys):
+    """Renaming a move must not change the value: a Max location of rate 1
+    whose second move leads to a dead end is worth +inf, and named like a
+    rollover that move is refused, not dropped as a dead rollover."""
+    def game(tid):
+        return WeightedTimedGame(
+            ["x", "y"], {"b": Location("b", MAX, weight=1),
+                         "c": Location("c", MIN),
+                         "G": Location("G", MIN, is_goal=True)},
+            [Transition("bG", "b", "G", (Guard(X, "<=", 1),), frozenset({X})),
+             Transition(tid, "b", "c", (Guard(X, "<=", 1),), frozenset({X}))],
+            Configuration("b", (F(0), F(0))))
+
+    assert solve(game("bc")).value == INF
+    message = ("transition __roll_bc: ids starting with __roll_ are kept for "
+               "rollovers")
+    with pytest.raises(InputError) as info:
+        solve(game("__roll_bc"))
+    assert str(info.value) == message
+    path = tmp_path / "game.json"
+    save_game(game("__roll_bc"), str(path))
+    assert main(["solve", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +543,7 @@ def _walk_games():
         ["x", "y"], dict(unbounded.locations),
         [Transition("t", "a", "G", (Guard(X, "<=", 1),))],
         Configuration("a", (F(0), F(5, 2))))
-    # Ids named like rollovers are judged as rollovers: from d the walk
-    # keeps b's roll to a, which has a real exit, and drops the one to c.
+    # Ids named like rollovers are refused: only the walk makes rollovers.
     named_rolls = WeightedTimedGame(
         ["x", "y"], {n: Location(n, MIN, is_goal=n == "G") for n in "abcdG"},
         [Transition(tid, src, tgt, resets=frozenset({X}))
@@ -520,18 +564,25 @@ def _walk_games():
                ("far", far)])
 
 
-def _built(game, reference=False):
-    """Every field of the region game built from ``game``, in order, or the
-    class and message of the error that stops the build."""
-    try:
-        rg = (region_reference.build_region_wtg(
-            region_reference.normalize_01(game)) if reference
-            else build_region_wtg(normalize_01(game)))
-    except GameError as exc:
-        return type(exc), str(exc)
+def _fields(rg):
+    """Every field of a region game, in order."""
     return (rg.game.clocks, list(rg.game.locations.items()),
             rg.game.transitions, rg.game.initial, list(rg.reg.items()),
             list(rg.guard_region.items()), rg.trimmed, rg.relaxed)
+
+
+def _built(game, reference=False):
+    """Every field of the region game built from ``game``, in order, or the
+    class and message of the error that stops the build.  The walk emits
+    its guards relaxed and trimmed, so the reference's build is relaxed and
+    trimmed to compare."""
+    try:
+        rg = (trim(relax(region_reference.build_region_wtg(
+            region_reference.normalize_01(game)))) if reference
+            else build_region_wtg(normalize_01(game)))
+    except GameError as exc:
+        return type(exc), str(exc)
+    return _fields(rg)
 
 
 def _padded(game, count=200):
@@ -569,9 +620,10 @@ class TestForwardBuild:
             errors += len(new) == 2
             rolls += len(new) > 2 and any(
                 regions.is_rollover(t.tid) for t in new[2])
-        assert errors == 2 and rolls > 50, (errors, rolls)
-        named = {t.tid.split("#")[0] for t in _built(games["named_rolls"])[2]}
-        assert "__roll_ba" in named and "__roll_bc" not in named
+        assert errors == 3 and rolls > 50, (errors, rolls)
+        assert _built(games["named_rolls"]) == (
+            InputError, "transition __roll_d: ids starting with __roll_ are "
+            "kept for rollovers")
 
     def test_unreachable_locations_cost_nothing_and_change_nothing(
             self, tmp_path, monkeypatch):
@@ -607,17 +659,74 @@ class TestForwardBuild:
 
     def test_same_cut_as_the_full_product(self):
         """Same locations and transitions in the same order, with the same
-        ids, guards and resets, and the same regions and guard regions."""
+        ids, guards and resets, and the same regions and guard regions; the
+        walk's guards are relaxed and trimmed, so the product's are too."""
         for name, game in _forward_build_games():
             new = _reachable_part(build_region_wtg(normalize_01(game)))
-            ref = _reachable_part(full_region_wtg(
-                region_reference.normalize_01(game)))
+            ref = trim(relax(_reachable_part(full_region_wtg(
+                region_reference.normalize_01(game)))))
             assert list(new.game.locations.items()) == \
                 list(ref.game.locations.items()), name
             assert new.game.transitions == ref.game.transitions, name
             assert new.game.initial == ref.game.initial, name
             assert new.reg == ref.reg, name
             assert new.guard_region == ref.guard_region, name
+
+    def test_no_feasibility_question_is_asked_twice(self, monkeypatch):
+        """Within one build no (region, guards) reaches ``delay_feasible``
+        twice, and ``relax`` and ``trim`` return the walk's output as it
+        is."""
+        asked = []
+        feasible = regions.delay_feasible
+        monkeypatch.setattr(regions, "delay_feasible", lambda r, guards: (
+            asked.append((r, tuple(guards))), feasible(r, guards))[1])
+        total = 0
+        for name, game in _walk_games():
+            asked.clear()
+            try:
+                rg = build_region_wtg(normalize_01(game))
+            except GameError:
+                continue
+            assert len(set(asked)) == len(asked), name
+            assert relax(rg) is rg and trim(rg) is rg, name
+            total += len(asked)
+        assert total > 10_000, total
+
+    def test_add_resets_builds_what_the_reference_keeps(self):
+        """``add_resets`` builds only what the initial location reaches in
+        the doubled game, and gives what the reference's doubling and then
+        cutting gives, field for field and in order, or the same error
+        class and message."""
+        def inputs():
+            for name, game in _walk_games():
+                try:
+                    rg = build_region_wtg(normalize_01(game))
+                    yield name, prune_max_traps(trim(relax(prune_unreachable(
+                        prune_dead_rolls(rg), [rg.game.initial.location]))))
+                except GameError:
+                    continue
+            # Two games that stop it: one not relaxed, and one flagged
+            # trimmed whose reset-free move has its x==1 off the top clock.
+            yield "unrelaxed", build_01(_small_01_game())
+            game = WeightedTimedGame(
+                ["x", "y"], {"a": Location("a", MIN), "b": Location("b", MAX)},
+                [Transition("t", "a", "b", (Guard(X, "==", 1),))],
+                Configuration("a", (F(0), F(1, 2))))
+            yield "off_top", RegionGame(game, dict.fromkeys("ab", R({X}, {Y})),
+                                        {}, trimmed=True, relaxed=True)
+
+        built = errors = 0
+        for name, rg in inputs():
+            out = []
+            for add in (add_resets, region_reference.add_resets):
+                try:
+                    out.append(_fields(add(rg)))
+                except GameError as exc:
+                    out.append((type(exc), str(exc)))
+            assert out[0] == out[1], name
+            built += 1
+            errors += len(out[0]) == 2
+        assert built > 500 and errors == 2, (built, errors)
 
     def test_only_reachable_moves_are_built(self):
         game = test_anz.random_game(3)
@@ -645,10 +754,12 @@ def _stages(game):
     """(transitions, guard regions) of the built game trimmed, after relax
     and trim, and after add_resets, up to the type of the error that stops
     the pipeline; trim and guard-region inference are looked up in
-    ``regions`` at call time."""
+    ``regions`` at call time.  The game is the reference's build, whose
+    guards are neither relaxed nor trimmed yet (the walk emits them both)."""
     out = []
     try:
-        rg = build_region_wtg(normalize_01(game))
+        rg = region_reference.build_region_wtg(
+            region_reference.normalize_01(game))
         out.append(regions.trim(rg))
         rg = regions.trim(relax(prune_unreachable(
             prune_dead_rolls(rg), [rg.game.initial.location])))

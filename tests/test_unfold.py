@@ -654,22 +654,20 @@ def test_reparam_refuses_points_outside_the_domain():
 
 
 def test_the_tabulated_geometry_equals_its_uncached_form():
-    """``_chord`` and ``_segment_plan`` answer from process-wide tables:
-    computed once and then looked up, every answer equals a fresh
-    computation, for every 2-clock guard region, 1-D source region, set of
-    reset clocks and clock read, and for flow lines through and past the
-    unit square."""
-    unfold._chord.cache_clear()
+    """``_corner_chord`` and ``_segment_plan`` answer from process-wide
+    tables: computed once and then looked up, every answer equals a fresh
+    computation, for every 2-clock guard region, flow line through a corner
+    of the unit square, 1-D source region, set of reset clocks and clock
+    read."""
+    unfold._corner_chord.cache_clear()
     unfold._segment_plan.cache_clear()
     regs = all_regions(2)
-    flows = [F(-3, 2), F(-1), F(-1, 3), F(0), F(1, 4), F(1), F(2)]
     resets = [frozenset(c) for c in ((), (0,), (1,), (0, 1))]
     plans = set()
     for _ in range(2):
         for gr in regs:
-            for c0 in flows:
-                assert (unfold._chord(gr, c0)
-                        == unfold._chord.__wrapped__(gr, c0)), (gr, c0)
+            for c0 in (F(-1), F(0), F(1)):
+                assert unfold._corner_chord(gr, c0) == unfold._chord(gr, c0)
             for src in (r for r in regs if r.dim == 1):
                 for rs, axis in itertools.product(resets, (0, 1)):
                     plan = unfold._segment_plan(src, gr, rs, axis)
@@ -687,7 +685,7 @@ def test_the_process_wide_tables_do_not_leak_between_games():
     functions."""
     games = ([g for _, g, _ in exact_corpus()]
              + [test_anz.random_game(s) for s in range(150)])
-    tables = (unfold._chord, unfold._segment_plan, regions._table)
+    tables = (unfold._corner_chord, unfold._segment_plan, regions._table)
 
     def outcomes(order, fresh=False):
         out = {}
@@ -707,6 +705,28 @@ def test_the_process_wide_tables_do_not_leak_between_games():
     assert outcomes(range(len(games))) == alone
     assert outcomes(reversed(range(len(games)))) == alone
     assert any(isinstance(v[0], type) for v in alone.values())
+
+
+def test_no_cache_grows_with_the_initial_valuation():
+    """Fifty games that differ only in their initial valuation, all inside
+    one 2-D region, leave no ``functools`` cache of ``unfold`` or
+    ``regions`` fuller than the first game did: no cache is keyed by the
+    input."""
+    def sizes():
+        return {f"{m.__name__}.{name}": f.cache_info().currsize
+                for m in (unfold, regions) for name, f in vars(m).items()
+                if hasattr(f, "cache_info")}
+
+    locs = [loc("a", weight=1), loc("G", goal=True)]
+    trans = [Transition("t", "a", "G", guards=(G(1, "==", 1),),
+                        resets=frozenset({1}))]
+    first = None
+    for k in range(50):
+        y = F(1, 2) + F(k, 200)
+        assert solve(make_game(locs, trans, "a", (F(1, 3), y))).value == 1 - y
+        first = first or sizes()
+    assert first and all(sizes()[name] <= n for name, n in first.items()), \
+        (first, sizes())
 
 
 # -- kernels against the Delta reference and its 2-D exit projection ---------
