@@ -155,12 +155,6 @@ def _chord(gr: Region, c0: Fraction) -> Optional[tuple[Valuation, Valuation]]:
     return a, b
 
 
-# Chords of the flow lines through a corner of the unit square, as from a
-# point source region: a table fixed by the regions, where the chords
-# through initial valuations would grow with every game solved.
-_corner_chord = functools.lru_cache(maxsize=None)(_chord)
-
-
 class _Plan(NamedTuple):
     """How a move is costed over a 1-D source region, per unit of the
     source's rate w0.  Its cost is the child's value read along ``view``
@@ -256,9 +250,7 @@ def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
     None when no delay fits."""
     if child.is_infinite:
         return PLF1.infinite()
-    c0 = nu[1] - nu[0]
-    chord = (_corner_chord if c0.denominator == 1 else _chord)(
-        rg.guard_region[t.tid], c0)
+    chord = _chord(rg.guard_region[t.tid], nu[1] - nu[0])
     if chord is None or chord[1][0] < nu[0]:
         return None
     pa, pb = chord

@@ -654,20 +654,16 @@ def test_reparam_refuses_points_outside_the_domain():
 
 
 def test_the_tabulated_geometry_equals_its_uncached_form():
-    """``_corner_chord`` and ``_segment_plan`` answer from process-wide
-    tables: computed once and then looked up, every answer equals a fresh
-    computation, for every 2-clock guard region, flow line through a corner
-    of the unit square, 1-D source region, set of reset clocks and clock
+    """``_segment_plan`` answers from a process-wide table: computed once
+    and then looked up, every answer equals a fresh computation, for every
+    2-clock guard region, 1-D source region, set of reset clocks and clock
     read."""
-    unfold._corner_chord.cache_clear()
     unfold._segment_plan.cache_clear()
     regs = all_regions(2)
     resets = [frozenset(c) for c in ((), (0,), (1,), (0, 1))]
     plans = set()
     for _ in range(2):
         for gr in regs:
-            for c0 in (F(-1), F(0), F(1)):
-                assert unfold._corner_chord(gr, c0) == unfold._chord(gr, c0)
             for src in (r for r in regs if r.dim == 1):
                 for rs, axis in itertools.product(resets, (0, 1)):
                     plan = unfold._segment_plan(src, gr, rs, axis)
@@ -685,7 +681,7 @@ def test_the_process_wide_tables_do_not_leak_between_games():
     functions."""
     games = ([g for _, g, _ in exact_corpus()]
              + [test_anz.random_game(s) for s in range(150)])
-    tables = (unfold._corner_chord, unfold._segment_plan, regions._table)
+    tables = (unfold._segment_plan, regions._table)
 
     def outcomes(order, fresh=False):
         out = {}
