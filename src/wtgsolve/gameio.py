@@ -32,6 +32,13 @@ def _array(value, what: str) -> list:
     return value
 
 
+def _string(value, what: str) -> str:
+    """A JSON string; a number is refused rather than used as a name."""
+    if not isinstance(value, str):
+        raise InputError(f"{what}: expected a JSON string, got {value!r}")
+    return value
+
+
 def game_from_dict(data: dict) -> WeightedTimedGame:
     """Build a game from its JSON form; malformed input raises InputError."""
     try:
@@ -41,14 +48,15 @@ def game_from_dict(data: dict) -> WeightedTimedGame:
             raise InputError("duplicate clock names")
         locations = {}
         for ld in data["locations"]:
+            name = _string(ld["id"], "location id")
             goal = ld.get("goal", False)
             if not isinstance(goal, bool):
-                raise InputError(f"location {ld['id']}: goal must be true or false")
+                raise InputError(f"location {name}: goal must be true or false")
             loc = Location(
-                name=ld["id"],
+                name=name,
                 owner=ld["owner"],
                 is_goal=goal,
-                weight=_natural(ld.get("weight", 0), f"location {ld['id']} weight"),
+                weight=_natural(ld.get("weight", 0), f"location {name} weight"),
             )
             if loc.name in locations:
                 raise InputError(f"duplicate location {loc.name}")
@@ -70,7 +78,7 @@ def game_from_dict(data: dict) -> WeightedTimedGame:
                 resets.append(index[clock])
             transitions.append(
                 Transition(
-                    tid=td.get("id", f"t{i}"),
+                    tid=_string(td.get("id", f"t{i}"), f"transition {i} id"),
                     src=td["from"],
                     tgt=td["to"],
                     guards=tuple(guards),

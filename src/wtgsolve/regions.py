@@ -8,7 +8,8 @@ value iteration can digest:
 
     normalize_01      -> clock integer parts folded out: per transition, its
                          guards over fractional parts in each integer part,
-                         and the integer copies whose rollovers are live
+                         and per clock the highest integer part it is
+                         enabled in, at or below which rollovers are live
     build_region_wtg  -> one forward walk over the reached (location, integer
                          parts, region): the region-locations, one region
                          each, with guards refined per region, closed and
@@ -39,12 +40,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .core import (
-    MAX,
     MIN,
     OPS,
     Configuration,
@@ -57,7 +58,7 @@ from .core import (
     Valuation,
     WeightedTimedGame,
 )
-from .graphs import reachable, strongly_connected_components
+from .graphs import reachable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -402,20 +403,6 @@ def is_rollover(tid: str) -> bool:
     return tid.startswith("__roll_")
 
 
-def drop_dead_rolls(transitions: Sequence[Transition],
-                    locations: Mapping[str, Location]) -> list[Transition]:
-    """The transitions without the rollovers after which no real transition
-    and no goal is reachable through rollovers alone.  :func:`normalize_01`
-    runs the same search over integer copies."""
-    back: dict[str, list[str]] = {}
-    for t in transitions:
-        if is_rollover(t.tid):
-            back.setdefault(t.tgt, []).append(t.src)
-    live = reachable(back, [t.src for t in transitions if not is_rollover(t.tid)]
-                     + [n for n, l in locations.items() if l.is_goal])
-    return [t for t in transitions if not is_rollover(t.tid) or t.tgt in live]
-
-
 def _translate(g: Guard, ni: int) -> Optional[tuple[Guard, ...]]:
     """Clauses over the fractional clock of ``g`` in integer part ``ni``, or
     None when unsatisfiable.  The atom has one truth value at ni, one on
@@ -453,15 +440,15 @@ class Normalized:
     """A game with clock integer parts folded out, as tables over it: copy
     (l, n1..nk) with fractional valuation nu stands for l with valuation
     (n1+nu1, ..).  ``clauses[t][a]`` is the :func:`_translate` row of atom
-    a of transition t over the integer parts 0..m-1, ``live`` the copies
-    (location index, integer parts) from which rollovers alone reach a real
-    transition, and ``initial`` the initial copy and fractional
-    valuation."""
+    a of transition t over the integer parts 0..m-1, ``tops[t]`` holds per
+    clock the highest integer part at which every atom of t on that clock
+    holds (-1 when none does), and ``initial`` is the initial copy and
+    fractional valuation."""
 
     game: WeightedTimedGame
     m: int
     clauses: list[tuple[tuple[Optional[tuple[Guard, ...]], ...], ...]]
-    live: set[tuple[int, tuple[int, ...]]]
+    tops: list[tuple[int, ...]]
     initial: tuple[int, tuple[int, ...], Valuation]
 
 
@@ -473,10 +460,12 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
     Zero-weight rollovers ``__roll_*`` let clocks cross an integer boundary
     mid-wait, so an input id with that prefix is rejected.  A move is a
     delay *plus* an enabled transition, so only the rollovers after which
-    rollovers alone reach a real transition are live, found by one backward
-    search over the integer copies, as :func:`drop_dead_rolls` does over
-    named locations.  Clocks are bounded by M = :func:`clock_bound`: a clock
-    with only lower bounds is rejected.
+    rollovers alone reach a real transition are live.  Rolling only raises
+    integer parts, one clock at a time reaches every copy above, and a
+    transition is enabled on a product of per-clock sets, so a copy of a
+    non-goal location is live exactly when it lies, clock by clock, at or
+    below the ``tops`` of a transition leaving it.  Clocks are bounded by
+    M = :func:`clock_bound`: a clock with only lower bounds is rejected.
     """
     n = len(game.clocks)
     m = clock_bound(game)
@@ -496,25 +485,12 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
     by_atom = {g: tuple(_translate(g, ni) for ni in range(m))
                for g in dict.fromkeys(g for t in game.transitions for g in t.guards)}
     clauses = [tuple(by_atom[g] for g in t.guards) for t in game.transitions]
-    index = {name: i for i, name in enumerate(game.locations)}
-    goal = [loc.is_goal for loc in game.locations.values()]
-    live: set[tuple[int, tuple[int, ...]]] = set()
+    tops = []
     for t, rows in zip(game.transitions, clauses):
-        parts = [range(m)] * n
+        held = [range(m)] * n
         for g, row in zip(t.guards, rows):
-            parts[g.clock] = [ni for ni in parts[g.clock] if row[ni] is not None]
-        live.update((index[t.src], nbar) for nbar in itertools.product(*parts))
-    todo = list(live)
-    while todo:
-        li, nbar = todo.pop()
-        # Rolling the clocks of S ends here from nbar - S: one clock at a
-        # time reaches all of those copies.
-        before = [] if goal[li] else [(li, (*nbar[:x], v - 1, *nbar[x + 1:]))
-                                      for x, v in enumerate(nbar) if v]
-        for copy in before:
-            if copy not in live:
-                live.add(copy)
-                todo.append(copy)
+            held[g.clock] = [ni for ni in held[g.clock] if row[ni] is not None]
+        tops.append(tuple(max(ns, default=-1) for ns in held))
 
     nbar0, frac0 = [], []
     for v in game.initial.valuation:
@@ -522,8 +498,9 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
             raise InputError(f"initial clock value {v} out of [0,{m})")
         nbar0.append(int(v))
         frac0.append(v - int(v))
-    return Normalized(game, m, clauses, live, (
-        index[game.initial.location], tuple(nbar0), tuple(frac0)))
+    return Normalized(game, m, clauses, tops, (
+        list(game.locations).index(game.initial.location), tuple(nbar0),
+        tuple(frac0)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +544,9 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
 
     One forward walk expands each reached (location, integer parts, region)
     once.  A copy's moves are made on its first visit: its transitions
-    whose atoms all hold there, then its live rollovers.  A move from
+    whose atoms all hold there, then its live rollovers, those into a copy
+    at or below, clock by clock, the ``tops`` of a transition leaving a
+    non-goal location (see :func:`normalize_01`).  A move from
     region r fires after the time successor k of r; it is kept when its
     target region is fractional and some delay from r satisfies its guard,
     the test :func:`trim` applies.  Its guard is emitted closed, without
@@ -580,7 +559,7 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     by (location, integer parts, region): integer parts in
     ``itertools.product`` order, regions in :func:`all_regions` order.
     """
-    game, m, table = ng.game, ng.m, _table(len(ng.game.clocks))
+    game, table = ng.game, _table(len(ng.game.clocks))
     names, locs = list(game.locations), list(game.locations.values())
     index = {name: i for i, name in enumerate(names)}
     out_of: list[list[int]] = [[] for _ in names]
@@ -596,13 +575,13 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
             if move:
                 out.append(((ti, nbar), f"{t.tid}#{part}",
                             (index[t.tgt], move[2]), *move[:2], t.weight))
+        tops = [] if locs[li].is_goal else [ng.tops[ti] for ti in out_of[li]]
         for si, s in enumerate(_nonempty_subsets(range(len(nbar)))):
-            tgt = (li, tuple(v + (x in s) for x, v in enumerate(nbar)))
-            if (not locs[li].is_goal and all(nbar[x] < m - 1 for x in s)
-                    and tgt in ng.live):
+            tgt = tuple(v + (x in s) for x, v in enumerate(nbar))
+            if any(all(map(operator.le, tgt, top)) for top in tops):
                 out.append(((len(game.transitions), li, nbar, si),
                             f"__roll_{names[li]}#{part}_{'_'.join(map(str, s))}",
-                            tgt, (*(Guard(x, "==", 1) for x in s),
+                            (li, tgt), (*(Guard(x, "==", 1) for x in s),
                                   *(Guard(y, "<", 1) for y in range(len(nbar))
                                     if y not in s)), frozenset(s), 0))
         return out
@@ -746,23 +725,6 @@ def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
 # ---------------------------------------------------------------------------
 # All-reset transformation
 # ---------------------------------------------------------------------------
-
-def max_traps(game: WeightedTimedGame) -> set[str]:
-    """The non-goal Max locations from which Max can keep the play among
-    such locations forever: those that reach a cycle of them."""
-    max_locs = {n for n, l in game.locations.items()
-                if l.owner == MAX and not l.is_goal}
-    succ: dict[str, list[str]] = {}
-    back: dict[str, list[str]] = {}
-    for t in game.transitions:
-        if t.src in max_locs and t.tgt in max_locs:
-            succ.setdefault(t.src, []).append(t.tgt)
-            back.setdefault(t.tgt, []).append(t.src)
-    on_cycle = [n for comp in strongly_connected_components(succ)
-                if len(comp) > 1 or comp[0] in succ.get(comp[0], ())
-                for n in comp]
-    return reachable(back, on_cycle)
-
 
 _COMPOSE_CAP = 10_000
 
@@ -916,9 +878,12 @@ def add_resets(rg: RegionGame) -> RegionGame:
 
 
 def prune_unreachable(rg: RegionGame, roots: Sequence[str]) -> RegionGame:
-    """Restrict to locations reachable in the location graph from roots."""
+    """Restrict to locations reachable in the location graph from roots;
+    a game in which every location is reached is returned as it is."""
     adj: dict[str, list[str]] = {}
     for t in rg.game.transitions:
         adj.setdefault(t.src, []).append(t.tgt)
     seen = reachable(adj, [r for r in roots if r in rg.game.locations])
+    if len(seen) == len(rg.game.locations):
+        return rg
     return restrict(rg, seen, [t.tid for t in rg.game.transitions])

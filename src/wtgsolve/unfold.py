@@ -20,15 +20,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import (INF, MIN, ExtRat, GameError, InputError, StructuralError,
-                   DomainError, Transition, Valuation, WeightedTimedGame,
-                   frac, frac_str)
-from .graphs import strongly_connected_components
+from .core import (INF, MAX, MIN, ExtRat, GameError, InputError,
+                   StructuralError, DomainError, Transition, Valuation,
+                   WeightedTimedGame, frac, frac_str)
+from .graphs import reachable, strongly_connected_components
 from .plf import (ONE, ZERO, PLF1, eval1, pointwise_extremum,
                   running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
-                      drop_dead_rolls, max_traps, normalize_01,
-                      prune_unreachable, relax, restrict, trim)
+                      is_rollover, normalize_01, prune_unreachable, relax,
+                      restrict, trim)
 from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      check_almost_non_zeno, compute_bounds, extract_kernel,
                      fix_weight_zero, mark_green)
@@ -299,9 +299,22 @@ def prune_max_traps(rg: RegionGame) -> RegionGame:
     it into a blocked state, which the solver already values +infinity.
     Min-owned predecessors keep their edges into these traps (taking one is
     simply a bad move), and no Max-owned location outside the set has an
-    edge into it, so no other value changes."""
+    edge into it, so no other value changes.  The trapped locations are
+    the non-goal Max ones that reach a cycle of such locations; a game
+    without them is returned as it is."""
     game = rg.game
-    trapped = max_traps(game)
+    max_locs = {n for n, l in game.locations.items()
+                if l.owner == MAX and not l.is_goal}
+    succ: dict[str, list[str]] = {}
+    back: dict[str, list[str]] = {}
+    for t in game.transitions:
+        if t.src in max_locs and t.tgt in max_locs:
+            succ.setdefault(t.src, []).append(t.tgt)
+            back.setdefault(t.tgt, []).append(t.src)
+    on_cycle = [n for comp in strongly_connected_components(succ)
+                if len(comp) > 1 or comp[0] in succ.get(comp[0], ())
+                for n in comp]
+    trapped = reachable(back, on_cycle)
     if not trapped:
         return rg
     return restrict(rg, game.locations,
@@ -309,15 +322,25 @@ def prune_max_traps(rg: RegionGame) -> RegionGame:
 
 
 def prune_dead_rolls(rg: RegionGame) -> RegionGame:
-    """Drop the rollovers that the region build left dead: it keeps only the
-    moves whose guard can hold, which may leave out real transitions that
-    :func:`normalize_01` counted on when it kept them (see
-    :func:`regions.drop_dead_rolls`)."""
+    """Drop the rollovers after which rollovers alone reach no real
+    transition, found by one backward search over the rollovers (they
+    leave and enter copies of one non-goal location, never a goal).
+    :func:`normalize_01`'s ``tops`` count on every transition enabled in an
+    integer copy, but the build keeps only the moves whose guard can hold
+    after a delay from the region, so a rollover it keeps may lead nowhere.
+    A game without such rollovers is returned as it is."""
     game = rg.game
-    transitions = drop_dead_rolls(game.transitions, game.locations)
-    if len(transitions) == len(game.transitions):
+    back: dict[str, list[str]] = {}
+    for t in game.transitions:
+        if is_rollover(t.tid):
+            back.setdefault(t.tgt, []).append(t.src)
+    live = reachable(back, [t.src for t in game.transitions
+                            if not is_rollover(t.tid)])
+    kept = [t.tid for t in game.transitions
+            if not is_rollover(t.tid) or t.tgt in live]
+    if len(kept) == len(game.transitions):
         return rg
-    return restrict(rg, game.locations, [t.tid for t in transitions])
+    return restrict(rg, game.locations, kept)
 
 
 def check_finite_value(rg: RegionGame) -> bool:

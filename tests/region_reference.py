@@ -1,6 +1,7 @@
 """References that the region pipeline is checked against: the
 materialising ``normalize_01``, which builds every integer copy of every
-location and transition and then drops the dead rollovers, and the forward
+location and transition and the rollovers into the copies that the
+backward search of ``live_copies`` finds live, and the forward
 ``build_region_wtg`` over the [0,1)-game it returns, which together give
 what ``regions.build_region_wtg(regions.normalize_01(game))`` must give
 field for field; the full region product, every [0,1)-region of every
@@ -20,7 +21,7 @@ from wtgsolve import regions
 from wtgsolve.core import (MIN, Configuration, Guard, InputError, Location,
                            StructuralError, Transition, WeightedTimedGame)
 from wtgsolve.regions import (Region, RegionGame, _table, all_regions,
-                              clock_bound, delay_feasible, drop_dead_rolls,
+                              clock_bound, delay_feasible,
                               elapsed_region_feasible, region_of)
 
 # The atoms whose disjunction is the negation of a guard atom's operator.
@@ -44,6 +45,47 @@ def _copy_name(name: str, nbar: tuple[int, ...]) -> str:
     return f"{name}#{','.join(map(str, nbar))}"
 
 
+def translate(g: Guard, ni: int) -> Optional[list[Guard]]:
+    """Clauses over the fractional clock of ``g`` in its integer copy
+    ``ni``, or None when unsatisfiable.  The atom has one truth value at
+    ni, one on (ni, ni + 1), read at ni + 1/2, and one at ni + 1."""
+    x = g.clock
+    if g.holds(ni + Fraction(1, 2)):
+        return [] if g.holds(ni) else [Guard(x, ">", 0)]
+    if g.holds(ni):
+        return [Guard(x, "==", 0)]
+    if g.holds(ni + 1):
+        return [Guard(x, "==", 1)]
+    return None
+
+
+def live_copies(game: WeightedTimedGame,
+                m: int) -> set[tuple[str, tuple[int, ...]]]:
+    """The copies (location, integer parts) from which rollovers alone reach
+    a copy in which some transition is enabled, found by one backward
+    search over the integer copies 0..m-1: rolling the clocks of S ends in
+    nbar from nbar - S, and one clock at a time reaches all of those
+    copies.  A goal rolls nowhere."""
+    live = set()
+    for t in game.transitions:
+        parts = [range(m)] * len(game.clocks)
+        for g in t.guards:
+            parts[g.clock] = [ni for ni in parts[g.clock]
+                              if translate(g, ni) is not None]
+        live.update((t.src, nbar) for nbar in itertools.product(*parts))
+    todo = list(live)
+    while todo:
+        name, nbar = todo.pop()
+        if game.locations[name].is_goal:
+            continue
+        for x, v in enumerate(nbar):
+            copy = (name, (*nbar[:x], v - 1, *nbar[x + 1:]))
+            if v and copy not in live:
+                live.add(copy)
+                todo.append(copy)
+    return live
+
+
 def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
     """Fold clock integer parts into the locations.
 
@@ -51,9 +93,10 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
     valuation (n1+nu1, ..).  Guards are rewritten over fractional parts
     (constants 0/1 only); a guard x==1 always resets x and bumps the stored
     integer part.  Zero-weight "rollover" transitions let a clock cross an
-    integer boundary mid-wait.  Clocks are assumed bounded by M = max guard
-    constant + 1; guards that stay satisfiable at arbitrarily large clock
-    values are rejected, and so are input ids with the rollovers' prefix.
+    integer boundary mid-wait; only those into :func:`live_copies` are
+    kept.  Clocks are assumed bounded by M = max guard constant + 1; guards
+    that stay satisfiable at arbitrarily large clock values are rejected,
+    and so are input ids with the rollovers' prefix.
     """
     n = len(game.clocks)
     m = clock_bound(game)
@@ -77,20 +120,6 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
             locations[_copy_name(name, nbar)] = replace(loc, name=_copy_name(name, nbar))
 
     transitions: list[Transition] = []
-
-    def translate(g: Guard, ni: int) -> Optional[list[Guard]]:
-        """Clauses over the fractional clock in its integer copy ``ni``, or
-        None when unsatisfiable.  The atom has one truth value at ni, one on
-        (ni, ni + 1), read at ni + 1/2, and one at ni + 1."""
-        x = g.clock
-        if g.holds(ni + Fraction(1, 2)):
-            return [] if g.holds(ni) else [Guard(x, ">", 0)]
-        if g.holds(ni):
-            return [Guard(x, "==", 0)]
-        if g.holds(ni + 1):
-            return [Guard(x, "==", 1)]
-        return None
-
     for t in game.transitions:
         by_copy = [[translate(g, ni) for ni in range(m)] for g in t.guards]
         for nbar in copies:
@@ -121,6 +150,7 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
 
     # Rollover: while waiting, the clocks of set S hit 1 together and wrap
     # into the next integer part.  Same physical state, corrected encoding.
+    live = live_copies(game, m)
     for name, loc in game.locations.items():
         if loc.is_goal:
             continue
@@ -132,6 +162,8 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
                     guards = [Guard(x, "==", 1) for x in s]
                     guards += [Guard(y, "<", 1) for y in range(n) if y not in s]
                     target = tuple(nbar[x] + 1 if x in s else nbar[x] for x in range(n))
+                    if (name, target) not in live:
+                        continue
                     transitions.append(Transition(
                         tid=f"__roll_{name}#{','.join(map(str, nbar))}_{'_'.join(map(str, s))}",
                         src=_copy_name(name, nbar),
@@ -139,8 +171,6 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
                         guards=tuple(guards),
                         resets=frozenset(s),
                     ))
-
-    transitions = drop_dead_rolls(transitions, locations)
 
     init = game.initial
     nbar0, frac0 = [], []

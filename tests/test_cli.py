@@ -223,6 +223,11 @@ class TestMalformedInput:
                                     "malformed"),
         "valuation_unknown_clock": (("initial", "valuation", "z"), "7",
                                     "unknown clock 'z'"),
+        # a number where a name belongs: ids are JSON strings
+        "location_id_a_number": (("locations", 0, "id"), 7,
+                                 "location id: expected a JSON string"),
+        "transition_id_a_number": (("transitions", 0, "id"), 5,
+                                   "transition 0 id: expected a JSON string"),
     }
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
@@ -238,6 +243,7 @@ class TestMalformedInput:
         assert main(["solve", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and fragment in captured.err
+        assert "Traceback" not in captured.err
         assert "value =" not in captured.out
 
     # probe -> (clocks, resets of the one edge): a string where an array

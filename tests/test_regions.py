@@ -1,11 +1,12 @@
 """Region primitives and the game transformation pipeline."""
 import itertools
+import operator
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wtgsolve.core import (
     MAX,
@@ -33,10 +34,8 @@ from wtgsolve.regions import (
     build_region_wtg,
     clock_bound,
     delay_feasible,
-    drop_dead_rolls,
     elapsed_region_feasible,
     infer_guard_region,
-    max_traps,
     normalize_01,
     prune_unreachable,
     region_of,
@@ -365,10 +364,9 @@ def test_normalize_and_prune_share_roll_liveness():
          roll("__roll_ba", "b", "a"),
          Transition("t", "a", "G", (Guard(X, "<", 1), Guard(Y, "<", 1)))],
         Configuration("a", (F(0), F(0))))
-    kept = [t.tid for t in drop_dead_rolls(g.transitions, g.locations)]
-    assert kept == ["__roll_d", "__roll_ba", "t"]
     pruned = prune_dead_rolls(RegionGame(g, {}, {}))
-    assert [t.tid for t in pruned.game.transitions] == kept
+    assert [t.tid for t in pruned.game.transitions] == \
+        ["__roll_d", "__roll_ba", "t"]
     assert prune_dead_rolls(pruned) is pruned
     # Only the region game has rollovers: an input id named like one is
     # refused, by normalize_01 and by its reference alike.
@@ -377,27 +375,72 @@ def test_normalize_and_prune_share_roll_liveness():
         with pytest.raises(InputError) as info:
             normalize(g)
         assert str(info.value) == message
-    # Over integer copies, the rollovers that drop_dead_rolls keeps in the
-    # reference's materialised game are those into normalize_01's live copies.
+    # Over integer copies, the rollovers that the reference's backward
+    # search keeps in its materialised game are those into a copy at or
+    # below, clock by clock, the tops of a transition leaving the location.
     dropped = 0
     for name, game in ([(name, g) for name, g, _ in exact_corpus()]
                        + [(f"random-{seed}", test_anz.random_game(seed))
-                          for seed in range(60)]):
+                          for seed in range(400)]
+                       + [(f"padded-{name}", _padded(g))
+                          for name, g in test_golden.corpus()]):
         ng, ref = normalize_01(game), region_reference.normalize_01(game)
-        n, names = len(game.clocks), list(game.locations)
-        rolls = {f"__roll_{names[li]}#{','.join(map(str, nbar))}_"
-                 f"{'_'.join(map(str, s))}": (li, tuple(
+        n = len(game.clocks)
+        rolls = {f"__roll_{src}#{','.join(map(str, nbar))}_"
+                 f"{'_'.join(map(str, s))}": (src, tuple(
                      v + (x in s) for x, v in enumerate(nbar)))
-                 for li in range(len(names))
-                 if not game.locations[names[li]].is_goal
+                 for src, loc in game.locations.items() if not loc.is_goal
                  for nbar in itertools.product(range(ng.m), repeat=n)
                  for s in regions._nonempty_subsets(range(n))
                  if all(nbar[x] < ng.m - 1 for x in s)}
         kept = {t.tid for t in ref.transitions if regions.is_rollover(t.tid)}
-        assert kept == {tid for tid, tgt in rolls.items() if tgt in ng.live}, \
-            name
+        assert kept == {tid for tid, (src, tgt) in rolls.items()
+                        if _below_a_top(ng, src, tgt)}, name
         dropped += len(rolls) - len(kept)
     assert dropped
+
+
+def _below_a_top(ng, name, nbar):
+    """Whether copy ``nbar`` of location ``name`` lies at or below, clock by
+    clock, the tops of some transition leaving it."""
+    return any(t.src == name and all(map(operator.le, nbar, top))
+               for t, top in zip(ng.game.transitions, ng.tops))
+
+
+@st.composite
+def _games_with_constants_to_3(draw):
+    """A game over 2 or 3 clocks with 1-3 locations and a goal, and guard
+    constants 0-3; a guarded clock without an upper bound gets one, which
+    ``normalize_01`` requires."""
+    n = draw(st.sampled_from([2, 3]))
+    names = [f"q{i}" for i in range(draw(st.integers(1, 3)))] + ["G"]
+    transitions = []
+    for i in range(draw(st.integers(0, 5))):
+        guards = [Guard(*g) for g in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.sampled_from(OPS), st.integers(0, 3)),
+            max_size=4))]
+        guards += [Guard(x, "<=", 3) for x in sorted({g.clock for g in guards})
+                   if all(g.op in (">", ">=") for g in guards if g.clock == x)]
+        transitions.append(Transition(
+            f"t{i}", draw(st.sampled_from(names)), draw(st.sampled_from(names)),
+            tuple(guards)))
+    return WeightedTimedGame(
+        [f"c{x}" for x in range(n)],
+        {q: Location(q, MIN, is_goal=q == "G") for q in names}, transitions,
+        Configuration("q0", (F(0),) * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_games_with_constants_to_3())
+def test_tops_keep_the_copies_the_backward_search_finds(game):
+    """A copy of a non-goal location is live, by the backward search over
+    integer copies, exactly when it lies at or below a top."""
+    ng = normalize_01(game)
+    live = region_reference.live_copies(game, ng.m)
+    for name, loc in game.locations.items():
+        if not loc.is_goal:
+            for nbar in itertools.product(range(ng.m), repeat=len(game.clocks)):
+                assert ((name, nbar) in live) == _below_a_top(ng, name, nbar)
 
 
 def test_an_id_named_like_a_rollover_is_refused(tmp_path, capsys):
@@ -736,6 +779,42 @@ class TestForwardBuild:
         assert {t.tid for t in rg.game.transitions} == \
             {t.tid for t in trim(rg).game.transitions}
 
+    def test_a_goal_makes_no_rollovers(self):
+        """A play ends in a goal, so the walk makes no rollover from a
+        goal's copies, even where a transition leaves the goal and the same
+        guards let a non-goal location roll."""
+        game = WeightedTimedGame(
+            ["x", "y"], {"a": Location("a", MIN), "G": Location("G", MIN, True)},
+            [Transition("in", "a", "G", (Guard(X, "<=", 2),)),
+             Transition("out", "G", "a", (Guard(Y, "<=", 2),))],
+            Configuration("a", (F(0), F(0))))
+        built = _built(game)
+        assert built == _built(game, reference=True)
+        rolls = [t.src for t in built[2] if regions.is_rollover(t.tid)]
+        assert any(n.startswith("G#") for n, _ in built[1])
+        assert rolls and not any(src.startswith("G#") for src in rolls)
+
+    def test_prune_unreachable_cuts_only_after_a_dead_rollover(self):
+        """The walk emits only what the initial location reaches, so
+        ``prune_unreachable`` returns its game as it is; only a rollover
+        that ``prune_dead_rolls`` drops can leave something to cut."""
+        built = cut = 0
+        for name, game in _walk_games():
+            try:
+                rg = build_region_wtg(normalize_01(game))
+            except GameError:
+                continue
+            root = [rg.game.initial.location]
+            assert prune_unreachable(rg, root) is rg, name
+            pruned = prune_dead_rolls(rg)
+            out = prune_unreachable(pruned, root)
+            if out is not pruned:
+                assert pruned is not rg, name
+                assert set(out.game.locations) < set(pruned.game.locations)
+                cut += 1
+            built += 1
+        assert built > 500 and cut, (built, cut)
+
 
 def _region_set_games():
     families = test_anz.families
@@ -888,10 +967,12 @@ class TestAddResets:
             ],
             initial=Configuration("p", (F(0), F(0))),
         )
-        # prune_max_traps cuts the cycle before add_resets runs
-        assert max_traps(_relaxed(g).game)
-        pruned = prune_max_traps(_relaxed(g))
-        assert not max_traps(pruned.game)
+        # prune_max_traps cuts the cycle before add_resets runs, and finds
+        # no trap left once it has
+        rg = _relaxed(g)
+        pruned = prune_max_traps(rg)
+        assert len(pruned.game.transitions) < len(rg.game.transitions)
+        assert prune_max_traps(pruned) is pruned
         add_resets(pruned)
         assert solve(g).value == INF == oracle_value(game_to_dict(g))
 
