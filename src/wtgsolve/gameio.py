@@ -42,7 +42,8 @@ def _string(value, what: str) -> str:
 def game_from_dict(data: dict) -> WeightedTimedGame:
     """Build a game from its JSON form; malformed input raises InputError."""
     try:
-        clocks = list(_array(data["clocks"], "clocks"))
+        clocks = [_string(name, "clock name")
+                  for name in _array(data["clocks"], "clocks")]
         index = {name: i for i, name in enumerate(clocks)}
         if len(index) != len(clocks):
             raise InputError("duplicate clock names")

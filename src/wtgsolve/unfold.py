@@ -24,7 +24,7 @@ from .core import (INF, MAX, MIN, ExtRat, GameError, InputError,
                    StructuralError, DomainError, Transition, Valuation,
                    WeightedTimedGame, frac, frac_str)
 from .graphs import reachable, strongly_connected_components
-from .plf import (ONE, ZERO, PLF1, eval1, pointwise_extremum,
+from .plf import (ONE, ZERO, PLF1, eval1, pointwise_extremum, reparam,
                   running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
                       is_rollover, normalize_01, prune_unreachable, relax,
@@ -100,38 +100,6 @@ def _sorted_corners(r: Region) -> list[Valuation]:
 # One transition: the child's value read along one affine view
 # ---------------------------------------------------------------------------
 
-def _reparam(f: PLF1, u0: Fraction, u1: Fraction, slope=ZERO,
-             intercept=ZERO) -> PLF1:
-    """g(s) = f(u0 + s*(u1 - u0)) + slope*s + intercept over s in [0, 1],
-    in one pass over the breakpoints of f, backwards when u1 < u0."""
-    if f.is_infinite:
-        return f
-    if u0 == u1:
-        y = eval1(f, u0) + intercept
-        return PLF1(((ZERO, y), (ONE, y + slope)))
-    pts = f.points
-    for u in (u0, u1):
-        if not pts[0][0] <= u <= pts[-1][0]:
-            eval1(f, u)  # raises the DomainError that names u
-    du = u1 - u0
-    out = []
-    s0 = y0 = None
-    for x, y in (pts if du > 0 else reversed(pts)):
-        s = (x - u0) / du
-        if s > 0:
-            if not out:  # f(u0), on the piece from the last breakpoint
-                out.append((ZERO, (y0 if s0 == 0 else
-                                   y0 - (y - y0) * s0 / (s - s0))
-                            + intercept))
-            if s >= 1:  # f(u1)
-                y1 = y if s == 1 else y0 + (y - y0) * (1 - s0) / (s - s0)
-                out.append((ONE, y1 + slope + intercept))
-                break
-            out.append((s, y + slope * s + intercept))
-        s0, y0 = s, y
-    return PLF1(tuple(out))
-
-
 def _chord(gr: Region, c0: Fraction) -> Optional[tuple[Valuation, Valuation]]:
     """The lowest and highest points at which the flow line y - x = c0
     meets the closed guard region ``gr`` (the same point twice where it
@@ -158,7 +126,7 @@ def _chord(gr: Region, c0: Fraction) -> Optional[tuple[Valuation, Valuation]]:
 class _Plan(NamedTuple):
     """How a move is costed over a 1-D source region, per unit of the
     source's rate w0.  Its cost is the child's value read along ``view``
-    = (u0, u1, slope, intercept), as ``_reparam(child, u0, u1, w0*slope,
+    = (u0, u1, slope, intercept), as ``reparam(child, u0, u1, w0*slope,
     w0*intercept + w(t))``; with a ``side``, the running extremum on that
     side of the result, read along ``then`` with (slope, intercept) scaled
     by w0 alone.  ``error`` is instead the exception class and message
@@ -259,10 +227,10 @@ def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
     axis = _param_axis(child.region)
     ua, ub = ((ZERO, ZERO) if axis in t.resets else (pa[axis], pb[axis]))
     w0 = rg.game.locations[t.src].weight
-    g = _reparam(child.plf, ua, ub, w0 * (pb[0] - pa[0]),
-                 w0 * (pa[0] - nu[0]) + t.weight)
-    ys = [y for _, y in g.points]
-    return PLF1.point(min(ys) if direction == "inf" else max(ys), x=nu[0])
+    g = reparam(child.plf, ua, ub, w0 * (pb[0] - pa[0]),
+                w0 * (pa[0] - nu[0]) + t.weight)
+    y = (min if direction == "inf" else max)(g.ys)
+    return PLF1.point(Fraction(y, g.den), x=nu[0])
 
 
 def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
@@ -278,12 +246,12 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
         raise cls(message.format(tid=t.tid))
     w0 = rg.game.locations[t.src].weight
     u0, u1, m, q = plan.view
-    g = _reparam(child.plf, u0, u1, w0 * m, w0 * q + t.weight)
+    g = reparam(child.plf, u0, u1, w0 * m, w0 * q + t.weight)
     if not plan.side:
         return g
     v0, v1, m, q = plan.then
-    return _reparam(running_extremum(g, plan.side, direction), v0, v1,
-                    w0 * m, w0 * q)
+    return reparam(running_extremum(g, plan.side, direction), v0, v1,
+                   w0 * m, w0 * q)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ from wtgsolve.plf import (PLF1, canonicalize, eval1, pointwise_extremum,
 from wtgsolve.regions import Region, RegionGame
 from wtgsolve.unfold import NodeValue, _one_step, _param_axis
 
+from plf_reference import reversed_domain
+
 Point = tuple[Fraction, Fraction]
 Coef = tuple[Fraction, Fraction, Fraction]
 Polygon = tuple[Point, ...]
@@ -673,7 +675,7 @@ def _exit_cost(rg: RegionGame, t: Transition, child: NodeValue,
     cost = _one_step(rg, t, child, "inf" if owner == MIN else "sup", shared)
     # Delta is y on the y-axis and 1 - x on the x-axis
     if cost is not None and _shape_of(rg.reg[t.src]) == ON_X:
-        return cost.reversed_domain()
+        return reversed_domain(cost)
     return cost
 
 
@@ -703,6 +705,6 @@ def _kernel_values(rg: RegionGame, comp: frozenset,
         if shapes[n] == POINT and not f.is_infinite:
             f = PLF1.point(value_at(res, n, r.corners()[0]))
         elif shapes[n] == ON_X:  # node parameter is x, kernel's is 1 - x
-            f = f.reversed_domain()
+            f = reversed_domain(f)
         values[n] = NodeValue(r, canonicalize(f))
     return values, res.steps

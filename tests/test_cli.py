@@ -228,6 +228,8 @@ class TestMalformedInput:
                                  "location id: expected a JSON string"),
         "transition_id_a_number": (("transitions", 0, "id"), 5,
                                    "transition 0 id: expected a JSON string"),
+        "clock_name_a_number": (("clocks", 0), 0,
+                                "clock name: expected a JSON string"),
     }
 
     @pytest.mark.parametrize("probe", sorted(PROBES))

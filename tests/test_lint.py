@@ -2,7 +2,7 @@
 somewhere in it, every function of ``src/wtgsolve`` is reached from it
 (or kept for a reason named in ``KEPT``), and the solver computes without
 floats: the one float in ``src/wtgsolve`` is ``core.INF``, the +infinity of
-extended values."""
+extended values, and ``plf``, which computes on integers, has no ``/``."""
 import ast
 from pathlib import Path
 
@@ -67,6 +67,28 @@ def test_the_scan_finds_a_float():
                                   "4: float(y)"]
     assert float_uses(source, allow_inf=True) == ["2: 1000.0", "2: 0.5",
                                                   "4: float(y)"]
+
+
+def true_divisions(source: str) -> list[str]:
+    """Each ``/`` and ``/=`` of ``source``, as ``"line: code"`` in line
+    order.  On two ``int``s ``/`` yields a ``float``, which
+    :func:`float_uses` cannot see."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.Div)]
+    return [f"{node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_no_true_division_in_plf():
+    """``plf`` computes on integer numerators: floor division only."""
+    assert true_divisions((SRC / "plf.py").read_text()) == []
+
+
+def test_the_scan_finds_a_true_division():
+    source = "a = 1 // 2\nb = a / 3\nb /= 2\nc = (a + b) / (a - b)\n"
+    assert true_divisions(source) == ["2: a / 3", "3: b /= 2",
+                                      "4: (a + b) / (a - b)"]
 
 
 # Functions and methods that no code of ``src/wtgsolve`` reads, each kept for

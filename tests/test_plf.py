@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from wtgsolve.plf import (
     canonicalize,
     eval1,
     pointwise_extremum,
+    reparam,
     running_extremum,
     values_at,
 )
@@ -16,6 +18,7 @@ from wtgsolve.plf import (
 from invariants import check_continuity
 from kernel_reference import (PLF2, Segment, envelope_pieces, equals,
                               fiber_extremum, restrict2, segments)
+import plf_reference
 
 
 def plf(*pairs):
@@ -192,6 +195,173 @@ def test_values_at_is_eval1_on_a_merged_walk(f, g, extra):
     with ``values_at``: the same values as ``eval1``, also between them."""
     xs = sorted({x for h in (f, g) for x, _ in h.points} | set(extra))
     assert values_at(f, xs) == [eval1(f, x) for x in xs]
+
+
+# -- the integer operations against their Fraction reference ---------------
+
+def rationals(lo, hi):
+    """Rationals in [lo, hi] with denominators 1 to 12."""
+    return st.integers(1, 12).flatmap(
+        lambda q: st.integers(lo * q, hi * q).map(lambda p: F(p, q)))
+
+
+DOMAINS = [(F(0), F(1)), (F(0), F(1, 2)), (F(1, 3), F(1)), (F(-1), F(2))]
+
+
+@st.composite
+def any_plf1(draw, domain=None, point=None):
+    """+inf, a point-domain function at ``point`` (or at a drawn one), or
+    1-5 pieces over ``domain`` (or a drawn one), with breakpoint and value
+    denominators from 1 to 12, now and then all on one line."""
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        return PLF1.infinite()
+    if kind == 1:
+        x = point if point is not None else draw(rationals(0, 1))
+        return PLF1.point(draw(rationals(-6, 6)), x)
+    lo, hi = domain or draw(st.sampled_from(DOMAINS))
+    inner = draw(st.sets(rationals(-1, 2).filter(lambda x: lo < x < hi),
+                         max_size=4))
+    xs = [lo, *sorted(inner), hi]
+    if kind == 2:
+        c, m = draw(rationals(-3, 3)), draw(rationals(-3, 3))
+        return PLF1([(x, c + m * x) for x in xs])
+    return PLF1([(x, draw(rationals(-6, 6))) for x in xs])
+
+
+@st.composite
+def extremum_args(draw):
+    """2-5 inputs, mostly on one domain or one point, some +inf, some
+    given twice, now and then one on another domain."""
+    domain = draw(st.sampled_from(DOMAINS))
+    point = draw(st.sampled_from([F(0), F(1, 2)]))
+    fs = []
+    for _ in range(draw(st.integers(2, 5))):
+        if fs and draw(st.integers(0, 6)) == 0:
+            fs.append(fs[draw(st.integers(0, len(fs) - 1))])
+        elif draw(st.integers(0, 9)) == 0:
+            fs.append(draw(any_plf1()))
+        else:
+            fs.append(draw(any_plf1(domain, point)))
+    return fs
+
+
+def assert_same_outcome(new, reference, *args):
+    """``new(*args)`` gives exactly the reference's function, with the same
+    ``points``, or raises the same ``DomainError``."""
+    try:
+        want = reference(*args)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            new(*args)
+        assert str(got.value) == str(exc)
+        return
+    got = new(*args)
+    if isinstance(want, PLF1):
+        assert got.is_infinite == want.is_infinite
+        assert got.points == want.points
+        assert got == want and hash(got) == hash(want)
+    else:
+        assert got == want
+
+
+def reduced(f):
+    return f.den > 0 and gcd(f.den, *f.xs, *f.ys) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(extremum_args(), st.sampled_from(["inf", "sup"]))
+def test_pointwise_extremum_as_the_reference(fs, direction):
+    assert_same_outcome(pointwise_extremum, plf_reference.pointwise_extremum,
+                        fs, direction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_plf1(), st.sampled_from(["suffix", "prefix"]),
+       st.sampled_from(["inf", "sup"]))
+def test_running_extremum_as_the_reference(f, side, direction):
+    assert_same_outcome(running_extremum, plf_reference.running_extremum,
+                        f, side, direction)
+    assert_same_outcome(canonicalize, plf_reference.canonicalize, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_plf1(), st.sampled_from(["up", "down", "equal", "other"]),
+       rationals(-1, 2), rationals(-1, 2), rationals(-4, 4),
+       rationals(-4, 4))
+def test_reparam_as_the_reference(f, view, u, v, slope, intercept):
+    """The views the solver uses, (0, 1), (1, 0) and u0 == u1, and any
+    other, some of them leaving the domain."""
+    u0, u1 = {"up": (F(0), F(1)), "down": (F(1), F(0)), "equal": (u, u),
+              "other": (u, v)}[view]
+    assert_same_outcome(reparam, plf_reference.reparam,
+                        f, u0, u1, slope, intercept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_plf1(), any_plf1(), st.lists(rationals(-1, 2), max_size=4))
+def test_eval_and_order_as_the_reference(f, g, xs):
+    for x in xs:
+        assert_same_outcome(eval1, plf_reference.eval1, f, x)
+    if not f.is_infinite:
+        inside = sorted({x for x in xs if f.lo <= x <= f.hi})
+        assert values_at(f, inside) == plf_reference.values_at(f, inside)
+    # the reference stops at the first point that decides, so across two
+    # domains it may answer or raise; the order is defined on one domain
+    if (f.is_infinite or g.is_infinite or (f.lo, f.hi) == (g.lo, g.hi)):
+        assert_same_outcome(PLF1.__le__, plf_reference.le, f, g)
+    else:
+        with pytest.raises(DomainError):
+            f <= g
+
+
+class TestCanonicalForm:
+    """Equal functions have equal fields, whatever they were built from."""
+
+    def twins(self):
+        f = plf((0, 1), (F(1, 3), 0), (1, 2))
+        ramp = plf((0, 0), (1, 1))
+        return [
+            (plf((0, F(2, 4)), (1, 1)), plf((0, F(1, 2)), (1, 1))),
+            (plf((0, 1), (1, 2)), plf((F(0), F(1)), (F(1), F(2)))),
+            (plf((F(0), F(6, 3)), (F(3, 3), F(0))), plf((0, 2), (1, 0))),
+            (canonicalize(f), f),
+            (canonicalize(plf((0, 0), (F(1, 2), F(1, 2)), (1, 1))), ramp),
+            (reparam(f, F(0), F(1)), f),
+            (reparam(reparam(f, F(1), F(0)), F(1), F(0)), f),
+            (pointwise_extremum([ramp, plf((0, 2), (1, 2))], "inf"), ramp),
+            (running_extremum(ramp, "prefix", "sup"), ramp),
+            (PLF1.point(F(4, 6), F(0)), PLF1.point(F(2, 3))),
+            (PLF1.constant(3), plf((0, 3), (1, 3))),
+        ]
+
+    def test_twins_are_equal_with_equal_fields_and_hashes(self):
+        for f, g in self.twins():
+            assert f == g and hash(f) == hash(g), (f, g)
+            assert (f.den, f.xs, f.ys) == (g.den, g.xs, g.ys), (f, g)
+            assert all(type(c) is int for c in (f.den, *f.xs, *f.ys))
+            assert reduced(f) and reduced(g)
+
+    def test_equal_values_on_unequal_breakpoints_differ(self):
+        # canonical fields do not merge collinear breakpoints by themselves,
+        # but the pointwise order compares values
+        ramp = plf((0, 0), (1, 1))
+        split = plf((0, 0), (F(1, 2), F(1, 2)), (1, 1))
+        assert split != ramp
+        assert split <= ramp and ramp <= split and split <= split
+
+    @settings(max_examples=100, deadline=None)
+    @given(extremum_args(), st.sampled_from(["inf", "sup"]),
+           st.sampled_from(["suffix", "prefix"]))
+    def test_every_result_is_reduced(self, fs, direction, side):
+        for f in fs:
+            assert reduced(f) and reduced(canonicalize(f))
+            assert reduced(running_extremum(f, side, direction))
+        try:
+            g = pointwise_extremum(fs, direction)
+        except DomainError:
+            return
+        assert reduced(g)
 
 
 class TestEnvelopePieces:

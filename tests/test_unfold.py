@@ -23,7 +23,7 @@ from wtgsolve.core import (MAX, MIN, Configuration, DomainError, GameError,
                            Transition)
 from wtgsolve.gameio import game_from_dict, game_to_dict
 from wtgsolve.oracle import GridOracle
-from wtgsolve.plf import PLF1, eval1
+from wtgsolve.plf import PLF1, eval1, reparam
 from wtgsolve.regions import (Region, all_regions, build_region_wtg,
                               clock_bound, normalize_01, trim)
 from wtgsolve.unfold import (
@@ -623,7 +623,7 @@ _SMALL = st.fractions(-4, 4, max_denominator=8)
        _SMALL, _SMALL, st.lists(st.fractions(0, 1, max_denominator=64),
                                 max_size=3))
 def test_reparam_is_one_affine_view(f, u, v, order, slope, intercept, extra):
-    """``_reparam`` reads f along u0 -> u1 and adds slope*s + intercept: its
+    """``reparam`` reads f along u0 -> u1 and adds slope*s + intercept: its
     breakpoints are the ends and those of f strictly inside, in order, and
     its values are f's there and anywhere between."""
     if order == "equal":
@@ -631,7 +631,7 @@ def test_reparam_is_one_affine_view(f, u, v, order, slope, intercept, extra):
     else:
         assume(u != v)
         u0, u1 = sorted((u, v), reverse=order == "down")
-    g = unfold._reparam(f, u0, u1, slope, intercept)
+    g = reparam(f, u0, u1, slope, intercept)
     du = u1 - u0
     inner = sorted(s for s in ((x - u0) / du for x, _ in f.points)
                    if 0 < s < 1) if du else []
@@ -645,12 +645,44 @@ def test_reparam_refuses_points_outside_the_domain():
     for out in (F(-1, 3), F(4, 3)):
         for u0, u1 in ((out, F(1, 2)), (F(1, 2), out), (out, out)):
             with pytest.raises(DomainError, match=str(out)):
-                unfold._reparam(f, u0, u1)
+                reparam(f, u0, u1)
     point = PLF1.point(3)
-    assert unfold._reparam(point, 0, 0, 1, 2) == PLF1(((0, 5), (1, 6)))
+    assert reparam(point, 0, 0, 1, 2) == PLF1(((0, 5), (1, 6)))
     with pytest.raises(DomainError):
-        unfold._reparam(point, 0, 1)
-    assert unfold._reparam(PLF1.infinite(), 0, 1).is_infinite
+        reparam(point, 0, 1)
+    assert reparam(PLF1.infinite(), 0, 1).is_infinite
+
+
+def test_twin_child_values_share_one_stored_cost():
+    """``_one_step`` keys its stored costs by the child's ``PLF1``: a child
+    value built another way, from ints or through the integer operations,
+    has the same fields and hash, so it finds the cost already computed."""
+    checked = 0
+    for _, game, _ in exact_corpus():
+        prep = prepare(game)
+        rg = prep.rg
+        values = value_functions(rg, prep.kernel, prep.w_bound, prep.kappa)
+        for t in rg.game.transitions:
+            child, loc = values[t.tgt], rg.game.locations[t.src]
+            if loc.is_goal or child.is_infinite:
+                continue
+            direction = "inf" if loc.owner == MIN else "sup"
+            f = child.plf
+            (x0, y0), *_ = f.points
+            twins = [PLF1([(x, y) for x, y in f.points]),
+                     PLF1([(str(x), str(y)) for x, y in f.points]),
+                     PLF1.point(y0, x0) if f.is_point
+                     else reparam(f, F(0), F(1))]
+            shared = {}
+            cost = unfold._one_step(rg, t, child, direction, shared)
+            for twin in twins:
+                assert twin is not f and twin == f and hash(twin) == hash(f)
+                assert (twin.den, twin.xs, twin.ys) == (f.den, f.xs, f.ys)
+                nv = unfold.NodeValue(child.region, twin)
+                assert unfold._one_step(rg, t, nv, direction, shared) is cost
+            assert len(shared) == 1
+            checked += 1
+    assert checked >= 10
 
 
 def test_the_tabulated_geometry_equals_its_uncached_form():
