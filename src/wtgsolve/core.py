@@ -8,7 +8,7 @@ transition weight) and resets a subset of the clocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Union
@@ -104,32 +104,60 @@ class Guard(tuple):
         return self
 
 
-@dataclass(frozen=True)
-class Location:
-    name: str
-    owner: str  # MIN or MAX
-    is_goal: bool = False
-    weight: int = 0
+class _Slotted:
+    """Equality, hash, ``repr`` and a checked copy, ``_replace``, over the
+    fields in ``__slots__``, which nothing assigns after ``__init__``."""
 
-    def __post_init__(self):
-        if self.owner not in (MIN, MAX):
-            raise InputError(f"location {self.name}: bad owner {self.owner!r}")
-        if self.weight < 0:
-            raise InputError(f"location {self.name}: negative weight")
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._values()),
+                                 **changes))
 
 
-@dataclass(frozen=True)
-class Transition:
-    tid: str
-    src: str
-    tgt: str
-    guards: tuple[Guard, ...] = ()
-    resets: frozenset[int] = frozenset()
-    weight: int = 0
+class Location(_Slotted):
+    """A location, owned by MIN or MAX, paying ``weight`` per time unit.
+    The solver reads locations and transitions in its inner loops, so
+    they are slotted classes, not tuples."""
 
-    def __post_init__(self):
-        if self.weight < 0:
-            raise InputError(f"transition {self.tid}: negative weight")
+    __slots__ = ("name", "owner", "is_goal", "weight")
+
+    def __init__(self, name: str, owner: str, is_goal: bool = False,
+                 weight: int = 0):
+        if owner not in (MIN, MAX):
+            raise InputError(f"location {name}: bad owner {owner!r}")
+        if weight < 0:
+            raise InputError(f"location {name}: negative weight")
+        self.name, self.owner, self.is_goal, self.weight = (
+            name, owner, is_goal, weight)
+
+
+class Transition(_Slotted):
+    """A move from ``src`` to ``tgt`` under the conjunction ``guards``,
+    resetting the clock indices ``resets`` and paying ``weight``."""
+
+    __slots__ = ("tid", "src", "tgt", "guards", "resets", "weight")
+
+    def __init__(self, tid: str, src: str, tgt: str,
+                 guards: tuple[Guard, ...] = (),
+                 resets: frozenset[int] = frozenset(), weight: int = 0):
+        if weight < 0:
+            raise InputError(f"transition {tid}: negative weight")
+        self.tid, self.src, self.tgt = tid, src, tgt
+        self.guards, self.resets, self.weight = guards, resets, weight
 
 
 Valuation = tuple[Fraction, ...]
@@ -149,36 +177,40 @@ def reset(valuation: Valuation, clocks: frozenset[int]) -> Valuation:
     return tuple(Fraction(0) if i in clocks else v for i, v in enumerate(valuation))
 
 
-@dataclass(frozen=True)
-class Configuration:
-    location: str
-    valuation: Valuation
+Configuration = namedtuple("Configuration", "location valuation")
 
 
-@dataclass
-class WeightedTimedGame:
-    """A deadlock-prone raw game."""
+class WeightedTimedGame(namedtuple(
+        "WeightedTimedGame", "clocks locations transitions initial")):
+    """A deadlock-prone raw game, checked by ``__new__`` and ``_replace``:
+    clock names, locations by name, transitions and initial configuration."""
 
-    clocks: list[str]
-    locations: dict[str, Location]
-    transitions: list[Transition]
-    initial: Configuration
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = set(self.locations)
-        for t in self.transitions:
-            if t.src not in names or t.tgt not in names:
+    def __new__(cls, clocks, locations, transitions, initial):
+        indices = frozenset(range(len(clocks)))
+        for t in transitions:
+            if t.src not in locations or t.tgt not in locations:
                 raise InputError(f"transition {t.tid}: unknown endpoint")
-            for g in t.guards:
-                if not 0 <= g.clock < len(self.clocks):
+            for clock, _op, bound in t.guards:
+                if clock not in indices:
                     raise InputError(f"transition {t.tid}: unknown clock index")
-        if self.initial.location not in names:
+                if type(bound) is not int or bound < 0:
+                    raise InputError(f"transition {t.tid}: guard bound "
+                                     f"{bound!r} is not a natural number")
+            if not indices.issuperset(t.resets):
+                raise InputError(f"transition {t.tid}: resets an unknown "
+                                 "clock index")
+        if initial.location not in locations:
             raise InputError("unknown initial location")
-        if len(self.initial.valuation) != len(self.clocks):
+        if len(initial.valuation) != len(clocks):
             raise InputError("initial valuation arity mismatch")
-        tids = [t.tid for t in self.transitions]
-        if len(set(tids)) != len(tids):
+        if len({t.tid for t in transitions}) != len(transitions):
             raise InputError("duplicate transition ids")
+        return super().__new__(cls, clocks, locations, transitions, initial)
+
+    def _replace(self, **changes):
+        return WeightedTimedGame(**{**self._asdict(), **changes})
 
     # -- basic semantics ---------------------------------------------------
 

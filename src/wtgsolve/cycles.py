@@ -6,10 +6,8 @@ extraction and the crude value upper bound W.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import deque, namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .core import Guard, Location, StructuralError, Transition
 from .graphs import strongly_connected_components
@@ -19,8 +17,7 @@ ANZ = "almost-non-zeno"
 VIOLATION = "violation"
 
 
-@dataclass
-class CornerPointGraph:
+class CornerPointGraph(namedtuple("CornerPointGraph", "rg by_tid")):
     """Finite weighted graph over (region-location, closure corner) pairs.
 
     A transition edge from corner c bundles the delay to a corner c' of the
@@ -28,11 +25,10 @@ class CornerPointGraph:
     rate) with the discrete jump, so every edge weight is a non-negative
     integer and run weights are sandwiched between corner path weights.
     An edge is a ``(u, v, weight)`` tuple; ``by_tid`` holds them all,
-    grouped by transition id.
+    grouped by transition id, for the region game ``rg``.
     """
 
-    rg: RegionGame
-    by_tid: dict[str, list]
+    __slots__ = ()
 
     # ``graph`` and ``number_of_edges`` exist only for the benchmark's tracer,
     # which counts edges as ``cp.graph.number_of_edges()``.
@@ -44,30 +40,24 @@ class CornerPointGraph:
         return sum(map(len, self.by_tid.values()))
 
 
-@dataclass
-class AnzReport:
-    verdict: str
-    kappa: Optional[Fraction] = None
-    witness: Optional[list[str]] = None
-    witness_weights: Optional[tuple[int, int]] = None
-    cycles_checked: int = 0        # edges of the corner-path product P0
+#: The ANZ verdict, kappa, a witness cycle's transition ids and lowest and
+#: highest corner weights, and the edges of the corner-path product P0.
+AnzReport = namedtuple(
+    "AnzReport", "verdict kappa witness witness_weights cycles_checked",
+    defaults=(None, None, None, 0))
+
+GreenMarking = namedtuple("GreenMarking", "locations transitions")
 
 
-@dataclass
-class GreenMarking:
-    locations: frozenset[str]
-    transitions: frozenset[str]
+class Kernel(namedtuple("Kernel", "components output_edges")):
+    """The kernel's strongly connected components, as sets of location
+    names, and the transitions that leave it."""
 
-
-@dataclass
-class Kernel:
-    components: list[frozenset[str]]
-    output_edges: list[Transition]
+    __slots__ = ()
 
     @property
     def locations(self) -> frozenset[str]:
-        return frozenset().union(*self.components) if self.components \
-            else frozenset()
+        return frozenset().union(*self.components)
 
 
 def build_corner_point(rg: RegionGame) -> CornerPointGraph:
@@ -250,7 +240,7 @@ def fix_weight_zero(rg: RegionGame,
             src = twin if t.src == name and t.tid in green_tids else t.src
             tgt = twin if t.tgt == name else t.tgt
             if (src, tgt) != (t.src, t.tgt):
-                t = replace(t, src=src, tgt=tgt)
+                t = t._replace(src=src, tgt=tgt)
             out.append(t)
         transitions = out
         z = min(r.zeros)

@@ -21,41 +21,34 @@ every step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .core import Location, StructuralError, Transition
 
 K_CAP = 10000  # the most steps an iteration may take
 
 
-@dataclass
 class KernelGame:
     """Zero-weight game.  ``step`` maps a table of values per location to
     the next one, and ``top`` is the table that is +inf everywhere."""
 
-    locations: dict[str, Location]
-    transitions: list[Transition]
-    top: dict
-    step: Callable[[dict], dict]
-
-    def __post_init__(self):
-        for name, loc in self.locations.items():
+    def __init__(self, locations: dict[str, Location],
+                 transitions: list[Transition], top: dict, step):
+        for name, loc in locations.items():
             if loc.is_goal or loc.weight != 0:
                 raise StructuralError(
                     f"kernel location {name} is a goal or weighted")
-        for t in self.transitions:
+        for t in transitions:
             if t.weight != 0:
                 raise StructuralError(f"kernel transition {t.tid} weighted")
             if not t.resets:
                 raise StructuralError(f"kernel transition {t.tid} resets "
                                       f"nothing")
+        self.locations, self.transitions = locations, transitions
+        self.top, self.step = top, step
 
 
-@dataclass
-class ViResult:
-    functions: dict
-    steps: int
+ViResult = namedtuple("ViResult", "functions steps")
 
 
 def iterate(g: KernelGame) -> ViResult:

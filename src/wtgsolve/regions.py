@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -68,7 +68,6 @@ ONE = Fraction(1)
 # Regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Region:
     """Ordered partition of the clock indices by fractional value.
 
@@ -79,24 +78,26 @@ class Region:
     since the region tables look regions up many times per solve.
     """
 
-    blocks: tuple[frozenset[int], ...]
-    ones: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: tuple[frozenset[int], ...],
+                 ones: frozenset[int] = frozenset()):
+        if not blocks:
             raise DomainError("region needs a zero block (possibly empty)")
-        for b in self.blocks[1:]:
-            if not b:
-                raise InputError("interior region blocks must be non-empty")
-        seen: set[int] = set()
-        for b in (*self.blocks, self.ones):
-            if b & seen:
-                raise InputError("region blocks must be disjoint")
-            seen |= b
-        object.__setattr__(self, "_hash", hash((self.blocks, self.ones)))
+        if not all(blocks[1:]):
+            raise InputError("interior region blocks must be non-empty")
+        if sum(map(len, blocks), len(ones)) != len(ones.union(*blocks)):
+            raise InputError("region blocks must be disjoint")
+        self.blocks, self.ones = blocks, ones
+        self._hash = hash((blocks, ones))
+
+    def __eq__(self, other):
+        return (self.blocks == other.blocks and self.ones == other.ones
+                if other.__class__ is Region else NotImplemented)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"Region(blocks={self.blocks!r}, ones={self.ones!r})"
 
     # -- structure ----------------------------------------------------------
 
@@ -435,21 +436,14 @@ def _copy_move(t: Transition, rows, nbar: tuple[int, ...]):
     return tuple(dict.fromkeys(clauses)), frozenset(t.resets) | bump, target
 
 
-@dataclass
-class Normalized:
-    """A game with clock integer parts folded out, as tables over it: copy
-    (l, n1..nk) with fractional valuation nu stands for l with valuation
-    (n1+nu1, ..).  ``clauses[t][a]`` is the :func:`_translate` row of atom
-    a of transition t over the integer parts 0..m-1, ``tops[t]`` holds per
-    clock the highest integer part at which every atom of t on that clock
-    holds (-1 when none does), and ``initial`` is the initial copy and
-    fractional valuation."""
-
-    game: WeightedTimedGame
-    m: int
-    clauses: list[tuple[tuple[Optional[tuple[Guard, ...]], ...], ...]]
-    tops: list[tuple[int, ...]]
-    initial: tuple[int, tuple[int, ...], Valuation]
+#: A game with clock integer parts folded out, as tables over it: copy
+#: (l, n1..nk) with fractional valuation nu stands for l with valuation
+#: (n1+nu1, ..).  ``m`` is the clock bound, ``clauses[t][a]`` the
+#: :func:`_translate` row of atom a of transition t over the integer parts
+#: 0..m-1, ``tops[t]`` holds per clock the highest integer part at which
+#: every atom of t on that clock holds (-1 when none does), and
+#: ``initial`` is the initial copy and fractional valuation.
+Normalized = namedtuple("Normalized", "game m clauses tops initial")
 
 
 def normalize_01(game: WeightedTimedGame) -> Normalized:
@@ -507,19 +501,12 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
 # Region games
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RegionGame:
-    """A game with one region per location plus transformation bookkeeping.
-
-    ``guard_region`` maps each transition id to the region every guard-
-    satisfying elapsed valuation lies in (within its closure, once relaxed).
-    """
-
-    game: WeightedTimedGame
-    reg: dict[str, Region]
-    guard_region: dict[str, Region]
-    trimmed: bool = False
-    relaxed: bool = False
+#: A game with one region per location plus transformation bookkeeping:
+#: ``reg`` maps each location to its region, and ``guard_region`` each
+#: transition id to the region every guard-satisfying elapsed valuation
+#: lies in (within its closure, once relaxed).
+RegionGame = namedtuple("RegionGame", "game reg guard_region trimmed relaxed",
+                        defaults=(False, False))
 
 
 def restrict(rg: RegionGame, locations: Collection[str],
@@ -565,6 +552,12 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     out_of: list[list[int]] = [[] for _ in names]
     for ti, t in enumerate(game.transitions):
         out_of[index[t.src]].append(ti)
+    # Per set s of clocks rolled: id suffix, increments, guards and resets.
+    n = len(game.clocks)
+    rolls = [("_".join(map(str, s)), [x in s for x in range(n)],
+              (*(Guard(x, "==", 1) for x in s),
+               *(Guard(y, "<", 1) for y in range(n) if y not in s)),
+              frozenset(s)) for s in _nonempty_subsets(range(n))]
 
     def copy_moves(li: int, nbar: tuple[int, ...]) -> list[tuple]:
         """(sort rank, id, target copy, guards, resets, weight) per move."""
@@ -576,14 +569,12 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
                 out.append(((ti, nbar), f"{t.tid}#{part}",
                             (index[t.tgt], move[2]), *move[:2], t.weight))
         tops = [] if locs[li].is_goal else [ng.tops[ti] for ti in out_of[li]]
-        for si, s in enumerate(_nonempty_subsets(range(len(nbar)))):
-            tgt = tuple(v + (x in s) for x, v in enumerate(nbar))
+        for si, (tag, bump, guards, resets) in enumerate(rolls):
+            tgt = tuple(map(operator.add, nbar, bump))
             if any(all(map(operator.le, tgt, top)) for top in tops):
                 out.append(((len(game.transitions), li, nbar, si),
-                            f"__roll_{names[li]}#{part}_{'_'.join(map(str, s))}",
-                            (li, tgt), (*(Guard(x, "==", 1) for x in s),
-                                  *(Guard(y, "<", 1) for y in range(len(nbar))
-                                    if y not in s)), frozenset(s), 0))
+                            f"__roll_{names[li]}#{part}_{tag}", (li, tgt),
+                            guards, resets, 0))
         return out
 
     named: dict[tuple, str] = {}

@@ -15,8 +15,7 @@ operator to its fixed point (:mod:`.kernelvi`).
 
 import functools
 import math
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -58,8 +57,7 @@ class NotAlmostNonZeno(GameError):
 # Node values: exact value functions over a region closure
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NodeValue:
+class NodeValue(namedtuple("NodeValue", "region plf")):
     """Value function on the closure of a region-location's region.
 
     Every transition resets a clock, so ``plf`` is always one PLF1: over
@@ -69,8 +67,7 @@ class NodeValue:
     the initial valuation.  +inf is ``PLF1.infinite()``.
     """
 
-    region: Region
-    plf: PLF1
+    __slots__ = ()
 
     @property
     def is_infinite(self) -> bool:
@@ -491,27 +488,23 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Prepared:
-    """Everything the solver derives before unfolding."""
-
-    rg: RegionGame
-    kernel: Kernel
-    anz: AnzReport
-    kappa: Fraction
-    w_bound: Fraction
+#: Everything the solver derives before unfolding: the region game, its
+#: kernel, the ANZ report, kappa and the value bound W.
+Prepared = namedtuple("Prepared", "rg kernel anz kappa w_bound")
 
 
-@dataclass
 class Verdict:
-    value: ExtRat
-    threshold: Optional[Fraction] = None
-    decision: Optional[str] = None  # "at-most" | "exceeds"
-    sweeps: int = 0  # the most sweeps any SCC of units took
-    vi_steps: int = 0
-    prepared: Optional[Prepared] = None
-    # value function per region-location; empty when Min cannot force a goal
-    values: dict[str, NodeValue] = field(default_factory=dict)
+    """The value of a game, and what :func:`solve` found on the way: the
+    decision ("at-most" or "exceeds") against a threshold, the most sweeps
+    any SCC of units took, the VI steps, the prepared game and the value
+    function per region-location (empty when Min cannot force a goal)."""
+
+    threshold = decision = None
+    sweeps = vi_steps = 0
+
+    def __init__(self, value: ExtRat, prepared: Optional[Prepared] = None):
+        self.value, self.prepared = value, prepared
+        self.values: dict[str, NodeValue] = {}
 
     def __str__(self):
         out = f"value = {frac_str(self.value)}"

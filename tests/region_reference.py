@@ -13,7 +13,6 @@ relaxed source's closure (``adherence``), for the region-set versions in
 the doubled game to what the initial location reaches, for the version in
 ``regions`` that builds only what it keeps."""
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -117,7 +116,7 @@ def normalize_01(game: WeightedTimedGame) -> WeightedTimedGame:
     locations: dict[str, Location] = {}
     for name, loc in game.locations.items():
         for nbar in copies:
-            locations[_copy_name(name, nbar)] = replace(loc, name=_copy_name(name, nbar))
+            locations[_copy_name(name, nbar)] = loc._replace(name=_copy_name(name, nbar))
 
     transitions: list[Transition] = []
     for t in game.transitions:
@@ -234,7 +233,7 @@ def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
     reg: dict[str, Region] = {}
     for n, r in sorted(seen, key=lambda nr: (rank[nr[0]], order[nr[1]])):
         reg[rloc(n, r)] = r
-        locations[rloc(n, r)] = replace(game.locations[n], name=rloc(n, r))
+        locations[rloc(n, r)] = game.locations[n]._replace(name=rloc(n, r))
     g = WeightedTimedGame(list(game.clocks), locations, [t for *_, t in moves],
                           Configuration(rloc(init.location, r0), init.valuation))
     return RegionGame(g, reg, {t.tid: r2 for _, r2, t in moves})
@@ -255,7 +254,7 @@ def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
     for name, loc in game.locations.items():
         for r in regions:
             lname = rloc(name, r)
-            locations[lname] = replace(loc, name=lname)
+            locations[lname] = loc._replace(name=lname)
             reg[lname] = r
 
     transitions: list[Transition] = []
@@ -307,7 +306,7 @@ def trim(rg: RegionGame) -> RegionGame:
                 for op in COMPLEMENT[g.op])
             if not removable:
                 clauses.append(g)
-        kept.append(replace(t, guards=tuple(clauses)))
+        kept.append(t._replace(guards=tuple(clauses)))
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              kept, rg.game.initial)
     return RegionGame(game, dict(rg.reg), guard_region, trimmed=True,

@@ -1,13 +1,18 @@
 """End-to-end tests of the ``wtg`` command line."""
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import test_anz
 import wtgsolve
 from wtgsolve import cli
 from wtgsolve.cli import main
@@ -281,11 +286,70 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("error: malformed game")
 
 
-def test_exact_solving_loads_neither_networkx_nor_numpy():
+def json_paths(node, prefix=()):
+    """The path (keys and list indices) to every field inside ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for key, child in items
+            for p in [(*prefix, key), *json_paths(child, (*prefix, key))]]
+
+
+# Small valid games: values 1, 0, 6 and +inf, and one not almost non-Zeno.
+MUTATED = [game_to_dict(min_wait())] + [
+    game_to_dict(test_anz.random_game(s)) for s in (1, 2, 5, 6)]
+REPLACEMENTS = st.one_of(
+    st.integers(0, 7), st.integers(-3, -1), st.floats(), st.booleans(),
+    st.none(), st.text(max_size=3),
+    st.sampled_from(["c0", "c1", "q0", "G", "max", "<=", "1/2", "-1"]),
+    st.lists(st.one_of(st.integers(0, 2), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_mutated_game_exits_cleanly(data):
+    """Replacing or deleting one field of a valid game's JSON gives exit 0,
+    2 or 3 and never a traceback: each check of the input holds up."""
+    game = json.loads(json.dumps(data.draw(st.sampled_from(MUTATED))))
+    *parents, last = data.draw(st.sampled_from(json_paths(game)))
+    node = game
+    for key in parents:
+        node = node[key]
+    if data.draw(st.booleans()):
+        del node[last]
+    else:
+        node[last] = data.draw(REPLACEMENTS)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.json")
+        with open(path, "w") as fh:
+            json.dump(game, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", path])
+    assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
+
+
+def loaded_by_solver_import(names):
+    """Which of ``names`` are in ``sys.modules`` once a fresh interpreter
+    has imported what ``wtg solve`` imports."""
     code = ("import sys, wtgsolve.unfold, wtgsolve.gameio, wtgsolve.cli; "
-            "print(sorted({'networkx', 'numpy'} & set(sys.modules)))")
+            f"print(sorted({set(names)!r} & set(sys.modules)))")
     src = os.path.dirname(os.path.dirname(wtgsolve.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_exact_solving_loads_neither_networkx_nor_numpy():
+    assert loaded_by_solver_import({"networkx", "numpy"}) == "[]"
+
+
+def test_exact_solving_loads_neither_dataclasses_nor_inspect():
+    """Every ``wtg solve`` pays for importing the solver; these two cost
+    about a quarter of it."""
+    assert loaded_by_solver_import({"dataclasses", "inspect"}) == "[]"

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -236,6 +235,6 @@ class TestIterate:
     def test_a_weighted_or_resetless_move_is_refused(self):
         kg = two_location_kernel(XY, XY).kernel_game()
         for bad in (dict(weight=1), dict(resets=frozenset())):
-            t = replace(kg.transitions[0], **bad)
+            t = kg.transitions[0]._replace(**bad)
             with pytest.raises(StructuralError):
                 kernelvi.KernelGame(kg.locations, [t], kg.top, kg.step)

@@ -1,8 +1,9 @@
 """Every name a module of ``src/wtgsolve`` or ``tests`` imports is read
 somewhere in it, every function of ``src/wtgsolve`` is reached from it
-(or kept for a reason named in ``KEPT``), and the solver computes without
-floats: the one float in ``src/wtgsolve`` is ``core.INF``, the +infinity of
-extended values, and ``plf``, which computes on integers, has no ``/``."""
+(or kept for a reason named in ``KEPT``), no module of ``src/wtgsolve``
+imports ``dataclasses``, and the solver computes without floats: the one
+float in ``src/wtgsolve`` is ``core.INF``, the +infinity of extended
+values, and ``plf``, which computes on integers, has no ``/``."""
 import ast
 from pathlib import Path
 
@@ -25,6 +26,35 @@ def unused_imports(source: str) -> list[str]:
     read = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return [name for name in bound if name not in read]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports, relative
+    imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """Every ``wtg solve`` imports the solver, and ``dataclasses`` (with
+    the ``inspect`` it loads) and its code generation cost about a third
+    of that: records are named tuples or slotted classes."""
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_the_scan_finds_an_import():
+    source = ("import os.path, json as j\nfrom dataclasses import field\n"
+              "from . import core\nfrom .plf import PLF1\n"
+              "def f():\n    import inspect\n")
+    assert imported_modules(source) == {"os", "json", "dataclasses",
+                                        "inspect"}
 
 
 def float_uses(source: str, allow_inf: bool = False) -> list[str]:

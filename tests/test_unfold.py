@@ -2,7 +2,6 @@ import functools
 import itertools
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from kernel_reference import (ON_X, ON_Y, POINT, _exit_cost, _shape_of,
                               _to_output, equals, project_output)
 from wtgsolve import kernelvi, regions, unfold
 from wtgsolve.core import (MAX, MIN, Configuration, DomainError, GameError,
-                           Transition)
+                           InputError, Transition)
 from wtgsolve.gameio import game_from_dict, game_to_dict
 from wtgsolve.oracle import GridOracle
 from wtgsolve.plf import PLF1, eval1, reparam
@@ -246,7 +245,7 @@ class TestCheckFiniteValue:
             for rg in rgs:
                 for n in rg.game.locations:
                     initial = Configuration(n, rg.game.initial.valuation)
-                    at_n = replace(rg, game=replace(rg.game, initial=initial))
+                    at_n = rg._replace(game=rg.game._replace(initial=initial))
                     expected = rescan_finite_value(at_n)
                     assert check_finite_value(at_n) is expected, (name, n)
                     verdicts.add(expected)
@@ -362,6 +361,23 @@ class TestPipeline:
     def test_three_clocks_rejected(self):
         with pytest.raises(MoreThanTwoClocks):
             solve(three_clock_demo())
+
+    def test_a_reset_of_an_unknown_clock_is_an_input_error(self):
+        # It used to reach build_region_wtg and raise KeyError there.
+        bad = Transition("t2", "a", "G", resets=frozenset({5}))
+        with pytest.raises(InputError, match="t2: resets an unknown clock"):
+            make_game([loc("a"), loc("G", goal=True)], [bad], "a", (0, 0))
+        game = min_wait()
+        with pytest.raises(InputError, match="t2: resets an unknown clock"):
+            game._replace(transitions=[*game.transitions, bad])
+
+    @pytest.mark.parametrize("bound", [F(1, 2), F(1), -1, True, 1.0, "1"])
+    def test_a_guard_bound_not_a_natural_number_is_an_input_error(self,
+                                                                  bound):
+        # A Fraction used to raise TypeError deep in the pipeline.
+        bad = Transition("t", "a", "G", guards=(G(0, "<=", bound),))
+        with pytest.raises(InputError, match="guard bound"):
+            make_game([loc("a"), loc("G", goal=True)], [bad], "a", (0, 0))
 
     def test_mixed_cycle_is_rejected_with_witness(self):
         with pytest.raises(NotAlmostNonZeno) as e:
@@ -527,8 +543,8 @@ def _one_step_games(group):
     if group == "test_anz":
         return [(f"anz_{s}", test_anz.random_game(s)) for s in range(150)]
     if group == "fractional_start":
-        return [(f"anz_{s}@{v}", replace(test_anz.random_game(s),
-                                         initial=Configuration("q0", v)))
+        return [(f"anz_{s}@{v}", test_anz.random_game(s)._replace(
+                    initial=Configuration("q0", v)))
                 for s in range(150)
                 for v in [(F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)),
                           (F(1, 3), F(1, 3))]]
@@ -816,8 +832,8 @@ def _owned(rg, names, owner):
     """``rg`` with the locations ``names`` owned by ``owner``."""
     locations = dict(rg.game.locations)
     for n in names:
-        locations[n] = replace(locations[n], owner=owner)
-    return replace(rg, game=replace(rg.game, locations=locations))
+        locations[n] = locations[n]._replace(owner=owner)
+    return rg._replace(game=rg.game._replace(locations=locations))
 
 
 def test_every_kernel_exit_costs_as_the_projection_reference():
