@@ -139,8 +139,6 @@ class Location(_Slotted):
                  weight: int = 0):
         if owner not in (MIN, MAX):
             raise InputError(f"location {name}: bad owner {owner!r}")
-        if weight < 0:
-            raise InputError(f"location {name}: negative weight")
         self.name, self.owner, self.is_goal, self.weight = (
             name, owner, is_goal, weight)
 
@@ -154,8 +152,6 @@ class Transition(_Slotted):
     def __init__(self, tid: str, src: str, tgt: str,
                  guards: tuple[Guard, ...] = (),
                  resets: frozenset[int] = frozenset(), weight: int = 0):
-        if weight < 0:
-            raise InputError(f"transition {tid}: negative weight")
         self.tid, self.src, self.tgt = tid, src, tgt
         self.guards, self.resets, self.weight = guards, resets, weight
 
@@ -189,9 +185,16 @@ class WeightedTimedGame(namedtuple(
 
     def __new__(cls, clocks, locations, transitions, initial):
         indices = frozenset(range(len(clocks)))
+        for name, l in locations.items():
+            if type(l.weight) is not int or l.weight < 0:
+                raise InputError(f"location {name}: weight {l.weight!r} "
+                                 "is not a natural number")
         for t in transitions:
             if t.src not in locations or t.tgt not in locations:
                 raise InputError(f"transition {t.tid}: unknown endpoint")
+            if type(t.weight) is not int or t.weight < 0:
+                raise InputError(f"transition {t.tid}: weight {t.weight!r} "
+                                 "is not a natural number")
             for clock, _op, bound in t.guards:
                 if clock not in indices:
                     raise InputError(f"transition {t.tid}: unknown clock index")

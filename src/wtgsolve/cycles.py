@@ -49,15 +49,9 @@ AnzReport = namedtuple(
 GreenMarking = namedtuple("GreenMarking", "locations transitions")
 
 
-class Kernel(namedtuple("Kernel", "components output_edges")):
-    """The kernel's strongly connected components, as sets of location
-    names, and the transitions that leave it."""
-
-    __slots__ = ()
-
-    @property
-    def locations(self) -> frozenset[str]:
-        return frozenset().union(*self.components)
+#: The kernel's strongly connected components, as sets of location names,
+#: and the transitions that leave it.
+Kernel = namedtuple("Kernel", "components output_edges")
 
 
 def build_corner_point(rg: RegionGame) -> CornerPointGraph:

@@ -197,8 +197,8 @@ def region_of(valuation: Valuation) -> Region:
 
 
 @functools.lru_cache(maxsize=None)
-def all_regions(n_clocks: int, include_ones: bool = True) -> tuple[Region, ...]:
-    """Every region over clocks 0..n-1 (restricted to [0,1)-regions if asked)."""
+def all_regions(n_clocks: int) -> tuple[Region, ...]:
+    """Every region over clocks 0..n-1, the [0,1)-regions first."""
     clocks = frozenset(range(n_clocks))
 
     def ordered_partitions(xs: frozenset[int]):
@@ -212,8 +212,7 @@ def all_regions(n_clocks: int, include_ones: bool = True) -> tuple[Region, ...]:
                 yield (frozenset(first),) + tail
 
     out = []
-    one_choices = _subsets(sorted(clocks)) if include_ones else [()]
-    for ones in one_choices:
+    for ones in _subsets(sorted(clocks)):
         rem = clocks - frozenset(ones)
         for zeros in _subsets(sorted(rem)):
             mid = rem - frozenset(zeros)

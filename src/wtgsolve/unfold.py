@@ -9,7 +9,8 @@ is one piecewise-linear function of one clock (:class:`NodeValue`).
 strongly connected component at a time, successors first: plain locations
 by exact one-step delay optimization, whose extremum over the moves is one
 :func:`plf.pointwise_extremum`, kernels by iterating that same one-step
-operator to its fixed point (:mod:`.kernelvi`).
+operator to its fixed point (:mod:`.kernelvi`).  One function,
+:func:`_one_step`, costs every move, from the move's :func:`_plan`.
 :func:`solve` is the one entry point that both the library and the CLI call.
 """
 
@@ -62,9 +63,10 @@ class NodeValue(namedtuple("NodeValue", "region plf")):
 
     Every transition resets a clock, so ``plf`` is always one PLF1: over
     [0, 1] in the free coordinate of a 1-D region or of a goal (constant 0
-    there), and a point function at that coordinate for the origin and for
-    a 2-D region, which only the root can have and which is read only at
-    the initial valuation.  +inf is ``PLF1.infinite()``.
+    there), and a point function at the x of a point source: 0 at the
+    origin, and the initial valuation's x for a 2-D region, which only the
+    root can have and which is read only there.  +inf is
+    ``PLF1.infinite()``.
     """
 
     __slots__ = ()
@@ -121,35 +123,48 @@ def _chord(gr: Region, c0: Fraction) -> Optional[tuple[Valuation, Valuation]]:
 
 
 class _Plan(NamedTuple):
-    """How a move is costed over a 1-D source region, per unit of the
-    source's rate w0.  Its cost is the child's value read along ``view``
-    = (u0, u1, slope, intercept), as ``reparam(child, u0, u1, w0*slope,
-    w0*intercept + w(t))``; with a ``side``, the running extremum on that
+    """How a move is costed from its source, per unit of the source's rate
+    w0.  Its cost is the child's value read along ``view`` = (u0, u1, slope,
+    intercept), as ``reparam(child, u0, u1, w0*slope, w0*intercept +
+    w(t))``; from a point source, whose x is ``at``, the extremum of that
+    as a point PLF1 at ``at``; with a ``side``, the running extremum on that
     side of the result, read along ``then`` with (slope, intercept) scaled
-    by w0 alone.  ``error`` is instead the exception class and message
-    (``{tid}`` naming the move) of a move that cannot be costed."""
+    by w0 alone.  A plan without a view is a move that no delay fits, and
+    ``error`` is instead the exception class and message (``{tid}`` naming
+    the move) of a move that cannot be costed."""
 
     view: tuple = ()
     side: str = ""
     then: tuple = ()
+    at: Optional[Fraction] = None
     error: tuple = ()
 
 
 @functools.lru_cache(maxsize=None)
-def _segment_plan(src: Region, gr: Region, resets: frozenset[int],
-                  axis: int) -> _Plan:
-    """The :class:`_Plan` of a move from the 1-D region ``src``, firing in
-    the closed guard region ``gr`` and resetting ``resets``, into a value
-    that reads clock ``axis``."""
+def _plan(src: Region | Valuation, gr: Region, resets: frozenset[int],
+          axis: int) -> _Plan:
+    """The :class:`_Plan` of a move from ``src``, firing in the closed guard
+    region ``gr`` and resetting ``resets``, into a value that reads clock
+    ``axis``.  ``src`` is a 1-D region, the origin, or the valuation of a
+    2-D root, which :func:`_one_step` keeps out of the table."""
     def u(p: Valuation) -> Fraction:  # the clock the child reads after p
         return ZERO if axis in resets else p[axis]
 
-    a, b = _sorted_corners(src)
+    corners = _sorted_corners(src) if isinstance(src, Region) else [src]
+    a, b = corners[0], corners[-1]
     dx, dy = b[0] - a[0], b[1] - a[1]
     if dx == dy:
-        # A diagonal source: every point shares the flow line c = 0, which
-        # meets a region's closure in (0, 0), in (1, 1) or between them.
-        chord = _chord(gr, ZERO)
+        # A point or a diagonal source lies on one flow line y - x = c0,
+        # which meets the closed guard region on a chord or misses it.
+        chord = _chord(gr, a[1] - a[0])
+        if a == b:  # a point: the extremum over the chord ahead of it
+            if chord is None or chord[1][0] < a[0]:
+                return _Plan()
+            pa, pb = max(chord[0], a), chord[1]  # on one flow line: by x
+            return _Plan((u(pa), u(pb), pb[0] - pa[0], pa[0] - a[0]),
+                         at=a[0])
+        # The diagonal's flow line c0 = 0 meets a region's closure in
+        # (0, 0), in (1, 1) or between them.
         if chord is None:
             return _Plan(error=(StructuralError,
                                 "{tid}: guard misses the flow line"))
@@ -206,49 +221,6 @@ def _segment_plan(src: Region, gr: Region, resets: frozenset[int],
                  "prefix" if prefix else "suffix",
                  (e0 + sign * c_a, e0 + sign * c_b,
                   -(reads_y * (c_b - c_a) + dx), -(reads_y * c_a + a[0])))
-
-
-def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
-                    nu: Valuation, direction: str) -> Optional[PLF1]:
-    """ext over {delay d >= 0 : nu + d inside the closed guard region} of
-    d*w(src) + w(t) + child(reset(nu + d)), as a point PLF1 at nu's x;
-    None when no delay fits."""
-    if child.is_infinite:
-        return PLF1.infinite()
-    chord = _chord(rg.guard_region[t.tid], nu[1] - nu[0])
-    if chord is None or chord[1][0] < nu[0]:
-        return None
-    pa, pb = chord
-    if pa[0] < nu[0]:  # only the part of the chord ahead of nu
-        pa = nu
-    axis = _param_axis(child.region)
-    ua, ub = ((ZERO, ZERO) if axis in t.resets else (pa[axis], pb[axis]))
-    w0 = rg.game.locations[t.src].weight
-    g = reparam(child.plf, ua, ub, w0 * (pb[0] - pa[0]),
-                w0 * (pa[0] - nu[0]) + t.weight)
-    y = (min if direction == "inf" else max)(g.ys)
-    return PLF1.point(Fraction(y, g.den), x=nu[0])
-
-
-def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
-                      src: Region, direction: str) -> PLF1:
-    """Contribution of ``t`` over a 1-D source region, as a PLF1 in the
-    region's free coordinate."""
-    if child.is_infinite:
-        return PLF1.infinite()
-    plan = _segment_plan(src, rg.guard_region[t.tid], t.resets,
-                         _param_axis(child.region))
-    if plan.error:
-        cls, message = plan.error
-        raise cls(message.format(tid=t.tid))
-    w0 = rg.game.locations[t.src].weight
-    u0, u1, m, q = plan.view
-    g = reparam(child.plf, u0, u1, w0 * m, w0 * q + t.weight)
-    if not plan.side:
-        return g
-    v0, v1, m, q = plan.then
-    return reparam(running_extremum(g, plan.side, direction), v0, v1,
-                   w0 * m, w0 * q)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +313,12 @@ def check_finite_value(rg: RegionGame) -> bool:
 def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
               direction: str, shared: dict):
     """The cost of ``t`` from its source region, given the value ``child``
-    behind it: a PLF1 in the free coordinate of a 1-D region, and otherwise
-    a point PLF1 at its corner, or None when no delay fits.  A 2-D source
-    region can only be the root's (every transition resets a clock), so its
-    value is only ever needed at the initial valuation.  ``shared`` holds
-    the costs already computed, keyed by everything that they depend on."""
+    behind it, by the move's :func:`_plan`: a PLF1 in the free coordinate of
+    a 1-D region, and otherwise a point PLF1 at its corner, or None when no
+    delay fits.  A 2-D source region can only be the root's (every
+    transition resets a clock), so its value is only ever needed at the
+    initial valuation.  ``shared`` holds the costs already computed, keyed
+    by everything that they depend on."""
     r = rg.reg[t.src]
     key = (rg.game.locations[t.src].weight, rg.guard_region[t.tid],
            t.resets, t.weight, r, direction, child.region, child.plf)
@@ -353,11 +326,28 @@ def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
         return shared[key]
     except KeyError:
         pass
-    if r.dim == 1:
-        cost = _value_on_segment(rg, t, child, r, direction)
-    else:
-        nu = r.corners()[0] if r.dim == 0 else rg.game.initial.valuation
-        cost = _value_at_point(rg, t, child, nu, direction)
+    if child.is_infinite:
+        shared[key] = cost = PLF1.infinite()
+        return cost
+    args = (rg.guard_region[t.tid], t.resets, _param_axis(child.region))
+    # the root's plan depends on the input valuation: not tabulated
+    plan = (_plan(r, *args) if r.dim < 2
+            else _plan.__wrapped__(rg.game.initial.valuation, *args))
+    if plan.error:
+        cls, message = plan.error
+        raise cls(message.format(tid=t.tid))
+    cost = None
+    if plan.view:
+        w0 = rg.game.locations[t.src].weight
+        u0, u1, m, q = plan.view
+        cost = reparam(child.plf, u0, u1, w0 * m, w0 * q + t.weight)
+        if plan.at is not None:
+            y = (min if direction == "inf" else max)(cost.ys)
+            cost = PLF1.point(Fraction(y, cost.den), x=plan.at)
+        elif plan.side:
+            v0, v1, m, q = plan.then
+            cost = reparam(running_extremum(cost, plan.side, direction),
+                           v0, v1, w0 * m, w0 * q)
     shared[key] = cost
     return cost
 

@@ -196,7 +196,8 @@ def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
     r0 = region_of(init.valuation)
     if not r0.fractional:
         raise InputError("initial valuation not in [0,1)")
-    order = {r: i for i, r in enumerate(all_regions(len(game.clocks), False))}
+    order = {r: i for i, r in enumerate(all_regions(len(game.clocks)))
+             if r.fractional}
     pinned = _table(len(game.clocks)).constraints
     rank = {name: i for i, name in enumerate(game.locations)}
 
@@ -242,7 +243,7 @@ def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
 def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
     """Refine a [0,1)-game so every location carries a single region."""
     n = len(game.clocks)
-    regions = all_regions(n, include_ones=False)
+    regions = [r for r in all_regions(n) if r.fractional]
 
     def rloc(name: str, r: Region) -> str:
         tag = "|".join(

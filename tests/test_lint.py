@@ -1,5 +1,5 @@
-"""Every name a module of ``src/wtgsolve`` or ``tests`` imports is read
-somewhere in it, every function of ``src/wtgsolve`` is reached from it
+"""Every name a module of ``src/wtgsolve``, ``tests`` or ``bench`` imports
+is read somewhere in it, every function of ``src/wtgsolve`` is reached from it
 (or kept for a reason named in ``KEPT``), no module of ``src/wtgsolve``
 imports ``dataclasses``, and the solver computes without floats: the one
 float in ``src/wtgsolve`` is ``core.INF``, the +infinity of extended
@@ -11,6 +11,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "wtgsolve"
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -73,8 +74,8 @@ def float_uses(source: str, allow_inf: bool = False) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
-    ids=lambda p: p.name)
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    + sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -114,7 +114,7 @@ class TestRegion:
     def test_all_regions_count(self):
         # [0,1)-regions over two clocks: both zero, one zero, equal
         # interior, and the two strict orders.
-        assert len(all_regions(2, include_ones=False)) == 6
+        assert sum(r.fractional for r in all_regions(2)) == 6
 
     def test_corners(self):
         assert R((), {X}, {Y}).corners() == (
@@ -135,7 +135,7 @@ class TestAdherence:
         assert set(adherence(R({X, Y}))) == {R({X, Y})}
 
     def test_contains_self(self):
-        for r in all_regions(2, include_ones=False):
+        for r in [r for r in all_regions(2) if r.fractional]:
             assert r in adherence(r)
 
     def test_closure_sampling(self):

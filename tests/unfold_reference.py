@@ -3,13 +3,14 @@ against: the explicit semi-unfolding, solved children first, and the global
 Jacobi sweep that evaluates the same unfolding level by level over every
 location at once; the re-scanning attractor that
 ``unfold.check_finite_value`` is checked against; and the one-step delay
-optimization with a separate guard-region case analysis for point and for
-diagonal sources, costing a triangle guard region as a function of both
-clocks over the triangle, which ``unfold._value_at_point`` and
-``unfold._value_on_segment`` are checked against.  The one-step reference
-composes its own copies of the PLF1 helpers that ``unfold`` used before it
-read every cost along one affine view, so it runs none of the code it
-checks."""
+optimization with a separate guard-region case analysis for point sources
+(:func:`_value_at_point`) and for 1-D ones (:func:`_value_on_segment`),
+costing a triangle guard region as a function of both clocks over the
+triangle, which ``unfold._one_step`` is checked against for every kind of
+source, since it costs every move from one plan, whatever the source.  The
+one-step reference composes its own copies of the PLF1 helpers that
+``unfold`` used before it read every cost along one affine view, so it runs
+none of the code it checks."""
 import math
 
 from dataclasses import dataclass, field
