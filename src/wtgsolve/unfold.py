@@ -314,8 +314,8 @@ def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
               direction: str, shared: dict):
     """The cost of ``t`` from its source region, given the value ``child``
     behind it, by the move's :func:`_plan`: a PLF1 in the free coordinate of
-    a 1-D region, and otherwise a point PLF1 at its corner, or None when no
-    delay fits.  A 2-D source region can only be the root's (every
+    a 1-D region, and otherwise a point PLF1 at the point source's x (the
+    origin's or the root's), or None when no delay fits.  A 2-D source region can only be the root's (every
     transition resets a clock), so its value is only ever needed at the
     initial valuation.  ``shared`` holds the costs already computed, keyed
     by everything that they depend on."""
