@@ -203,54 +203,46 @@ def fix_weight_zero(rg: RegionGame,
                     marking: GreenMarking) -> tuple[RegionGame, GreenMarking]:
     """Split every positive-weight green location so green cycling happens
     at rate 0; the original keeps its non-green exits behind a zero-delay
-    hop.  Identity when all green locations already have weight 0."""
-    game = rg.game
-    locations = dict(game.locations)
-    transitions = list(game.transitions)
-    reg = dict(rg.reg)
-    guard_region = dict(rg.guard_region)
-    green_locs = set(marking.locations)
-    green_tids = set(marking.transitions)
-    for name in sorted(marking.locations):
-        locobj = game.locations[name]
-        if locobj.weight == 0:
-            continue
-        r = reg[name]
-        if not r.zeros:
+    hop.  Identity when all green locations already have weight 0: the
+    input is returned as it is.  Moves keep their order, and the hops come
+    after them, by location."""
+    game, green_tids = rg.game, marking.transitions
+    split = [n for n in sorted(marking.locations) if game.locations[n].weight]
+    if not split:
+        return rg, marking
+    guarded = {t.src for t in game.transitions if t.tid in green_tids
+               and any(g.op == "==" and g.bound == 0 for g in t.guards)}
+    for name in split:
+        if not rg.reg[name].zeros:
             raise StructuralError(
                 f"green location {name} has no clock pinned at 0")
-        green_out = [t for t in transitions
-                     if t.src == name and t.tid in green_tids]
-        if not any(any(g.op == "==" and g.bound == 0 for g in t.guards)
-                   for t in green_out):
+        if name not in guarded:
             raise StructuralError(
-                f"green location {name} (weight {locobj.weight}) has no "
-                f"green exit guarded at 0")
-        twin = f"{name}~z0"
-        locations[twin] = Location(twin, locobj.owner, weight=0)
-        reg[twin] = r
-        out = []
-        for t in transitions:
-            src = twin if t.src == name and t.tid in green_tids else t.src
-            tgt = twin if t.tgt == name else t.tgt
-            if (src, tgt) != (t.src, t.tgt):
-                t = t._replace(src=src, tgt=tgt)
-            out.append(t)
-        transitions = out
-        z = min(r.zeros)
-        hop = Transition(f"__z0_{name}", twin, name,
-                         guards=(Guard(z, "==", 0),))
+                f"green location {name} (weight {game.locations[name].weight})"
+                f" has no green exit guarded at 0")
+    twin = {name: f"{name}~z0" for name in split}
+    locations, reg = dict(game.locations), dict(rg.reg)
+    guard_region, transitions = dict(rg.guard_region), []
+    for t in game.transitions:
+        src = twin.get(t.src, t.src) if t.tid in green_tids else t.src
+        tgt = twin.get(t.tgt, t.tgt)
+        transitions.append(t if (src, tgt) == (t.src, t.tgt)
+                           else t._replace(src=src, tgt=tgt))
+    for name in split:
+        r = reg[twin[name]] = rg.reg[name]
+        locations[twin[name]] = Location(twin[name], game.locations[name].owner,
+                                         weight=0)
+        hop = Transition(f"__z0_{name}", twin[name], name,
+                         guards=(Guard(min(r.zeros), "==", 0),))
         transitions.append(hop)
         guard_region[hop.tid] = r
-        green_locs.discard(name)
-        green_locs.add(twin)
     initial = game.initial
-    if f"{initial.location}~z0" in locations:
-        initial = type(initial)(f"{initial.location}~z0", initial.valuation)
+    if initial.location in twin:
+        initial = type(initial)(twin[initial.location], initial.valuation)
     game2 = type(game)(game.clocks, locations, transitions, initial)
-    out_rg = RegionGame(game2, reg, guard_region, trimmed=rg.trimmed,
-                        relaxed=rg.relaxed)
-    return out_rg, GreenMarking(frozenset(green_locs), frozenset(green_tids))
+    green = marking.locations.difference(split).union(twin.values())
+    return (rg._replace(game=game2, reg=reg, guard_region=guard_region),
+            GreenMarking(green, green_tids))
 
 
 def extract_kernel(rg: RegionGame, marking: GreenMarking) -> Kernel:

@@ -29,7 +29,8 @@ After normalization every guard constant is 0 or 1, so a guard atom has one
 truth value on a whole region, and the feasibility questions of the build,
 trimming and guard-region inference are answered with sets of regions: the
 regions elapsed from a region meet the regions on which each atom holds.
-Those sets, as int bitmasks over the regions, the results of the pure
+Those sets, as int bitmasks over the regions, the corners of each region
+as 0/1 int points, from which its closure is read, the results of the pure
 :class:`Region` methods and the corner moves of the corner-point
 abstraction are tabulated once per number of clocks (:class:`_Table`).
 ``restrict`` is the one way to cut a region game down to some of its
@@ -42,7 +43,6 @@ import functools
 import itertools
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
 from .core import (
@@ -59,9 +59,6 @@ from .core import (
     WeightedTimedGame,
 )
 from .graphs import reachable
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,30 +128,11 @@ class Region:
         """The number of clocks the region is over."""
         return max(self.ones.union(*self.blocks), default=-1) + 1
 
-    # -- membership and points ----------------------------------------------
+    # -- geometry ------------------------------------------------------------
 
-    def contains(self, valuation: Valuation, closed: bool = False) -> bool:
-        """Is ``valuation`` in the region (in its closure, if ``closed``)?"""
-        if (any(valuation[x] != 0 for x in self.zeros)
-                or any(valuation[x] != 1 for x in self.ones)):
-            return False
-        prev = ZERO
-        for b in self.interior:
-            vs = {valuation[x] for x in b}
-            if len(vs) != 1:
-                return False
-            v = vs.pop()
-            if not (prev <= v <= 1 if closed else prev < v < 1):
-                return False
-            prev = v
-        return True
-
-    def representative(self) -> Valuation:
-        """One concrete valuation in the region (block i at i/(dim+1))."""
-        return _table(self.n_clocks).representative[self]
-
-    def corners(self) -> tuple[Valuation, ...]:
-        """Vertices of the topological closure, ordered bottom-up.
+    def corners(self) -> tuple[tuple[int, ...], ...]:
+        """Vertices of the topological closure, as 0/1 int tuples, ordered
+        bottom-up: the closure is the simplex on them.
 
         Corner j sends the first j interior blocks to 0 and the rest to 1,
         so corner 0 is the all-high vertex and corner dim the all-low one.
@@ -173,14 +151,15 @@ class Region:
         return _table(self.n_clocks).successors[self]
 
     def in_closure_of(self, other: "Region") -> bool:
-        """True when this region lies inside the closure of ``other``."""
+        """True when this region lies inside the closure of ``other``: when
+        its corners are corners of ``other``."""
         return self in _table(other.n_clocks).adherence[other]
 
 
 def region_of(valuation: Valuation) -> Region:
     """The unique region containing ``valuation`` (entries must be in [0,1])."""
     zeros, ones = set(), set()
-    groups: dict[Fraction, set[int]] = {}
+    groups: dict = {}
     for x, v in enumerate(valuation):
         if not 0 <= v <= 1:
             raise DomainError(f"clock {x} out of [0,1]: {v}")
@@ -233,31 +212,28 @@ def _nonempty_subsets(items):
 
 class _Table:
     """Every answer over n clocks that depends on regions alone, computed
-    once: the results of the pure :class:`Region` methods, the guard
-    clauses pinning a valuation to each region (``constraints``), and, as
-    ints whose bit i stands for region ``all_regions(n)[i]``, the regions
+    once: the corners of each region, as 0/1 int tuples, from which its
+    closure is read, the results of the pure :class:`Region` methods, the
+    guard clauses pinning a valuation to each region (``constraints``), and,
+    as ints whose bit i stands for region ``all_regions(n)[i]``, the regions
     elapsed from each region and those on which each guard atom with
-    constant 0 or 1 holds (an interior clock compares as 1/2 does).  The
-    corner moves of :meth:`corner_moves` are filled in on first use."""
+    constant 0 or 1 holds.  The corner moves of :meth:`corner_moves` are
+    filled in on first use."""
 
     def __init__(self, n: int):
         self.regions = regions = all_regions(n)
         canon = {r: r for r in regions}
         self.index = {r: i for i, r in enumerate(regions)}
-        self.representative, self.corners, self.vertices = {}, {}, {}
-        self.successors, self.reset, self.constraints = {}, {}, {}
-        self._corner_moves = {}
+        self.corners, self.successors, self.reset = {}, {}, {}
+        self.constraints, self._corner_moves = {}, {}
         for r in regions:
-            rep = [ONE if x in r.ones else ZERO for x in range(n)]
-            corners = [list(map(int, rep)) for _ in range(r.dim + 1)]
+            corners = [[int(x in r.ones) for x in range(n)]
+                       for _ in range(r.dim + 1)]
             for i, b in enumerate(r.interior, start=1):
                 for x in b:
-                    rep[x] = Fraction(i, r.dim + 1)
                     for j, v in enumerate(corners):
                         v[x] = int(i > j)
-            self.representative[r] = tuple(rep)
-            self.vertices[r] = tuple(map(tuple, corners))
-            self.corners[r] = tuple(tuple(map(Fraction, c)) for c in corners)
+            self.corners[r] = tuple(map(tuple, corners))
             self.constraints[r] = (
                 *(Guard(x, "==", 0) for x in sorted(r.zeros)),
                 *(Guard(x, "==", 1) for x in sorted(r.ones)),
@@ -275,13 +251,18 @@ class _Table:
             for xs in map(frozenset, _subsets(range(n))):
                 blocks = [r.zeros | xs] + [b - xs for b in r.interior if b - xs]
                 self.reset[r, xs] = canon[Region(tuple(blocks), r.ones - xs)]
-        self.adherence = {r: tuple(s for s in regions if r.contains(
-            self.representative[s], closed=True)) for r in regions}
+        # The closure of r is the simplex on its corners, whose only 0/1
+        # points are those corners: s lies in it when its corners do.
+        sets = {r: set(c) for r, c in self.corners.items()}
+        self.adherence = {r: tuple(s for s in regions if sets[s] <= sets[r])
+                          for r in regions}
         self.elapsed = {r: self.mask(self.successors[r] if r.fractional
                                      else (r,)) for r in regions}
-        self.sat = {g: self.mask(r for r in regions if g.holds(
-            ZERO if g.clock in r.zeros else ONE if g.clock in r.ones
-            else Fraction(1, 2)))
+        # A clock reads 0, 1 or, in an interior block, a value between:
+        # against twice the constant, 0, 2 or 1.
+        self.sat = {g: self.mask(r for r in regions if Guard(
+            g.clock, g.op, 2 * g.bound).holds(
+            0 if g.clock in r.zeros else 2 if g.clock in r.ones else 1))
             for g in (Guard(x, op, c) for x in range(n) for op in OPS
                       for c in (0, 1))}
 
@@ -307,22 +288,22 @@ class _Table:
                      tgt: Region, tid: str) -> list[tuple]:
         """The ``(corner, landed corner, delay)`` moves of a transition from
         ``src``, firing in ``fire`` and resetting ``resets`` into ``tgt``: a
-        delay of 0 or 1 from a corner of src to one of fire, then the reset.
-        Corners are 0/1 int tuples (``vertices``) equal to the Fraction ones
-        of :meth:`Region.corners`.  ``tid`` only names the transition in the
-        :class:`StructuralError` for a landed corner off tgt."""
+        delay of 0 or 1 from a corner of src to one of fire, then the reset,
+        over the corners of :meth:`Region.corners`.  ``tid`` only names the
+        transition in the :class:`StructuralError` for a landed corner off
+        tgt."""
         key = (src, fire, resets, tgt)
         moves = self._corner_moves.get(key)
         if moves is None:
             moves = []
-            for c in self.vertices[src]:
-                for c2 in self.vertices[fire]:
+            for c in self.corners[src]:
+                for c2 in self.corners[fire]:
                     d = {b - a for a, b in zip(c, c2)}
                     if d not in ({0}, {1}):
                         continue
                     landed = tuple(0 if i in resets else v
                                    for i, v in enumerate(c2))
-                    if landed not in self.vertices[tgt]:
+                    if landed not in self.corners[tgt]:
                         raise StructuralError(
                             f"corner {landed} off the target region of {tid}")
                     moves.append((c, landed, d.pop()))

@@ -24,7 +24,7 @@ from .core import (INF, MAX, MIN, ExtRat, GameError, InputError,
                    StructuralError, DomainError, Transition, Valuation,
                    WeightedTimedGame, frac, frac_str)
 from .graphs import reachable, strongly_connected_components
-from .plf import (ONE, ZERO, PLF1, eval1, pointwise_extremum, reparam,
+from .plf import (PLF1, eval1, pointwise_extremum, reparam,
                   running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
                       is_rollover, normalize_01, prune_unreachable, relax,
@@ -99,7 +99,7 @@ def _sorted_corners(r: Region) -> list[Valuation]:
 # One transition: the child's value read along one affine view
 # ---------------------------------------------------------------------------
 
-def _chord(gr: Region, c0: Fraction) -> Optional[tuple[Valuation, Valuation]]:
+def _chord(gr: Region, c0) -> Optional[tuple[Valuation, Valuation]]:
     """The lowest and highest points at which the flow line y - x = c0
     meets the closed guard region ``gr`` (the same point twice where it
     crosses a segment or touches a corner), or None when it misses it."""
@@ -107,13 +107,14 @@ def _chord(gr: Region, c0: Fraction) -> Optional[tuple[Valuation, Valuation]]:
         above = 0 in gr.blocks[1]  # 0 <= x <= y <= 1
         if not (0 <= c0 <= 1 if above else -1 <= c0 <= 0):
             return None
-        return (((ZERO, c0), (ONE - c0, ONE)) if above
-                else ((-c0, ZERO), (ONE, ONE + c0)))
+        return ((0, c0), (1 - c0, 1)) if above else ((-c0, 0), (1, 1 + c0))
     corners = _sorted_corners(gr)
     a, b = corners[0], corners[-1]
     dcp = (b[1] - a[1]) - (b[0] - a[0])
     if dcp:  # a guard segment across the flow, met at one point
-        s = (c0 - (a[1] - a[0])) / dcp
+        # A 1-D guard region across the flow runs along an axis, so dcp is
+        # 1 or -1 and dividing by it is multiplying.
+        s = (c0 - (a[1] - a[0])) * dcp
         if not 0 <= s <= 1:
             return None
         a = b = (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
@@ -131,12 +132,14 @@ class _Plan(NamedTuple):
     side of the result, read along ``then`` with (slope, intercept) scaled
     by w0 alone.  A plan without a view is a move that no delay fits, and
     ``error`` is instead the exception class and message (``{tid}`` naming
-    the move) of a move that cannot be costed."""
+    the move) of a move that cannot be costed.  The numbers of a plan from
+    a region are ints, read off its corners; only the valuation of a 2-D
+    root brings ``Fraction`` ones in."""
 
     view: tuple = ()
     side: str = ""
     then: tuple = ()
-    at: Optional[Fraction] = None
+    at: Optional[int | Fraction] = None
     error: tuple = ()
 
 
@@ -147,8 +150,8 @@ def _plan(src: Region | Valuation, gr: Region, resets: frozenset[int],
     region ``gr`` and resetting ``resets``, into a value that reads clock
     ``axis``.  ``src`` is a 1-D region, the origin, or the valuation of a
     2-D root, which :func:`_one_step` keeps out of the table."""
-    def u(p: Valuation) -> Fraction:  # the clock the child reads after p
-        return ZERO if axis in resets else p[axis]
+    def u(p: Valuation):  # the clock the child reads after p
+        return 0 if axis in resets else p[axis]
 
     corners = _sorted_corners(src) if isinstance(src, Region) else [src]
     a, b = corners[0], corners[-1]
@@ -169,16 +172,15 @@ def _plan(src: Region | Valuation, gr: Region, resets: frozenset[int],
             return _Plan(error=(StructuralError,
                                 "{tid}: guard misses the flow line"))
         pa, pb = chord
-        if pb[0] != ONE:
+        if pb[0] != 1:
             return _Plan(error=(
                 StructuralError,
                 "transition feasible on only part of its source region"))
         if pa == pb:
-            return _Plan((u(pa), u(pa), -ONE, pa[0]))
+            return _Plan((u(pa), u(pa), -1, pa[0]))
         # firing at (xi, xi) costs k(xi) = child + w(t) + w0*xi; from the
         # source point at xi, the suffix extremum of k less w0*xi
-        return _Plan((u(pa), u(pb), ONE, ZERO), "suffix",
-                     (ZERO, ONE, -ONE, ZERO))
+        return _Plan((u(pa), u(pb), 1, 0), "suffix", (0, 1, -1, 0))
 
     # Non-diagonal 1-D source: each point lies on its own flow line, and the
     # closed guard region sits forward in time on all of them, so the d >= 0
@@ -195,9 +197,10 @@ def _plan(src: Region | Valuation, gr: Region, resets: frozenset[int],
             return _Plan(error=(
                 StructuralError,
                 "{tid}: diagonal guard from a sliding source"))
-        # the source corners' flow lines cross the guard at s0 and s1
-        s0 = (c_a - (ga[1] - ga[0])) / dcp
-        s1 = (c_b - (ga[1] - ga[0])) / dcp
+        # the source corners' flow lines cross the guard at s0 and s1 (dcp
+        # is 1 or -1, as in :func:`_chord`)
+        s0 = (c_a - (ga[1] - ga[0])) * dcp
+        s1 = (c_b - (ga[1] - ga[0])) * dcp
         for s in (s0, s1):
             if not 0 <= s <= 1:
                 return _Plan(error=(DomainError,
@@ -216,8 +219,8 @@ def _plan(src: Region | Valuation, gr: Region, resets: frozenset[int],
     above = 0 in gr.blocks[1]
     reads_y = axis == 1 and 1 not in resets
     prefix = above != reads_y
-    e0, sign = (ONE if prefix else ZERO), (1 if reads_y else -1)
-    return _Plan((ZERO, u((ONE, ONE)), ONE, ZERO),
+    e0, sign = int(prefix), (1 if reads_y else -1)
+    return _Plan((0, u((1, 1)), 1, 0),
                  "prefix" if prefix else "suffix",
                  (e0 + sign * c_a, e0 + sign * c_b,
                   -(reads_y * (c_b - c_a) + dx), -(reads_y * c_a + a[0])))
@@ -401,16 +404,16 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     shared.  A unit is a zero-weight component, solved by value
     iteration against the values behind its output edges, or a plain
     location, solved by the one-step delay optimization.  Units are visited
-    by strongly connected component, successors first: an acyclic unit is
-    solved once against final values, and a cyclic one runs Jacobi sweeps
-    over its members, recomputing a member only when the value of one of its
-    successors changed in the previous sweep.  Sweep values decrease
-    monotonically from +infinity and, because every cycle outside the
-    components costs at least ``kappa``, they reach the unfolding's exact
-    root value within (#positive elements * (W/kappa + 2) + 1) * (|L| + 1)
-    sweeps -- the maximum depth of the counter-cut unfolding -- so each
-    cyclic component stops at stabilization or at that bound, whichever
-    comes first.  ``sweeps`` in ``_stats`` is the most any component took.
+    by strongly connected component, successors first, and each component
+    runs Jacobi sweeps over its members, recomputing a member only when the
+    value of one of its successors changed in the previous sweep, until
+    none is left: an acyclic unit is solved once against final values.
+    Sweep values decrease monotonically from +infinity and, because every
+    cycle outside the components costs at least ``kappa``, they reach the
+    unfolding's exact root value within (#positive elements * (W/kappa + 2)
+    + 1) * (|L| + 1) sweeps -- the maximum depth of the counter-cut
+    unfolding -- so each cyclic component stops at stabilization or at that
+    bound, whichever comes first.  ``sweeps`` in ``_stats`` is the most any component took.
     Equal one-step questions, as integer-part copies and early-reset twins
     ask them, are answered once per call."""
     game = rg.game
@@ -453,19 +456,15 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
 
     most = 0
     for scc in strongly_connected_components(succ):
-        if len(scc) == 1 and scc[0] not in succ[scc[0]]:
-            values.update(solve_unit(scc[0]))
-            most = max(most, 1)
-            continue
         todo = members = set(scc)
-        for sweep in range(1, max_sweeps + 1):
+        sweep = 0
+        while todo and sweep < max_sweeps:
+            sweep += 1
             nxt = {}
             for u in todo:
                 nxt.update(solve_unit(u))
             changed = [n for n, nv in nxt.items() if values[n] != nv]
             values.update(nxt)
-            if not changed:
-                break
             todo = {u for n in changed
                     for u in pred[loc2comp.get(n, n)]} & members
         most = max(most, sweep)

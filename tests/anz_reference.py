@@ -2,10 +2,11 @@
 check.
 
 ``build_corner_point`` is the corner-point construction the solver used
-before it read corner moves from the region table: it walks the
-``Fraction`` corners of each transition's regions and finds the uniform
-delays between them.  ``wtgsolve.cycles.build_corner_point`` must give the
-same edges, in the same order, with the same weights.
+before it read corner moves from the region table: it turns the int
+corners of each transition's regions into ``Fraction`` valuations and
+finds the uniform delays between them.
+``wtgsolve.cycles.build_corner_point`` must give the same edges, in the
+same order, with the same weights.
 
 ``enumerate_almost_non_zeno`` is the check the solver used before it
 searched the corner-path product (``wtgsolve.cycles.check_almost_non_zeno``).
@@ -26,7 +27,7 @@ import networkx as nx
 
 from wtgsolve.core import StructuralError, Valuation
 from wtgsolve.cycles import ANZ, VIOLATION, AnzReport, CornerPointGraph
-from wtgsolve.regions import RegionGame
+from wtgsolve.regions import Region, RegionGame
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -40,6 +41,10 @@ def _uniform_delay(c: Valuation, c2: Valuation) -> Optional[int]:
     return None
 
 
+def _corners(r: Region) -> list[Valuation]:
+    return [tuple(map(Fraction, c)) for c in r.corners()]
+
+
 def build_corner_point(rg: RegionGame) -> CornerPointGraph:
     if not rg.trimmed:
         raise StructuralError("corner-point abstraction needs a trimmed game")
@@ -47,10 +52,10 @@ def build_corner_point(rg: RegionGame) -> CornerPointGraph:
     by_tid: dict[str, list] = {}
     for t in game.transitions:
         fire = rg.guard_region[t.tid]
-        landing = rg.reg[t.tgt].corners()
+        landing = _corners(rg.reg[t.tgt])
         w_loc = game.locations[t.src].weight
-        for c in rg.reg[t.src].corners():
-            for c2 in fire.corners():
+        for c in _corners(rg.reg[t.src]):
+            for c2 in _corners(fire):
                 d = _uniform_delay(c, c2)
                 if d is None:
                     continue

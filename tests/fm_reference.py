@@ -5,7 +5,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from wtgsolve.core import Guard, StructuralError
-from wtgsolve.regions import ONE, ZERO, Region
+from wtgsolve.plf import ONE, ZERO
+from wtgsolve.regions import Region
 
 # A constraint is (coeffs: dict var->Fraction, bound: Fraction, strict: bool)
 # meaning sum(coeffs[v] * v) <= bound (or < bound when strict).

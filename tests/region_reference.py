@@ -9,9 +9,12 @@ location and every move whose target region is fractional, satisfiable or
 not; and ``trim`` and ``infer_guard_region`` asking the feasibility
 predicates region by region and clause by clause, over every region of a
 relaxed source's closure (``adherence``), for the region-set versions in
-``regions``; and ``add_resets`` doubling every location and then cutting
+``regions``; ``add_resets`` doubling every location and then cutting
 the doubled game to what the initial location reaches, for the version in
-``regions`` that builds only what it keeps."""
+``regions`` that builds only what it keeps; and region membership of a
+valuation (``contains``) and one valuation in each region
+(``representative``), which the region tables, read off integer corners,
+are checked against."""
 import itertools
 from fractions import Fraction
 from typing import Optional
@@ -31,6 +34,32 @@ COMPLEMENT = {"<": (">=",), "<=": (">",), "==": ("<", ">"), ">=": ("<",),
 def adherence(r: Region) -> tuple[Region, ...]:
     """All regions contained in the topological closure of ``r``."""
     return _table(r.n_clocks).adherence[r]
+
+
+def contains(r: Region, valuation, closed: bool = False) -> bool:
+    """Is ``valuation`` in ``r`` (in its closure, if ``closed``)?"""
+    if (any(valuation[x] != 0 for x in r.zeros)
+            or any(valuation[x] != 1 for x in r.ones)):
+        return False
+    prev = 0
+    for b in r.interior:
+        vs = {valuation[x] for x in b}
+        if len(vs) != 1:
+            return False
+        v = vs.pop()
+        if not (prev <= v <= 1 if closed else prev < v < 1):
+            return False
+        prev = v
+    return True
+
+
+def representative(r: Region) -> tuple[Fraction, ...]:
+    """One valuation in ``r``: interior block i at i/(dim+1)."""
+    rep = [Fraction(x in r.ones) for x in range(r.n_clocks)]
+    for i, b in enumerate(r.interior, start=1):
+        for x in b:
+            rep[x] = Fraction(i, r.dim + 1)
+    return tuple(rep)
 
 
 def _from(r: Region, closure: bool) -> tuple[Region, ...]:

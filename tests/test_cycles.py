@@ -4,7 +4,7 @@ import pytest
 
 import anz_reference
 from corpus import G, loc, make_game, three_clock_demo
-from wtgsolve.core import MIN, StructuralError, Transition
+from wtgsolve.core import MAX, MIN, StructuralError, Transition
 from wtgsolve.cycles import (
     ANZ,
     VIOLATION,
@@ -75,6 +75,25 @@ def zero_kernel():
                    resets=frozenset({1}), weight=1),
     ]
     return make_game(locs, trans, "a", (0, F(1, 2)))
+
+
+def two_weighted_green():
+    """Two weighted locations, each with an urgent zero-cost self-loop,
+    entered by moves that are not green."""
+    locs = [loc("s", MIN), loc("a", MIN, weight=2), loc("b", MAX, weight=3),
+            loc("G", goal=True)]
+    trans = [
+        Transition("ts", "s", "a", guards=(G(1, "==", 0),)),
+        Transition("t1", "a", "a", guards=(G(0, "==", 0),),
+                   resets=frozenset({1})),
+        Transition("t2", "a", "b", guards=(G(0, "==", 0),), weight=1),
+        Transition("t3", "b", "b", guards=(G(0, "==", 0),),
+                   resets=frozenset({1})),
+        Transition("t4", "b", "G", guards=(G(0, "==", 0),), weight=1),
+        Transition("t5", "b", "a", guards=(G(1, "==", 1),),
+                   resets=frozenset({1})),
+    ]
+    return make_game(locs, trans, "s", (0, 0))
 
 
 def zero_selfloop_weighted():
@@ -196,8 +215,7 @@ class TestFixWeightZero:
         rg = pipeline(zero_kernel())
         marking = mark_green(rg, build_corner_point(rg))
         fixed, marking2 = fix_weight_zero(rg, marking)
-        assert fixed.game.locations.keys() == rg.game.locations.keys()
-        assert marking2 == marking
+        assert fixed is rg and marking2 is marking
 
     def test_split_weighted_green_location(self):
         rg = pipeline(zero_selfloop_weighted())
@@ -217,6 +235,29 @@ class TestFixWeightZero:
         # green loop now lives on the twin
         assert all(t.src == twin for t in fixed.game.transitions
                    if t.tid in marking2.transitions)
+
+    def test_two_splits_redirect_in_one_pass(self):
+        # Every move keeps its place, green ones leave the twin, every move
+        # into a split location enters its twin, and the hops come last, by
+        # location: the moves below are those of splitting one location at
+        # a time, rescanning the moves after each split.
+        rg = pipeline(two_weighted_green())
+        marking = mark_green(rg, build_corner_point(rg))
+        fixed, marking2 = fix_weight_zero(rg, marking)
+        a, b = "a#0,0@[c0,c1]", "b#0,0@[c0,c1]"
+        assert [(t.tid, t.src, t.tgt) for t in fixed.game.transitions] == [
+            ("ts#0,0@s#0,0@[c0,c1]~0", "s#0,0@[c0,c1]", f"{a}~z0"),
+            (f"t1#0,0@{a}~0", f"{a}~z0", f"{a}~z0"),
+            (f"t2#0,0@{a}~0", a, f"{b}~z0"),
+            (f"t3#0,0@{b}~0", f"{b}~z0", f"{b}~z0"),
+            (f"t4#0,0@{b}~0", b, "G#0,0@[c0,c1]"),
+            ("t5#1,1@b#1,1@[c0,c1]~0", "b#1,1@[c0,c1]", "a#1,0@[c0,c1]"),
+            (f"__roll_b#0,0_0_1@{b}~2", b, "b#1,1@[c0,c1]"),
+            (f"__z0_{a}", f"{a}~z0", a),
+            (f"__z0_{b}", f"{b}~z0", b),
+        ]
+        assert marking2.locations == {f"{a}~z0", f"{b}~z0"}
+        assert marking2.transitions == marking.transitions
 
     def test_split_preserves_oracle_value(self):
         rg = pipeline(zero_selfloop_weighted())

@@ -3,7 +3,8 @@ is read somewhere in it, every function of ``src/wtgsolve`` is reached from it
 (or kept for a reason named in ``KEPT``), no module of ``src/wtgsolve``
 imports ``dataclasses``, and the solver computes without floats: the one
 float in ``src/wtgsolve`` is ``core.INF``, the +infinity of extended
-values, and ``plf``, which computes on integers, has no ``/``."""
+values, and the code that computes on integers has no ``/``: ``plf``,
+``regions``, ``cycles`` and the plans of ``unfold``."""
 import ast
 from pathlib import Path
 
@@ -114,6 +115,25 @@ def true_divisions(source: str) -> list[str]:
 def test_no_true_division_in_plf():
     """``plf`` computes on integer numerators: floor division only."""
     assert true_divisions((SRC / "plf.py").read_text()) == []
+
+
+def function_source(path: Path, name: str) -> str:
+    """The source of the top-level function ``name`` of ``path``."""
+    source = path.read_text()
+    node, = [node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    return ast.get_source_segment(source, node)
+
+
+@pytest.mark.parametrize("where", ["regions.py", "cycles.py",
+                                   "unfold.py:_chord", "unfold.py:_plan"])
+def test_no_true_division_where_ints_flow(where):
+    """Region corners are 0/1 ints, and so are the chords and plans that
+    ``unfold`` reads off them: an int ``/`` int would be a float."""
+    path, _, name = where.partition(":")
+    source = (function_source(SRC / path, name) if name
+              else (SRC / path).read_text())
+    assert true_divisions(source) == []
 
 
 def test_the_scan_finds_a_true_division():

@@ -54,7 +54,8 @@ from acceptance_corpus import (exact_corpus, max_dead_end,
 from corpus import three_clock_demo
 from invariants import check_trimmed_observation
 import region_reference
-from region_reference import adherence, full_region_wtg
+from region_reference import (adherence, contains, full_region_wtg,
+                              representative)
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 from references import oracle_value  # noqa: E402  (read-only)
@@ -74,14 +75,14 @@ def R(*blocks, ones=()):
 class TestRegion:
     def test_membership(self):
         r = R({X}, {Y})
-        assert r.contains((F(0), F(1, 2)))
-        assert not r.contains((F(1, 3), F(1, 2)))
-        assert not r.contains((F(0), F(1)))
+        assert contains(r, (F(0), F(1, 2)))
+        assert not contains(r, (F(1, 3), F(1, 2)))
+        assert not contains(r, (F(0), F(1)))
 
     def test_region_of_roundtrip(self):
         for v in [(F(0), F(0)), (F(0), F(1, 2)), (F(1, 3), F(1, 3)),
                   (F(2, 3), F(1, 3)), (F(1, 2), F(1))]:
-            assert region_of(v).contains(v)
+            assert contains(region_of(v), v)
 
     def test_region_of_rejects_out_of_range(self):
         with pytest.raises(DomainError):
@@ -117,9 +118,16 @@ class TestRegion:
         assert sum(r.fractional for r in all_regions(2)) == 6
 
     def test_corners(self):
-        assert R((), {X}, {Y}).corners() == (
-            (F(1), F(1)), (F(0), F(1)), (F(0), F(0)))
-        assert R({X}, {Y}).corners() == ((F(0), F(1)), (F(0), F(0)))
+        assert R((), {X}, {Y}).corners() == ((1, 1), (0, 1), (0, 0))
+        assert R({X}, {Y}).corners() == ((0, 1), (0, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_corners_are_ints_in_the_closure(self, n):
+        for r in all_regions(n):
+            corners = r.corners()
+            assert len(corners) == r.dim + 1
+            assert all(type(v) is int for c in corners for v in c)
+            assert all(contains(r, c, closed=True) for c in corners)
 
     def test_upclock(self):
         assert R({X}, {Y}).upclock == frozenset({Y})
@@ -138,13 +146,26 @@ class TestAdherence:
         for r in [r for r in all_regions(2) if r.fractional]:
             assert r in adherence(r)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closure_from_corners_is_containment(self, n):
+        # The table reads the closure off the corners: s lies in the
+        # closure of r when its corners are corners of r.  The reference
+        # asks whether a valuation of s lies in the closed r: the same
+        # regions, in the same order.
+        regions_n = all_regions(n)
+        assert len(regions_n) == {1: 3, 2: 11, 3: 51, 4: 299}[n]
+        reps = {s: representative(s) for s in regions_n}
+        for r in regions_n:
+            assert adherence(r) == tuple(
+                s for s in regions_n if contains(r, reps[s], closed=True))
+
     def test_closure_sampling(self):
         # Midpoints between a region representative and each adherence
         # representative stay inside the closure of the region.
         r = R((), {X}, {Y})
-        rep = r.representative()
+        rep = representative(r)
         for s in adherence(r):
-            o = s.representative()
+            o = representative(s)
             mid = tuple((a + b) / 2 for a, b in zip(rep, o))
             assert region_of(mid).in_closure_of(r)
 
@@ -195,7 +216,7 @@ class TestRegionTable:
         for g in atoms:
             assert table.decode(table.sat[g]) == tuple(
                 r for r in all_regions(n)
-                if g.holds(r.representative()[g.clock]))
+                if g.holds(representative(r)[g.clock]))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_elapsed_is_the_time_successors(self, n):
@@ -207,7 +228,7 @@ class TestRegionTable:
                                   else (r,))
             # From the representative, delays in steps of half a block gap
             # meet every region that time passes through inside [0,1]^n.
-            rep, k = r.representative(), 2 * (r.dim + 1)
+            rep, k = representative(r), 2 * (r.dim + 1)
             assert elapsed == {
                 region_of(tuple(v + F(j, k) for v in rep))
                 for j in range(k + 1) if max(rep) + F(j, k) <= 1}
@@ -227,7 +248,7 @@ class TestRegionTable:
         for r in table.regions:
             for twin in (Region(tuple(frozenset(set(b)) for b in r.blocks),
                                 frozenset(set(r.ones))),
-                         region_of(r.representative())):
+                         region_of(representative(r))):
                 assert twin == r and twin is not r and hash(twin) == hash(r)
                 assert table.index[twin] == table.index[r]
                 assert table.elapsed[twin] == table.elapsed[r]
@@ -1006,7 +1027,7 @@ def valuations(draw):
 @given(valuations())
 def test_region_membership_partition(v):
     # Every valuation in the unit square lies in exactly one region.
-    hits = [r for r in all_regions(2) if r.contains(v)]
+    hits = [r for r in all_regions(2) if contains(r, v)]
     assert len(hits) == 1
     assert hits[0] == region_of(v)
 

@@ -10,7 +10,8 @@ triangle, which ``unfold._one_step`` is checked against for every kind of
 source, since it costs every move from one plan, whatever the source.  The
 one-step reference composes its own copies of the PLF1 helpers that
 ``unfold`` used before it read every cost along one affine view, so it runs
-none of the code it checks."""
+none of the code it checks, and turns the int corners of the regions into
+``Fraction`` points itself (``_corners``), since its polygon code divides."""
 import math
 
 from dataclasses import dataclass, field
@@ -27,8 +28,7 @@ from wtgsolve.cycles import Kernel
 from wtgsolve.plf import ONE, ZERO, PLF1, eval1, running_extremum
 from wtgsolve.regions import Region, RegionGame
 from wtgsolve.unfold import (NodeValue, _kernel_values, _param_axis,
-                             _solve_plain, _sorted_corners,
-                             check_finite_value, prepare)
+                             _solve_plain, check_finite_value, prepare)
 
 PLAIN, KERNEL, GOAL, STOPPED = "plain", "kernel", "goal", "stopped"
 
@@ -351,8 +351,18 @@ def _suffix_profile(h: PLF1, direction: str) -> PLF1:
     return PLF1(tuple(pts))
 
 
+def _corners(r: Region) -> tuple[Valuation, ...]:
+    """The int corners of ``r`` as ``Fraction`` points, in their order: the
+    geometry below divides."""
+    return tuple(tuple(map(Fraction, c)) for c in r.corners())
+
+
+def _sorted_corners(r: Region) -> list[Valuation]:
+    return sorted(_corners(r))
+
+
 def _polygon(r: Region):
-    return make_ccw(dedupe_polygon(r.corners()))
+    return make_ccw(dedupe_polygon(_corners(r)))
 
 
 def _fire_plf2(t: Transition, child: NodeValue, poly) -> PLF2:
@@ -403,6 +413,7 @@ def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
     """ext over {delay d >= 0 : nu + d inside the closed guard region} of
     d*w(src) + w(t) + child(reset(nu + d)), as a point PLF1 at nu's x;
     None when no delay fits."""
+    nu = tuple(map(Fraction, nu))  # a region corner is an int point
     value = _point_value(rg, t, child, nu, direction)
     if value is None:
         return None
