@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .core import Guard, Location, StructuralError, Transition
 from .graphs import strongly_connected_components
-from .regions import RegionGame, _table, is_rollover
+from .regions import RegionGame, _table, infer_guard_region, is_rollover
 
 ANZ = "almost-non-zeno"
 VIOLATION = "violation"
@@ -62,7 +62,7 @@ def build_corner_point(rg: RegionGame) -> CornerPointGraph:
     table = _table(len(game.clocks))
     by_tid: dict[str, list] = {}
     for t in game.transitions:
-        moves = table.corner_moves(rg.reg[t.src], rg.guard_region[t.tid],
+        moves = table.corner_moves(rg.reg[t.src], infer_guard_region(rg, t),
                                    t.resets, rg.reg[t.tgt], t.tid)
         w_loc = game.locations[t.src].weight
         if moves:
@@ -222,7 +222,7 @@ def fix_weight_zero(rg: RegionGame,
                 f" has no green exit guarded at 0")
     twin = {name: f"{name}~z0" for name in split}
     locations, reg = dict(game.locations), dict(rg.reg)
-    guard_region, transitions = dict(rg.guard_region), []
+    transitions = []
     for t in game.transitions:
         src = twin.get(t.src, t.src) if t.tid in green_tids else t.src
         tgt = twin.get(t.tgt, t.tgt)
@@ -232,16 +232,14 @@ def fix_weight_zero(rg: RegionGame,
         r = reg[twin[name]] = rg.reg[name]
         locations[twin[name]] = Location(twin[name], game.locations[name].owner,
                                          weight=0)
-        hop = Transition(f"__z0_{name}", twin[name], name,
-                         guards=(Guard(min(r.zeros), "==", 0),))
-        transitions.append(hop)
-        guard_region[hop.tid] = r
+        transitions.append(Transition(f"__z0_{name}", twin[name], name,
+                                      guards=(Guard(min(r.zeros), "==", 0),)))
     initial = game.initial
     if initial.location in twin:
         initial = type(initial)(twin[initial.location], initial.valuation)
     game2 = type(game)(game.clocks, locations, transitions, initial)
     green = marking.locations.difference(split).union(twin.values())
-    return (rg._replace(game=game2, reg=reg, guard_region=guard_region),
+    return (rg._replace(game=game2, reg=reg),
             GreenMarking(green, green_tids))
 
 

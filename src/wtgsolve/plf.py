@@ -22,7 +22,6 @@ from math import gcd, lcm
 from .core import INF, DomainError, frac
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class PLF1:
@@ -73,13 +72,15 @@ class PLF1:
         return cls(is_infinite=True)
 
     @classmethod
-    def constant(cls, value, lo=ZERO, hi=ONE) -> "PLF1":
-        value = frac(value)
-        return cls(((lo, value), (hi, value)))
+    def constant(cls, value) -> "PLF1":
+        """``value``, an ``int`` or a ``Fraction``, over [0, 1]."""
+        n, d = value.as_integer_ratio()
+        return cls._of(d, (0, d), (n, n))
 
     @classmethod
-    def point(cls, value, x=ZERO) -> "PLF1":
-        (p, q), (n, m) = (frac(v).as_integer_ratio() for v in (x, value))
+    def point(cls, value, x=0) -> "PLF1":
+        """``value`` at the one point ``x``, ints or ``Fraction``s."""
+        (p, q), (n, m) = x.as_integer_ratio(), value.as_integer_ratio()
         return cls._of(q * m, (p * m,), (n * q,))
 
     # -- basics ------------------------------------------------------------

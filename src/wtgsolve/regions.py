@@ -19,8 +19,7 @@ value iteration can digest:
     add_resets        -> every non-goal transition resets at least one clock
 
 The walk emits what ``trim(relax(.))`` would leave, so both return its
-output as it is; ``trim`` still does work on the doubled game of
-:func:`add_resets`.
+output as it is, and :func:`add_resets` emits its doubled game trimmed too.
 
 Each transformation preserves the value of the game (checked externally
 against the grid oracle on the test corpus).
@@ -31,8 +30,10 @@ trimming and guard-region inference are answered with sets of regions: the
 regions elapsed from a region meet the regions on which each atom holds.
 Those sets, as int bitmasks over the regions, the corners of each region
 as 0/1 int points, from which its closure is read, the results of the pure
-:class:`Region` methods and the corner moves of the corner-point
-abstraction are tabulated once per number of clocks (:class:`_Table`).
+:class:`Region` methods, the region a move fires in, per source region and
+guards (:func:`infer_guard_region`: no game stores it), and the corner
+moves of the corner-point abstraction are tabulated once per number of
+clocks (:class:`_Table`).
 ``restrict`` is the one way to cut a region game down to some of its
 locations and transitions, and ``is_rollover`` the one test for what is a
 rollover.
@@ -150,11 +151,6 @@ class Region:
             raise DomainError("time successors are defined on [0,1)-regions")
         return _table(self.n_clocks).successors[self]
 
-    def in_closure_of(self, other: "Region") -> bool:
-        """True when this region lies inside the closure of ``other``: when
-        its corners are corners of ``other``."""
-        return self in _table(other.n_clocks).adherence[other]
-
 
 def region_of(valuation: Valuation) -> Region:
     """The unique region containing ``valuation`` (entries must be in [0,1])."""
@@ -217,15 +213,15 @@ class _Table:
     guard clauses pinning a valuation to each region (``constraints``), and,
     as ints whose bit i stands for region ``all_regions(n)[i]``, the regions
     elapsed from each region and those on which each guard atom with
-    constant 0 or 1 holds.  The corner moves of :meth:`corner_moves` are
-    filled in on first use."""
+    constant 0 or 1 holds.  ``firing`` (see :func:`infer_guard_region`)
+    and the corner moves of :meth:`corner_moves` fill in on first use."""
 
     def __init__(self, n: int):
         self.regions = regions = all_regions(n)
         canon = {r: r for r in regions}
         self.index = {r: i for i, r in enumerate(regions)}
         self.corners, self.successors, self.reset = {}, {}, {}
-        self.constraints, self._corner_moves = {}, {}
+        self.constraints, self.firing, self._corner_moves = {}, {}, {}
         for r in regions:
             corners = [[int(x in r.ones) for x in range(n)]
                        for _ in range(r.dim + 1)]
@@ -482,17 +478,16 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
 # ---------------------------------------------------------------------------
 
 #: A game with one region per location plus transformation bookkeeping:
-#: ``reg`` maps each location to its region, and ``guard_region`` each
-#: transition id to the region every guard-satisfying elapsed valuation
-#: lies in (within its closure, once relaxed).
-RegionGame = namedtuple("RegionGame", "game reg guard_region trimmed relaxed",
+#: ``reg`` maps each location to its region.  The region a move fires in
+#: is not stored: :func:`infer_guard_region` reads it from the table.
+RegionGame = namedtuple("RegionGame", "game reg trimmed relaxed",
                         defaults=(False, False))
 
 
 def restrict(rg: RegionGame, locations: Collection[str],
              tids: Collection[str]) -> RegionGame:
     """The sub-game on ``locations`` with the transitions ``tids`` between
-    them.  Regions, guard regions and flags carry over; orders are kept."""
+    them.  Regions and flags carry over; orders are kept."""
     keep, kept_tids = set(locations), set(tids)
     transitions = [t for t in rg.game.transitions if t.tid in kept_tids
                    and t.src in keep and t.tgt in keep]
@@ -500,10 +495,8 @@ def restrict(rg: RegionGame, locations: Collection[str],
         list(rg.game.clocks),
         {n: l for n, l in rg.game.locations.items() if n in keep},
         transitions, rg.game.initial)
-    guard_region = {t.tid: rg.guard_region[t.tid] for t in transitions
-                    if t.tid in rg.guard_region}
     return RegionGame(game, {n: r for n, r in rg.reg.items() if n in keep},
-                      guard_region, trimmed=rg.trimmed, relaxed=rg.relaxed)
+                      trimmed=rg.trimmed, relaxed=rg.relaxed)
 
 
 def build_region_wtg(ng: Normalized) -> RegionGame:
@@ -570,7 +563,7 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     feasible: dict[tuple, bool] = {}
 
     def firings(ri: int, guards0: tuple, resets: frozenset) -> list[tuple]:
-        """(k, r2, target region index, emitted guards) per firing kept."""
+        """(k, target region index, emitted guards) per firing kept."""
         r, out = table.regions[ri], []
         elapsed = table.elapsed[r]
         for k, r2 in enumerate(r.time_successors()):
@@ -583,7 +576,7 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
                 feasible[ri, guards] = delay_feasible(r, guards)
             if feasible[ri, guards]:
                 closed = [g.closed() for g in guards]
-                out.append((k, r2, table.index[r3], tuple(
+                out.append((k, table.index[r3], tuple(
                     g for g in closed if elapsed & ~table.sat[g])))
         return out
 
@@ -600,11 +593,11 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
             key = (ri, guards0, resets)
             if key not in fired:
                 fired[key] = firings(*key)
-            for k, r2, ri3, guards in fired[key]:
+            for k, ri3, guards in fired[key]:
                 tgt = (lj, nbar2, ri3)
                 if tgt not in named:
                     todo.append(tgt)
-                moves.append(((rank, ri, k), r2, Transition(
+                moves.append(((rank, ri, k), Transition(
                     tid=f"{tid}@{src}~{k}", src=src, tgt=rloc(tgt),
                     guards=guards, resets=resets, weight=w)))
     moves.sort(key=lambda mv: mv[0])
@@ -613,9 +606,8 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
         name=named[k], owner=locs[k[0]].owner, is_goal=locs[k[0]].is_goal,
         weight=locs[k[0]].weight) for k in keys}
     g = WeightedTimedGame(list(game.clocks), locations,
-                          [t for *_, t in moves], initial)
+                          [t for _, t in moves], initial)
     return RegionGame(g, {named[k]: table.regions[k[2]] for k in keys},
-                      {t.tid: r2 for _, r2, t in moves},
                       trimmed=True, relaxed=True)
 
 
@@ -625,8 +617,8 @@ def trim(rg: RegionGame) -> RegionGame:
     A transition survives when a guard-satisfying delay exists from the
     source region; a clause survives when some elapsed valuation violates
     it.  A game flagged trimmed is returned as it is: trimming it again
-    changes nothing, and :func:`build_region_wtg` emits its moves trimmed,
-    so only the trim inside :func:`add_resets` does work in the pipeline.
+    changes nothing, and :func:`build_region_wtg` and :func:`add_resets`
+    emit their moves trimmed, so no trim does work in the pipeline.
     Closing a guard keeps a satisfiable one satisfiable, and a clause
     implied by the region stays implied once closed, so one trim after
     closing drops all that a trim before it would.
@@ -640,12 +632,10 @@ def trim(rg: RegionGame) -> RegionGame:
     if rg.trimmed:
         return rg
     kept: list[Transition] = []
-    guard_region = dict(rg.guard_region)
     table = _table(len(rg.game.clocks))
     for t in rg.game.transitions:
         elapsed = table.elapsed[rg.reg[t.src]]
         if not table.satisfying(t.guards, elapsed):
-            guard_region.pop(t.tid, None)
             continue
         # A clause is redundant when every elapsed valuation satisfies it.
         clauses = tuple(g for g in t.guards if elapsed & ~table.sat[g])
@@ -654,8 +644,7 @@ def trim(rg: RegionGame) -> RegionGame:
             resets=t.resets, weight=t.weight))
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              kept, rg.game.initial)
-    return RegionGame(game, dict(rg.reg), guard_region, trimmed=True,
-                      relaxed=rg.relaxed)
+    return RegionGame(game, dict(rg.reg), trimmed=True, relaxed=rg.relaxed)
 
 
 def relax(rg: RegionGame) -> RegionGame:
@@ -674,31 +663,32 @@ def relax(rg: RegionGame) -> RegionGame:
     transitions = [closed(t) for t in rg.game.transitions]
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              transitions, rg.game.initial)
-    return RegionGame(game, dict(rg.reg), dict(rg.guard_region),
-                      relaxed=True)
+    return RegionGame(game, dict(rg.reg), relaxed=True)
 
 
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
-    """The region whose closure holds every guard-satisfying elapsed point."""
+    """The region ``t`` fires in: the one whose closure holds every
+    guard-satisfying elapsed point, found once per (source region, guards)
+    and kept in ``_Table.firing`` with why there is none, if so."""
     src = rg.reg[t.src]
     table = _table(src.n_clocks)
-    feas = table.decode(table.satisfying(t.guards, table.elapsed[src]))
-    if not feas:
-        raise StructuralError(f"{t.tid}: guard unsatisfiable from its region")
-    best = max(feas, key=lambda r: r.dim)
-    for other in feas:
-        if not other.in_closure_of(best):
-            raise StructuralError(
-                f"{t.tid}: firing set spans incomparable regions")
-    return best
+    fire = table.firing.get((src, t.guards))
+    if fire is None:
+        feas = table.decode(table.satisfying(t.guards, table.elapsed[src]))
+        fire = max(feas, key=lambda r: r.dim, default=None)
+        if fire is None:
+            fire = "guard unsatisfiable from its region"
+        elif not set(feas) <= set(table.adherence[fire]):
+            fire = "firing set spans incomparable regions"
+        table.firing[src, t.guards] = fire
+    if isinstance(fire, str):
+        raise StructuralError(f"{t.tid}: {fire}")
+    return fire
 
 
 # ---------------------------------------------------------------------------
 # All-reset transformation
 # ---------------------------------------------------------------------------
-
-_COMPOSE_CAP = 10_000
-
 
 def add_resets(rg: RegionGame) -> RegionGame:
     """Make every non-goal transition reset at least one clock.
@@ -709,11 +699,17 @@ def add_resets(rg: RegionGame) -> RegionGame:
     are pinned to fire when the top clocks reach 1 (which never changes
     what either player can secure: both locations of a cross-player move
     are weight-free, and a dead end is worth +inf whenever it is entered).
-    Every location is then doubled with an "early reset" twin whose top
-    clocks are already back at zero, so the pinned transitions can reset on
-    the spot.  Only the locations that the initial one reaches in the
-    doubled graph, and the moves between them, are built: the doubled graph
-    is found from names alone before any of it is made.
+    Short-circuiting fires the parts at one instant, and it ends: a move
+    equal (source, target, guards, resets, weight) to one composed before
+    is not made again, nor is one still to short-circuit whose walk visits
+    a location twice.  Such a loop costs Min no time and weight >= 0, and
+    ``prune_max_traps`` leaves Max none, so the moves left to
+    short-circuit follow simple paths, finitely many.  Every location is
+    then doubled with an "early reset" twin whose top clocks are already
+    back at zero, so the pinned transitions can reset on the spot.  Only
+    what the initial location reaches in the doubled graph is built, found
+    from names alone first.  The moves come out trimmed, as they went in,
+    and :func:`infer_guard_region` refuses a guard no delay satisfies.
     """
     if not (rg.trimmed and rg.relaxed):
         raise StructuralError("add_resets expects a relaxed trimmed game")
@@ -728,15 +724,13 @@ def add_resets(rg: RegionGame) -> RegionGame:
         return (t.tgt not in goals and not t.resets
                 and not any(g.op == "==" and g.bound == 1 for g in t.guards))
 
-    counter = itertools.count()
-    steps = 0
+    # The locations each move walks through, and the composed moves made.
+    walks = {t.tid: (t.src, t.tgt) for t in transitions}
+    made: set[tuple] = set()
     while True:
         todo = next((t for t in transitions if needs_prepass(t)), None)
         if todo is None:
             break
-        steps += 1
-        if steps > _COMPOSE_CAP:
-            raise StructuralError("reset-free composition did not terminate")
         zero_clocks = {g.clock for g in todo.guards
                        if g.op == "==" and g.bound == 0}
         # A move into a dead end has no successors to compose with: pinned,
@@ -753,12 +747,18 @@ def add_resets(rg: RegionGame) -> RegionGame:
             for t2 in list(transitions):
                 if t2.src != todo.tgt or t2.tgt == todo.src:
                     continue
-                transitions.append(Transition(
-                    tid=f"{todo.tid}>{t2.tid}#{next(counter)}",
-                    src=todo.src, tgt=t2.tgt,
-                    guards=tuple(dict.fromkeys(list(todo.guards) + list(t2.guards))),
-                    resets=t2.resets,
-                    weight=todo.weight + t2.weight))
+                t3 = Transition(
+                    f"{todo.tid}>{t2.tid}#{len(made)}", todo.src, t2.tgt,
+                    tuple(dict.fromkeys((*todo.guards, *t2.guards))),
+                    t2.resets, todo.weight + t2.weight)
+                key = (t3.src, t3.tgt, t3.guards, t3.resets, t3.weight)
+                walk = walks[todo.tid] + walks[t2.tid][1:]
+                if key in made or (needs_prepass(t3)
+                                   and len(set(walk)) < len(walk)):
+                    continue
+                made.add(key)
+                walks[t3.tid] = walk
+                transitions.append(t3)
         else:
             up = min(rg.reg[todo.src].upclock)
             transitions.append(Transition(
@@ -836,16 +836,7 @@ def add_resets(rg: RegionGame) -> RegionGame:
 
     out_game = WeightedTimedGame(list(game.clocks), locations, new_trans,
                                  game.initial)
-    out = trim(RegionGame(out_game, reg2, {}, trimmed=False, relaxed=True))
-    # Equal questions, as a transition and its copies ask them, are
-    # answered once.
-    regions_of: dict[tuple, Region] = {}
-    for t in out.game.transitions:
-        key = (out.reg[t.src], t.guards)
-        if key not in regions_of:
-            regions_of[key] = infer_guard_region(out, t)
-        out.guard_region[t.tid] = regions_of[key]
-    return out
+    return RegionGame(out_game, reg2, trimmed=True, relaxed=True)
 
 
 def prune_unreachable(rg: RegionGame, roots: Sequence[str]) -> RegionGame:

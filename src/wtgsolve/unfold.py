@@ -27,8 +27,8 @@ from .graphs import reachable, strongly_connected_components
 from .plf import (PLF1, eval1, pointwise_extremum, reparam,
                   running_extremum)
 from .regions import (Region, RegionGame, add_resets, build_region_wtg,
-                      is_rollover, normalize_01, prune_unreachable, relax,
-                      restrict, trim)
+                      infer_guard_region, is_rollover, normalize_01,
+                      prune_unreachable, relax, restrict, trim)
 from .cycles import (ANZ, AnzReport, Kernel, build_corner_point,
                      check_almost_non_zeno, compute_bounds, extract_kernel,
                      fix_weight_zero, mark_green)
@@ -322,9 +322,9 @@ def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
     transition resets a clock), so its value is only ever needed at the
     initial valuation.  ``shared`` holds the costs already computed, keyed
     by everything that they depend on."""
-    r = rg.reg[t.src]
-    key = (rg.game.locations[t.src].weight, rg.guard_region[t.tid],
-           t.resets, t.weight, r, direction, child.region, child.plf)
+    r, gr = rg.reg[t.src], infer_guard_region(rg, t)
+    key = (rg.game.locations[t.src].weight, gr, t.resets, t.weight, r,
+           direction, child.region, child.plf)
     try:
         return shared[key]
     except KeyError:
@@ -332,7 +332,7 @@ def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
     if child.is_infinite:
         shared[key] = cost = PLF1.infinite()
         return cost
-    args = (rg.guard_region[t.tid], t.resets, _param_axis(child.region))
+    args = (gr, t.resets, _param_axis(child.region))
     # the root's plan depends on the input valuation: not tabulated
     plan = (_plan(r, *args) if r.dim < 2
             else _plan.__wrapped__(rg.game.initial.valuation, *args))

@@ -27,7 +27,7 @@ import networkx as nx
 
 from wtgsolve.core import StructuralError, Valuation
 from wtgsolve.cycles import ANZ, VIOLATION, AnzReport, CornerPointGraph
-from wtgsolve.regions import Region, RegionGame
+from wtgsolve.regions import Region, RegionGame, infer_guard_region
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -51,7 +51,7 @@ def build_corner_point(rg: RegionGame) -> CornerPointGraph:
     game = rg.game
     by_tid: dict[str, list] = {}
     for t in game.transitions:
-        fire = rg.guard_region[t.tid]
+        fire = infer_guard_region(rg, t)
         landing = _corners(rg.reg[t.tgt])
         w_loc = game.locations[t.src].weight
         for c in _corners(rg.reg[t.src]):

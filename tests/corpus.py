@@ -1,4 +1,5 @@
 """Shared game fixtures for the test suite."""
+import random
 from fractions import Fraction
 
 from wtgsolve.core import (
@@ -75,3 +76,39 @@ def three_clock_demo():
                    resets=frozenset({2})),
     ]
     return make_game(locs, trans, "flag1", (0, 0, 0), n_clocks=3)
+
+
+def reset_free_digraph(owner, rates, moves):
+    """Locations l0..l{n-1} of one ``owner``, with ``rates``, the unguarded
+    reset-free moves ``moves`` as (source index, target index, weight), and
+    one exit from the last location to the goal G, guarded x==1, resetting
+    x, of weight 1.  The play starts at l0 at (0, 0).  Every move between
+    the locations must be short-circuited by ``add_resets``."""
+    names = [f"l{i}" for i in range(len(rates))]
+    locs = [loc(n, owner, weight=w) for n, w in zip(names, rates)]
+    trans = [Transition(f"m{i}{j}_{k}", names[i], names[j], weight=w)
+             for k, (i, j, w) in enumerate(moves)]
+    trans.append(Transition("exit", names[-1], "G", guards=(G(0, "==", 1),),
+                            resets=frozenset({0}), weight=1))
+    return make_game(locs + [loc("G", goal=True)], trans, "l0", (0, 0))
+
+
+def complete_digraph(n, back):
+    """:func:`reset_free_digraph` on n rate-0 Min locations with every move
+    between them, each weighing ``back`` from a higher-numbered location to
+    a lower-numbered one and 0 otherwise.  Its value is 1: walk up at
+    weight 0, wait, and leave."""
+    return reset_free_digraph(MIN, [0] * n, [
+        (i, j, back * (i > j)) for i in range(n) for j in range(n) if i != j])
+
+
+def random_digraph(seed):
+    """A seeded :func:`reset_free_digraph`: 2-4 locations of one owner,
+    rates and move weights 0 or 1, and each move present with probability
+    0.7."""
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 4)
+    return reset_free_digraph(
+        rnd.choice([MIN, MAX]), [rnd.randint(0, 1) for _ in range(n)],
+        [(i, j, rnd.randint(0, 1)) for i in range(n) for j in range(n)
+         if i != j and rnd.random() < 0.7])

@@ -5,8 +5,9 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from wtgsolve.core import Guard, StructuralError
-from wtgsolve.plf import ONE, ZERO
 from wtgsolve.regions import Region
+
+ZERO, ONE = Fraction(0), Fraction(1)
 
 # A constraint is (coeffs: dict var->Fraction, bound: Fraction, strict: bool)
 # meaning sum(coeffs[v] * v) <= bound (or < bound when strict).

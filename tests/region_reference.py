@@ -10,11 +10,11 @@ not; and ``trim`` and ``infer_guard_region`` asking the feasibility
 predicates region by region and clause by clause, over every region of a
 relaxed source's closure (``adherence``), for the region-set versions in
 ``regions``; ``add_resets`` doubling every location and then cutting
-the doubled game to what the initial location reaches, for the version in
-``regions`` that builds only what it keeps; and region membership of a
-valuation (``contains``) and one valuation in each region
-(``representative``), which the region tables, read off integer corners,
-are checked against."""
+the doubled game to what the initial location reaches and trimming it,
+for the version in ``regions`` that builds only what it keeps and emits
+it trimmed; and region membership of a valuation (``contains``) and one
+valuation in each region (``representative``), which the region tables,
+read off integer corners, are checked against."""
 import itertools
 from fractions import Fraction
 from typing import Optional
@@ -251,7 +251,7 @@ def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
                 guards = tuple(dict.fromkeys((*t.guards, *pinned[r2])))
                 if not delay_feasible(r, guards):
                     continue
-                moves.append(((i, order[r], k), r2, Transition(
+                moves.append(((i, order[r], k), Transition(
                     tid=f"{t.tid}@{src}~{k}", src=src,
                     tgt=rloc(*tgt), guards=guards, resets=t.resets,
                     weight=t.weight)))
@@ -264,9 +264,9 @@ def build_region_wtg(game: WeightedTimedGame) -> RegionGame:
     for n, r in sorted(seen, key=lambda nr: (rank[nr[0]], order[nr[1]])):
         reg[rloc(n, r)] = r
         locations[rloc(n, r)] = game.locations[n]._replace(name=rloc(n, r))
-    g = WeightedTimedGame(list(game.clocks), locations, [t for *_, t in moves],
+    g = WeightedTimedGame(list(game.clocks), locations, [t for _, t in moves],
                           Configuration(rloc(init.location, r0), init.valuation))
-    return RegionGame(g, reg, {t.tid: r2 for _, r2, t in moves})
+    return RegionGame(g, reg)
 
 
 def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
@@ -288,7 +288,6 @@ def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
             reg[lname] = r
 
     transitions: list[Transition] = []
-    guard_region: dict[str, Region] = {}
     for t in game.transitions:
         for r in regions:
             for k, r2 in enumerate(r.time_successors()):
@@ -303,7 +302,6 @@ def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
                 transitions.append(Transition(
                     tid=tid, src=rloc(t.src, r), tgt=rloc(t.tgt, tgt_region),
                     guards=guards, resets=t.resets, weight=t.weight))
-                guard_region[tid] = r2
 
     init = game.initial
     r0 = region_of(init.valuation)
@@ -311,20 +309,18 @@ def full_region_wtg(game: WeightedTimedGame) -> RegionGame:
         raise InputError("initial valuation not in [0,1)")
     initial = Configuration(rloc(init.location, r0), init.valuation)
     g = WeightedTimedGame(list(game.clocks), locations, transitions, initial)
-    return RegionGame(g, reg, guard_region)
+    return RegionGame(g, reg)
 
 
 def trim(rg: RegionGame) -> RegionGame:
     """Drop unsatisfiable transitions and region-implied guard clauses."""
     closure = rg.relaxed
     kept: list[Transition] = []
-    guard_region = dict(rg.guard_region)
     for t in rg.game.transitions:
         r = rg.reg[t.src]
         sources = adherence(r) if closure else [r]
         if not all(any(delay_feasible(a, t.guards) for a in _from(s, closure))
                    for s in sources):
-            guard_region.pop(t.tid, None)
             continue
         clauses = []
         for g in t.guards:
@@ -339,8 +335,7 @@ def trim(rg: RegionGame) -> RegionGame:
         kept.append(t._replace(guards=tuple(clauses)))
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              kept, rg.game.initial)
-    return RegionGame(game, dict(rg.reg), guard_region, trimmed=True,
-                      relaxed=rg.relaxed)
+    return RegionGame(game, dict(rg.reg), trimmed=True, relaxed=rg.relaxed)
 
 
 def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
@@ -354,7 +349,7 @@ def infer_guard_region(rg: RegionGame, t: Transition) -> Region:
         raise StructuralError(f"{t.tid}: guard unsatisfiable from its region")
     best = max(feas, key=lambda r: r.dim)
     for other in feas:
-        if not other.in_closure_of(best):
+        if other not in adherence(best):
             raise StructuralError(
                 f"{t.tid}: firing set spans incomparable regions")
     return best
@@ -369,10 +364,13 @@ def add_resets(rg: RegionGame) -> RegionGame:
     are pinned to fire when the top clocks reach 1 (which never changes
     what either player can secure: both locations of a cross-player move
     are weight-free, and a dead end is worth +inf whenever it is entered).
+    A composed move equal to one composed before (same source, target,
+    guards, resets and weight) is not made again, and one that still needs
+    short-circuiting is not made on a walk that visits a location twice.
     Every location is then doubled with an "early reset" twin whose top
     clocks are already back at zero, so the pinned transitions can reset on
     the spot, and the doubled game is cut to what the initial location
-    reaches.
+    reaches and trimmed.
     """
     if not (rg.trimmed and rg.relaxed):
         raise StructuralError("add_resets expects a relaxed trimmed game")
@@ -387,15 +385,12 @@ def add_resets(rg: RegionGame) -> RegionGame:
         return (t.tgt not in goals and not t.resets
                 and not any(g.op == "==" and g.bound == 1 for g in t.guards))
 
-    counter = itertools.count()
-    steps = 0
+    walks = {t.tid: [t.src, t.tgt] for t in transitions}
+    made: list[Transition] = []
     while True:
         todo = next((t for t in transitions if needs_prepass(t)), None)
         if todo is None:
             break
-        steps += 1
-        if steps > regions._COMPOSE_CAP:
-            raise StructuralError("reset-free composition did not terminate")
         zero_clocks = {g.clock for g in todo.guards
                        if g.op == "==" and g.bound == 0}
         # A move into a dead end has no successors to compose with: pinned,
@@ -412,12 +407,20 @@ def add_resets(rg: RegionGame) -> RegionGame:
             for t2 in list(transitions):
                 if t2.src != todo.tgt or t2.tgt == todo.src:
                     continue
-                transitions.append(Transition(
-                    tid=f"{todo.tid}>{t2.tid}#{next(counter)}",
+                composed = Transition(
+                    tid=f"{todo.tid}>{t2.tid}#{len(made)}",
                     src=todo.src, tgt=t2.tgt,
                     guards=tuple(dict.fromkeys(list(todo.guards) + list(t2.guards))),
                     resets=t2.resets,
-                    weight=todo.weight + t2.weight))
+                    weight=todo.weight + t2.weight)
+                same = composed._replace(tid="")
+                walk = walks[todo.tid] + walks[t2.tid][1:]
+                if same in made or (needs_prepass(composed)
+                                    and len(set(walk)) < len(walk)):
+                    continue
+                made.append(same)
+                walks[composed.tid] = walk
+                transitions.append(composed)
         else:
             up = min(rg.reg[todo.src].upclock)
             transitions.append(Transition(
@@ -498,10 +501,7 @@ def add_resets(rg: RegionGame) -> RegionGame:
 
     initial = game.initial
     out_game = WeightedTimedGame(list(game.clocks), locations, new_trans, initial)
-    out = RegionGame(out_game, reg2, {}, trimmed=False, relaxed=True)
+    out = RegionGame(out_game, reg2, trimmed=False, relaxed=True)
     out = regions.prune_unreachable(out, roots=[initial.location])
-    out = regions.trim(out)
-    for t in out.game.transitions:
-        out.guard_region[t.tid] = regions.infer_guard_region(out, t)
-    return out
+    return regions.trim(out)
 

@@ -320,14 +320,14 @@ class TestBounds:
         trans = [Transition(f"t{i}", f"l{i}", f"l{i+1}" if i < 8 else "G",
                             weight=2 if i == 0 else 0) for i in range(9)]
         g = make_game(locs, trans, "l0", (0, 0))
-        kappa, w = compute_bounds(RegionGame(g, {}, {}))
+        kappa, w = compute_bounds(RegionGame(g, {}))
         assert (kappa, w) == (1, 60)
 
     def test_all_zero_weights(self):
         locs = [loc("a", MIN), loc("G", goal=True)]
         trans = [Transition("t", "a", "G")]
         g = make_game(locs, trans, "a", (0, 0))
-        _, w = compute_bounds(RegionGame(g, {}, {}))
+        _, w = compute_bounds(RegionGame(g, {}))
         assert w == 2
 
     def test_w_dominates_oracle_value(self):

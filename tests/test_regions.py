@@ -1,6 +1,8 @@
 """Region primitives and the game transformation pipeline."""
 import itertools
+import json
 import operator
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -43,7 +45,7 @@ from wtgsolve.regions import (
     restrict,
     trim,
 )
-from wtgsolve.unfold import prune_dead_rolls, prune_max_traps, solve
+from wtgsolve.unfold import prepare, prune_dead_rolls, prune_max_traps, solve
 
 import fm_reference
 import test_anz
@@ -51,14 +53,15 @@ import test_golden
 from acceptance_corpus import (exact_corpus, max_dead_end,
                                normalization_fixtures,
                                transformation_corpus)
-from corpus import three_clock_demo
+from corpus import complete_digraph, random_digraph, three_clock_demo
 from invariants import check_trimmed_observation
 import region_reference
 from region_reference import (adherence, contains, full_region_wtg,
                               representative)
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
-from references import oracle_value  # noqa: E402  (read-only)
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "bench"))
+from references import oracle_value, parse_value  # noqa: E402  (read-only)
 
 X, Y = 0, 1
 INF = float("inf")
@@ -167,7 +170,7 @@ class TestAdherence:
         for s in adherence(r):
             o = representative(s)
             mid = tuple((a + b) / 2 for a, b in zip(rep, o))
-            assert region_of(mid).in_closure_of(r)
+            assert region_of(mid) in adherence(r)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +388,7 @@ def test_normalize_and_prune_share_roll_liveness():
          roll("__roll_ba", "b", "a"),
          Transition("t", "a", "G", (Guard(X, "<", 1), Guard(Y, "<", 1)))],
         Configuration("a", (F(0), F(0))))
-    pruned = prune_dead_rolls(RegionGame(g, {}, {}))
+    pruned = prune_dead_rolls(RegionGame(g, {}))
     assert [t.tid for t in pruned.game.transitions] == \
         ["__roll_d", "__roll_ba", "t"]
     assert prune_dead_rolls(pruned) is pruned
@@ -549,27 +552,47 @@ class TestRegionGame:
             assert rg.reg[t.src] in (R({X}, {Y}), R((), {X}, {Y}))
 
     def test_trim_idempotent(self):
-        rg = trim(build_01(_small_01_game()))
-        again = trim(rg)
-        assert {t.tid for t in again.game.transitions} == \
-            {t.tid for t in rg.game.transitions}
-        assert [t.guards for t in again.game.transitions] == \
-            [t.guards for t in rg.game.transitions]
+        """Trimming a trimmed game again, with its flag cleared, keeps
+        every move as it is."""
+        rg = trim(full_region_wtg(_small_01_game()))
+        again = trim(rg._replace(trimmed=False))
+        assert len(rg.game.transitions) == 2
+        assert again.game.transitions == rg.game.transitions
 
     def test_trimmed_observation(self):
-        check_trimmed_observation(trim(build_01(_small_01_game())))
+        checked = 0
+        for rg in [trim(full_region_wtg(_small_01_game()))] + [
+                rg for _, rg in _built_games()]:
+            check_trimmed_observation(rg)
+            checked += len(rg.game.transitions)
+        assert checked > 5_000, checked
 
     def test_guard_region_metadata(self):
-        rg = trim(build_01(_small_01_game()))
-        for t in rg.game.transitions:
-            assert rg.guard_region[t.tid] == infer_guard_region(rg, t)
+        """The region a move fires in, read from the region table, is the
+        reference's, asking the feasibility predicates region by region,
+        on every move of every built and every prepared game of the walk
+        corpus."""
+        def games():
+            for name, game in _walk_games():
+                try:
+                    yield name, build_region_wtg(normalize_01(game))
+                    yield name, prepare(game).rg
+                except GameError:
+                    continue
+
+        moves = 0
+        for name, rg in games():
+            for t in rg.game.transitions:
+                assert infer_guard_region(rg, t) == \
+                    region_reference.infer_guard_region(rg, t), (name, t.tid)
+            moves += len(rg.game.transitions)
+        assert moves > 12_000, moves
 
     def test_restrict_keeps_the_data_of_what_it_keeps(self):
         rg = trim(full_region_wtg(_small_01_game()))
         t = rg.game.transitions[0]
         sub = restrict(rg, rg.game.locations, [t.tid])
         assert sub.game.transitions == [t]
-        assert sub.guard_region == {t.tid: rg.guard_region[t.tid]}
         assert sub.reg == rg.reg and sub.trimmed and not sub.relaxed
         # A transition goes with either end, a region with its location.
         sub = restrict(rg, set(rg.game.locations) - {t.tgt},
@@ -628,11 +651,21 @@ def _walk_games():
                ("far", far)])
 
 
+def _built_games():
+    """The walk's region game of every game of the walk corpus that it
+    builds."""
+    for name, game in _walk_games():
+        try:
+            yield name, build_region_wtg(normalize_01(game))
+        except GameError:
+            continue
+
+
 def _fields(rg):
     """Every field of a region game, in order."""
     return (rg.game.clocks, list(rg.game.locations.items()),
             rg.game.transitions, rg.game.initial, list(rg.reg.items()),
-            list(rg.guard_region.items()), rg.trimmed, rg.relaxed)
+            rg.trimmed, rg.relaxed)
 
 
 def _built(game, reference=False):
@@ -723,8 +756,10 @@ class TestForwardBuild:
 
     def test_same_cut_as_the_full_product(self):
         """Same locations and transitions in the same order, with the same
-        ids, guards and resets, and the same regions and guard regions; the
-        walk's guards are relaxed and trimmed, so the product's are too."""
+        ids, guards and resets, and the same regions; the walk's guards are
+        relaxed and trimmed, so the product's are too.  Each move fires in
+        the time successor k of its source region that its id ends with,
+        the region the product builds it for."""
         for name, game in _forward_build_games():
             new = _reachable_part(build_region_wtg(normalize_01(game)))
             ref = trim(relax(_reachable_part(full_region_wtg(
@@ -734,7 +769,10 @@ class TestForwardBuild:
             assert new.game.transitions == ref.game.transitions, name
             assert new.game.initial == ref.game.initial, name
             assert new.reg == ref.reg, name
-            assert new.guard_region == ref.guard_region, name
+            for t in new.game.transitions:
+                k = int(t.tid.rsplit("~", 1)[1])
+                assert infer_guard_region(new, t) == \
+                    new.reg[t.src].time_successors()[k], (name, t.tid)
 
     def test_no_feasibility_question_is_asked_twice(self, monkeypatch):
         """Within one build no (region, guards) reaches ``delay_feasible``
@@ -758,9 +796,9 @@ class TestForwardBuild:
 
     def test_add_resets_builds_what_the_reference_keeps(self):
         """``add_resets`` builds only what the initial location reaches in
-        the doubled game, and gives what the reference's doubling and then
-        cutting gives, field for field and in order, or the same error
-        class and message."""
+        the doubled game, and gives what the reference's doubling, cutting
+        and trimming gives, with the same composition rules, field for
+        field and in order, or the same error class and message."""
         def inputs():
             for name, game in _walk_games():
                 try:
@@ -777,7 +815,7 @@ class TestForwardBuild:
                 [Transition("t", "a", "b", (Guard(X, "==", 1),))],
                 Configuration("a", (F(0), F(1, 2))))
             yield "off_top", RegionGame(game, dict.fromkeys("ab", R({X}, {Y})),
-                                        {}, trimmed=True, relaxed=True)
+                                        trimmed=True, relaxed=True)
 
         built = errors = 0
         for name, rg in inputs():
@@ -857,18 +895,22 @@ def _stages(game):
     ``regions`` at call time.  The game is the reference's build, whose
     guards are neither relaxed nor trimmed yet (the walk emits them both)."""
     out = []
+
+    def stage(rg):
+        out.append((rg.game.transitions, [regions.infer_guard_region(rg, t)
+                                          for t in rg.game.transitions]))
+        return rg
+
     try:
         rg = region_reference.build_region_wtg(
             region_reference.normalize_01(game))
-        out.append(regions.trim(rg))
-        rg = regions.trim(relax(prune_unreachable(
-            prune_dead_rolls(rg), [rg.game.initial.location])))
-        out.append(rg)
-        out.append(add_resets(prune_max_traps(rg)))
+        stage(regions.trim(rg))
+        rg = stage(regions.trim(relax(prune_unreachable(
+            prune_dead_rolls(rg), [rg.game.initial.location]))))
+        stage(add_resets(prune_max_traps(rg)))
     except GameError as exc:
         out.append(type(exc))
-    return [(s.game.transitions, s.guard_region)
-            if isinstance(s, RegionGame) else s for s in out]
+    return out
 
 
 class TestRegionSets:
@@ -1010,6 +1052,53 @@ class TestAddResets:
         assert any(t.tgt in dead and t.tid.startswith("t0#")
                    for t in ar.game.transitions)
         assert solve(g).value == INF == oracle_value(game_to_dict(g))
+
+    def test_reset_free_composition_ends(self):
+        """Short-circuiting reset-free same-owner moves ends, and keeps the
+        value: the complete three-location digraph of weight-0 moves, the
+        four-location one whose moves back down weigh 1, and 40 seeded
+        digraphs each solve to the grid oracle's value.  They are solved in
+        a child process under a 1 GiB address-space limit, so a composition
+        that does not end fails with a ``MemoryError`` in seconds, not by
+        taking the machine's memory."""
+        games = [complete_digraph(3, 0), complete_digraph(4, 1)]
+        games += [random_digraph(seed) for seed in range(40)]
+        run = subprocess.run(
+            [sys.executable, "-c", _COMPOSITION.format(
+                src=str(ROOT / "src"), tests=str(ROOT / "tests"))],
+            timeout=60, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr[-2000:]
+        values = [parse_value(v) for v in json.loads(run.stdout)]
+        assert values == [oracle_value(game_to_dict(g)) for g in games]
+        assert values[:2] == [1, 1]
+        assert sum(v != INF for v in values) >= 10, values
+
+    def test_add_resets_emits_its_game_trimmed(self):
+        """Trimming the output of ``add_resets`` again, with its flag
+        cleared, changes no field: the same moves, guards and order."""
+        moves = 0
+        for name, rg in _built_games():
+            try:
+                out = add_resets(prune_max_traps(trim(relax(prune_unreachable(
+                    prune_dead_rolls(rg), [rg.game.initial.location])))))
+            except GameError:
+                continue
+            assert _fields(trim(out._replace(trimmed=False))) == \
+                _fields(out), name
+            moves += len(out.game.transitions)
+        assert moves > 5_000, moves
+
+
+_COMPOSITION = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path[:0] = [{src!r}, {tests!r}]
+from corpus import complete_digraph, random_digraph
+from wtgsolve.unfold import solve
+games = [complete_digraph(3, 0), complete_digraph(4, 1)]
+games += [random_digraph(seed) for seed in range(40)]
+print(json.dumps([str(solve(g).value) for g in games]))
+"""
 
 
 # ---------------------------------------------------------------------------

@@ -628,7 +628,7 @@ class TestOneStepReference:
             in_kernel = set().union(*prep.kernel.components)
             for t in rg.game.transitions:
                 loc = rg.game.locations[t.src]
-                r, gr = rg.reg[t.src], rg.guard_region[t.tid]
+                r, gr = rg.reg[t.src], regions.infer_guard_region(rg, t)
                 child = values[t.tgt]
                 if (loc.is_goal or t.src in in_kernel or r.dim != 1
                         or not r.zeros or gr.dim != 2 or child.is_infinite):

@@ -25,12 +25,13 @@ from kernel_reference import (PLF2, Segment, clip_halfplane,
 from wtgsolve.core import (INF, MIN, DomainError, ExtRat, StructuralError,
                            Transition, Valuation, frac, reset)
 from wtgsolve.cycles import Kernel
-from wtgsolve.plf import ONE, ZERO, PLF1, eval1, running_extremum
-from wtgsolve.regions import Region, RegionGame
+from wtgsolve.plf import PLF1, eval1, running_extremum
+from wtgsolve.regions import Region, RegionGame, infer_guard_region
 from wtgsolve.unfold import (NodeValue, _kernel_values, _param_axis,
                              _solve_plain, check_finite_value, prepare)
 
 PLAIN, KERNEL, GOAL, STOPPED = "plain", "kernel", "goal", "stopped"
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 @dataclass
@@ -426,7 +427,7 @@ def _point_value(rg: RegionGame, t: Transition, child: NodeValue,
     if child.is_infinite:
         return INF
     w0 = rg.game.locations[t.src].weight
-    gr = rg.guard_region[t.tid]
+    gr = infer_guard_region(rg, t)
     c0 = nu[1] - nu[0]
     xi0 = nu[0]
     corners = _sorted_corners(gr)
@@ -476,7 +477,7 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
     if child.is_infinite:
         return PLF1.infinite()
     w0 = rg.game.locations[t.src].weight
-    gr = rg.guard_region[t.tid]
+    gr = infer_guard_region(rg, t)
     a, b = _sorted_corners(src)
     dx, dy = b[0] - a[0], b[1] - a[1]
     gcorners = _sorted_corners(gr)
