@@ -77,12 +77,6 @@ class PLF1:
         n, d = value.as_integer_ratio()
         return cls._of(d, (0, d), (n, n))
 
-    @classmethod
-    def point(cls, value, x=0) -> "PLF1":
-        """``value`` at the one point ``x``, ints or ``Fraction``s."""
-        (p, q), (n, m) = x.as_integer_ratio(), value.as_integer_ratio()
-        return cls._of(q * m, (p * m,), (n * q,))
-
     # -- basics ------------------------------------------------------------
 
     @property

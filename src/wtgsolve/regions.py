@@ -207,14 +207,20 @@ def _nonempty_subsets(items):
 
 
 class _Table:
-    """Every answer over n clocks that depends on regions alone, computed
-    once: the corners of each region, as 0/1 int tuples, from which its
-    closure is read, the results of the pure :class:`Region` methods, the
-    guard clauses pinning a valuation to each region (``constraints``), and,
-    as ints whose bit i stands for region ``all_regions(n)[i]``, the regions
+    """Every answer over n clocks that depends on regions and 0/1 clauses
+    alone, computed once per process: the corners of each region, as 0/1
+    int tuples, from which its closure is read, the results of the pure
+    :class:`Region` methods, the guard clauses pinning a valuation to each
+    region (``constraints``), the guards and resets of each set of clocks
+    rolled over (``rolls``), the :func:`_translate` row of each atom by how
+    its constant compares with an integer part (``atoms``), and, as ints
+    whose bit i stands for region ``all_regions(n)[i]``, the regions
     elapsed from each region and those on which each guard atom with
-    constant 0 or 1 holds.  ``firing`` (see :func:`infer_guard_region`)
-    and the corner moves of :meth:`corner_moves` fill in on first use."""
+    constant 0 or 1 holds.  The clauses of a move in an integer copy
+    (``copies``, see :func:`_copy_move`), its firing candidates from a
+    region (``candidates``, see :func:`build_region_wtg`), ``firing`` (see
+    :func:`infer_guard_region`) and the corner moves of
+    :meth:`corner_moves` fill in on first use."""
 
     def __init__(self, n: int):
         self.regions = regions = all_regions(n)
@@ -222,6 +228,15 @@ class _Table:
         self.index = {r: i for i, r in enumerate(regions)}
         self.corners, self.successors, self.reset = {}, {}, {}
         self.constraints, self.firing, self._corner_moves = {}, {}, {}
+        self.copies, self.candidates = {}, {}
+        # An atom x op c reads in integer part ni as x op (c - ni) there,
+        # alike for every c - ni <= -1 and for every c - ni >= 2.
+        self.atoms = {(x, op, d): _translate(Guard(x, op, d), 0)
+                      for x in range(n) for op in OPS for d in range(-1, 3)}
+        self.rolls = [("_".join(map(str, s)), [x in s for x in range(n)],
+                       (*(Guard(x, "==", 1) for x in s),
+                        *(Guard(y, "<", 1) for y in range(n) if y not in s)),
+                       frozenset(s)) for s in _nonempty_subsets(range(n))]
         for r in regions:
             corners = [[int(x in r.ones) for x in range(n)]
                        for _ in range(r.dim + 1)]
@@ -395,38 +410,62 @@ def _translate(g: Guard, ni: int) -> Optional[tuple[Guard, ...]]:
     return None
 
 
-def _copy_move(t: Transition, rows, nbar: tuple[int, ...]):
+def _translated(table: _Table, t: Transition, nbar: tuple[int, ...]) -> tuple:
+    """The :func:`_translate` rows of the atoms of ``t`` in integer parts
+    ``nbar``, read from ``table.atoms``."""
+    atoms = table.atoms
+    return tuple(atoms[x, op, min(max(c - nbar[x], -1), 2)]
+                 for x, op, c in t.guards)
+
+
+def _copy_move(table: _Table, t: Transition, nbar: tuple[int, ...]):
     """(guards, resets, target integer parts) of ``t`` in integer parts
-    ``nbar``, or None when an atom fails there; ``rows`` are the atoms'
-    :func:`_translate` rows.  A clause x==1 resets x and bumps its integer
-    part; a clock no clause pins to 0 or 1 stays below 1."""
-    trs = [row[nbar[g.clock]] for g, row in zip(t.guards, rows)]
-    if None in trs:
-        return None
-    clauses = [c for tr in trs for c in tr]
-    bump = {g.clock for g in clauses if g.op == "==" and g.bound == 1}
-    pinned = bump | {g.clock for g in clauses if g.op == "==" and g.bound == 0}
-    clauses += [Guard(x, "<", 1) for x in range(len(nbar)) if x not in pinned]
-    target = tuple(0 if x in t.resets else v + 1 if x in bump else v
-                   for x, v in enumerate(nbar))
-    return tuple(dict.fromkeys(clauses)), frozenset(t.resets) | bump, target
+    ``nbar``, or None when an atom fails there.  A clause x==1 resets x and
+    bumps its integer part; a clock no clause pins to 0 or 1 stays below 1.
+    All but the target are kept in ``table.copies`` per translated atoms
+    and resets, with the step of each integer part (-1 for a reset)."""
+    trs = _translated(table, t, nbar)
+    move = table.copies.get((trs, t.resets))
+    if move is None:
+        move = ()
+        if None not in trs:
+            clauses = [c for tr in trs for c in tr]
+            bump = {g.clock for g in clauses if g.op == "==" and g.bound == 1}
+            pinned = bump | {g.clock for g in clauses
+                             if g.op == "==" and g.bound == 0}
+            clauses += [Guard(x, "<", 1) for x in range(len(nbar))
+                        if x not in pinned]
+            move = (tuple(dict.fromkeys(clauses)), t.resets | bump,
+                    tuple(-1 if x in t.resets else int(x in bump)
+                          for x in range(len(nbar))))
+        table.copies[trs, t.resets] = move
+    return move and (*move[:2], tuple(0 if s < 0 else v + s
+                                      for v, s in zip(nbar, move[2])))
 
 
-#: A game with clock integer parts folded out, as tables over it: copy
-#: (l, n1..nk) with fractional valuation nu stands for l with valuation
-#: (n1+nu1, ..).  ``m`` is the clock bound, ``clauses[t][a]`` the
-#: :func:`_translate` row of atom a of transition t over the integer parts
-#: 0..m-1, ``tops[t]`` holds per clock the highest integer part at which
-#: every atom of t on that clock holds (-1 when none does), and
-#: ``initial`` is the initial copy and fractional valuation.
-Normalized = namedtuple("Normalized", "game m clauses tops initial")
+#: A game with clock integer parts folded out: copy (l, n1..nk) with
+#: fractional valuation nu stands for l with valuation (n1+nu1, ..).  ``m``
+#: is the clock bound and ``initial`` the initial copy and fractional
+#: valuation; the walk translates the guards per copy it reaches.
+Normalized = namedtuple("Normalized", "game m initial")
+
+
+def tops(ng: Normalized, t: Transition) -> tuple[int, ...]:
+    """Per clock, the highest integer part below ``ng.m`` at which every
+    atom of ``t`` on that clock holds, or -1 when none does."""
+    n = len(ng.game.clocks)
+    atoms = _table(n).atoms
+    return tuple(next((ni for ni in reversed(range(ng.m)) if all(
+        atoms[x, op, min(max(c - ni, -1), 2)] is not None
+        for y, op, c in t.guards if y == x)), -1) for x in range(n))
 
 
 def normalize_01(game: WeightedTimedGame) -> Normalized:
-    """Fold clock integer parts into the locations, as tables.
+    """Fold clock integer parts into the locations.
 
-    Guards are rewritten over fractional parts (constants 0/1 only); a
-    guard x==1 always resets x and bumps the stored integer part.
+    Guards are rewritten over fractional parts (constants 0/1 only) by the
+    walk, per copy it reaches; a guard x==1 always resets x and bumps the
+    stored integer part.
     Zero-weight rollovers ``__roll_*`` let clocks cross an integer boundary
     mid-wait, so an input id with that prefix is rejected.  A move is a
     delay *plus* an enabled transition, so only the rollovers after which
@@ -434,10 +473,9 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
     integer parts, one clock at a time reaches every copy above, and a
     transition is enabled on a product of per-clock sets, so a copy of a
     non-goal location is live exactly when it lies, clock by clock, at or
-    below the ``tops`` of a transition leaving it.  Clocks are bounded by
+    below the :func:`tops` of a transition leaving it.  Clocks are bounded by
     M = :func:`clock_bound`: a clock with only lower bounds is rejected.
     """
-    n = len(game.clocks)
     m = clock_bound(game)
     for t in game.transitions:
         if is_rollover(t.tid):
@@ -452,23 +490,13 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
                     f"transition {t.tid}: clock {game.clocks[x]} only has lower "
                     "bounds, so it is not syntactically bounded")
 
-    by_atom = {g: tuple(_translate(g, ni) for ni in range(m))
-               for g in dict.fromkeys(g for t in game.transitions for g in t.guards)}
-    clauses = [tuple(by_atom[g] for g in t.guards) for t in game.transitions]
-    tops = []
-    for t, rows in zip(game.transitions, clauses):
-        held = [range(m)] * n
-        for g, row in zip(t.guards, rows):
-            held[g.clock] = [ni for ni in held[g.clock] if row[ni] is not None]
-        tops.append(tuple(max(ns, default=-1) for ns in held))
-
     nbar0, frac0 = [], []
     for v in game.initial.valuation:
         if not 0 <= v < m:
             raise InputError(f"initial clock value {v} out of [0,{m})")
         nbar0.append(int(v))
         frac0.append(v - int(v))
-    return Normalized(game, m, clauses, tops, (
+    return Normalized(game, m, (
         list(game.locations).index(game.initial.location), tuple(nbar0),
         tuple(frac0)))
 
@@ -505,15 +533,19 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     One forward walk expands each reached (location, integer parts, region)
     once.  A copy's moves are made on its first visit: its transitions
     whose atoms all hold there, then its live rollovers, those into a copy
-    at or below, clock by clock, the ``tops`` of a transition leaving a
+    at or below, clock by clock, the :func:`tops` of a transition leaving a
     non-goal location (see :func:`normalize_01`).  A move from
     region r fires after the time successor k of r; it is kept when its
     target region is fractional and some delay from r satisfies its guard,
     the test :func:`trim` applies.  Its guard is emitted closed, without
     the clauses that hold after every delay from r: what :func:`relax` and
     then :func:`trim` would leave, so the game is flagged relaxed and
-    trimmed.  The firings from r of a guard and a reset set are found once
-    per call, and so is each feasibility question.  Transitions come in
+    trimmed.  What depends on regions and 0/1 clauses alone is read from
+    the region table: the clauses of a move in a copy (:func:`_copy_move`)
+    and, per (region, copy guards, resets), the candidate firings (k,
+    target region, guards, emitted guards).  Per call, only each
+    feasibility question is asked once, and the tops, the live copies and
+    the region tags are found on first use.  Transitions come in
     the order (transition, integer parts, region, k), rollovers after them
     by (location, integer parts, clocks rolled, region, k), and locations
     by (location, integer parts, region): integer parts in
@@ -525,64 +557,63 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     out_of: list[list[int]] = [[] for _ in names]
     for ti, t in enumerate(game.transitions):
         out_of[index[t.src]].append(ti)
-    # Per set s of clocks rolled: id suffix, increments, guards and resets.
-    n = len(game.clocks)
-    rolls = [("_".join(map(str, s)), [x in s for x in range(n)],
-              (*(Guard(x, "==", 1) for x in s),
-               *(Guard(y, "<", 1) for y in range(n) if y not in s)),
-              frozenset(s)) for s in _nonempty_subsets(range(n))]
+    live, tags, named, feasible, fired = {}, {}, {}, {}, {}
 
     def copy_moves(li: int, nbar: tuple[int, ...]) -> list[tuple]:
         """(sort rank, id, target copy, guards, resets, weight) per move."""
         part, out = ",".join(map(str, nbar)), []
         for ti in out_of[li]:
             t = game.transitions[ti]
-            move = _copy_move(t, ng.clauses[ti], nbar)
+            move = _copy_move(table, t, nbar)
             if move:
                 out.append(((ti, nbar), f"{t.tid}#{part}",
                             (index[t.tgt], move[2]), *move[:2], t.weight))
-        tops = [] if locs[li].is_goal else [ng.tops[ti] for ti in out_of[li]]
-        for si, (tag, bump, guards, resets) in enumerate(rolls):
+        if locs[li].is_goal:
+            return out
+        if li not in live:  # the copies of li at or below these are live
+            live[li] = [tops(ng, game.transitions[ti]) for ti in out_of[li]]
+        for si, (tag, bump, guards, resets) in enumerate(table.rolls):
             tgt = tuple(map(operator.add, nbar, bump))
-            if any(all(map(operator.le, tgt, top)) for top in tops):
+            if any(all(map(operator.le, tgt, top)) for top in live[li]):
                 out.append(((len(game.transitions), li, nbar, si),
                             f"__roll_{names[li]}#{part}_{tag}", (li, tgt),
                             guards, resets, 0))
         return out
 
-    named: dict[tuple, str] = {}
-
     def rloc(key: tuple) -> str:
-        if key not in named:
-            li, nbar, ri = key
-            tag = "|".join(",".join(game.clocks[x] for x in sorted(b))
-                           for b in table.regions[ri].blocks)
-            named[key] = f"{names[li]}#{','.join(map(str, nbar))}@[{tag}]"
+        li, nbar, ri = key
+        if ri not in tags:
+            tags[ri] = "|".join(",".join(game.clocks[x] for x in sorted(b))
+                                for b in table.regions[ri].blocks)
+        named[key] = f"{names[li]}#{','.join(map(str, nbar))}@[{tags[ri]}]"
         return named[key]
 
-    feasible: dict[tuple, bool] = {}
-
-    def firings(ri: int, guards0: tuple, resets: frozenset) -> list[tuple]:
+    def firings(key: tuple) -> list[tuple]:
         """(k, target region index, emitted guards) per firing kept."""
-        r, out = table.regions[ri], []
-        elapsed = table.elapsed[r]
-        for k, r2 in enumerate(r.time_successors()):
-            r3 = table.reset[r2, resets] if resets else r2
-            # A clock left at exactly 1 is impossible in a [0,1)-game.
-            if r3.ones:
-                continue
-            guards = tuple(dict.fromkeys((*guards0, *table.constraints[r2])))
+        cands = table.candidates.get(key)
+        if cands is None:
+            ri, guards0, resets = key
+            r, cands = table.regions[ri], []
+            for k, r2 in enumerate(r.time_successors()):
+                r3 = table.reset[r2, resets] if resets else r2
+                # A clock left at exactly 1 is impossible in a [0,1)-game.
+                if not r3.ones:
+                    guards = tuple(dict.fromkeys((*guards0,
+                                                  *table.constraints[r2])))
+                    cands.append((k, table.index[r3], guards, tuple(
+                        g for g in map(Guard.closed, guards)
+                        if table.elapsed[r] & ~table.sat[g])))
+            table.candidates[key] = cands
+        ri, out = key[0], []
+        for k, ri3, guards, closed in cands:
             if (ri, guards) not in feasible:
-                feasible[ri, guards] = delay_feasible(r, guards)
+                feasible[ri, guards] = delay_feasible(table.regions[ri], guards)
             if feasible[ri, guards]:
-                closed = [g.closed() for g in guards]
-                out.append((k, table.index[r3], tuple(
-                    g for g in closed if elapsed & ~table.sat[g])))
+                out.append((k, ri3, closed))
         return out
 
     li0, nbar0, frac0 = ng.initial
     todo, moves, by_copy = [(li0, nbar0, table.index[region_of(frac0)])], [], {}
-    fired: dict[tuple, list[tuple]] = {}
     initial = Configuration(rloc(todo[0]), frac0)
     while todo:
         li, nbar, ri = todo.pop()
@@ -592,15 +623,15 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
         for rank, tid, (lj, nbar2), guards0, resets, w in by_copy[li, nbar]:
             key = (ri, guards0, resets)
             if key not in fired:
-                fired[key] = firings(*key)
+                fired[key] = firings(key)
             for k, ri3, guards in fired[key]:
                 tgt = (lj, nbar2, ri3)
                 if tgt not in named:
                     todo.append(tgt)
+                    rloc(tgt)
                 moves.append(((rank, ri, k), Transition(
-                    tid=f"{tid}@{src}~{k}", src=src, tgt=rloc(tgt),
-                    guards=guards, resets=resets, weight=w)))
-    moves.sort(key=lambda mv: mv[0])
+                    f"{tid}@{src}~{k}", src, named[tgt], guards, resets, w)))
+    moves.sort(key=operator.itemgetter(0))
     keys = sorted(named)
     locations = {named[k]: Location(
         name=named[k], owner=locs[k[0]].owner, is_goal=locs[k[0]].is_goal,

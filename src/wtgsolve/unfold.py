@@ -15,7 +15,6 @@ operator to its fixed point (:mod:`.kernelvi`).  One function,
 """
 
 import functools
-import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -346,7 +345,8 @@ def _one_step(rg: RegionGame, t: Transition, child: NodeValue,
         cost = reparam(child.plf, u0, u1, w0 * m, w0 * q + t.weight)
         if plan.at is not None:
             y = (min if direction == "inf" else max)(cost.ys)
-            cost = PLF1.point(Fraction(y, cost.den), x=plan.at)
+            p, q = plan.at.as_integer_ratio()
+            cost = PLF1._of(q * cost.den, (p * cost.den,), (y * q,))
         elif plan.side:
             v0, v1, m, q = plan.then
             cost = reparam(running_extremum(cost, plan.side, direction),
@@ -386,13 +386,15 @@ def _solve_plain(rg: RegionGame, loc_name: str, ts: list[Transition],
                  shared: dict) -> NodeValue:
     """The value function of a plain location from its outgoing transitions
     ``ts`` and the values behind them, with the one-step costs of
-    ``shared``."""
+    ``shared`` and their extremum, kept there per (direction, costs)."""
     direction = "inf" if rg.game.locations[loc_name].owner == MIN else "sup"
     costs = [_one_step(rg, t, child_values[t.tid], direction, shared)
              for t in ts]
-    costs = [c for c in costs if c is not None]
-    return NodeValue(rg.reg[loc_name], pointwise_extremum(costs, direction)
-                     if costs else PLF1.infinite())
+    key = (direction, tuple(c for c in costs if c is not None))
+    if key not in shared:
+        shared[key] = (pointwise_extremum(key[1], direction) if key[1]
+                       else PLF1.infinite())
+    return NodeValue(rg.reg[loc_name], shared[key])
 
 
 def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
@@ -417,10 +419,12 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     Equal one-step questions, as integer-part copies and early-reset twins
     ask them, are answered once per call."""
     game = rg.game
-    threshold = w_bound / kappa + 2
     npos = (sum(1 for l in game.locations.values() if l.weight > 0)
             + sum(1 for t in game.transitions if t.weight > 0))
-    max_sweeps = math.ceil((npos * threshold + 1) * (len(game.locations) + 1))
+    # W/kappa + 2 = (a*d + 2*b*c) / (b*c), and a ceiling by floor division
+    (a, b), (c, d) = w_bound.as_integer_ratio(), kappa.as_integer_ratio()
+    max_sweeps = -(-(npos * (a * d + 2 * b * c) + b * c)
+                   * (len(game.locations) + 1) // (b * c))
     loc2comp = {l: comp for comp in kernel.components for l in comp}
     edges: dict = {comp: [] for comp in kernel.components}
     for t in kernel.output_edges:

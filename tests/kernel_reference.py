@@ -37,7 +37,7 @@ from wtgsolve.plf import (PLF1, canonicalize, eval1, pointwise_extremum,
 from wtgsolve.regions import Region, RegionGame
 from wtgsolve.unfold import NodeValue, _one_step, _param_axis
 
-from plf_reference import reversed_domain
+from plf_reference import point, reversed_domain
 
 Point = tuple[Fraction, Fraction]
 Coef = tuple[Fraction, Fraction, Fraction]
@@ -99,7 +99,7 @@ def envelope_pieces(pieces, lo, hi, direction: str) -> PLF1:
         vals = [a * lo + b for x1, x2, a, b in pieces if x1 <= lo <= x2]
         if not vals:
             raise DomainError("envelope coverage gap at point domain")
-        return PLF1.point(min(vals) if direction == "inf" else max(vals), lo)
+        return point(min(vals) if direction == "inf" else max(vals), lo)
     clipped = []
     for x1, x2, a, b in pieces:
         x1, x2 = max(x1, lo), min(x2, hi)
@@ -323,7 +323,7 @@ def restrict2(plf: PLF2, segment: Segment) -> PLF1:
     if plf.is_infinite:
         return PLF1.infinite()
     if segment.degenerate:
-        return PLF1.point(plf.eval2(segment.start))
+        return point(plf.eval2(segment.start))
     sx, sy = segment.start
     dx, dy = (segment.end[0] - sx, segment.end[1] - sy)
     pieces = []
@@ -523,9 +523,9 @@ def project_output(t: Transition, w: OutputValue, shape: str,
             return PLF1.infinite()
         # a point profile (both clocks reset) lands in one place for any delay
         if pins is not None and not prof.is_point:
-            return PLF1.point(eval1(prof, pins[1]))
+            return point(eval1(prof, pins[1]))
         val = min_value(prof) if direction == "inf" else max_value(prof)
-        return PLF1.point(val)
+        return point(val)
     if pins is not None:
         a, c = pins
         # landed point as a function of Delta only
@@ -604,12 +604,12 @@ def step_transition(t: Transition, opt_target: PLF1, shape: str,
         return PLF1.infinite()
     if len(t.resets) == 2:
         return PLF1.constant(eval1(opt_target, ZERO)) if shape != POINT \
-            else PLF1.point(eval1(opt_target, ZERO))
+            else point(eval1(opt_target, ZERO))
     preserving = {ON_Y: ((0, 0), (1, 1)), ON_X: ((1, 0), (0, 1))}
     if shape == POINT:
         val = min_value(opt_target) if direction == "inf" \
             else max_value(opt_target)
-        return PLF1.point(val)
+        return point(val)
     if any(p in pins for p in preserving[shape]):
         if opt_target.is_point:
             raise StructuralError(
@@ -703,7 +703,7 @@ def _kernel_values(rg: RegionGame, comp: frozenset,
         r = rg.reg[n]
         f = res.functions[n]
         if shapes[n] == POINT and not f.is_infinite:
-            f = PLF1.point(value_at(res, n, r.corners()[0]))
+            f = point(value_at(res, n, r.corners()[0]))
         elif shapes[n] == ON_X:  # node parameter is x, kernel's is 1 - x
             f = reversed_domain(f)
         values[n] = NodeValue(r, canonicalize(f))

@@ -17,6 +17,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def point(value, x=0) -> PLF1:
+    """``value`` at the one point ``x``, ints or ``Fraction``s."""
+    return PLF1(((x, value),))
+
+
 def eval1(plf: PLF1, x) -> Fraction:
     """Evaluate a PLF1 at an exact rational point of its domain."""
     if plf.is_infinite:
@@ -105,7 +110,7 @@ def pointwise_extremum(functions, direction: str) -> PLF1:
     if any(f.is_point for f in fs):
         if not all(f.is_point and f.points[0][0] == fs[0].points[0][0] for f in fs):
             raise DomainError("mixed point/interval domains in extremum")
-        return PLF1.point(better(f.points[0][1] for f in fs), fs[0].points[0][0])
+        return point(better(f.points[0][1] for f in fs), fs[0].points[0][0])
     lo, hi = fs[0].lo, fs[0].hi
     if any(f.lo != lo or f.hi != hi for f in fs):
         raise DomainError("extremum of PLF1s with different domains")

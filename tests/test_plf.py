@@ -33,7 +33,7 @@ class TestEval:
         assert eval1(f, 1) == 0
 
     def test_point_domain(self):
-        f = PLF1.point(F(3, 2))
+        f = plf_reference.point(F(3, 2))
         assert eval1(f, 0) == F(3, 2)
         with pytest.raises(DomainError):
             eval1(f, F(1, 2))
@@ -167,7 +167,8 @@ def extremum_inputs(draw):
         elif draw(st.integers(0, 5)) == 0:
             fs.append(PLF1.infinite())
         elif on_point:
-            fs.append(PLF1.point(F(draw(st.integers(-8, 8)), draw(st.integers(1, 4)))))
+            fs.append(plf_reference.point(F(draw(st.integers(-8, 8)),
+                                            draw(st.integers(1, 4)))))
         else:
             fs.append(draw(random_plf1()))
     return fs
@@ -218,7 +219,7 @@ def any_plf1(draw, domain=None, point=None):
         return PLF1.infinite()
     if kind == 1:
         x = point if point is not None else draw(rationals(0, 1))
-        return PLF1.point(draw(rationals(-6, 6)), x)
+        return plf_reference.point(draw(rationals(-6, 6)), x)
     lo, hi = domain or draw(st.sampled_from(DOMAINS))
     inner = draw(st.sets(rationals(-1, 2).filter(lambda x: lo < x < hi),
                          max_size=4))
@@ -331,7 +332,8 @@ class TestCanonicalForm:
             (reparam(reparam(f, F(1), F(0)), F(1), F(0)), f),
             (pointwise_extremum([ramp, plf((0, 2), (1, 2))], "inf"), ramp),
             (running_extremum(ramp, "prefix", "sup"), ramp),
-            (PLF1.point(F(4, 6), F(0)), PLF1.point(F(2, 3))),
+            (plf_reference.point(F(4, 6), F(0)),
+             plf_reference.point(F(2, 3))),
             (PLF1.constant(3), plf((0, 3), (1, 3))),
         ]
 

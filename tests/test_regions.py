@@ -427,8 +427,9 @@ def test_normalize_and_prune_share_roll_liveness():
 def _below_a_top(ng, name, nbar):
     """Whether copy ``nbar`` of location ``name`` lies at or below, clock by
     clock, the tops of some transition leaving it."""
-    return any(t.src == name and all(map(operator.le, nbar, top))
-               for t, top in zip(ng.game.transitions, ng.tops))
+    return any(t.src == name
+               and all(map(operator.le, nbar, regions.tops(ng, t)))
+               for t in ng.game.transitions)
 
 
 @st.composite
@@ -726,8 +727,8 @@ class TestForwardBuild:
             self, tmp_path, monkeypatch):
         copied = []
         copy_move = regions._copy_move
-        monkeypatch.setattr(regions, "_copy_move", lambda t, rows, nbar: (
-            copied.append(t.src), copy_move(t, rows, nbar))[1])
+        monkeypatch.setattr(regions, "_copy_move", lambda table, t, nbar: (
+            copied.append(t.src), copy_move(table, t, nbar))[1])
         for name, game in test_golden.corpus():
             padded = _padded(game)
             assert clock_bound(padded) == clock_bound(game), name

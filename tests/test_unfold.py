@@ -38,6 +38,7 @@ from wtgsolve.unfold import (
 from unfold_reference import (GOAL, KERNEL, STOPPED, deeper_root_value,
                               jacobi_value_functions, rescan_finite_value,
                               semi_unfold, solve_node)
+from plf_reference import point
 from test_plf import random_plf1
 
 INF = float("inf")
@@ -713,10 +714,10 @@ def test_reparam_refuses_points_outside_the_domain():
         for u0, u1 in ((out, F(1, 2)), (F(1, 2), out), (out, out)):
             with pytest.raises(DomainError, match=str(out)):
                 reparam(f, u0, u1)
-    point = PLF1.point(3)
-    assert reparam(point, 0, 0, 1, 2) == PLF1(((0, 5), (1, 6)))
+    pt = point(3)
+    assert reparam(pt, 0, 0, 1, 2) == PLF1(((0, 5), (1, 6)))
     with pytest.raises(DomainError):
-        reparam(point, 0, 1)
+        reparam(pt, 0, 1)
     assert reparam(PLF1.infinite(), 0, 1).is_infinite
 
 
@@ -738,7 +739,7 @@ def test_twin_child_values_share_one_stored_cost():
             (x0, y0), *_ = f.points
             twins = [PLF1([(x, y) for x, y in f.points]),
                      PLF1([(str(x), str(y)) for x, y in f.points]),
-                     PLF1.point(y0, x0) if f.is_point
+                     point(y0, x0) if f.is_point
                      else reparam(f, F(0), F(1))]
             shared = {}
             cost = unfold._one_step(rg, t, child, direction, shared)

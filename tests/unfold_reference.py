@@ -22,6 +22,7 @@ from kernel_reference import (PLF2, Segment, clip_halfplane,
                               dedupe_polygon, fiber_extremum, make_ccw,
                               max_value, min_value, polygon_area2, restrict2,
                               segments, triangulate)
+from plf_reference import point
 from wtgsolve.core import (INF, MIN, DomainError, ExtRat, StructuralError,
                            Transition, Valuation, frac, reset)
 from wtgsolve.cycles import Kernel
@@ -418,7 +419,7 @@ def _value_at_point(rg: RegionGame, t: Transition, child: NodeValue,
     value = _point_value(rg, t, child, nu, direction)
     if value is None:
         return None
-    return PLF1.infinite() if value == INF else PLF1.point(value, x=nu[0])
+    return PLF1.infinite() if value == INF else point(value, x=nu[0])
 
 
 def _point_value(rg: RegionGame, t: Transition, child: NodeValue,
@@ -486,7 +487,7 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
             p0 = gcorners[0]
             if p0[1] != p0[0]:
                 raise StructuralError(f"{t.tid}: guard corner off the flow")
-            h = PLF1.point(
+            h = point(
                 child.eval(reset(p0, t.resets)) + t.weight + w0 * p0[0],
                 x=p0[0])
         elif gr.dim == 1:
@@ -502,7 +503,7 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
                 if not 0 <= s <= 1:
                     raise StructuralError(f"{t.tid}: guard misses the flow")
                 xi = ga[0] + s * (gb[0] - ga[0])
-                h = PLF1.point(eval1(f1, s) + w0 * xi, x=xi)
+                h = point(eval1(f1, s) + w0 * xi, x=xi)
         else:
             poly = _polygon(gr)
             span = _fiber_range(poly, ZERO)
@@ -511,7 +512,7 @@ def _value_on_segment(rg: RegionGame, t: Transition, child: NodeValue,
             xa, xb = span
             f2 = _fire_plf2(t, child, poly)
             if xa == xb:
-                h = PLF1.point(f2.eval2((xa, xa)) + w0 * xa, x=xa)
+                h = point(f2.eval2((xa, xa)) + w0 * xa, x=xa)
             else:
                 h = restrict2(f2, Segment((xa, xa), (xb, xb)))
                 h = _add_affine(_map_domain(h, xa, xb), w0, ZERO)
