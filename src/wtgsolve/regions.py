@@ -6,14 +6,11 @@ blocks strictly between 0 and 1, and a (possibly empty) block at exactly 1.
 The pipeline built on top of regions takes a raw game to a form the kernel
 value iteration can digest:
 
-    normalize_01      -> clock integer parts folded out: per transition, its
-                         guards over fractional parts in each integer part,
-                         and per clock the highest integer part it is
-                         enabled in, at or below which rollovers are live
+    normalize_01      -> the clock bound and the initial integer copy
     build_region_wtg  -> one forward walk over the reached (location, integer
-                         parts, region): the region-locations, one region
-                         each, with guards refined per region, closed and
-                         cut to the clauses the region does not imply
+                         parts, region): guards read over fractional parts
+                         per integer copy, then refined per region, closed
+                         and cut to the clauses the region does not imply
     relax             -> strict guards widened to their closure
     trim              -> drop unsatisfiable transitions and implied clauses
     add_resets        -> every non-goal transition resets at least one clock
@@ -28,12 +25,12 @@ After normalization every guard constant is 0 or 1, so a guard atom has one
 truth value on a whole region, and the feasibility questions of the build,
 trimming and guard-region inference are answered with sets of regions: the
 regions elapsed from a region meet the regions on which each atom holds.
-Those sets, as int bitmasks over the regions, the corners of each region
-as 0/1 int points, from which its closure is read, the results of the pure
-:class:`Region` methods, the region a move fires in, per source region and
-guards (:func:`infer_guard_region`: no game stores it), and the corner
-moves of the corner-point abstraction are tabulated once per number of
-clocks (:class:`_Table`).
+What depends on regions and 0/1 clauses alone, and not on the game, is
+tabulated once per process and number of clocks (:class:`_Table`): those
+sets, as int bitmasks, the corners and the pure :class:`Region` methods,
+how an atom reads in an integer part, a move's clauses in an integer copy,
+its firings from a region, the region it fires in
+(:func:`infer_guard_region`: no game stores it) and its corner moves.
 ``restrict`` is the one way to cut a region game down to some of its
 locations and transitions, and ``is_rollover`` the one test for what is a
 rollover.
@@ -209,17 +206,15 @@ def _nonempty_subsets(items):
 class _Table:
     """Every answer over n clocks that depends on regions and 0/1 clauses
     alone, computed once per process: the corners of each region, as 0/1
-    int tuples, from which its closure is read, the results of the pure
-    :class:`Region` methods, the guard clauses pinning a valuation to each
-    region (``constraints``), the guards and resets of each set of clocks
-    rolled over (``rolls``), the :func:`_translate` row of each atom by how
-    its constant compares with an integer part (``atoms``), and, as ints
-    whose bit i stands for region ``all_regions(n)[i]``, the regions
-    elapsed from each region and those on which each guard atom with
-    constant 0 or 1 holds.  The clauses of a move in an integer copy
-    (``copies``, see :func:`_copy_move`), its firing candidates from a
-    region (``candidates``, see :func:`build_region_wtg`), ``firing`` (see
-    :func:`infer_guard_region`) and the corner moves of
+    int tuples, the results of the pure :class:`Region` methods, the
+    clauses pinning a valuation to each region (``constraints``), the
+    guards and resets of each set of clocks rolled over (``rolls``), each
+    atom's :func:`_translate` row by how its constant compares with an
+    integer part (``atoms``), and, as ints whose bit i stands for region
+    ``all_regions(n)[i]``, the regions elapsed from each region and those
+    on which each atom with constant 0 or 1 holds.  ``copies`` (see
+    :func:`_copy_move`), ``candidates`` (see :func:`build_region_wtg`),
+    ``firing`` (see :func:`infer_guard_region`) and the corner moves of
     :meth:`corner_moves` fill in on first use."""
 
     def __init__(self, n: int):
@@ -410,21 +405,14 @@ def _translate(g: Guard, ni: int) -> Optional[tuple[Guard, ...]]:
     return None
 
 
-def _translated(table: _Table, t: Transition, nbar: tuple[int, ...]) -> tuple:
-    """The :func:`_translate` rows of the atoms of ``t`` in integer parts
-    ``nbar``, read from ``table.atoms``."""
-    atoms = table.atoms
-    return tuple(atoms[x, op, min(max(c - nbar[x], -1), 2)]
-                 for x, op, c in t.guards)
-
-
 def _copy_move(table: _Table, t: Transition, nbar: tuple[int, ...]):
     """(guards, resets, target integer parts) of ``t`` in integer parts
     ``nbar``, or None when an atom fails there.  A clause x==1 resets x and
     bumps its integer part; a clock no clause pins to 0 or 1 stays below 1.
-    All but the target are kept in ``table.copies`` per translated atoms
-    and resets, with the step of each integer part (-1 for a reset)."""
-    trs = _translated(table, t, nbar)
+    All but the target are kept in ``table.copies`` per :func:`_translate`
+    rows and resets, with the step of each integer part (-1 for a reset)."""
+    trs = tuple(table.atoms[x, op, min(max(c - nbar[x], -1), 2)]
+                for x, op, c in t.guards)
     move = table.copies.get((trs, t.resets))
     if move is None:
         move = ()
@@ -454,9 +442,8 @@ def tops(ng: Normalized, t: Transition) -> tuple[int, ...]:
     """Per clock, the highest integer part below ``ng.m`` at which every
     atom of ``t`` on that clock holds, or -1 when none does."""
     n = len(ng.game.clocks)
-    atoms = _table(n).atoms
     return tuple(next((ni for ni in reversed(range(ng.m)) if all(
-        atoms[x, op, min(max(c - ni, -1), 2)] is not None
+        _table(n).atoms[x, op, min(max(c - ni, -1), 2)] is not None
         for y, op, c in t.guards if y == x)), -1) for x in range(n))
 
 
@@ -481,11 +468,8 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
         if is_rollover(t.tid):
             raise InputError(f"transition {t.tid}: ids starting with __roll_ "
                              "are kept for rollovers")
-        by_clock: dict[int, list[str]] = {}
-        for g in t.guards:
-            by_clock.setdefault(g.clock, []).append(g.op)
-        for x, ops in by_clock.items():
-            if all(op in (">", ">=") for op in ops):
+        for x in dict.fromkeys(g.clock for g in t.guards):
+            if all(g.op in (">", ">=") for g in t.guards if g.clock == x):
                 raise InputError(
                     f"transition {t.tid}: clock {game.clocks[x]} only has lower "
                     "bounds, so it is not syntactically bounded")
@@ -540,13 +524,11 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     the test :func:`trim` applies.  Its guard is emitted closed, without
     the clauses that hold after every delay from r: what :func:`relax` and
     then :func:`trim` would leave, so the game is flagged relaxed and
-    trimmed.  What depends on regions and 0/1 clauses alone is read from
-    the region table: the clauses of a move in a copy (:func:`_copy_move`)
-    and, per (region, copy guards, resets), the candidate firings (k,
-    target region, guards, emitted guards).  Per call, only each
-    feasibility question is asked once, and the tops, the live copies and
-    the region tags are found on first use.  Transitions come in
-    the order (transition, integer parts, region, k), rollovers after them
+    trimmed.  The region table holds a move's clauses in a copy
+    (:func:`_copy_move`) and its candidate firings (k, target region,
+    guards, emitted guards) per (region, copy guards, resets); a call asks
+    each feasibility question once and finds the tops, the live copies and
+    the region tags on first use.  Transitions come in the order (transition, integer parts, region, k), rollovers after them
     by (location, integer parts, clocks rolled, region, k), and locations
     by (location, integer parts, region): integer parts in
     ``itertools.product`` order, regions in :func:`all_regions` order.
