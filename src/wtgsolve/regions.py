@@ -210,9 +210,10 @@ class _Table:
     clauses pinning a valuation to each region (``constraints``), the
     guards and resets of each set of clocks rolled over (``rolls``), each
     atom's :func:`_translate` row by how its constant compares with an
-    integer part (``atoms``), and, as ints whose bit i stands for region
-    ``all_regions(n)[i]``, the regions elapsed from each region and those
-    on which each atom with constant 0 or 1 holds.  ``copies`` (see
+    integer part (``atoms``, ``spans``: see :func:`tops`), and, as ints
+    whose bit i stands for region ``all_regions(n)[i]``, the regions
+    elapsed from each region and those on which each atom with constant 0
+    or 1 holds.  ``held`` (see :meth:`satisfying`), ``copies`` (see
     :func:`_copy_move`), ``candidates`` (see :func:`build_region_wtg`),
     ``firing`` (see :func:`infer_guard_region`) and the corner moves of
     :meth:`corner_moves` fill in on first use."""
@@ -223,11 +224,15 @@ class _Table:
         self.index = {r: i for i, r in enumerate(regions)}
         self.corners, self.successors, self.reset = {}, {}, {}
         self.constraints, self.firing, self._corner_moves = {}, {}, {}
-        self.copies, self.candidates = {}, {}
+        self.copies, self.candidates, self.held = {}, {}, {}
         # An atom x op c reads in integer part ni as x op (c - ni) there,
         # alike for every c - ni <= -1 and for every c - ni >= 2.
         self.atoms = {(x, op, d): _translate(Guard(x, op, d), 0)
                       for x in range(n) for op in OPS for d in range(-1, 3)}
+        # ... and holds somewhere in ni exactly where c - ni spans (lo, hi)
+        self.spans = {op: (min(ds), max(ds)) for op in OPS for ds in [[
+            d for d in range(-1, 3)
+            if _translate(Guard(0, op, d), 0) is not None]]}
         self.rolls = [("_".join(map(str, s)), [x in s for x in range(n)],
                        (*(Guard(x, "==", 1) for x in s),
                         *(Guard(y, "<", 1) for y in range(n) if y not in s)),
@@ -279,16 +284,20 @@ class _Table:
         return tuple(r for i, r in enumerate(self.regions) if mask >> i & 1)
 
     def satisfying(self, guards: Iterable[Guard], mask: int) -> int:
-        """The regions of ``mask`` on which every guard holds.  A constant
-        other than 0 or 1, as :func:`normalize_01` leaves none, has no
-        single truth value on a region and raises :class:`StructuralError`."""
-        for g in guards:
-            try:
-                mask &= self.sat[g]
-            except KeyError:
-                raise StructuralError(
-                    f"guard constant {g.bound} is not 0 or 1") from None
-        return mask
+        """The regions of ``mask`` on which every guard holds, by the mask
+        kept per guards in ``held``.  A constant other than 0 or 1, as the
+        walk makes none, has no single truth value on a region and raises
+        :class:`StructuralError`."""
+        guards = tuple(guards)
+        if guards not in self.held:
+            held = -1
+            for g in guards:
+                if g not in self.sat:
+                    raise StructuralError(
+                        f"guard constant {g.bound} is not 0 or 1")
+                held &= self.sat[g]
+            self.held[guards] = held
+        return mask & self.held[guards]
 
     def corner_moves(self, src: Region, fire: Region, resets: frozenset[int],
                      tgt: Region, tid: str) -> list[tuple]:
@@ -367,14 +376,8 @@ def clock_bound(game: WeightedTimedGame) -> int:
         return 1
 
     def pinned(t: Transition, x: int, strict: bool) -> bool:
-        for g in t.guards:
-            if g.clock != x:
-                continue
-            if g.op == "<" and g.bound <= 1:
-                return True
-            if g.op in ("<=", "==") and g.bound <= (0 if strict else 1):
-                return True
-        return False
+        return any(g.clock == x and (g.op == "<" and g.bound <= 1 or g.op in (
+            "<=", "==") and g.bound <= (0 if strict else 1)) for g in t.guards)
 
     if m == 1 and all(
             pinned(t, x, strict=x not in t.resets)
@@ -442,9 +445,12 @@ def tops(ng: Normalized, t: Transition) -> tuple[int, ...]:
     """Per clock, the highest integer part below ``ng.m`` at which every
     atom of ``t`` on that clock holds, or -1 when none does."""
     n = len(ng.game.clocks)
-    return tuple(next((ni for ni in reversed(range(ng.m)) if all(
-        _table(n).atoms[x, op, min(max(c - ni, -1), 2)] is not None
-        for y, op, c in t.guards if y == x)), -1) for x in range(n))
+    lo, hi, spans = [0] * n, [ng.m - 1] * n, _table(n).spans
+    for x, op, c in t.guards:
+        dlo, dhi = spans[op]  # the atom holds in ni where c - ni spans these
+        lo[x] = lo[x] if dhi == 2 else max(lo[x], c - dhi)
+        hi[x] = hi[x] if dlo == -1 else min(hi[x], c - dlo)
+    return tuple(h if l <= h else -1 for l, h in zip(lo, hi))
 
 
 def normalize_01(game: WeightedTimedGame) -> Normalized:
@@ -528,9 +534,10 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     (:func:`_copy_move`) and its candidate firings (k, target region,
     guards, emitted guards) per (region, copy guards, resets); a call asks
     each feasibility question once and finds the tops, the live copies and
-    the region tags on first use.  Transitions come in the order (transition, integer parts, region, k), rollovers after them
-    by (location, integer parts, clocks rolled, region, k), and locations
-    by (location, integer parts, region): integer parts in
+    the region tags on first use.  Transitions come in the order
+    (transition, integer parts, region, k), rollovers after them by
+    (location, integer parts, clocks rolled, region, k), and locations by
+    (location, integer parts, region): integer parts in
     ``itertools.product`` order, regions in :func:`all_regions` order.
     """
     game, table = ng.game, _table(len(ng.game.clocks))
@@ -615,9 +622,9 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
                     f"{tid}@{src}~{k}", src, named[tgt], guards, resets, w)))
     moves.sort(key=operator.itemgetter(0))
     keys = sorted(named)
-    locations = {named[k]: Location(
-        name=named[k], owner=locs[k[0]].owner, is_goal=locs[k[0]].is_goal,
-        weight=locs[k[0]].weight) for k in keys}
+    locations = {named[k]: Location(named[k], locs[k[0]].owner,
+                                    locs[k[0]].is_goal, locs[k[0]].weight)
+                 for k in keys}
     g = WeightedTimedGame(list(game.clocks), locations,
                           [t for _, t in moves], initial)
     return RegionGame(g, {named[k]: table.regions[k[2]] for k in keys},
@@ -652,9 +659,8 @@ def trim(rg: RegionGame) -> RegionGame:
             continue
         # A clause is redundant when every elapsed valuation satisfies it.
         clauses = tuple(g for g in t.guards if elapsed & ~table.sat[g])
-        kept.append(t if len(clauses) == len(t.guards) else Transition(
-            tid=t.tid, src=t.src, tgt=t.tgt, guards=clauses,
-            resets=t.resets, weight=t.weight))
+        kept.append(t if len(clauses) == len(t.guards)
+                    else t._replace(guards=clauses))
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
                              kept, rg.game.initial)
     return RegionGame(game, dict(rg.reg), trimmed=True, relaxed=rg.relaxed)
@@ -669,9 +675,7 @@ def relax(rg: RegionGame) -> RegionGame:
 
     def closed(t: Transition) -> Transition:
         guards = tuple(g.closed() for g in t.guards)
-        return t if guards == t.guards else Transition(
-            tid=t.tid, src=t.src, tgt=t.tgt, guards=guards,
-            resets=t.resets, weight=t.weight)
+        return t if guards == t.guards else t._replace(guards=guards)
 
     transitions = [closed(t) for t in rg.game.transitions]
     game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
@@ -753,9 +757,7 @@ def add_resets(rg: RegionGame) -> RegionGame:
                        and any(t2.src == todo.tgt for t2 in transitions))
         transitions.remove(todo)
         if zero_clocks:
-            transitions.append(Transition(
-                tid=todo.tid, src=todo.src, tgt=todo.tgt, guards=todo.guards,
-                resets=frozenset(zero_clocks), weight=todo.weight))
+            transitions.append(todo._replace(resets=frozenset(zero_clocks)))
         elif same_player:
             for t2 in list(transitions):
                 if t2.src != todo.tgt or t2.tgt == todo.src:
@@ -774,10 +776,8 @@ def add_resets(rg: RegionGame) -> RegionGame:
                 transitions.append(t3)
         else:
             up = min(rg.reg[todo.src].upclock)
-            transitions.append(Transition(
-                tid=todo.tid, src=todo.src, tgt=todo.tgt,
-                guards=tuple(list(todo.guards) + [Guard(up, "==", 1)]),
-                resets=todo.resets, weight=todo.weight))
+            transitions.append(todo._replace(
+                guards=(*todo.guards, Guard(up, "==", 1))))
 
     # Doubling: l_down stands for l at the instant its top clocks hit 1,
     # with those clocks already reset.
