@@ -386,13 +386,14 @@ def _solve_plain(rg: RegionGame, loc_name: str, ts: list[Transition],
                  shared: dict) -> NodeValue:
     """The value function of a plain location from its outgoing transitions
     ``ts`` and the values behind them, with the one-step costs of
-    ``shared`` and their extremum, kept there per (direction, costs)."""
+    ``shared`` and their extremum, kept there per direction and set of
+    costs."""
     direction = "inf" if rg.game.locations[loc_name].owner == MIN else "sup"
-    costs = [_one_step(rg, t, child_values[t.tid], direction, shared)
-             for t in ts]
-    key = (direction, tuple(c for c in costs if c is not None))
+    costs = [c for c in (_one_step(rg, t, child_values[t.tid], direction,
+                                   shared) for t in ts) if c is not None]
+    key = (direction, frozenset(costs))
     if key not in shared:
-        shared[key] = (pointwise_extremum(key[1], direction) if key[1]
+        shared[key] = (pointwise_extremum(costs, direction) if costs
                        else PLF1.infinite())
     return NodeValue(rg.reg[loc_name], shared[key])
 

@@ -739,6 +739,36 @@ class TestForwardBuild:
         assert copied and not any(src.startswith("unreached")
                                   for src in copied)
 
+    def test_translations_are_read_for_reached_copies_only(
+            self, monkeypatch):
+        """``normalize_01`` translates no atom, and the walk reads the
+        table's atom rows and spans only for the transitions out of the
+        copies it reaches: padding a golden game with unreachable locations
+        reads no more of them."""
+        reads = []
+
+        class Counted(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        for n in (1, 2, 3):
+            table = regions._table(n)
+            monkeypatch.setattr(table, "atoms", Counted(table.atoms))
+            monkeypatch.setattr(table, "spans", Counted(table.spans))
+        total = 0
+        for name, game in test_golden.corpus():
+            counts = []
+            for g in (game, _padded(game)):
+                reads.clear()
+                ng = normalize_01(g)
+                assert not reads, name
+                build_region_wtg(ng)
+                counts.append(len(reads))
+            assert counts[0] == counts[1], (name, counts)
+            total += counts[0]
+        assert total > 100, total
+
     def test_an_unreachable_clock_with_only_lower_bounds_is_rejected(
             self, tmp_path, capsys):
         name, game = test_golden.corpus()[0]

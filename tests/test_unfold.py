@@ -816,9 +816,9 @@ def test_no_cache_grows_with_the_initial_valuation():
     ``regions`` fuller than the first game did: no cache is keyed by the
     input."""
     def sizes():
-        return {f"{m.__name__}.{name}": f.cache_info().currsize
-                for m in (unfold, regions) for name, f in vars(m).items()
-                if hasattr(f, "cache_info")}
+        return {**{f"{m.__name__}.{name}": f.cache_info().currsize
+                   for m in (unfold, regions) for name, f in vars(m).items()
+                   if hasattr(f, "cache_info")}, **_table_sizes()}
 
     locs = [loc("a", weight=1), loc("G", goal=True)]
     trans = [Transition("t", "a", "G", guards=(G(1, "==", 1),),
@@ -830,6 +830,60 @@ def test_no_cache_grows_with_the_initial_valuation():
         first = first or sizes()
     assert first and all(sizes()[name] <= n for name, n in first.items()), \
         (first, sizes())
+
+
+def _table_sizes():
+    """The size of every dict table of the two-clock region table."""
+    return {f"_Table.{name}": len(table)
+            for name, table in vars(regions._table(2)).items()
+            if isinstance(table, dict)}
+
+
+def test_no_table_grows_with_the_constants():
+    """``chain(4, m)`` for m = 2..12 and ``ring(5, m)`` for m = 2..8 leave
+    every dict table of ``regions._Table`` as full as the first two
+    constants did: the tables are keyed by regions and 0/1 clauses, which
+    a larger constant does not add to."""
+    for family, ms in ((families.chain, range(2, 13)),
+                       (families.ring, range(2, 9))):
+        k = 4 if family is families.chain else 5
+        for m in ms:
+            assert solve(game_from_dict(family(k, m))).value < INF, m
+            if m == 3:
+                first = _table_sizes()
+        assert _table_sizes() == first, (family.__name__, first)
+
+
+def test_one_extremum_per_distinct_costs(monkeypatch):
+    """Within one ``value_functions`` call, on the ``ring`` games, each
+    direction and set of costs reaches ``pointwise_extremum`` once, and the
+    plain locations with a move ask for more than twice as many extrema."""
+    asked, computed, calls = [], [], []
+    extremum, solve_plain = unfold.pointwise_extremum, unfold._solve_plain
+    value_functions = unfold.value_functions
+
+    def counted_extremum(costs, direction):
+        computed.append((direction, tuple(costs)))
+        return extremum(costs, direction)
+
+    def counted_plain(rg, loc_name, ts, *args):
+        asked.extend(ts[:1])
+        return solve_plain(rg, loc_name, ts, *args)
+
+    def one_call(*args, **kwargs):
+        computed.clear()
+        out = value_functions(*args, **kwargs)
+        assert len(computed) == len({(direction, frozenset(costs))
+                                     for direction, costs in computed})
+        calls.append(len(computed))
+        return out
+
+    monkeypatch.setattr(unfold, "pointwise_extremum", counted_extremum)
+    monkeypatch.setattr(unfold, "_solve_plain", counted_plain)
+    monkeypatch.setattr(unfold, "value_functions", one_call)
+    for _, game, _ in families.workload("ring", 1):
+        solve(game_from_dict(game))
+    assert calls and len(asked) > 2 * sum(calls) > 0, (len(asked), calls)
 
 
 # -- kernels against the Delta reference and its 2-D exit projection ---------
