@@ -413,9 +413,9 @@ def _copy_move(table: _Table, t: Transition, nbar: tuple[int, ...]):
     ``nbar``, or None when an atom fails there.  A clause x==1 resets x and
     bumps its integer part; a clock no clause pins to 0 or 1 stays below 1.
     All but the target are kept in ``table.copies`` per :func:`_translate`
-    rows and resets, with the step of each integer part (-1 for a reset)."""
-    trs = tuple(table.atoms[x, op, min(max(c - nbar[x], -1), 2)]
-                for x, op, c in t.guards)
+    rows and resets, with the target as nbar * keep + add, clock by clock."""
+    trs = tuple([table.atoms[x, op, min(max(c - nbar[x], -1), 2)]
+                 for x, op, c in t.guards])
     move = table.copies.get((trs, t.resets))
     if move is None:
         move = ()
@@ -426,12 +426,12 @@ def _copy_move(table: _Table, t: Transition, nbar: tuple[int, ...]):
                              if g.op == "==" and g.bound == 0}
             clauses += [Guard(x, "<", 1) for x in range(len(nbar))
                         if x not in pinned]
-            move = (tuple(dict.fromkeys(clauses)), t.resets | bump,
-                    tuple(-1 if x in t.resets else int(x in bump)
-                          for x in range(len(nbar))))
+            keep = [int(x not in t.resets) for x in range(len(nbar))]
+            move = (tuple(dict.fromkeys(clauses)), t.resets | bump, keep,
+                    [k * (x in bump) for x, k in enumerate(keep)])
         table.copies[trs, t.resets] = move
-    return move and (*move[:2], tuple(0 if s < 0 else v + s
-                                      for v, s in zip(nbar, move[2])))
+    return move and (move[0], move[1], tuple(map(
+        operator.add, map(operator.mul, nbar, move[2]), move[3])))
 
 
 #: A game with clock integer parts folded out: copy (l, n1..nk) with
@@ -549,14 +549,15 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     live, tags, named, feasible, fired = {}, {}, {}, {}, {}
 
     def copy_moves(li: int, nbar: tuple[int, ...]) -> list[tuple]:
-        """(sort rank, id, target copy, guards, resets, weight) per move."""
+        """(sort rank, id, target location, guards, resets, target integer
+        parts, weight) per move."""
         part, out = ",".join(map(str, nbar)), []
         for ti in out_of[li]:
             t = game.transitions[ti]
             move = _copy_move(table, t, nbar)
             if move:
-                out.append(((ti, nbar), f"{t.tid}#{part}",
-                            (index[t.tgt], move[2]), *move[:2], t.weight))
+                out.append(((ti, nbar), f"{t.tid}#{part}", index[t.tgt],
+                            *move, t.weight))
         if locs[li].is_goal:
             return out
         if li not in live:  # the copies of li at or below these are live
@@ -565,8 +566,8 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
             tgt = tuple(map(operator.add, nbar, bump))
             if any(all(map(operator.le, tgt, top)) for top in live[li]):
                 out.append(((len(game.transitions), li, nbar, si),
-                            f"__roll_{names[li]}#{part}_{tag}", (li, tgt),
-                            guards, resets, 0))
+                            f"__roll_{names[li]}#{part}_{tag}", li, guards,
+                            resets, tgt, 0))
         return out
 
     def rloc(key: tuple) -> str:
@@ -609,7 +610,7 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
         src = named[li, nbar, ri]
         if (li, nbar) not in by_copy:
             by_copy[li, nbar] = copy_moves(li, nbar)
-        for rank, tid, (lj, nbar2), guards0, resets, w in by_copy[li, nbar]:
+        for rank, tid, lj, guards0, resets, nbar2, w in by_copy[li, nbar]:
             key = (ri, guards0, resets)
             if key not in fired:
                 fired[key] = firings(key)
