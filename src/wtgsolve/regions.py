@@ -474,8 +474,9 @@ def normalize_01(game: WeightedTimedGame) -> Normalized:
         if is_rollover(t.tid):
             raise InputError(f"transition {t.tid}: ids starting with __roll_ "
                              "are kept for rollovers")
-        for x in dict.fromkeys(g.clock for g in t.guards):
-            if all(g.op in (">", ">=") for g in t.guards if g.clock == x):
+        upper = {x for x, op, _ in t.guards if op not in (">", ">=")}
+        for x, _, _ in t.guards:
+            if x not in upper:
                 raise InputError(
                     f"transition {t.tid}: clock {game.clocks[x]} only has lower "
                     "bounds, so it is not syntactically bounded")
