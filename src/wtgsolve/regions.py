@@ -214,9 +214,9 @@ class _Table:
     whose bit i stands for region ``all_regions(n)[i]``, the regions
     elapsed from each region and those on which each atom with constant 0
     or 1 holds.  ``held`` (see :meth:`satisfying`), ``copies`` (see
-    :func:`_copy_move`), ``candidates`` (see :func:`build_region_wtg`),
-    ``firing`` (see :func:`infer_guard_region`) and the corner moves of
-    :meth:`corner_moves` fill in on first use."""
+    :func:`_copy_move`), ``candidates`` and ``questions`` (see
+    :func:`build_region_wtg`), ``firing`` (see :func:`infer_guard_region`)
+    and the corner moves of :meth:`corner_moves` fill in on first use."""
 
     def __init__(self, n: int):
         self.regions = regions = all_regions(n)
@@ -224,12 +224,11 @@ class _Table:
         self.index = {r: i for i, r in enumerate(regions)}
         self.corners, self.successors, self.reset = {}, {}, {}
         self.constraints, self.firing, self._corner_moves = {}, {}, {}
-        self.copies, self.candidates, self.held = {}, {}, {}
-        # An atom x op c reads in integer part ni as x op (c - ni) there,
-        # alike for every c - ni <= -1 and for every c - ni >= 2.
+        self.copies, self.candidates, self.held, self.questions = {}, {}, {}, {}
+        # An atom x op c reads in integer part ni as x op (c - ni), alike for
+        # all c - ni <= -1 and all c - ni >= 2; spans bound where it holds.
         self.atoms = {(x, op, d): _translate(Guard(x, op, d), 0)
                       for x in range(n) for op in OPS for d in range(-1, 3)}
-        # ... and holds somewhere in ni exactly where c - ni spans (lo, hi)
         self.spans = {op: (min(ds), max(ds)) for op in OPS for ds in [[
             d for d in range(-1, 3)
             if _translate(Guard(0, op, d), 0) is not None]]}
@@ -285,9 +284,8 @@ class _Table:
 
     def satisfying(self, guards: Iterable[Guard], mask: int) -> int:
         """The regions of ``mask`` on which every guard holds, by the mask
-        kept per guards in ``held``.  A constant other than 0 or 1, as the
-        walk makes none, has no single truth value on a region and raises
-        :class:`StructuralError`."""
+        kept per guards in ``held``.  A constant other than 0 or 1 has no
+        single truth value on a region and raises :class:`StructuralError`."""
         guards = tuple(guards)
         if guards not in self.held:
             held = -1
@@ -409,11 +407,11 @@ def _translate(g: Guard, ni: int) -> Optional[tuple[Guard, ...]]:
 
 
 def _copy_move(table: _Table, t: Transition, nbar: tuple[int, ...]):
-    """(guards, resets, target integer parts) of ``t`` in integer parts
-    ``nbar``, or None when an atom fails there.  A clause x==1 resets x and
-    bumps its integer part; a clock no clause pins to 0 or 1 stays below 1.
-    All but the target are kept in ``table.copies`` per :func:`_translate`
-    rows and resets, with the target as nbar * keep + add, clock by clock."""
+    """(number, guards, resets, target integer parts) of ``t`` in integer
+    parts ``nbar``, or None when an atom fails there.  A clause x==1 resets
+    x and bumps its integer part; a clock no clause pins to 0 or 1 stays
+    below 1.  All but the target are kept, numbered, in ``table.copies`` per
+    :func:`_translate` rows and resets; the target is nbar * keep + add."""
     trs = tuple([table.atoms[x, op, min(max(c - nbar[x], -1), 2)]
                  for x, op, c in t.guards])
     move = table.copies.get((trs, t.resets))
@@ -427,11 +425,12 @@ def _copy_move(table: _Table, t: Transition, nbar: tuple[int, ...]):
             clauses += [Guard(x, "<", 1) for x in range(len(nbar))
                         if x not in pinned]
             keep = [int(x not in t.resets) for x in range(len(nbar))]
-            move = (tuple(dict.fromkeys(clauses)), t.resets | bump, keep,
+            move = (len(table.copies), tuple(dict.fromkeys(clauses)),
+                    t.resets | bump, keep,
                     [k * (x in bump) for x, k in enumerate(keep)])
         table.copies[trs, t.resets] = move
-    return move and (move[0], move[1], tuple(map(
-        operator.add, map(operator.mul, nbar, move[2]), move[3])))
+    return move and (*move[:3], tuple(map(
+        operator.add, map(operator.mul, nbar, move[3]), move[4])))
 
 
 #: A game with clock integer parts folded out: copy (l, n1..nk) with
@@ -533,9 +532,9 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     then :func:`trim` would leave, so the game is flagged relaxed and
     trimmed.  The region table holds a move's clauses in a copy
     (:func:`_copy_move`) and its candidate firings (k, target region,
-    guards, emitted guards) per (region, copy guards, resets); a call asks
-    each feasibility question once and finds the tops, the live copies and
-    the region tags on first use.  Transitions come in the order
+    emitted guards, guards) per (region, copy move); a call asks each
+    feasibility question once, by its number, and finds the tops, the live
+    copies and the region tags on first use.  Transitions come in the order
     (transition, integer parts, region, k), rollovers after them by
     (location, integer parts, clocks rolled, region, k), and locations by
     (location, integer parts, region): integer parts in
@@ -547,11 +546,11 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     out_of: list[list[int]] = [[] for _ in names]
     for ti, t in enumerate(game.transitions):
         out_of[index[t.src]].append(ti)
-    live, tags, named, feasible, fired = {}, {}, {}, {}, {}
+    live, tags, named, feasible = {}, {}, {}, {}
 
     def copy_moves(li: int, nbar: tuple[int, ...]) -> list[tuple]:
-        """(sort rank, id, target location, guards, resets, target integer
-        parts, weight) per move."""
+        """(sort rank, id, target location, number, guards, resets, target
+        integer parts, weight) per move: rollovers are numbered below 0."""
         part, out = ",".join(map(str, nbar)), []
         for ti in out_of[li]:
             t = game.transitions[ti]
@@ -561,14 +560,15 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
                             *move, t.weight))
         if locs[li].is_goal:
             return out
-        if li not in live:  # the copies of li at or below these are live
-            live[li] = [tops(ng, game.transitions[ti]) for ti in out_of[li]]
+        if li not in live:  # the copies of li at or below its tops
+            live[li] = {c for ti in out_of[li] for c in itertools.product(
+                *[range(h + 1) for h in tops(ng, game.transitions[ti])])}
         for si, (tag, bump, guards, resets) in enumerate(table.rolls):
             tgt = tuple(map(operator.add, nbar, bump))
-            if any(all(map(operator.le, tgt, top)) for top in live[li]):
+            if tgt in live[li]:
                 out.append(((len(game.transitions), li, nbar, si),
-                            f"__roll_{names[li]}#{part}_{tag}", li, guards,
-                            resets, tgt, 0))
+                            f"__roll_{names[li]}#{part}_{tag}", li, -1 - si,
+                            guards, resets, tgt, 0))
         return out
 
     def rloc(key: tuple) -> str:
@@ -579,29 +579,23 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
         named[key] = f"{names[li]}#{','.join(map(str, nbar))}@[{tags[ri]}]"
         return named[key]
 
-    def firings(key: tuple) -> list[tuple]:
-        """(k, target region index, emitted guards) per firing kept."""
-        cands = table.candidates.get(key)
-        if cands is None:
-            ri, guards0, resets = key
-            r, cands = table.regions[ri], []
-            for k, r2 in enumerate(r.time_successors()):
-                r3 = table.reset[r2, resets] if resets else r2
-                # A clock left at exactly 1 is impossible in a [0,1)-game.
-                if not r3.ones:
-                    guards = tuple(dict.fromkeys((*guards0,
-                                                  *table.constraints[r2])))
-                    cands.append((k, table.index[r3], guards, tuple(
-                        g for g in map(Guard.closed, guards)
-                        if table.elapsed[r] & ~table.sat[g])))
-            table.candidates[key] = cands
-        ri, out = key[0], []
-        for k, ri3, guards, closed in cands:
-            if (ri, guards) not in feasible:
-                feasible[ri, guards] = delay_feasible(table.regions[ri], guards)
-            if feasible[ri, guards]:
-                out.append((k, ri3, closed))
-        return out
+    def firings(ri: int, cid: int, guards0: tuple, resets) -> list[tuple]:
+        """(k, target region index, emitted guards, (number, guards)) per
+        candidate firing, with its feasibility question numbered per process."""
+        r, cands = table.regions[ri], []
+        for k, r2 in enumerate(r.time_successors()):
+            r3 = table.reset[r2, resets] if resets else r2
+            # A clock left at exactly 1 is impossible in a [0,1)-game.
+            if not r3.ones:
+                guards = tuple(dict.fromkeys((*guards0,
+                                              *table.constraints[r2])))
+                cands.append((k, table.index[r3], tuple(
+                    g for g in map(Guard.closed, guards)
+                    if table.elapsed[r] & ~table.sat[g]),
+                    table.questions.setdefault(
+                        (ri, guards), (len(table.questions), guards))))
+        table.candidates[ri, cid] = cands
+        return cands
 
     li0, nbar0, frac0 = ng.initial
     todo, moves, by_copy = [(li0, nbar0, table.index[region_of(frac0)])], [], {}
@@ -611,11 +605,15 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
         src = named[li, nbar, ri]
         if (li, nbar) not in by_copy:
             by_copy[li, nbar] = copy_moves(li, nbar)
-        for rank, tid, lj, guards0, resets, nbar2, w in by_copy[li, nbar]:
-            key = (ri, guards0, resets)
-            if key not in fired:
-                fired[key] = firings(key)
-            for k, ri3, guards in fired[key]:
+        for rank, tid, lj, cid, guards0, resets, nbar2, w in by_copy[li, nbar]:
+            cands = table.candidates.get((ri, cid))
+            if cands is None:
+                cands = firings(ri, cid, guards0, resets)
+            for k, ri3, guards, (qi, full) in cands:
+                if qi not in feasible:
+                    feasible[qi] = delay_feasible(table.regions[ri], full)
+                if not feasible[qi]:
+                    continue
                 tgt = (lj, nbar2, ri3)
                 if tgt not in named:
                     todo.append(tgt)
@@ -747,9 +745,11 @@ def add_resets(rg: RegionGame) -> RegionGame:
     walks = {t.tid: (t.src, t.tgt) for t in transitions}
     made: set[tuple] = set()
     while True:
-        todo = next((t for t in transitions if needs_prepass(t)), None)
-        if todo is None:
+        i = next((i for i, t in enumerate(transitions) if needs_prepass(t)),
+                 None)
+        if i is None:
             break
+        todo = transitions[i]
         zero_clocks = {g.clock for g in todo.guards
                        if g.op == "==" and g.bound == 0}
         # A move into a dead end has no successors to compose with: pinned,
@@ -757,7 +757,7 @@ def add_resets(rg: RegionGame) -> RegionGame:
         same_player = (game.locations[todo.src].owner
                        == game.locations[todo.tgt].owner
                        and any(t2.src == todo.tgt for t2 in transitions))
-        transitions.remove(todo)
+        del transitions[i]  # by place: Transitions compare field by field
         if zero_clocks:
             transitions.append(todo._replace(resets=frozenset(zero_clocks)))
         elif same_player:
