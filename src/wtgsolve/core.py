@@ -60,10 +60,7 @@ def frac(value) -> Fraction:
 
 
 def frac_str(value: ExtRat) -> str:
-    if value == INF:
-        return "+inf"
-    v = Fraction(value)
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+    return "+inf" if value == INF else str(Fraction(value))
 
 
 class Guard(tuple):
@@ -178,8 +175,9 @@ Configuration = namedtuple("Configuration", "location valuation")
 
 class WeightedTimedGame(namedtuple(
         "WeightedTimedGame", "clocks locations transitions initial")):
-    """A deadlock-prone raw game, checked by ``__new__`` and ``_replace``:
-    clock names, locations by name, transitions and initial configuration."""
+    """A deadlock-prone raw game: clock names, locations by name, transitions
+    and initial configuration, checked by ``__new__`` and ``_replace``.
+    ``_make`` does not check: the pipeline builds its games with it."""
 
     __slots__ = ()
 

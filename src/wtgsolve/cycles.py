@@ -2,7 +2,10 @@
 
 Corner-point abstraction, the zero-or-at-least-one cycle weight check,
 green marking of zero-weight cycles, the weight-zero location split, kernel
-extraction and the crude value upper bound W.
+extraction and the crude value upper bound W.  Only the transitions inside
+a strongly connected component of the region game lie on a cycle, so
+:func:`build_corner_point` numbers the components once, makes corner edges
+for those transitions alone, and hands the numbering on to :class:`Kernel`.
 """
 from __future__ import annotations
 
@@ -17,15 +20,16 @@ ANZ = "almost-non-zeno"
 VIOLATION = "violation"
 
 
-class CornerPointGraph(namedtuple("CornerPointGraph", "rg by_tid")):
+class CornerPointGraph(namedtuple("CornerPointGraph", "rg by_tid comp")):
     """Finite weighted graph over (region-location, closure corner) pairs.
 
     A transition edge from corner c bundles the delay to a corner c' of the
     transition's firing region (an integer 0 or 1, billed at the location
     rate) with the discrete jump, so every edge weight is a non-negative
     integer and run weights are sandwiched between corner path weights.
-    An edge is a ``(u, v, weight)`` tuple; ``by_tid`` holds them all,
-    grouped by transition id, for the region game ``rg``.
+    An edge is a ``(u, v, weight)`` tuple; ``by_tid`` holds them, by id, for
+    the transitions of ``rg`` on a cycle: those inside a strongly connected
+    component, numbered successors first in ``comp``.
     """
 
     __slots__ = ()
@@ -46,29 +50,38 @@ AnzReport = namedtuple(
     "AnzReport", "verdict kappa witness witness_weights cycles_checked",
     defaults=(None, None, None, 0))
 
-GreenMarking = namedtuple("GreenMarking", "locations transitions")
+#: The green locations and transitions, and the corner-point graph's ``comp``.
+GreenMarking = namedtuple("GreenMarking", "locations transitions comp")
 
 
 #: The kernel's strongly connected components, as sets of location names,
-#: and the transitions that leave it.
-Kernel = namedtuple("Kernel", "components output_edges")
+#: the transitions that leave it, and the corner-point graph's ``comp``, in
+#: which each twin of :func:`fix_weight_zero` takes its original's number.
+Kernel = namedtuple("Kernel", "components output_edges comp")
 
 
 def build_corner_point(rg: RegionGame) -> CornerPointGraph:
-    """The corner edges of each transition, from the region table."""
+    """Corner edges of the transitions on a cycle, from the region table."""
     if not rg.trimmed:
         raise StructuralError("corner-point abstraction needs a trimmed game")
     game = rg.game
     table = _table(len(game.clocks))
+    succ: dict = {n: [] for n in game.locations}
+    for t in game.transitions:
+        succ[t.src].append(t.tgt)
+    comp = {n: i for i, c in enumerate(strongly_connected_components(succ))
+            for n in c}
     by_tid: dict[str, list] = {}
     for t in game.transitions:
+        if comp[t.src] != comp[t.tgt]:
+            continue
         moves = table.corner_moves(rg.reg[t.src], infer_guard_region(rg, t),
                                    t.resets, rg.reg[t.tgt], t.tid)
         w_loc = game.locations[t.src].weight
         if moves:
             by_tid[t.tid] = [((t.src, c), (t.tgt, landed),
                               d * w_loc + t.weight) for c, landed, d in moves]
-    return CornerPointGraph(rg, by_tid)
+    return CornerPointGraph(rg, by_tid, comp)
 
 
 def _inner_edges(edges: list[tuple]) -> list[tuple]:
@@ -196,7 +209,7 @@ def mark_green(rg: RegionGame, cp: CornerPointGraph) -> GreenMarking:
             for u, v, w in edges if w == 0]
     inner = _inner_edges(zero)
     return GreenMarking(frozenset(u[0] for u, _v, _t in inner),
-                        frozenset(tid for _u, _v, tid in inner))
+                        frozenset(tid for _u, _v, tid in inner), cp.comp)
 
 
 def fix_weight_zero(rg: RegionGame,
@@ -205,7 +218,7 @@ def fix_weight_zero(rg: RegionGame,
     at rate 0; the original keeps its non-green exits behind a zero-delay
     hop.  Identity when all green locations already have weight 0: the
     input is returned as it is.  Moves keep their order, and the hops come
-    after them, by location."""
+    after them, by location.  A twin takes its original's ``comp``."""
     game, green_tids = rg.game, marking.transitions
     split = [n for n in sorted(marking.locations) if game.locations[n].weight]
     if not split:
@@ -237,10 +250,11 @@ def fix_weight_zero(rg: RegionGame,
     initial = game.initial
     if initial.location in twin:
         initial = type(initial)(twin[initial.location], initial.valuation)
-    game2 = type(game)(game.clocks, locations, transitions, initial)
+    game2 = type(game)._make((game.clocks, locations, transitions, initial))
     green = marking.locations.difference(split).union(twin.values())
+    comp = {**marking.comp, **{twin[n]: marking.comp[n] for n in split}}
     return (rg._replace(game=game2, reg=reg),
-            GreenMarking(green, green_tids))
+            GreenMarking(green, green_tids, comp))
 
 
 def extract_kernel(rg: RegionGame, marking: GreenMarking) -> Kernel:
@@ -256,7 +270,7 @@ def extract_kernel(rg: RegionGame, marking: GreenMarking) -> Kernel:
                if t.src in kernel_locs
                and (t.tid not in marking.transitions
                     or t.tgt not in kernel_locs)]
-    return Kernel(sorted(comps, key=sorted), outputs)
+    return Kernel(sorted(comps, key=sorted), outputs, marking.comp)
 
 
 def compute_bounds(rg: RegionGame) -> tuple[Fraction, Fraction]:

@@ -509,10 +509,10 @@ def restrict(rg: RegionGame, locations: Collection[str],
     keep, kept_tids = set(locations), set(tids)
     transitions = [t for t in rg.game.transitions if t.tid in kept_tids
                    and t.src in keep and t.tgt in keep]
-    game = WeightedTimedGame(
+    game = WeightedTimedGame._make((
         list(rg.game.clocks),
         {n: l for n, l in rg.game.locations.items() if n in keep},
-        transitions, rg.game.initial)
+        transitions, rg.game.initial))
     return RegionGame(game, {n: r for n, r in rg.reg.items() if n in keep},
                       trimmed=rg.trimmed, relaxed=rg.relaxed)
 
@@ -625,8 +625,8 @@ def build_region_wtg(ng: Normalized) -> RegionGame:
     locations = {named[k]: Location(named[k], locs[k[0]].owner,
                                     locs[k[0]].is_goal, locs[k[0]].weight)
                  for k in keys}
-    g = WeightedTimedGame(list(game.clocks), locations,
-                          [t for _, t in moves], initial)
+    g = WeightedTimedGame._make((list(game.clocks), locations,
+                                 [t for _, t in moves], initial))
     return RegionGame(g, {named[k]: table.regions[k[2]] for k in keys},
                       trimmed=True, relaxed=True)
 
@@ -661,8 +661,8 @@ def trim(rg: RegionGame) -> RegionGame:
         clauses = tuple(g for g in t.guards if elapsed & ~table.sat[g])
         kept.append(t if len(clauses) == len(t.guards)
                     else t._replace(guards=clauses))
-    game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
-                             kept, rg.game.initial)
+    game = rg.game._make((list(rg.game.clocks), dict(rg.game.locations),
+                          kept, rg.game.initial))
     return RegionGame(game, dict(rg.reg), trimmed=True, relaxed=rg.relaxed)
 
 
@@ -678,8 +678,8 @@ def relax(rg: RegionGame) -> RegionGame:
         return t if guards == t.guards else t._replace(guards=guards)
 
     transitions = [closed(t) for t in rg.game.transitions]
-    game = WeightedTimedGame(list(rg.game.clocks), dict(rg.game.locations),
-                             transitions, rg.game.initial)
+    game = rg.game._make((list(rg.game.clocks), dict(rg.game.locations),
+                          transitions, rg.game.initial))
     return RegionGame(game, dict(rg.reg), relaxed=True)
 
 
@@ -849,8 +849,8 @@ def add_resets(rg: RegionGame) -> RegionGame:
             tid=t.tid + suffix, src=src, tgt=tgt, guards=guards,
             resets=resets | zeros, weight=t.weight))
 
-    out_game = WeightedTimedGame(list(game.clocks), locations, new_trans,
-                                 game.initial)
+    out_game = WeightedTimedGame._make((list(game.clocks), locations,
+                                        new_trans, game.initial))
     return RegionGame(out_game, reg2, trimmed=True, relaxed=True)
 
 

@@ -90,10 +90,6 @@ def _param_axis(r: Region) -> int:
     return 0
 
 
-def _sorted_corners(r: Region) -> list[Valuation]:
-    return sorted(r.corners())
-
-
 # ---------------------------------------------------------------------------
 # One transition: the child's value read along one affine view
 # ---------------------------------------------------------------------------
@@ -107,7 +103,7 @@ def _chord(gr: Region, c0) -> Optional[tuple[Valuation, Valuation]]:
         if not (0 <= c0 <= 1 if above else -1 <= c0 <= 0):
             return None
         return ((0, c0), (1 - c0, 1)) if above else ((-c0, 0), (1, 1 + c0))
-    corners = _sorted_corners(gr)
+    corners = sorted(gr.corners())
     a, b = corners[0], corners[-1]
     dcp = (b[1] - a[1]) - (b[0] - a[0])
     if dcp:  # a guard segment across the flow, met at one point
@@ -152,7 +148,7 @@ def _plan(src: Region | Valuation, gr: Region, resets: frozenset[int],
     def u(p: Valuation):  # the clock the child reads after p
         return 0 if axis in resets else p[axis]
 
-    corners = _sorted_corners(src) if isinstance(src, Region) else [src]
+    corners = sorted(src.corners()) if isinstance(src, Region) else [src]
     a, b = corners[0], corners[-1]
     dx, dy = b[0] - a[0], b[1] - a[1]
     if dx == dy:
@@ -190,7 +186,7 @@ def _plan(src: Region | Valuation, gr: Region, resets: frozenset[int],
             StructuralError,
             "{tid}: point guard region from a sliding source"))
     if gr.dim == 1:
-        ga, gb = _sorted_corners(gr)
+        ga, gb = sorted(gr.corners())
         dcp = (gb[1] - ga[1]) - (gb[0] - ga[0])
         if dcp == 0:
             return _Plan(error=(
@@ -407,10 +403,10 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     shared.  A unit is a zero-weight component, solved by value
     iteration against the values behind its output edges, or a plain
     location, solved by the one-step delay optimization.  Units are visited
-    by strongly connected component, successors first, and each component
-    runs Jacobi sweeps over its members, recomputing a member only when the
-    value of one of its successors changed in the previous sweep, until
-    none is left: an acyclic unit is solved once against final values.
+    by strongly connected component, successors first, inside each component
+    of ``kernel.comp`` (a unit alone in one and on no cycle is solved once),
+    and each runs Jacobi sweeps over its members, recomputing a member only
+    when a successor's value changed in the previous sweep, until none is left.
     Sweep values decrease monotonically from +infinity and, because every
     cycle outside the components costs at least ``kappa``, they reach the
     unfolding's exact root value within (#positive elements * (W/kappa + 2)
@@ -419,7 +415,7 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     bound, whichever comes first.  ``sweeps`` in ``_stats`` is the most any component took.
     Equal one-step questions, as integer-part copies and early-reset twins
     ask them, are answered once per call."""
-    game = rg.game
+    game, comp_of = rg.game, kernel.comp
     npos = (sum(1 for l in game.locations.values() if l.weight > 0)
             + sum(1 for t in game.transitions if t.weight > 0))
     # W/kappa + 2 = (a*d + 2*b*c) / (b*c), and a ceiling by floor division
@@ -436,17 +432,18 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
     for t in game.transitions:
         if t.src in edges:
             edges[t.src].append(t)
-    succ: dict = {u: set() for u in edges}
-    pred: dict = {u: set() for u in edges}
+    units, succ, pred = {}, {}, {}  # succ, pred: the moves inside a component
     for u, ts in edges.items():
+        first = u if isinstance(u, str) else next(iter(u))
+        units.setdefault(comp_of[first], []).append(u)
         for t in ts:
-            if not game.locations[t.tgt].is_goal:
+            if (comp_of[t.src] == comp_of[t.tgt]
+                    and not game.locations[t.tgt].is_goal):
                 v = loc2comp.get(t.tgt, t.tgt)
-                succ[u].add(v)
-                pred[v].add(u)
-
-    values = {n: NodeValue(rg.reg[n], PLF1.constant(0) if l.is_goal
-                           else PLF1.infinite())
+                succ.setdefault(u, set()).add(v)
+                pred.setdefault(v, set()).add(u)
+    goal, top = PLF1.constant(0), PLF1.infinite()
+    values = {n: NodeValue(rg.reg[n], goal if l.is_goal else top)
               for n, l in game.locations.items()}
     shared: dict = {}
 
@@ -460,19 +457,25 @@ def value_functions(rg: RegionGame, kernel: Kernel, w_bound: Fraction,
         return kv
 
     most = 0
-    for scc in strongly_connected_components(succ):
-        todo = members = set(scc)
-        sweep = 0
-        while todo and sweep < max_sweeps:
-            sweep += 1
-            nxt = {}
-            for u in todo:
-                nxt.update(solve_unit(u))
-            changed = [n for n, nv in nxt.items() if values[n] != nv]
-            values.update(nxt)
-            todo = {u for n in changed
-                    for u in pred[loc2comp.get(n, n)]} & members
-        most = max(most, sweep)
+    for _number, group in sorted(units.items()):
+        if len(group) == 1 and group[0] not in succ:  # on no cycle
+            values.update(solve_unit(group[0]))
+            most = max(most, 1)
+            continue
+        for scc in strongly_connected_components({u: succ.get(u, ())
+                                                  for u in group}):
+            todo = members = set(scc)
+            sweep = 0
+            while todo and sweep < max_sweeps:
+                sweep += 1
+                nxt = {}
+                for u in todo:
+                    nxt.update(solve_unit(u))
+                changed = [n for n, nv in nxt.items() if values[n] != nv]
+                values.update(nxt)
+                todo = {u for n in changed
+                        for u in pred.get(loc2comp.get(n, n), ())} & members
+            most = max(most, sweep)
     if _stats is not None:
         _stats["sweeps"] = most
     return values

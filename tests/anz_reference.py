@@ -2,11 +2,13 @@
 check.
 
 ``build_corner_point`` is the corner-point construction the solver used
-before it read corner moves from the region table: it turns the int
-corners of each transition's regions into ``Fraction`` valuations and
-finds the uniform delays between them.
-``wtgsolve.cycles.build_corner_point`` must give the same edges, in the
-same order, with the same weights.
+before it read corner moves from the region table and before it kept only
+the transitions inside a strongly connected component: it turns the int
+corners of every transition's regions into ``Fraction`` valuations and
+finds the uniform delays between them.  ``wtgsolve.cycles.build_corner_point``
+must give the same edges, in the same order, with the same weights, on
+every transition inside a component, and none on any other; ``components``
+numbers the components independently, with ``networkx``.
 
 ``enumerate_almost_non_zeno`` is the check the solver used before it
 searched the corner-path product (``wtgsolve.cycles.check_almost_non_zeno``).
@@ -66,7 +68,19 @@ def build_corner_point(rg: RegionGame) -> CornerPointGraph:
                         f"corner {landed} off the target region of {t.tid}")
                 by_tid.setdefault(t.tid, []).append(
                     ((t.src, c), (t.tgt, landed), d * w_loc + t.weight))
-    return CornerPointGraph(rg, by_tid)
+    return CornerPointGraph(rg, by_tid, components(rg))
+
+
+def components(rg: RegionGame) -> dict:
+    """Each location -> the number of its strongly connected component,
+    numbered successors first, from ``networkx``'s condensation."""
+    g = nx.DiGraph()
+    g.add_nodes_from(rg.game.locations)
+    g.add_edges_from((t.src, t.tgt) for t in rg.game.transitions)
+    dag = nx.condensation(g)
+    number = {c: i for i, c in
+              enumerate(reversed(list(nx.topological_sort(dag))))}
+    return {n: number[c] for n, c in dag.graph["mapping"].items()}
 
 
 def _location_digraph(cp: CornerPointGraph) -> nx.DiGraph:

@@ -16,14 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from acceptance_corpus import exact_corpus, mixed_cycle, transformation_corpus
+from acceptance_corpus import (exact_corpus, kernel_corpus, kernel_to_wtg,
+                               mixed_cycle, transformation_corpus)
 import anz_reference
 from anz_reference import enumerate_almost_non_zeno
 from corpus import G, loc, make_game, three_clock_demo
 from wtgsolve.cli import main
-from wtgsolve.core import MAX, MIN, Transition
+from wtgsolve.core import MAX, MIN, GameError, Transition
 from wtgsolve.cycles import (ANZ, VIOLATION, build_corner_point,
-                             check_almost_non_zeno)
+                             check_almost_non_zeno, extract_kernel,
+                             fix_weight_zero, mark_green)
 from wtgsolve.gameio import game_from_dict, save_game
 from wtgsolve.regions import (add_resets, build_region_wtg, normalize_01,
                               prune_unreachable, relax, trim)
@@ -144,20 +146,76 @@ def test_product_search_agrees_with_the_enumerator():
 
 
 def test_tabulated_corner_edges_match_the_valuation_reference():
-    """``build_corner_point`` reads corner moves from the region table; its
-    edges are those of the valuation reference, transition by transition,
-    in the same order and with the same data, on the trimmed region game
-    and on the one ``prepare`` checks.  Its corners are int tuples."""
+    """``build_corner_point`` reads corner moves from the region table, and
+    makes them only for the transitions inside a strongly connected
+    component of the region game.  On each of those, its edges are those of
+    the valuation reference, transition by transition, in the same order and
+    with the same data, and no other transition has an edge, on the trimmed
+    region game and on the one ``prepare`` checks.  Its component numbers
+    are ``networkx``'s components, numbered successors first, and its
+    corners are int tuples."""
     games = differential_games() + [("three_clock_demo", three_clock_demo())]
     games += [(f"random-{seed}", random_game(seed))
               for seed in range(120, 400)]
     for name, game in games:
         for rg in (trim(build_region_wtg(normalize_01(game))),
                    checked_region_game(game)):
-            got = build_corner_point(rg).by_tid
-            assert got == anz_reference.build_corner_point(rg).by_tid, name
-            assert all(type(x) is int for es in got.values()
+            cp, ref = build_corner_point(rg), anz_reference.build_corner_point(rg)
+            comp = anz_reference.components(rg)
+            inner = [t.tid for t in rg.game.transitions
+                     if comp[t.src] == comp[t.tgt] and t.tid in ref.by_tid]
+            assert list(cp.by_tid.items()) == [
+                (tid, ref.by_tid[tid]) for tid in inner], name
+            assert _parts(cp.comp) == _parts(comp), name
+            assert all(cp.comp[t.src] >= cp.comp[t.tgt]
+                       for t in rg.game.transitions), name
+            assert all(type(x) is int for es in cp.by_tid.values()
                        for (_l, c), (_m, d), _data in es for x in c + d), name
+
+
+def _parts(comp):
+    """The partition that a numbering of components makes."""
+    parts: dict = {}
+    for n, i in comp.items():
+        parts.setdefault(i, set()).add(n)
+    return sorted(map(sorted, parts.values()))
+
+
+def _cycle_layers(rg, cp):
+    """What the ANZ check, green marking, the weight-zero split and kernel
+    extraction make of ``cp``, or the error class and message that stops
+    them."""
+    report = check_almost_non_zeno(cp)
+    marking = mark_green(rg, cp)
+    out = [tuple(report), marking.locations, marking.transitions]
+    try:
+        kernel = extract_kernel(*fix_weight_zero(rg, marking))
+    except GameError as exc:
+        return out + [type(exc), str(exc)]
+    return out + [kernel.components, kernel.output_edges]
+
+
+def test_the_cut_graph_decides_as_the_full_graph():
+    """The ANZ verdict, witness, its weights and ``cycles_checked``, the
+    green marking and the kernel are the same from the solver's corner-point
+    graph, cut to the transitions inside a component, as from the
+    reference's graph of every transition."""
+    games = differential_games() + [
+        (f"random-{seed}", random_game(seed)) for seed in range(120, 400)]
+    games += [(name, kernel_to_wtg(kg)) for name, kg in kernel_corpus()]
+    games += [(f"kernel_chain-{k}", game_from_dict(families.kernel_chain(k)))
+              for k in range(1, 6)]
+    compared = cut = 0
+    for name, game in games:
+        try:
+            rg = checked_region_game(game)
+        except GameError:
+            continue
+        cp, ref = build_corner_point(rg), anz_reference.build_corner_point(rg)
+        assert _cycle_layers(rg, cp) == _cycle_layers(rg, ref), name
+        compared += 1
+        cut += cp.by_tid.keys() < ref.by_tid.keys()
+    assert compared > 400 and cut > 100, (compared, cut)
 
 
 def test_self_loop_game_is_rejected(tmp_path, capsys):

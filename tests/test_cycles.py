@@ -1,9 +1,12 @@
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import anz_reference
 from corpus import G, loc, make_game, three_clock_demo
+from test_anz import checked_region_game
 from wtgsolve.core import MAX, MIN, StructuralError, Transition
 from wtgsolve.cycles import (
     ANZ,
@@ -15,15 +18,21 @@ from wtgsolve.cycles import (
     fix_weight_zero,
     mark_green,
 )
+from wtgsolve.gameio import game_from_dict
 from wtgsolve.oracle import GridOracle
 from wtgsolve.regions import (
     Region,
     RegionGame,
     build_region_wtg,
+    is_rollover,
     normalize_01,
     prune_unreachable,
     trim,
 )
+from wtgsolve.unfold import solve
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import families  # noqa: E402  (the benchmark's generators, used read-only)
 
 
 def corner_nodes(cp):
@@ -336,3 +345,52 @@ class TestBounds:
             _, w = compute_bounds(rg)
             val = GridOracle(g, 4, 12, keep_layers=False).value
             assert val <= w
+
+
+#: (sweeps, VI steps) of each game, as the solver gave them when every
+#: transition had corner edges and ``value_functions`` ran one Tarjan pass
+#: over all its units.
+CHAIN_FIGURES = {(k, m): (1, 0) for k in range(2, 7) for m in (2, 3)}
+RING_FIGURES = {(2, 1): (5, 0), (2, 2): (7, 0), (3, 1): (6, 0), (3, 2): (9, 0),
+                (4, 1): (5, 0), (4, 2): (7, 0), (5, 1): (9, 0), (5, 2): (14, 0),
+                (6, 1): (5, 0), (6, 2): (7, 0), (7, 1): (12, 0),
+                (7, 2): (19, 0)}
+KERNEL_CHAIN_FIGURES = {1: (1, 3), 2: (1, 4), 3: (1, 4), 4: (1, 4), 5: (1, 4)}
+
+
+class TestComponentCut:
+    """Only the transitions inside a strongly connected component of the
+    region game get corner edges, and the components order the sweeps."""
+
+    def test_a_chain_has_no_corner_edge(self):
+        for k, m in CHAIN_FIGURES:
+            game = game_from_dict(families.chain(k, m))
+            rg = checked_region_game(game)
+            assert build_corner_point(rg).by_tid == {}, (k, m)
+            assert anz_reference.build_corner_point(rg).by_tid, (k, m)
+            assert solve(game).prepared.anz.cycles_checked == 0, (k, m)
+
+    def test_a_ring_keeps_the_edges_of_its_cycle(self):
+        for k, m in RING_FIGURES:
+            rg = checked_region_game(game_from_dict(families.ring(k, m)))
+            cp, ref = (build_corner_point(rg),
+                       anz_reference.build_corner_point(rg))
+            comp = anz_reference.components(rg)
+            on_cycle = [t.tid for t in rg.game.transitions
+                        if comp[t.src] == comp[t.tgt]]
+            assert {tid: cp.by_tid.get(tid) for tid in on_cycle} == {
+                tid: ref.by_tid.get(tid) for tid in on_cycle}, (k, m)
+            # every move of the input ring lies on a region cycle, and no
+            # move to the goal does
+            assert {tid.split("#")[0] for tid in cp.by_tid
+                    if not is_rollover(tid)} == {
+                f"n{i}" for i in range(k)}, (k, m)
+
+    @pytest.mark.parametrize("family, figures", [
+        ("chain", CHAIN_FIGURES), ("ring", RING_FIGURES),
+        ("kernel_chain", KERNEL_CHAIN_FIGURES)])
+    def test_sweeps_and_vi_steps_are_pinned(self, family, figures):
+        for args, want in figures.items():
+            args = args if isinstance(args, tuple) else (args,)
+            verdict = solve(game_from_dict(getattr(families, family)(*args)))
+            assert (verdict.sweeps, verdict.vi_steps) == want, (family, args)

@@ -944,6 +944,45 @@ def _stages(game):
     return out
 
 
+def _benchmark_games():
+    """The benchmark's workloads at seeds 1-3 and its families at sizes
+    around them."""
+    families = test_anz.families
+    dicts = [d for w in families.WORKLOADS for seed in (1, 2, 3)
+             for _, d, _ in families.workload(w, seed)]
+    dicts += [families.chain(k, m) for k in range(2, 7) for m in (2, 3)]
+    dicts += [families.ring(k, m) for k in range(2, 8) for m in (1, 2)]
+    dicts += [families.kernel_chain(k) for k in range(1, 6)]
+    return [game_from_dict(d) for d in dicts]
+
+
+def test_every_game_the_pipeline_builds_passes_the_checks(monkeypatch):
+    """The pipeline builds its games with ``WeightedTimedGame._make``, which
+    does not check them.  Every game it builds, over the walk corpus and the
+    benchmark's families, passes the checks of ``WeightedTimedGame.__new__``
+    and comes out equal; ``trim`` and ``relax``, which ``prepare`` finds
+    nothing to do for, are run on each region game flagged undone."""
+    make, built = WeightedTimedGame._make, []
+
+    def recorded(cls, parts):
+        built.append((sys._getframe(1).f_code.co_name, make(parts)))
+        return built[-1][1]
+
+    monkeypatch.setattr(WeightedTimedGame, "_make", classmethod(recorded))
+    games = [g for _, g in _walk_games()] + _benchmark_games()
+    for game in games:
+        try:
+            rg = prepare(game).rg
+        except GameError:
+            continue
+        trim(relax(rg._replace(trimmed=False, relaxed=False)))
+    assert {name for name, _ in built} == {
+        "build_region_wtg", "restrict", "add_resets", "fix_weight_zero",
+        "trim", "relax"}
+    for name, game in built:
+        assert WeightedTimedGame(*game) == game, name
+
+
 class TestRegionSets:
     def test_same_games_as_the_per_region_reference(self, monkeypatch):
         """``trim`` and ``infer_guard_region`` by region sets leave the same
