@@ -258,10 +258,13 @@ def fix_weight_zero(rg: RegionGame,
 
 
 def extract_kernel(rg: RegionGame, marking: GreenMarking) -> Kernel:
+    """The kernel: the green transitions' cycles.  A goal location ends
+    every play that reaches it, so none is a member even on a green cycle."""
+    locs = rg.game.locations
     succ: dict = {}
     for t in rg.game.transitions:
         if (t.tid in marking.transitions and t.src in marking.locations
-                and t.tgt in marking.locations):
+                and t.tgt in marking.locations and not locs[t.src].is_goal):
             succ.setdefault(t.src, []).append(t.tgt)
     comps = [frozenset(c) for c in strongly_connected_components(succ)
              if len(c) > 1 or c[0] in succ.get(c[0], ())]

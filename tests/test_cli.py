@@ -82,6 +82,14 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "decision(th=1/2) = exceeds" in out
 
+    def test_a_goal_with_a_zero_reset_loop(self, game_file, capsys):
+        locs = [loc("a", MIN, goal=True)]
+        trans = [Transition("t", "a", "a", guards=(G(1, "<=", 1),),
+                            resets=frozenset({1}))]
+        assert main(["solve", game_file(make_game(locs, trans, "a",
+                                                  (0, 0)))]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "value = 0"
+
     def test_infinite_value(self, game_file, capsys):
         assert main(["solve", game_file(no_goal_path())]) == 0
         out = capsys.readouterr().out.splitlines()

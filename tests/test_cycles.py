@@ -321,6 +321,20 @@ class TestKernel:
         kernel = extract_kernel(rg, marking)
         assert len(kernel.components) == 2
 
+    def test_a_goal_on_a_zero_cycle_is_no_member(self):
+        # the goal's own reset loop is a green zero cycle, but plays stop there
+        locs = [loc("a", MIN), loc("G", goal=True)]
+        trans = [
+            Transition("ta", "a", "G", guards=(G(0, "==", 1),),
+                       resets=frozenset({0})),
+            Transition("tg", "G", "G", guards=(G(1, "<=", 1),),
+                       resets=frozenset({1})),
+        ]
+        rg = pipeline(make_game(locs, trans, "a", (0, 0)))
+        kernel = extract_kernel(rg, mark_green(rg, build_corner_point(rg)))
+        members = frozenset().union(*kernel.components)
+        assert not any(rg.game.locations[n].is_goal for n in members)
+
 
 class TestBounds:
     def test_formula(self):
